@@ -263,8 +263,8 @@ pub fn run_ppa(coo: &CooTensor, mode: usize, rank: usize, reps: usize) -> Vec<Pp
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tenblock_core::block::BlockedKernel;
     use tenblock_core::kernel::MttkrpKernel;
-    use tenblock_core::mttkrp::SplattKernel;
     use tenblock_tensor::gen::uniform_tensor;
 
     #[test]
@@ -279,7 +279,7 @@ mod tests {
         let mut accum = vec![0.0; rank];
         run_variant(PpaVariant::Unchanged, &t, &b, &c, &mut out, &mut accum);
 
-        let kernel = SplattKernel::new(&x, 0);
+        let kernel = BlockedKernel::new(&x, 0, None, None);
         let mut expect = DenseMatrix::zeros(20, rank);
         kernel.mttkrp(&[&a, &b, &c], &mut expect);
         assert!(expect.approx_eq(&out, 1e-12));

@@ -2,19 +2,21 @@
 //!
 //! 1. **Strip factor layout** (Section V-B's "small rearrangement of the
 //!    factor matrix") vs reading strips out of the plain row-major layout.
-//! 2. **Block traversal order**: `b`-major (reuse the expensive mode-2
-//!    factor block, per Section IV-B) vs `c`-major.
-//! 3. **Format**: the COO kernel vs the SPLATT kernel (the Section III-C
+//! 2. **Format**: the COO kernel vs the SPLATT kernel (the Section III-C
 //!    motivation for the fiber format).
-//! 4. **Parallelism**: rayon on/off for the baseline and blocked kernels.
+//! 3. **Parallelism**: rayon on/off for the baseline and blocked kernels.
+//!
+//! `results/ablations.txt` was recorded when a block-traversal-order
+//! section (`b`-major vs `c`-major, 1.02x) sat between 1 and 2; the knob
+//! measured within noise and is gone.
 //!
 //! Run: `cargo run -p tenblock-bench --release --bin ablations [--scale f] [--rank r] [--reps n]`
 
 use tenblock_bench::{
     arg_reps, arg_scale, arg_seed, arg_value, bench_factors, scaled_dataset, time_kernel,
 };
-use tenblock_core::block::{MbKernel, MbRankBKernel, RankBKernel, RankbLayout, Traversal};
-use tenblock_core::mttkrp::{CooKernel, SplattKernel};
+use tenblock_core::block::{BlockedKernel, RankbLayout};
+use tenblock_core::mttkrp::CooKernel;
 use tenblock_core::ExecPolicy;
 use tenblock_tensor::gen::Dataset;
 use tenblock_tensor::DenseMatrix;
@@ -44,25 +46,17 @@ fn main() {
     };
 
     println!("\n[1] RankB factor layout (strip width 16):");
-    let plain = RankBKernel::new(&x, 0, 16);
-    let strip = RankBKernel::new(&x, 0, 16).with_layout(RankbLayout::Strip);
+    let plain = BlockedKernel::new(&x, 0, None, Some(16));
+    let strip = BlockedKernel::new(&x, 0, None, Some(16)).with_layout(RankbLayout::Strip);
     let tp = time_kernel(&plain, &factors, &mut out, reps);
     row("plain row-major reads", tp, None);
     let ts = time_kernel(&strip, &factors, &mut out, reps);
     row("stacked strip layout", ts, Some(tp));
 
-    println!("\n[2] MB block traversal order (grid 4x4x4):");
-    let bmaj = MbKernel::new(&x, 0, [4, 4, 4]);
-    let cmaj = MbKernel::new(&x, 0, [4, 4, 4]).with_traversal(Traversal::CMajor);
-    let tb = time_kernel(&bmaj, &factors, &mut out, reps);
-    row("b-major (mode-2 block reused)", tb, None);
-    let tc = time_kernel(&cmaj, &factors, &mut out, reps);
-    row("c-major (mode-3 block reused)", tc, Some(tb));
-
-    println!("\n[3] Storage format (Section III-C):");
+    println!("\n[2] Storage format (Section III-C):");
     println!("  -- thin fibers (this NELL2 analogue, nnz/F ~= 1):");
     let coo = CooKernel::new(&x, 0);
-    let splatt = SplattKernel::new(&x, 0);
+    let splatt = BlockedKernel::new(&x, 0, None, None);
     let tcoo = time_kernel(&coo, &factors, &mut out, reps);
     row("COO kernel", tcoo, None);
     let tsp = time_kernel(&splatt, &factors, &mut out, reps);
@@ -85,7 +79,7 @@ fn main() {
         let ffac = bench_factors(xf.dims(), rank, seed);
         let mut fout = DenseMatrix::zeros(xf.dims()[0], rank);
         let coo_f = CooKernel::new(&xf, 0);
-        let splatt_f = SplattKernel::new(&xf, 0);
+        let splatt_f = BlockedKernel::new(&xf, 0, None, None);
         let tcoo_f = time_kernel(&coo_f, &ffac, &mut fout, reps);
         row("COO kernel", tcoo_f, None);
         let tsp_f = time_kernel(&splatt_f, &ffac, &mut fout, reps);
@@ -93,17 +87,18 @@ fn main() {
     }
 
     println!(
-        "\n[4] rayon parallelism ({} threads available):",
+        "\n[3] rayon parallelism ({} threads available):",
         rayon::current_num_threads()
     );
-    let base_seq = SplattKernel::new(&x, 0);
-    let base_par = SplattKernel::new(&x, 0).with_exec(ExecPolicy::auto());
+    let base_seq = BlockedKernel::new(&x, 0, None, None);
+    let base_par = BlockedKernel::new(&x, 0, None, None).with_exec(ExecPolicy::auto());
     let t1 = time_kernel(&base_seq, &factors, &mut out, reps);
     row("SPLATT sequential", t1, None);
     let t2 = time_kernel(&base_par, &factors, &mut out, reps);
     row("SPLATT parallel", t2, Some(t1));
-    let blk_seq = MbRankBKernel::new(&x, 0, [4, 2, 2], 16);
-    let blk_par = MbRankBKernel::new(&x, 0, [4, 2, 2], 16).with_exec(ExecPolicy::auto());
+    let blk_seq = BlockedKernel::new(&x, 0, Some([4, 2, 2]), Some(16));
+    let blk_par =
+        BlockedKernel::new(&x, 0, Some([4, 2, 2]), Some(16)).with_exec(ExecPolicy::auto());
     let t3 = time_kernel(&blk_seq, &factors, &mut out, reps);
     row("MB+RankB sequential", t3, None);
     let t4 = time_kernel(&blk_par, &factors, &mut out, reps);

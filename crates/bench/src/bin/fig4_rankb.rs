@@ -7,8 +7,7 @@
 use tenblock_bench::{
     arg_reps, arg_scale, arg_seed, arg_value, bench_factors, gflops, scaled_dataset, time_kernel,
 };
-use tenblock_core::block::RankBKernel;
-use tenblock_core::mttkrp::SplattKernel;
+use tenblock_core::block::BlockedKernel;
 use tenblock_tensor::gen::Dataset;
 use tenblock_tensor::DenseMatrix;
 
@@ -33,7 +32,7 @@ fn main() {
         let mut out = DenseMatrix::zeros(x.dims()[0], rank);
         let fibers = x.count_fibers(tenblock_tensor::coo::MODE1_PERM);
 
-        let baseline = SplattKernel::new(&x, 0);
+        let baseline = BlockedKernel::new(&x, 0, None, None);
         let base_secs = time_kernel(&baseline, &factors, &mut out, reps);
         println!(
             "{:<10} {:>8} {:>11} {:>11.4} {:>10.2} {:>8.2}x  (SPLATT baseline)",
@@ -49,7 +48,7 @@ fn main() {
         let mut nblocks = 1;
         while rank / nblocks >= 16 {
             let width = rank / nblocks;
-            let k = RankBKernel::new(&x, 0, width);
+            let k = BlockedKernel::new(&x, 0, None, Some(width));
             let secs = time_kernel(&k, &factors, &mut out, reps);
             println!(
                 "{:<10} {:>8} {:>11} {:>11.4} {:>10.2} {:>8.2}x",

@@ -8,8 +8,7 @@
 use tenblock_bench::{
     arg_reps, arg_scale, arg_seed, arg_value, bench_factors, gflops, scaled_dataset, time_kernel,
 };
-use tenblock_core::block::MbKernel;
-use tenblock_core::mttkrp::SplattKernel;
+use tenblock_core::block::BlockedKernel;
 use tenblock_tensor::gen::Dataset;
 use tenblock_tensor::DenseMatrix;
 
@@ -53,7 +52,7 @@ fn main() {
         let mut out = DenseMatrix::zeros(dims[0], rank);
         let fibers = x.count_fibers(tenblock_tensor::coo::MODE1_PERM);
 
-        let baseline = SplattKernel::new(&x, 0);
+        let baseline = BlockedKernel::new(&x, 0, None, None);
         let base_secs = time_kernel(&baseline, &factors, &mut out, reps);
         println!(
             "{:<10} {:>12} {:>11.4} {:>10.2} {:>8.2}x  (SPLATT baseline)",
@@ -66,7 +65,7 @@ fn main() {
 
         for &grid in grids {
             let clamped: [usize; 3] = std::array::from_fn(|m| grid[m].min(dims[m].max(1)));
-            let k = MbKernel::new(&x, 0, clamped);
+            let k = BlockedKernel::new(&x, 0, Some(clamped), None);
             let secs = time_kernel(&k, &factors, &mut out, reps);
             println!(
                 "{:<10} {:>12} {:>11.4} {:>10.2} {:>8.2}x",

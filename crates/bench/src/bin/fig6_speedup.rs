@@ -9,8 +9,7 @@ use tenblock_bench::{
     arg_reps, arg_scale, arg_seed, arg_value, bench_factors, scaled_dataset, time_kernel,
     FIG6_DATASETS,
 };
-use tenblock_core::block::{MbKernel, MbRankBKernel, RankBKernel};
-use tenblock_core::mttkrp::SplattKernel;
+use tenblock_core::block::BlockedKernel;
 use tenblock_core::{tune, TuneOptions};
 use tenblock_tensor::DenseMatrix;
 
@@ -54,16 +53,16 @@ fn main() {
             topts.max_blocks = 32;
             let tuned = tune(&x, 0, &topts);
 
-            let base = SplattKernel::new(&x, 0);
+            let base = BlockedKernel::new(&x, 0, None, None);
             let base_secs = time_kernel(&base, &factors, &mut out, reps);
 
-            let mb = MbKernel::new(&x, 0, tuned.grid);
+            let mb = BlockedKernel::new(&x, 0, Some(tuned.grid), None);
             let mb_secs = time_kernel(&mb, &factors, &mut out, reps);
 
-            let rb = RankBKernel::new(&x, 0, tuned.strip_width);
+            let rb = BlockedKernel::new(&x, 0, None, Some(tuned.strip_width));
             let rb_secs = time_kernel(&rb, &factors, &mut out, reps);
 
-            let both = MbRankBKernel::new(&x, 0, tuned.grid, tuned.strip_width);
+            let both = BlockedKernel::new(&x, 0, Some(tuned.grid), Some(tuned.strip_width));
             let both_secs = time_kernel(&both, &factors, &mut out, reps);
 
             println!(

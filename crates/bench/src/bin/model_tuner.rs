@@ -10,8 +10,7 @@
 
 use tenblock_analysis::{tune_by_model, ModelTuneOptions};
 use tenblock_bench::{arg_scale, arg_seed, arg_value, bench_factors, scaled_dataset, time_kernel};
-use tenblock_core::block::MbRankBKernel;
-use tenblock_core::mttkrp::SplattKernel;
+use tenblock_core::block::BlockedKernel;
 use tenblock_core::{tune, TuneOptions};
 use tenblock_tensor::gen::Dataset;
 use tenblock_tensor::DenseMatrix;
@@ -44,9 +43,9 @@ fn main() {
         mopts.sample_nnz = 60_000;
         let modeled = tune_by_model(&x, 0, &mopts);
 
-        let k_meas = MbRankBKernel::new(&x, 0, measured.grid, measured.strip_width);
-        let k_model = MbRankBKernel::new(&x, 0, modeled.grid, modeled.strip_width);
-        let base = SplattKernel::new(&x, 0);
+        let k_meas = BlockedKernel::new(&x, 0, Some(measured.grid), Some(measured.strip_width));
+        let k_model = BlockedKernel::new(&x, 0, Some(modeled.grid), Some(modeled.strip_width));
+        let base = BlockedKernel::new(&x, 0, None, None);
         let t_meas = time_kernel(&k_meas, &factors, &mut out, 3);
         let t_model = time_kernel(&k_model, &factors, &mut out, 3);
         let t_base = time_kernel(&base, &factors, &mut out, 3);

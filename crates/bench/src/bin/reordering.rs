@@ -13,8 +13,7 @@
 use tenblock_bench::{
     arg_reps, arg_scale, arg_seed, arg_value, bench_factors, scaled_dataset, time_kernel,
 };
-use tenblock_core::block::MbRankBKernel;
-use tenblock_core::mttkrp::SplattKernel;
+use tenblock_core::block::BlockedKernel;
 use tenblock_core::{tune, TuneOptions};
 use tenblock_tensor::gen::Dataset;
 use tenblock_tensor::reorder::{mode2_jump_score, Reordering};
@@ -44,7 +43,7 @@ fn main() {
     let mut out = DenseMatrix::zeros(original.dims()[0], rank);
 
     // baseline: scrambled tensor, no treatment
-    let base_k = SplattKernel::new(&scrambled, 0);
+    let base_k = BlockedKernel::new(&scrambled, 0, None, None);
     let base = time_kernel(&base_k, &factors, &mut out, reps);
     println!(
         "{:<38} {:>11.4} {:>8.2}x {:>11.2}",
@@ -70,7 +69,7 @@ fn main() {
         let rfactors: Vec<DenseMatrix> = (0..3)
             .map(|m| reordering.apply_to_factor(m, &factors[m]))
             .collect();
-        let k = SplattKernel::new(&rt, 0);
+        let k = BlockedKernel::new(&rt, 0, None, None);
         let secs = time_kernel(&k, &rfactors, &mut out, reps);
         println!(
             "{:<38} {:>11.4} {:>8.2}x {:>11.2}",
@@ -86,7 +85,7 @@ fn main() {
     topts.reps = 1;
     topts.max_blocks = 16;
     let tuned = tune(&scrambled, 0, &topts);
-    let blocked = MbRankBKernel::new(&scrambled, 0, tuned.grid, tuned.strip_width);
+    let blocked = BlockedKernel::new(&scrambled, 0, Some(tuned.grid), Some(tuned.strip_width));
     let secs = time_kernel(&blocked, &factors, &mut out, reps);
     println!(
         "{:<38} {:>11.4} {:>8.2}x {:>11.2}",

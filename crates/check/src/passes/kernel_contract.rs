@@ -230,17 +230,34 @@ fn const_all_range(tokens: &[crate::lexer::Token]) -> Option<(usize, usize, usiz
 }
 
 /// In `build_validated`'s body, finds the `…Kernel` type constructed in
-/// the arm for `variant`.
+/// the arm whose pattern names `variant` — alone, or in an or-pattern
+/// (`A | B => { … }`) when several variants dispatch to one type.
 fn kernel_type_of(body: &[crate::lexer::Token], variant: &str) -> Option<String> {
-    let pos = body.iter().position(|t| t.kind.is_ident(variant))?;
-    for t in &body[pos..(pos + 40).min(body.len())] {
-        if let Some(w) = t.kind.ident() {
-            if w != variant && w.ends_with("Kernel") && w != "MttkrpKernel" {
-                return Some(w.to_string());
-            }
-        }
-    }
-    None
+    // The occurrence in pattern position: nothing but path segments and
+    // `|` between it and the arm's `=>`.
+    let arrow = (0..body.len())
+        .filter(|&pos| body[pos].kind.is_ident(variant))
+        .find_map(|pos| {
+            let arrow = pos + body[pos..].iter().position(|t| t.kind.is_punct("=>"))?;
+            body[pos..arrow]
+                .iter()
+                .all(|t| t.kind.ident().is_some() || t.kind.is_punct("::") || t.kind.is_punct("|"))
+                .then_some(arrow)
+        })?;
+    // The arm: a brace block, or the expression up to the next arm's `=>`.
+    let end = if body.get(arrow + 1).is_some_and(|t| t.kind.is_punct("{")) {
+        crate::items::match_bracket(body, arrow + 1, "{", "}")
+    } else {
+        body[arrow + 1..]
+            .iter()
+            .position(|t| t.kind.is_punct("=>"))
+            .map_or(body.len(), |p| arrow + 1 + p)
+    };
+    body[arrow + 1..end.min(body.len())]
+        .iter()
+        .filter_map(|t| t.kind.ident())
+        .find(|w| w.ends_with("Kernel") && *w != "MttkrpKernel")
+        .map(str::to_string)
 }
 
 #[cfg(test)]
@@ -336,6 +353,47 @@ mod tests {
         let f = run(&ws_of(files));
         assert_eq!(f.len(), 1);
         assert!(f[0].excerpt.contains("no \"mttkrp/…\" obs span"));
+    }
+
+    /// Several variants dispatching to one type through an or-pattern arm
+    /// whose body is longer than any fixed look-ahead: each variant still
+    /// resolves to the type, so each inherits its obligations.
+    #[test]
+    fn or_pattern_arm_resolves_every_variant_to_the_shared_type() {
+        let mut files = wired();
+        files[0].1 = files[0]
+            .1
+            .replace("{ Coo, Bcoo }", "{ Coo, Bcoo, Splatt, Mb }")
+            .replace(
+                "[KernelKind; 2] = [KernelKind::Coo, KernelKind::Bcoo]",
+                "[KernelKind; 4] = [KernelKind::Coo, KernelKind::Bcoo, KernelKind::Splatt, KernelKind::Mb]",
+            )
+            .replace(
+                "KernelKind::Bcoo => \"bcoo\"",
+                "KernelKind::Bcoo => \"bcoo\", KernelKind::Splatt => \"splatt\", KernelKind::Mb => \"mb\"",
+            )
+            .replace(
+                "KernelKind::Bcoo => Box::new(BcooKernel),",
+                "KernelKind::Bcoo => Box::new(BcooKernel),
+                 KernelKind::Splatt | KernelKind::Mb => {
+                     let grid = matches!(self, KernelKind::Mb).then_some(cfg.grid);
+                     let strip = matches!(self, KernelKind::Mb).then_some(cfg.strip_width);
+                     let exec = cfg.exec.clone().with_recorder(cfg.exec.recorder.clone());
+                     Box::new(BlockedKernel::new(coo, mode, grid, strip).with_exec(exec))
+                 }",
+            );
+        let blocked = "pub struct BlockedKernel; impl MttkrpKernel for BlockedKernel {
+                           fn mttkrp(&self) { let _s = obs::span(\"mttkrp/MB\"); let v = row_task_write_sets(); drop(v); }
+                       }";
+        files.push(("crates/core/src/blocked.rs", blocked.to_string()));
+        let f = run(&ws_of(files.clone()));
+        assert!(f.is_empty(), "unexpected findings: {f:?}");
+
+        files[4].1 = blocked.replace("let _s = obs::span(\"mttkrp/MB\");", "");
+        let f = run(&ws_of(files));
+        assert_eq!(f.len(), 2, "one finding per variant: {f:?}");
+        assert!(f[0].excerpt.contains("BlockedKernel (KernelKind::Splatt)"));
+        assert!(f[1].excerpt.contains("BlockedKernel (KernelKind::Mb)"));
     }
 
     #[test]

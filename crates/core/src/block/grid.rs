@@ -37,10 +37,54 @@ fn find_block(bounds: &[usize], idx: usize) -> usize {
     bounds.partition_point(|&b| b <= idx) - 1
 }
 
+/// Buckets `coo`'s entries by linear block id `(a * N_B + b) * N_C + c`
+/// and builds each non-empty block as a slice-compressed SPLATT tensor.
+fn bucket_blocks(
+    coo: &CooTensor,
+    perm: [usize; NMODES],
+    grid: [usize; NMODES],
+    bounds: &[Vec<usize>; NMODES],
+) -> Vec<Option<SplattTensor>> {
+    let (nb, nc) = (grid[1], grid[2]);
+    let n_blocks = grid[0] * nb * nc;
+    let mut tagged: Vec<(u32, Entry)> = coo
+        .entries()
+        .iter()
+        .map(|e| {
+            let a = find_block(&bounds[0], e.idx[perm[0]] as usize);
+            let b = find_block(&bounds[1], e.idx[perm[1]] as usize);
+            let c = find_block(&bounds[2], e.idx[perm[2]] as usize);
+            (((a * nb + b) * nc + c) as u32, *e)
+        })
+        .collect();
+    tagged.sort_unstable_by_key(|&(id, e)| (id, e.idx[perm[0]], e.idx[perm[2]], e.idx[perm[1]]));
+
+    let mut blocks: Vec<Option<SplattTensor>> = Vec::with_capacity(n_blocks);
+    let mut pos = 0;
+    for id in 0..n_blocks as u32 {
+        let start = pos;
+        while pos < tagged.len() && tagged[pos].0 == id {
+            pos += 1;
+        }
+        if pos == start {
+            blocks.push(None);
+        } else {
+            let entries: Vec<Entry> = tagged[start..pos].iter().map(|&(_, e)| e).collect();
+            blocks.push(Some(SplattTensor::from_entries_compressed(
+                coo.dims(),
+                perm,
+                entries,
+            )));
+        }
+    }
+    debug_assert_eq!(pos, tagged.len());
+    blocks
+}
+
 impl BlockGrid {
     /// Partitions `coo` for the mode-`mode` MTTKRP into `grid` blocks per
-    /// kernel axis (`grid = [1, 1, 1]` produces a single block equal to the
-    /// unblocked tensor).
+    /// kernel axis. `grid = [1, 1, 1]` produces a single block equal to the
+    /// unblocked tensor, at the cost of [`SplattTensor::for_mode`].
     ///
     /// # Panics
     /// Panics if any grid count is zero or exceeds the axis length
@@ -63,39 +107,14 @@ impl BlockGrid {
             uniform_bounds(dims[perm[2]], grid[2]),
         ];
 
-        // Bucket entries by linear block id, then build each block.
-        let (nb, nc) = (grid[1], grid[2]);
-        let n_blocks = grid[0] * nb * nc;
-        let mut tagged: Vec<(u32, Entry)> = coo
-            .entries()
-            .iter()
-            .map(|e| {
-                let a = find_block(&bounds[0], e.idx[perm[0]] as usize);
-                let b = find_block(&bounds[1], e.idx[perm[1]] as usize);
-                let c = find_block(&bounds[2], e.idx[perm[2]] as usize);
-                (((a * nb + b) * nc + c) as u32, *e)
-            })
-            .collect();
-        tagged
-            .sort_unstable_by_key(|&(id, e)| (id, e.idx[perm[0]], e.idx[perm[2]], e.idx[perm[1]]));
-
-        let mut blocks: Vec<Option<SplattTensor>> = Vec::with_capacity(n_blocks);
-        let mut pos = 0;
-        for id in 0..n_blocks as u32 {
-            let start = pos;
-            while pos < tagged.len() && tagged[pos].0 == id {
-                pos += 1;
-            }
-            if pos == start {
-                blocks.push(None);
-            } else {
-                let entries: Vec<Entry> = tagged[start..pos].iter().map(|&(_, e)| e).collect();
-                blocks.push(Some(SplattTensor::from_entries_compressed(
-                    dims, perm, entries,
-                )));
-            }
-        }
-        debug_assert_eq!(pos, tagged.len());
+        let blocks = if grid == [1, 1, 1] {
+            // One block is the whole tensor: build it as plain SPLATT does
+            // (one sort, no tags, no per-block copy; uncompressed, so the
+            // kernel's row lookup is arithmetic).
+            vec![(coo.nnz() > 0).then(|| SplattTensor::for_mode(coo, mode))]
+        } else {
+            bucket_blocks(coo, perm, grid, &bounds)
+        };
 
         BlockGrid {
             dims,
@@ -145,16 +164,6 @@ impl BlockGrid {
         self.blocks[a * nb * nc..(a + 1) * nb * nc]
             .iter()
             .filter_map(|b| b.as_ref())
-    }
-
-    /// Iterates the non-empty blocks of row `a` with the `k` axis (`c`)
-    /// outermost instead — the ablation counterpart of [`Self::row_blocks`]
-    /// (reuses the mode-3 factor block instead of the mode-2 one).
-    pub fn row_blocks_c_major(&self, a: usize) -> impl Iterator<Item = &SplattTensor> {
-        let (nb, nc) = (self.grid[1], self.grid[2]);
-        (0..nc).flat_map(move |c| {
-            (0..nb).filter_map(move |b| self.blocks[(a * nb + b) * nc + c].as_ref())
-        })
     }
 
     /// Number of non-empty blocks.

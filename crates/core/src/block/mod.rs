@@ -1,16 +1,12 @@
 //! Blocking optimizations (Section V of the paper): the multi-dimensional
-//! blocking grid, the MB kernel, the rank-blocked kernel, and their
-//! combination.
+//! blocking grid and the one kernel that runs over it, with or without
+//! rank strips.
 
-mod combined;
 mod grid;
-mod mb;
-mod rankb;
+pub(crate) mod kernel;
 
-pub use combined::MbRankBKernel;
 pub use grid::BlockGrid;
-pub use mb::{MbKernel, Traversal};
-pub use rankb::{RankBKernel, RankbLayout};
+pub use kernel::{BlockedKernel, RankbLayout};
 
 /// Splits a row-major matrix buffer into disjoint mutable chunks at the
 /// given row `bounds` (length `n + 1`, ascending, covering all rows).

@@ -9,51 +9,30 @@
 //! a drifted boundary in the real structures shows up as a write-set
 //! violation before any task runs.
 
+use crate::block::kernel::RowTask;
+use crate::block::BlockGrid;
 use tenblock_check::{Violation, WriteSet};
-use tenblock_tensor::{BcooTensor, CsfTensor, SplattTensor};
+use tenblock_tensor::{BcooTensor, CsfTensor};
 
-/// Write sets for output rows handed out `chunk` rows at a time over a
-/// SPLATT tensor — the partitioning of the SPLATT kernel's
-/// `par_chunks_mut(chunk * rank)` and the RankB pass's stepped bounds.
-/// Task `t` owns rows `[t*chunk, (t+1)*chunk)` (clamped) and touches the
-/// global row of every slice in the same index window.
-pub(crate) fn slice_chunk_write_sets(
-    t: &SplattTensor,
-    out_rows: usize,
-    chunk: usize,
-) -> Vec<WriteSet> {
-    let n_slices = t.n_slices();
-    let mut sets = Vec::new();
-    let mut lo = 0usize;
-    let mut task = 0usize;
-    while lo < out_rows {
-        let hi = (lo + chunk).min(out_rows);
-        let s_lo = lo.min(n_slices);
-        let s_hi = (lo + chunk).min(n_slices);
-        sets.push(WriteSet::new(task, lo..hi).touch_all((s_lo..s_hi).map(|s| t.slice_global(s))));
-        lo = hi;
-        task += 1;
-    }
-    sets
-}
-
-/// Write sets for a blocked kernel parallel over slice-axis block rows:
-/// task `a` owns `bounds0[a]..bounds0[a+1]` and touches the global row of
-/// every slice in every block of row `a` (the compressed blocks store true
-/// row ids, so this cross-checks the grid assignment against the claim).
-pub(crate) fn block_row_write_sets<'a>(
-    bounds0: &[usize],
-    row_blocks: impl Fn(usize) -> Box<dyn Iterator<Item = &'a SplattTensor> + 'a>,
-) -> Vec<WriteSet> {
-    let mut sets = Vec::new();
-    for (a, w) in bounds0.windows(2).enumerate() {
-        let mut ws = WriteSet::new(a, w[0]..w[1]);
-        for t in row_blocks(a) {
-            ws = ws.touch_all((0..t.n_slices()).map(|s| t.slice_global(s)));
-        }
-        sets.push(ws);
-    }
-    sets
+/// Write sets for the blocked kernel's row partition: task `i` owns
+/// `tasks[i].rows` and touches the global row of every slice it will
+/// process in every block of its block row — [`RowTask::slices`], the same
+/// lookup the launch uses. Compressed blocks store true row ids, so this
+/// cross-checks the grid assignment against the claim; with one
+/// uncompressed block the touches are the claim itself (SPLATT's slice
+/// chunks).
+pub(crate) fn row_task_write_sets(grid: &BlockGrid, tasks: &[RowTask]) -> Vec<WriteSet> {
+    tasks
+        .iter()
+        .enumerate()
+        .map(|(i, task)| {
+            let mut ws = WriteSet::new(i, task.rows.clone());
+            for t in grid.row_blocks(task.band) {
+                ws = ws.touch_all(task.slices(t).map(|s| t.slice_global(s)));
+            }
+            ws
+        })
+        .collect()
 }
 
 /// Write sets for the BCOO kernel, parallel over slice-axis block rows:
@@ -132,18 +111,43 @@ pub(crate) fn push_oracle(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::kernel::row_tasks;
     use tenblock_tensor::gen::uniform_tensor;
     use tenblock_tensor::NdCooTensor;
 
     #[test]
-    fn slice_chunks_tile_and_touch_identity_for_uncompressed() {
+    fn row_tasks_tile_and_touch_identity_for_one_uncompressed_block() {
         let x = uniform_tensor([10, 6, 6], 100, 3);
-        let t = SplattTensor::for_mode(&x, 0);
-        let sets = slice_chunk_write_sets(&t, 10, 4);
+        let grid = BlockGrid::new(&x, 0, [1, 1, 1]);
+        let sets = row_task_write_sets(&grid, &row_tasks(grid.bounds(0), 4));
         assert_eq!(sets.len(), 3);
         assert_eq!(sets[0].owned, 0..4);
+        assert_eq!(sets[0].touched, vec![0, 1, 2, 3]);
         assert_eq!(sets[2].owned, 8..10);
         assert!(tenblock_check::check_write_sets("SPLATT", 10, &sets).is_ok());
+    }
+
+    #[test]
+    fn a_row_stored_outside_its_block_row_is_touched_not_dropped() {
+        // Block row 1 of the healthy grid stores rows 4..8. With the
+        // boundary moved to 5 its first piece still touches row 4, which
+        // is now task 0's — whatever the piece height.
+        let x = uniform_tensor([12, 8, 8], 500, 7);
+        let mut grid = BlockGrid::new(&x, 0, [3, 2, 2]);
+        assert_eq!(grid.bounds(0), [0, 4, 8, 12]);
+        for chunk in [1, 2, 12] {
+            let healthy = row_task_write_sets(&grid, &row_tasks(grid.bounds(0), chunk));
+            assert!(tenblock_check::check_write_sets("MB", 12, &healthy).is_ok());
+        }
+        grid.shift_bound_for_test(0, 1, 1);
+        for chunk in [1, 2, 12] {
+            let tasks = row_tasks(grid.bounds(0), chunk);
+            let first_of_band_1 = tasks.iter().position(|t| t.band == 1).unwrap();
+            let sets = row_task_write_sets(&grid, &tasks);
+            assert!(sets[first_of_band_1].touched.contains(&4), "chunk {chunk}");
+            let report = tenblock_check::check_write_sets("MB", 12, &sets).unwrap_err();
+            assert_eq!(report.overlapping_rows(), vec![4], "chunk {chunk}");
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The [`MttkrpKernel`] trait and the kernel registry.
 
-use crate::block::{MbKernel, MbRankBKernel, RankBKernel};
+use crate::block::BlockedKernel;
 use crate::exec::ExecPolicy;
-use crate::mttkrp::{BcooKernel, CooKernel, Csf3Kernel, SplattKernel};
+use crate::mttkrp::{BcooKernel, CooKernel, Csf3Kernel};
 use tenblock_check::RaceReport;
 use tenblock_tensor::{CooTensor, DenseMatrix, NMODES};
 
@@ -96,6 +96,16 @@ impl KernelKind {
             KernelKind::Csf => "csf",
             KernelKind::Bcoo => "bcoo",
         }
+    }
+
+    /// Inverse of [`Self::as_str`], ignoring ASCII case; `mb+rankb`, the
+    /// spelling of that kernel's `name()`, is accepted for `mbrankb`.
+    pub fn from_name(name: &str) -> Option<KernelKind> {
+        let name = name.to_ascii_lowercase();
+        if name == "mb+rankb" {
+            return Some(KernelKind::MbRankB);
+        }
+        KernelKind::ALL.into_iter().find(|k| k.as_str() == name)
     }
 }
 
@@ -258,11 +268,11 @@ fn build_validated(
     let exec = cfg.exec.clone();
     match kind {
         KernelKind::Coo => Box::new(CooKernel::new(coo, mode).with_exec(exec)),
-        KernelKind::Splatt => Box::new(SplattKernel::new(coo, mode).with_exec(exec)),
-        KernelKind::Mb => Box::new(MbKernel::new(coo, mode, cfg.grid).with_exec(exec)),
-        KernelKind::RankB => Box::new(RankBKernel::new(coo, mode, strip).with_exec(exec)),
-        KernelKind::MbRankB => {
-            Box::new(MbRankBKernel::new(coo, mode, cfg.grid, strip).with_exec(exec))
+        // One kernel, four corners: the kind says which blockings are on.
+        KernelKind::Splatt | KernelKind::Mb | KernelKind::RankB | KernelKind::MbRankB => {
+            let grid = matches!(kind, KernelKind::Mb | KernelKind::MbRankB).then_some(cfg.grid);
+            let strip = matches!(kind, KernelKind::RankB | KernelKind::MbRankB).then_some(strip);
+            Box::new(BlockedKernel::new(coo, mode, grid, strip).with_exec(exec))
         }
         KernelKind::Csf => Box::new(
             Csf3Kernel::new(coo, mode)
@@ -313,6 +323,18 @@ mod tests {
                 "{kind:?}"
             );
         }
+    }
+
+    #[test]
+    fn from_name_inverts_as_str() {
+        for kind in KernelKind::ALL {
+            assert_eq!(KernelKind::from_name(kind.as_str()), Some(kind));
+            let upper = kind.as_str().to_ascii_uppercase();
+            assert_eq!(KernelKind::from_name(&upper), Some(kind));
+        }
+        assert_eq!(KernelKind::from_name("MB+RankB"), Some(KernelKind::MbRankB));
+        assert_eq!(KernelKind::from_name("blocked"), None);
+        assert_eq!(KernelKind::from_name(""), None);
     }
 
     #[test]

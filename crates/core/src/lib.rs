@@ -6,25 +6,27 @@
 //! Section V-B / Algorithm 2), their combination, and the block-size
 //! selection heuristic (Section V-C).
 //!
-//! ## Kernel zoo
+//! ## Kernels
 //!
-//! | Kernel | Paper section | Type |
+//! | `KernelKind` | Paper section | Type |
 //! |---|---|---|
-//! | [`mttkrp::CooKernel`] | III-C1 | coordinate-format reference |
-//! | [`mttkrp::SplattKernel`] | Algorithm 1 | state-of-the-art baseline |
-//! | [`block::MbKernel`] | V-A | multi-dimensional blocking |
-//! | [`block::RankBKernel`] | V-B / Algorithm 2 | rank + register blocking |
-//! | [`block::MbRankBKernel`] | V-B, Fig. 3b | MB + RankB combined |
+//! | `Coo` | III-C1 | [`mttkrp::CooKernel`], coordinate-format reference |
+//! | `Splatt` | Algorithm 1 | [`block::BlockedKernel`], no grid, no strips — the baseline |
+//! | `Mb` | V-A | [`block::BlockedKernel`] over an `N_A x N_B x N_C` grid |
+//! | `RankB` | V-B / Algorithm 2 | [`block::BlockedKernel`] with rank strips + register blocking |
+//! | `MbRankB` | V-B, Fig. 3b | [`block::BlockedKernel`] with both |
+//! | `Csf` | ref. [12] | [`mttkrp::Csf3Kernel`], compressed sparse fiber |
+//! | `Bcoo` | V-A as a layout | [`mttkrp::BcooKernel`], block-native coordinates |
 //!
-//! All kernels implement [`MttkrpKernel`] and produce the same mathematical
-//! result (up to floating-point reassociation); the property-test suite
-//! enforces mutual agreement against a dense reference.
+//! The paper's Algorithm 2 is one loop nest — rank strips ⊃ grid blocks ⊃
+//! fibers — and SPLATT, MB and RankB are its parameter settings, so one
+//! kernel type runs all four.
 //!
 //! ## Quick example
 //!
 //! ```
 //! use tenblock_tensor::{gen::uniform_tensor, DenseMatrix};
-//! use tenblock_core::{MttkrpKernel, mttkrp::SplattKernel, block::MbRankBKernel};
+//! use tenblock_core::{MttkrpKernel, block::BlockedKernel};
 //!
 //! let x = uniform_tensor([60, 50, 40], 2_000, 7);
 //! let rank = 24;
@@ -35,8 +37,8 @@
 //!     .collect();
 //! let fs: [&DenseMatrix; 3] = [&factors[0], &factors[1], &factors[2]];
 //!
-//! let baseline = SplattKernel::new(&x, 0);
-//! let blocked = MbRankBKernel::new(&x, 0, [2, 2, 2], 16);
+//! let baseline = BlockedKernel::new(&x, 0, None, None);
+//! let blocked = BlockedKernel::new(&x, 0, Some([2, 2, 2]), Some(16));
 //! let mut a0 = DenseMatrix::zeros(x.dims()[0], rank);
 //! let mut a1 = DenseMatrix::zeros(x.dims()[0], rank);
 //! baseline.mttkrp(&fs, &mut a0);

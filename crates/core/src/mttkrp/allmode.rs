@@ -120,8 +120,8 @@ impl AllModeKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockedKernel;
     use crate::kernel::MttkrpKernel;
-    use crate::mttkrp::SplattKernel;
     use tenblock_tensor::gen::uniform_tensor;
 
     fn factors_for(x: &CooTensor, rank: usize) -> Vec<DenseMatrix> {
@@ -152,7 +152,7 @@ mod tests {
         fused.mttkrp_all(&fs, &mut outs);
 
         for mode in 0..3 {
-            let k = SplattKernel::new(&x, mode);
+            let k = BlockedKernel::new(&x, mode, None, None);
             let mut expect = DenseMatrix::zeros(x.dims()[mode], rank);
             k.mttkrp(&fs, &mut expect);
             assert!(

@@ -425,8 +425,8 @@ mod tests {
 
     #[test]
     fn csf3_matches_splatt_kernel() {
+        use crate::block::BlockedKernel;
         use crate::kernel::MttkrpKernel;
-        use crate::mttkrp::SplattKernel;
         use tenblock_tensor::gen::uniform_tensor;
         let x3 = uniform_tensor([12, 10, 14], 300, 5);
         let nd = NdCooTensor::from_coo3(&x3);
@@ -436,7 +436,7 @@ mod tests {
         let frefs: Vec<&DenseMatrix> = factors.iter().collect();
         let fs3: [&DenseMatrix; 3] = [&factors[0], &factors[1], &factors[2]];
         for mode in 0..3 {
-            let splatt = SplattKernel::new(&x3, mode);
+            let splatt = BlockedKernel::new(&x3, mode, None, None);
             let mut a = DenseMatrix::zeros(dims[mode], rank);
             splatt.mttkrp(&fs3, &mut a);
             let csf = CsfKernel::new(&nd, mode);

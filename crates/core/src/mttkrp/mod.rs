@@ -1,5 +1,6 @@
-//! MTTKRP kernels: shared inner loops, the COO kernel, the SPLATT baseline
-//! (Algorithm 1), and a dense reference implementation.
+//! MTTKRP kernels: the inner loops [`crate::block::BlockedKernel`] runs
+//! (Algorithm 1's accumulator loop and Algorithm 2's register-blocked one),
+//! the COO, CSF and BCOO kernels, and a dense reference implementation.
 
 mod allmode;
 mod bcoo;
@@ -7,14 +8,12 @@ mod coo;
 mod csf;
 mod dense_ref;
 pub(crate) mod micro;
-mod splatt;
 
 pub use allmode::AllModeKernel;
 pub use bcoo::BcooKernel;
 pub use coo::CooKernel;
 pub use csf::{nd_mttkrp_reference, Csf3Kernel, CsfKernel};
 pub use dense_ref::dense_mttkrp;
-pub use splatt::SplattKernel;
 
 use tenblock_tensor::{DenseMatrix, SplattTensor, StripMatrix};
 
@@ -31,8 +30,8 @@ pub const REG_BLOCK: usize = 16;
 pub(crate) fn reg_chunk(row: &[f64], col: usize) -> &[f64; REG_BLOCK] {
     // Infallible: the slice is exactly REG_BLOCK long, and the hot loops
     // must stay branch-free. Re-audited by the panic-reach pass (PR 8):
-    // every witnessed chain (MbRankBKernel/Csf3Kernel/SplattKernel::mttkrp
-    // → … → reg_chunk) reaches this site through a
+    // every witnessed chain (BlockedKernel/Csf3Kernel::mttkrp → … →
+    // reg_chunk) reaches this site through a
     // `while col + REG_BLOCK <= width` guard over a width-long window.
     row[col..col + REG_BLOCK].try_into().unwrap() // lint: allow(no-unwrap, panic-reach)
 }

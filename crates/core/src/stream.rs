@@ -434,7 +434,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::MbKernel;
+    use crate::block::BlockedKernel;
     use crate::kernel::MttkrpKernel;
     use crate::mttkrp::BcooKernel;
     use tenblock_tensor::gen::{clustered_tensor, uniform_tensor, ClusteredConfig};
@@ -500,7 +500,7 @@ mod tests {
         for mode in 0..NMODES {
             let perm = perm_for_mode(mode);
             let grid_kernel = [grid_orig[perm[0]], grid_orig[perm[1]], grid_orig[perm[2]]];
-            let k = MbKernel::new(&x, mode, grid_kernel);
+            let k = BlockedKernel::new(&x, mode, Some(grid_kernel), None);
             let mut expect = DenseMatrix::zeros(x.dims()[mode], rank);
             k.mttkrp(&fs, &mut expect);
             // Whole-rank strips: the plain per-entry update order.

@@ -21,7 +21,7 @@
 //! The search cost is `O(log2 I_n)` per mode, "relatively inexpensive
 //! compared to the 10–1000s of iterations required for decomposition".
 
-use crate::block::MbRankBKernel;
+use crate::block::BlockedKernel;
 use crate::exec::ExecPolicy;
 use crate::kernel::{KernelKind, MttkrpKernel};
 use crate::mttkrp::{BcooKernel, REG_BLOCK};
@@ -211,7 +211,7 @@ fn time_config(
     };
     let kernel: Box<dyn MttkrpKernel> = match kind {
         KernelKind::Bcoo => Box::new(BcooKernel::new(coo, mode, grid, strip_width).with_exec(exec)),
-        _ => Box::new(MbRankBKernel::new(coo, mode, grid, strip_width).with_exec(exec)),
+        _ => Box::new(BlockedKernel::new(coo, mode, Some(grid), Some(strip_width)).with_exec(exec)),
     };
     let fs: [&DenseMatrix; NMODES] = [&factors[0], &factors[1], &factors[2]];
     time_reps(1, opts.reps, || kernel.mttkrp(&fs, out))

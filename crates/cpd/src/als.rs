@@ -62,6 +62,40 @@ pub struct CpAlsResult {
     pub converged: bool,
 }
 
+/// Random initial factors in `[0, 1)` (the usual ALS start for nonnegative
+/// count data): one seeded stream, modes drawn in order. Both drivers start
+/// here, so the streamed and in-memory solvers walk the same path.
+pub(crate) fn init_factors(dims: [usize; NMODES], rank: usize, seed: u64) -> Vec<DenseMatrix> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    dims.iter()
+        .map(|&d| {
+            let data: Vec<f64> = (0..d * rank).map(|_| rng.random::<f64>()).collect();
+            DenseMatrix::from_vec(d, rank, data)
+        })
+        .collect()
+}
+
+/// The dense half of mode `m`'s update, from that mode's MTTKRP output:
+/// `V = ∘` of the other modes' grams, `A_m = M V⁻¹`, column-normalize
+/// `A_m` (a fully zero column keeps a zero norm and stays zeroed), refresh
+/// its gram. Returns the column norms `λ`.
+pub(crate) fn update_mode(
+    m: usize,
+    mttkrp_out: &DenseMatrix,
+    factors: &mut [DenseMatrix],
+    grams: &mut [DenseMatrix],
+) -> Vec<f64> {
+    let others: Vec<usize> = (0..NMODES).filter(|&o| o != m).collect();
+    let mut v = grams[others[0]].clone();
+    hadamard_assign(&mut v, &grams[others[1]]);
+
+    let mut updated = solve_spd_rhs_rows(&v, mttkrp_out);
+    let lambda = normalize_columns(&mut updated);
+    factors[m] = updated;
+    grams[m] = gram(&factors[m]);
+    lambda
+}
+
 /// The CP-ALS solver. Kernels for all three modes are prepared once at
 /// construction (the reorganization cost the paper amortizes over
 /// iterations).
@@ -99,21 +133,6 @@ impl CpAls {
         }
     }
 
-    /// Random initial factors in `[0, 1)` (the usual ALS start for
-    /// nonnegative count data).
-    fn init_factors(&self) -> Vec<DenseMatrix> {
-        let mut rng = StdRng::seed_from_u64(self.opts.seed);
-        self.dims
-            .iter()
-            .map(|&d| {
-                let data: Vec<f64> = (0..d * self.opts.rank)
-                    .map(|_| rng.random::<f64>())
-                    .collect();
-                DenseMatrix::from_vec(d, self.opts.rank, data)
-            })
-            .collect()
-    }
-
     /// Runs ALS on `x` (the same tensor the kernels were built from).
     pub fn run(&self, x: &CooTensor) -> CpAlsResult {
         assert_eq!(
@@ -122,7 +141,7 @@ impl CpAls {
             "tensor shape changed since kernel construction"
         );
         let rank = self.opts.rank;
-        let mut factors = self.init_factors();
+        let mut factors = init_factors(self.dims, rank, self.opts.seed);
         let mut lambda = vec![1.0; rank];
         let mut grams: Vec<DenseMatrix> = factors.iter().map(gram).collect();
         let mut fit_history = Vec::new();
@@ -146,17 +165,7 @@ impl CpAls {
             for m in 0..NMODES {
                 let fs: [&DenseMatrix; NMODES] = [&factors[0], &factors[1], &factors[2]];
                 self.kernels[m].mttkrp(&fs, &mut mttkrp_out[m]);
-
-                // V = Hadamard of the other modes' grams
-                let others: Vec<usize> = (0..NMODES).filter(|&o| o != m).collect();
-                let mut v = grams[others[0]].clone();
-                hadamard_assign(&mut v, &grams[others[1]]);
-
-                let mut updated = solve_spd_rhs_rows(&v, &mttkrp_out[m]);
-                lambda = normalize_columns(&mut updated);
-                // guard: fully zero column => keep lambda zero, factor zeroed
-                factors[m] = updated;
-                grams[m] = gram(&factors[m]);
+                lambda = update_mode(m, &mttkrp_out[m], &mut factors, &mut grams);
             }
             let model = KruskalTensor::new(lambda.clone(), factors.clone());
             let fit = model.fit(x);

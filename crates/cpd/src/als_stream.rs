@@ -4,11 +4,11 @@
 //!
 //! Two things keep the streamed run equivalent to the in-memory one:
 //!
-//! * **Identical initialization.** [`CpAlsStream`] draws its random
-//!   initial factors with exactly the sequence `CpAls` uses (same seed,
-//!   same per-mode draw order), so the two solvers walk the same
-//!   optimization path. With the streaming MTTKRP bit-for-bit equal to
-//!   the in-memory kernels, per-iteration factors agree to roundoff.
+//! * **Identical initialization.** [`CpAlsStream`] and `CpAls` draw their
+//!   random initial factors from one function (same seed, same per-mode
+//!   draw order), so the two solvers walk the same optimization path.
+//!   With the streaming MTTKRP bit-for-bit equal to the in-memory
+//!   kernels, per-iteration factors agree to roundoff.
 //! * **Streaming fit.** The in-memory fit needs `⟨X, M⟩`, a pass over
 //!   the nonzeros. Streaming avoids re-reading the tensor per iteration
 //!   with the SPLATT identity: the last mode's MTTKRP output `M₂`
@@ -19,11 +19,9 @@
 //!   gram identity. No tensor pass per iteration beyond the three
 //!   MTTKRPs.
 
-use crate::als::{CpAlsOptions, CpAlsResult};
+use crate::als::{init_factors, update_mode, CpAlsOptions, CpAlsResult};
 use crate::kruskal::KruskalTensor;
-use crate::linalg::{gram, hadamard_assign, normalize_columns, solve_spd_rhs_rows};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::linalg::gram;
 use std::sync::Arc;
 use tenblock_core::obs::StreamStats;
 use tenblock_core::{StreamError, StreamingMttkrp};
@@ -62,22 +60,6 @@ impl<'a> CpAlsStream<'a> {
         &self.stats
     }
 
-    /// Exactly `CpAls::init_factors`: same seed, same draw order, so the
-    /// streamed and in-memory solvers start from identical factors.
-    fn init_factors(&self) -> Vec<DenseMatrix> {
-        let mut rng = StdRng::seed_from_u64(self.opts.seed);
-        self.src
-            .dims()
-            .iter()
-            .map(|&d| {
-                let data: Vec<f64> = (0..d * self.opts.rank)
-                    .map(|_| rng.random::<f64>())
-                    .collect();
-                DenseMatrix::from_vec(d, self.opts.rank, data)
-            })
-            .collect()
-    }
-
     /// `‖X‖²` in one tile pass, counted in the stream stats.
     fn stream_sq_norm(&self) -> Result<f64, StreamError> {
         let mut total = 0.0;
@@ -95,7 +77,7 @@ impl<'a> CpAlsStream<'a> {
         let dims = self.src.dims();
         let exec = &self.opts.kernel_cfg.exec;
         let strip = self.opts.kernel_cfg.strip_width;
-        let mut factors = self.init_factors();
+        let mut factors = init_factors(dims, rank, self.opts.seed);
         let mut lambda = vec![1.0; rank];
         let mut grams: Vec<DenseMatrix> = factors.iter().map(gram).collect();
         let mut fit_history = Vec::new();
@@ -122,15 +104,7 @@ impl<'a> CpAlsStream<'a> {
                     .with_exec(exec.clone())
                     .with_stats(Arc::clone(&self.stats))
                     .run(&fs, &mut mttkrp_out[m])?;
-
-                let others: Vec<usize> = (0..NMODES).filter(|&o| o != m).collect();
-                let mut v = grams[others[0]].clone();
-                hadamard_assign(&mut v, &grams[others[1]]);
-
-                let mut updated = solve_spd_rhs_rows(&v, &mttkrp_out[m]);
-                lambda = normalize_columns(&mut updated);
-                factors[m] = updated;
-                grams[m] = gram(&factors[m]);
+                lambda = update_mode(m, &mttkrp_out[m], &mut factors, &mut grams);
             }
             // ⟨X, M⟩ from the mode-2 MTTKRP: it contracted X with the
             // updated A₀/A₁, and λ/A₂ are its own normalization, so

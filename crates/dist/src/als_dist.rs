@@ -16,7 +16,7 @@
 
 use crate::msg::{run_world, RankCtx};
 use crate::part3d::Partition3D;
-use tenblock_core::mttkrp::SplattKernel;
+use tenblock_core::block::BlockedKernel;
 use tenblock_core::MttkrpKernel;
 use tenblock_tensor::{CooTensor, DenseMatrix, NMODES};
 
@@ -237,8 +237,8 @@ pub fn distributed_als(
         let mut grams: Vec<DenseMatrix> = factors.iter().map(tenblock_cpd_linalg::gram).collect();
         let mut lambda = vec![1.0; rank];
         let local = part.local(me);
-        let kernels: Vec<Option<SplattKernel>> = (0..NMODES)
-            .map(|m| (local.nnz() > 0).then(|| SplattKernel::new(local, m)))
+        let kernels: Vec<Option<BlockedKernel>> = (0..NMODES)
+            .map(|m| (local.nnz() > 0).then(|| BlockedKernel::new(local, m, None, None)))
             .collect();
 
         for it in 0..opts.iters {

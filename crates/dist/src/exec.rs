@@ -19,8 +19,7 @@ use crate::comm::CommParams;
 use crate::part3d::Partition3D;
 use crate::part4d::Partition4D;
 use std::time::Instant;
-use tenblock_core::block::MbRankBKernel;
-use tenblock_core::mttkrp::SplattKernel;
+use tenblock_core::block::BlockedKernel;
 use tenblock_core::MttkrpKernel;
 use tenblock_tensor::{CooTensor, DenseMatrix, NMODES};
 
@@ -36,6 +35,22 @@ pub enum LocalKernel {
         /// RankB strip width in columns.
         strip: usize,
     },
+}
+
+impl LocalKernel {
+    /// Builds this choice's mode-1 kernel for a rank's sub-tensor at factor
+    /// width `width`, with the grid clamped to the local mode lengths and
+    /// the strip to the width.
+    pub(crate) fn build(self, local: &CooTensor, width: usize) -> BlockedKernel {
+        match self {
+            LocalKernel::Baseline => BlockedKernel::new(local, 0, None, None),
+            LocalKernel::Blocked { grid, strip } => {
+                let dims = local.dims();
+                let clamped = std::array::from_fn(|ax| grid[ax].clamp(1, dims[ax].max(1)));
+                BlockedKernel::new(local, 0, Some(clamped), Some(strip.clamp(1, width.max(1))))
+            }
+        }
+    }
 }
 
 /// Configuration of a distributed run.
@@ -108,18 +123,7 @@ fn time_local(local: &CooTensor, kernel: LocalKernel, width: usize, reps: usize)
     let mut out = DenseMatrix::zeros(dims[0], width);
     let fs: [&DenseMatrix; NMODES] = [&a, &b, &c];
 
-    let kernel: Box<dyn MttkrpKernel> = match kernel {
-        LocalKernel::Baseline => Box::new(SplattKernel::new(local, 0)),
-        LocalKernel::Blocked { grid, strip } => {
-            let clamped = std::array::from_fn(|ax| grid[ax].clamp(1, dims[ax].max(1)));
-            Box::new(MbRankBKernel::new(
-                local,
-                0,
-                clamped,
-                strip.clamp(1, width.max(1)),
-            ))
-        }
-    };
+    let kernel = kernel.build(local, width);
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
@@ -304,7 +308,7 @@ mod tests {
             if local.nnz() == 0 {
                 continue;
             }
-            let k = SplattKernel::new(local, 0);
+            let k = BlockedKernel::new(local, 0, None, None);
             let mut out = DenseMatrix::zeros(16, rank);
             k.mttkrp(&fs, &mut out);
             for (s, o) in sum.as_mut_slice().iter_mut().zip(out.as_slice()) {
@@ -347,7 +351,7 @@ mod tests {
                 if local.nnz() == 0 {
                     continue;
                 }
-                let k = SplattKernel::new(local, 0);
+                let k = BlockedKernel::new(local, 0, None, None);
                 let mut out = DenseMatrix::zeros(12, cols.len());
                 k.mttkrp(&sfs, &mut out);
                 for row in 0..12 {

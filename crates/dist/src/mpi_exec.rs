@@ -17,8 +17,6 @@
 use crate::exec::LocalKernel;
 use crate::msg::{run_world, RankCtx};
 use crate::part3d::Partition3D;
-use tenblock_core::block::MbRankBKernel;
-use tenblock_core::mttkrp::SplattKernel;
 use tenblock_core::MttkrpKernel;
 use tenblock_tensor::{CooTensor, DenseMatrix, NMODES};
 
@@ -119,18 +117,7 @@ pub fn execute_3d(
         let local_t = part.local(me);
         let mut out = DenseMatrix::zeros(dims[0], rank);
         if local_t.nnz() > 0 {
-            let kernel: Box<dyn MttkrpKernel> = match local {
-                LocalKernel::Baseline => Box::new(SplattKernel::new(local_t, 0)),
-                LocalKernel::Blocked { grid: g, strip } => {
-                    let clamped = std::array::from_fn(|ax| g[ax].clamp(1, dims[ax].max(1)));
-                    Box::new(MbRankBKernel::new(
-                        local_t,
-                        0,
-                        clamped,
-                        strip.clamp(1, rank),
-                    ))
-                }
-            };
+            let kernel = local.build(local_t, rank);
             kernel.mttkrp(&[&amat, &bmat, &cmat], &mut out);
         }
 
@@ -251,13 +238,7 @@ pub fn execute_4d(
         let local_t = part.local(m3);
         let mut out = DenseMatrix::zeros(dims[0], w);
         if local_t.nnz() > 0 {
-            let kernel: Box<dyn MttkrpKernel> = match local {
-                LocalKernel::Baseline => Box::new(SplattKernel::new(local_t, 0)),
-                LocalKernel::Blocked { grid: gg, strip } => {
-                    let clamped = std::array::from_fn(|ax| gg[ax].clamp(1, dims[ax].max(1)));
-                    Box::new(MbRankBKernel::new(local_t, 0, clamped, strip.clamp(1, w)))
-                }
-            };
+            let kernel = local.build(local_t, w);
             kernel.mttkrp(&[&amat, &bmat, &cmat], &mut out);
         }
 

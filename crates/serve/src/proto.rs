@@ -134,20 +134,6 @@ pub struct Service {
     scheduler: Scheduler<JobPayload, Json>,
 }
 
-/// Resolves a kernel name (the same vocabulary as the CLI `--kernel` flag).
-fn kernel_by_name(name: &str) -> Option<KernelKind> {
-    match name.to_ascii_lowercase().as_str() {
-        "coo" => Some(KernelKind::Coo),
-        "splatt" => Some(KernelKind::Splatt),
-        "mb" => Some(KernelKind::Mb),
-        "rankb" => Some(KernelKind::RankB),
-        "mbrankb" | "mb+rankb" => Some(KernelKind::MbRankB),
-        "csf" => Some(KernelKind::Csf),
-        "bcoo" => Some(KernelKind::Bcoo),
-        _ => None,
-    }
-}
-
 /// Rejects a rank no computation can use (0 means no factor columns).
 /// Checked at parse time so the job queue never sees the request.
 fn require_rank(cmd: &str, rank: usize) -> Result<usize, Json> {
@@ -602,7 +588,7 @@ impl Service {
             .get_str("tensor")
             .ok_or_else(|| err(ErrorCode::BadRequest, "mttkrp: missing \"tensor\""))?;
         let mode = require_mode("mttkrp", req.get_usize("mode").unwrap_or(0))?;
-        let kernel = kernel_by_name(req.get_str("kernel").unwrap_or("mbrankb"))
+        let kernel = KernelKind::from_name(req.get_str("kernel").unwrap_or("mbrankb"))
             .ok_or_else(|| err(ErrorCode::BadRequest, "mttkrp: unknown kernel name"))?;
         let rank = require_rank("mttkrp", req.get_usize("rank").unwrap_or(16))?;
         let reps = req.get_usize("reps").unwrap_or(3);
@@ -631,7 +617,7 @@ impl Service {
         };
         let rank = require_rank("decompose", req.get_usize("rank").unwrap_or(16))?;
         let iters = req.get_usize("iters").unwrap_or(20);
-        let kernel = kernel_by_name(req.get_str("kernel").unwrap_or("mbrankb"))
+        let kernel = KernelKind::from_name(req.get_str("kernel").unwrap_or("mbrankb"))
             .ok_or_else(|| err(ErrorCode::BadRequest, "decompose: unknown kernel name"))?;
         Ok(JobPayload::Decompose {
             tensor: tensor.to_string(),

@@ -237,6 +237,18 @@ impl SplattTensor {
         }
     }
 
+    /// The first local slice whose global index is `>= row`
+    /// ([`Self::n_slices`] if there is none): a binary search over the
+    /// stored ids when slice-compressed, arithmetic otherwise.
+    pub fn slice_lower_bound(&self, row: usize) -> usize {
+        match &self.slice_ids {
+            Some(ids) => ids.partition_point(|&g| (g as usize) < row),
+            None => row
+                .saturating_sub(self.slice_begin as usize)
+                .min(self.n_slices()),
+        }
+    }
+
     /// True if this tensor stores only non-empty slices.
     pub fn is_slice_compressed(&self) -> bool {
         self.slice_ids.is_some()
@@ -400,6 +412,8 @@ mod tests {
         let t = SplattTensor::from_entries_ranged([3, 3, 3], MODE1_PERM, entries, 1, 2);
         assert_eq!(t.slice_begin(), 1);
         assert_eq!(t.n_slices(), 2);
+        let cuts: Vec<usize> = (0..5).map(|row| t.slice_lower_bound(row)).collect();
+        assert_eq!(cuts, vec![0, 0, 1, 2, 2]);
         assert_eq!(t.nnz(), 4);
         let back = t.to_entries();
         assert!(back.iter().all(|e| e.idx[0] >= 1));
@@ -431,6 +445,11 @@ mod tests {
         assert_eq!(t.slice_global(0), 3);
         assert_eq!(t.slice_global(1), 50);
         assert_eq!(t.slice_global(2), 97);
+        let cuts: Vec<usize> = [0, 3, 4, 50, 97, 98]
+            .iter()
+            .map(|&row| t.slice_lower_bound(row))
+            .collect();
+        assert_eq!(cuts, vec![0, 0, 1, 1, 2, 3]);
         let mut back = t.to_entries();
         back.sort_unstable_by_key(|e| e.idx);
         assert_eq!(back, coo.entries().to_vec());

@@ -5,8 +5,7 @@
 //! Run: `cargo run --release --example quickstart`
 
 use std::time::Instant;
-use tenblock::core::block::MbRankBKernel;
-use tenblock::core::mttkrp::SplattKernel;
+use tenblock::core::block::BlockedKernel;
 use tenblock::core::MttkrpKernel;
 use tenblock::tensor::gen::{clustered_tensor, ClusteredConfig};
 use tenblock::tensor::{DenseMatrix, TensorStats};
@@ -27,15 +26,16 @@ fn main() {
         .collect();
     let fs: [&DenseMatrix; 3] = [&factors[0], &factors[1], &factors[2]];
 
-    // 3. The baseline SPLATT kernel (Algorithm 1 of the paper) ...
-    let baseline = SplattKernel::new(&x, 0);
+    // 3. One kernel type runs the paper's whole family. No grid and no rank
+    //    strips: the baseline SPLATT kernel (Algorithm 1 of the paper) ...
+    let baseline = BlockedKernel::new(&x, 0, None, None);
     let mut out_base = DenseMatrix::zeros(x.dims()[0], rank);
     let t0 = Instant::now();
     baseline.mttkrp(&fs, &mut out_base);
     let base_secs = t0.elapsed().as_secs_f64();
 
-    // 4. ... versus multi-dimensional + rank blocking (Section V).
-    let blocked = MbRankBKernel::new(&x, 0, [2, 4, 2], rank);
+    // 4. ... versus a 2x4x2 block grid + rank strips (MB + RankB, Section V).
+    let blocked = BlockedKernel::new(&x, 0, Some([2, 4, 2]), Some(rank));
     let mut out_blocked = DenseMatrix::zeros(x.dims()[0], rank);
     let t0 = Instant::now();
     blocked.mttkrp(&fs, &mut out_blocked);

@@ -109,20 +109,6 @@ pub fn dataset_by_name(name: &str) -> Option<Dataset> {
         .find(|d| d.spec().name.eq_ignore_ascii_case(name))
 }
 
-/// Resolves a kernel name.
-pub fn kernel_by_name(name: &str) -> Option<KernelKind> {
-    match name.to_ascii_lowercase().as_str() {
-        "coo" => Some(KernelKind::Coo),
-        "splatt" => Some(KernelKind::Splatt),
-        "mb" => Some(KernelKind::Mb),
-        "rankb" => Some(KernelKind::RankB),
-        "mbrankb" | "mb+rankb" => Some(KernelKind::MbRankB),
-        "csf" => Some(KernelKind::Csf),
-        "bcoo" => Some(KernelKind::Bcoo),
-        _ => None,
-    }
-}
-
 /// Usage text.
 pub const USAGE: &str =
     "tenblock — blocking-optimized sparse tensor kernels (IPDPS'18 reproduction)
@@ -625,10 +611,10 @@ pub fn run(cmd: &str, args: &Args) -> Result<String, String> {
             let plan = open_plan_cache(args)?
                 .and_then(|c| c.lookup(PlanKey::of(&TensorStats::of(&t), rank)));
             let kernel = match args.flag("kernel") {
-                Some(name) => kernel_by_name(name).ok_or("unknown kernel name")?,
+                Some(name) => KernelKind::from_name(name).ok_or("unknown kernel name")?,
                 None => plan
                     .as_ref()
-                    .and_then(|p| kernel_by_name(&p.kernel))
+                    .and_then(|p| KernelKind::from_name(&p.kernel))
                     .unwrap_or(KernelKind::MbRankB),
             };
             let mut cfg = plan

@@ -2,8 +2,8 @@
 //! the reassembled distributed MTTKRP equals the sequential result.
 
 use proptest::prelude::*;
+use tenblock::core::block::BlockedKernel;
 use tenblock::core::mttkrp::dense_mttkrp;
-use tenblock::core::mttkrp::SplattKernel;
 use tenblock::core::MttkrpKernel;
 use tenblock::dist::{Partition3D, Partition4D};
 use tenblock::tensor::gen::uniform_tensor;
@@ -35,7 +35,7 @@ proptest! {
         for rk in 0..part.n_ranks() {
             let local = part.local(rk);
             if local.nnz() == 0 { continue; }
-            let k = SplattKernel::new(local, 0);
+            let k = BlockedKernel::new(local, 0, None, None);
             let mut out = DenseMatrix::zeros(14, rank);
             k.mttkrp(&fs, &mut out);
             for (a, b) in sum.as_mut_slice().iter_mut().zip(out.as_slice()) {

@@ -3,7 +3,8 @@
 //! all-mode MTTKRP against separate kernels.
 
 use proptest::prelude::*;
-use tenblock::core::mttkrp::{nd_mttkrp_reference, AllModeKernel, CsfKernel, SplattKernel};
+use tenblock::core::block::BlockedKernel;
+use tenblock::core::mttkrp::{nd_mttkrp_reference, AllModeKernel, CsfKernel};
 use tenblock::core::MttkrpKernel;
 use tenblock::tensor::{CooTensor, CsfTensor, DenseMatrix, Entry, NdCooTensor};
 
@@ -105,7 +106,7 @@ proptest! {
         ];
         fused.mttkrp_all(&fs, &mut outs);
         for mode in 0..3 {
-            let k = SplattKernel::new(&x, mode);
+            let k = BlockedKernel::new(&x, mode, None, None);
             let mut expect = DenseMatrix::zeros(dims[mode], rank);
             k.mttkrp(&fs, &mut expect);
             prop_assert!(expect.approx_eq(&outs[mode], 1e-9), "mode {mode} mismatch");

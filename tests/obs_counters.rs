@@ -75,7 +75,7 @@ fn traced_mttkrp_bytes_match_section_iv_model() {
 
 #[test]
 fn exec_policy_is_the_single_threading_entry_point() {
-    use tenblock::core::mttkrp::SplattKernel;
+    use tenblock::core::block::BlockedKernel;
     use tenblock::core::{tune, MttkrpKernel, TuneOptions};
 
     let t = Dataset::Poisson1.generate_with([30, 25, 20], 2_000, 3);
@@ -89,8 +89,8 @@ fn exec_policy_is_the_single_threading_entry_point() {
 
     // ExecPolicy::auto() selects the parallel path and the result matches
     // the serial kernel.
-    let serial = SplattKernel::new(&t, 0);
-    let auto = SplattKernel::new(&t, 0).with_exec(ExecPolicy::auto());
+    let serial = BlockedKernel::new(&t, 0, None, None);
+    let auto = BlockedKernel::new(&t, 0, None, None).with_exec(ExecPolicy::auto());
     let mut a = DenseMatrix::zeros(t.dims()[0], rank);
     let mut b = DenseMatrix::zeros(t.dims()[0], rank);
     serial.mttkrp(&fs, &mut a);

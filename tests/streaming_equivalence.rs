@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tenblock::core::block::MbKernel;
+use tenblock::core::block::BlockedKernel;
 use tenblock::core::mttkrp::BcooKernel;
 use tenblock::core::tune::grid_for_tile_budget;
 use tenblock::core::{KernelKind, MttkrpKernel, StreamingMttkrp};
@@ -121,7 +121,7 @@ fn assert_streamed_matches_in_memory(x: &CooTensor, budget: u64) -> usize {
                 );
             }
         }
-        let k = MbKernel::new(x, mode, grid_kernel);
+        let k = BlockedKernel::new(x, mode, Some(grid_kernel), None);
         let mut expect = DenseMatrix::zeros(x.dims()[mode], rank);
         k.mttkrp(&fs, &mut expect);
         let mut got = DenseMatrix::zeros(x.dims()[mode], rank);

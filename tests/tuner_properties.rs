@@ -3,8 +3,7 @@
 
 use proptest::prelude::*;
 use tenblock::analysis::{tune_by_model, ModelTuneOptions};
-use tenblock::core::block::MbRankBKernel;
-use tenblock::core::mttkrp::SplattKernel;
+use tenblock::core::block::BlockedKernel;
 use tenblock::core::{tune, MttkrpKernel, TuneOptions};
 use tenblock::tensor::coo::perm_for_mode;
 use tenblock::tensor::gen::{clustered_tensor, ClusteredConfig};
@@ -30,8 +29,8 @@ fn check_config_valid_and_correct(
         .map(|&d| DenseMatrix::from_fn(d, rank, |r, c| ((r * 3 + c) % 7) as f64 * 0.2))
         .collect();
     let fs: [&DenseMatrix; 3] = [&factors[0], &factors[1], &factors[2]];
-    let base = SplattKernel::new(x, mode);
-    let tuned = MbRankBKernel::new(x, mode, grid, strip);
+    let base = BlockedKernel::new(x, mode, None, None);
+    let tuned = BlockedKernel::new(x, mode, Some(grid), Some(strip));
     let mut a = DenseMatrix::zeros(dims[mode], rank);
     let mut b = DenseMatrix::zeros(dims[mode], rank);
     base.mttkrp(&fs, &mut a);
