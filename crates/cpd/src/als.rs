@@ -7,15 +7,22 @@
 //!    [`MttkrpKernel`]; this is the step the paper optimizes.
 //! 2. `V = ∘ of the other factors' gram matrices` (`R x R`).
 //! 3. `A_m = M V⁻¹` (Cholesky solve with ridge fallback).
-//! 4. Column-normalize `A_m` into `λ`.
+//! 4. Column-normalize `A_m` into `λ`, the norms read off the gram of the
+//!    update, which rescaled is the gram step 2 needs next.
 //!
-//! Convergence is declared when the change in fit falls below `tol`.
+//! Then the fit, without touching the nonzeros: the last mode's MTTKRP
+//! already contracted `X` with the other two updated factors, so pairing
+//! it with `λ` and the new `A₂` gives `⟨X, M⟩`, and the grams give `‖M‖²`.
+//! Convergence is declared when the change in fit falls below `tol`. One
+//! loop (`als_loop`) serves the in-memory and the streamed solver; they
+//! differ only in what computes step 1.
 
-use crate::kruskal::KruskalTensor;
-use crate::linalg::{gram, hadamard_assign, normalize_columns, solve_spd_rhs_rows};
+use crate::kruskal::{fit_from_norms, sq_norm_from_grams, KruskalTensor};
+use crate::linalg::{gram_with, hadamard_assign, scale_columns_with, solve_spd_rows_in_place};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tenblock_core::{build_kernel, KernelConfig, KernelKind, MttkrpKernel};
+use std::convert::Infallible;
+use tenblock_core::{build_kernel, KernelConfig, KernelKind, MttkrpKernel, Threads};
 use tenblock_tensor::{CooTensor, DenseMatrix, NMODES};
 
 /// Options for [`CpAls`].
@@ -63,9 +70,8 @@ pub struct CpAlsResult {
 }
 
 /// Random initial factors in `[0, 1)` (the usual ALS start for nonnegative
-/// count data): one seeded stream, modes drawn in order. Both drivers start
-/// here, so the streamed and in-memory solvers walk the same path.
-pub(crate) fn init_factors(dims: [usize; NMODES], rank: usize, seed: u64) -> Vec<DenseMatrix> {
+/// count data): one seeded stream, modes drawn in order.
+fn init_factors(dims: [usize; NMODES], rank: usize, seed: u64) -> Vec<DenseMatrix> {
     let mut rng = StdRng::seed_from_u64(seed);
     dims.iter()
         .map(|&d| {
@@ -76,24 +82,114 @@ pub(crate) fn init_factors(dims: [usize; NMODES], rank: usize, seed: u64) -> Vec
 }
 
 /// The dense half of mode `m`'s update, from that mode's MTTKRP output:
-/// `V = ∘` of the other modes' grams, `A_m = M V⁻¹`, column-normalize
-/// `A_m` (a fully zero column keeps a zero norm and stays zeroed), refresh
-/// its gram. Returns the column norms `λ`.
-pub(crate) fn update_mode(
+/// `V = ∘` of the other modes' grams, `A_m = M V⁻¹` solved in place in
+/// `factors[m]`, then one gram of the *un-normalized* update gives both
+/// the column norms `λ = √diag` and, rescaled by `1 / (λ_p λ_q)`, the gram
+/// of the normalized factor. A column of zero norm is left as it is, with
+/// `λ = 0`. Returns `λ`.
+fn update_mode(
     m: usize,
     mttkrp_out: &DenseMatrix,
     factors: &mut [DenseMatrix],
     grams: &mut [DenseMatrix],
+    threads: Threads,
 ) -> Vec<f64> {
     let others: Vec<usize> = (0..NMODES).filter(|&o| o != m).collect();
     let mut v = grams[others[0]].clone();
     hadamard_assign(&mut v, &grams[others[1]]);
 
-    let mut updated = solve_spd_rhs_rows(&v, mttkrp_out);
-    let lambda = normalize_columns(&mut updated);
-    factors[m] = updated;
-    grams[m] = gram(&factors[m]);
+    let updated = &mut factors[m];
+    updated
+        .as_mut_slice()
+        .copy_from_slice(mttkrp_out.as_slice());
+    solve_spd_rows_in_place(&v, updated, threads);
+
+    let mut g = gram_with(updated, threads);
+    let rank = g.rows();
+    let lambda: Vec<f64> = (0..rank).map(|r| g.get(r, r).sqrt()).collect();
+    let inv: Vec<f64> = lambda
+        .iter()
+        .map(|&l| if l > 0.0 { 1.0 / l } else { 1.0 })
+        .collect();
+    scale_columns_with(updated, &inv, threads);
+    for (grow, &ip) in g.as_mut_slice().chunks_exact_mut(rank).zip(&inv) {
+        for (x, &iq) in grow.iter_mut().zip(&inv) {
+            *x *= ip * iq;
+        }
+    }
+    grams[m] = g;
     lambda
+}
+
+/// `⟨X, M⟩` from the last mode's MTTKRP output `M₂`, which already
+/// contracted `X` with the updated `A₀, A₁`:
+/// `Σ_r λ_r Σ_k M₂[k,r] · A₂[k,r]`, walked row by row.
+fn inner_from_last_mttkrp(m2: &DenseMatrix, a2: &DenseMatrix, lambda: &[f64]) -> f64 {
+    let rank = lambda.len();
+    let mut cols = vec![0.0; rank];
+    let rows = m2.as_slice().chunks_exact(rank);
+    for (mrow, arow) in rows.zip(a2.as_slice().chunks_exact(rank)) {
+        for ((c, &mv), &av) in cols.iter_mut().zip(mrow).zip(arow) {
+            *c += mv * av;
+        }
+    }
+    lambda.iter().zip(&cols).map(|(&l, &c)| l * c).sum()
+}
+
+/// The one ALS loop, over whatever computes a mode's MTTKRP (a prepared
+/// in-memory kernel or a tile stream): per iteration three MTTKRPs, three
+/// [`update_mode`]s, and a fit that needs no pass over the nonzeros —
+/// `‖X − M‖² = ‖X‖² − 2⟨X, M⟩ + ‖M‖²` with `‖X‖²` given, `⟨X, M⟩` from
+/// the last MTTKRP and `‖M‖²` from the grams. A non-finite fit (the solve
+/// answers a non-finite system with NaN) ends the run unconverged.
+pub(crate) fn als_loop<E>(
+    dims: [usize; NMODES],
+    x_sq: f64,
+    opts: &CpAlsOptions,
+    mut mttkrp: impl FnMut(usize, &[&DenseMatrix; NMODES], &mut DenseMatrix) -> Result<(), E>,
+) -> Result<CpAlsResult, E> {
+    let rank = opts.rank;
+    let threads = opts.kernel_cfg.exec.threads;
+    let recorder = &opts.kernel_cfg.exec.recorder;
+    let mut factors = init_factors(dims, rank, opts.seed);
+    let mut lambda = vec![1.0; rank];
+    let mut grams: Vec<DenseMatrix> = factors.iter().map(|f| gram_with(f, threads)).collect();
+    let mut mttkrp_out: Vec<DenseMatrix> =
+        dims.iter().map(|&d| DenseMatrix::zeros(d, rank)).collect();
+    let mut fit_history = Vec::new();
+    let mut prev_fit = f64::NEG_INFINITY;
+    let mut converged = false;
+
+    for it in 0..opts.max_iters {
+        let iter_span = recorder.span("cpd/als/iter");
+        iter_span.annotate_num("iter", it as f64);
+        for (m, out) in mttkrp_out.iter_mut().enumerate() {
+            let fs: [&DenseMatrix; NMODES] = [&factors[0], &factors[1], &factors[2]];
+            mttkrp(m, &fs, out)?;
+            lambda = update_mode(m, out, &mut factors, &mut grams, threads);
+        }
+        let last = NMODES - 1;
+        let inner = inner_from_last_mttkrp(&mttkrp_out[last], &factors[last], &lambda);
+        let model_sq = sq_norm_from_grams(&grams, &lambda);
+        let fit = fit_from_norms(x_sq, inner, model_sq);
+        fit_history.push(fit);
+        iter_span.annotate_num("fit", fit);
+        if !fit.is_finite() {
+            break;
+        }
+        if (fit - prev_fit).abs() < opts.tol {
+            converged = true;
+            break;
+        }
+        prev_fit = fit;
+    }
+
+    Ok(CpAlsResult {
+        model: KruskalTensor::new(lambda, factors),
+        iterations: fit_history.len(),
+        fit_history,
+        converged,
+    })
 }
 
 /// The CP-ALS solver. Kernels for all three modes are prepared once at
@@ -140,49 +236,15 @@ impl CpAls {
             self.dims,
             "tensor shape changed since kernel construction"
         );
-        let rank = self.opts.rank;
-        let mut factors = init_factors(self.dims, rank, self.opts.seed);
-        let mut lambda = vec![1.0; rank];
-        let mut grams: Vec<DenseMatrix> = factors.iter().map(gram).collect();
-        let mut fit_history = Vec::new();
-        let mut prev_fit = f64::NEG_INFINITY;
-        let mut converged = false;
-        let mut mttkrp_out: Vec<DenseMatrix> = self
-            .dims
-            .iter()
-            .map(|&d| DenseMatrix::zeros(d, rank))
-            .collect();
-
-        let recorder = self.opts.kernel_cfg.exec.recorder.clone();
-        let als_span = recorder.span("cpd/als");
-        als_span.annotate_num("rank", rank as f64);
-
-        let mut iterations = 0;
-        for it in 0..self.opts.max_iters {
-            iterations += 1;
-            let iter_span = recorder.span("cpd/als/iter");
-            iter_span.annotate_num("iter", it as f64);
-            for m in 0..NMODES {
-                let fs: [&DenseMatrix; NMODES] = [&factors[0], &factors[1], &factors[2]];
-                self.kernels[m].mttkrp(&fs, &mut mttkrp_out[m]);
-                lambda = update_mode(m, &mttkrp_out[m], &mut factors, &mut grams);
-            }
-            let model = KruskalTensor::new(lambda.clone(), factors.clone());
-            let fit = model.fit(x);
-            fit_history.push(fit);
-            iter_span.annotate_num("fit", fit);
-            if (fit - prev_fit).abs() < self.opts.tol {
-                converged = true;
-                break;
-            }
-            prev_fit = fit;
-        }
-
-        CpAlsResult {
-            model: KruskalTensor::new(lambda, factors),
-            fit_history,
-            iterations,
-            converged,
+        let als_span = self.opts.kernel_cfg.exec.recorder.span("cpd/als");
+        als_span.annotate_num("rank", self.opts.rank as f64);
+        let run = als_loop(self.dims, x.sq_norm(), &self.opts, |m, fs, out| {
+            self.kernels[m].mttkrp(fs, out);
+            Ok::<(), Infallible>(())
+        });
+        match run {
+            Ok(result) => result,
+            Err(never) => match never {},
         }
     }
 
@@ -304,6 +366,32 @@ mod tests {
         for w in spans.windows(2) {
             assert!(w[0].start_ns <= w[1].start_ns, "timestamps not monotone");
         }
+    }
+
+    #[test]
+    fn non_finite_mttkrp_stops_the_loop_unconverged() {
+        let x = planted(2, [6, 5, 4], 3);
+        let mut opts = CpAlsOptions::new(2);
+        opts.max_iters = 10;
+        opts.tol = 0.0;
+        let als = CpAls::new(&x, opts.clone());
+        let mut calls = 0;
+        let run = als_loop(x.dims(), x.sq_norm(), &opts, |m, fs, out| {
+            als.kernels[m].mttkrp(fs, out);
+            calls += 1;
+            if calls == 5 {
+                // Mode 1 of the second iteration: the NaN spreads through
+                // that factor's gram into mode 2's system matrix, which the
+                // solve must answer with NaN rather than loop or panic.
+                out.set(0, 0, f64::NAN);
+            }
+            Ok::<(), Infallible>(())
+        })
+        .unwrap();
+        assert_eq!(run.iterations, 2);
+        assert_eq!(run.fit_history.len(), 2);
+        assert!(run.fit_history[0].is_finite() && run.fit_history[1].is_nan());
+        assert!(!run.converged);
     }
 
     #[test]

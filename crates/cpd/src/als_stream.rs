@@ -2,30 +2,19 @@
 //! so the tensor is never resident — only its factors, grams, and two
 //! tiles at a time.
 //!
-//! Two things keep the streamed run equivalent to the in-memory one:
-//!
-//! * **Identical initialization.** [`CpAlsStream`] and `CpAls` draw their
-//!   random initial factors from one function (same seed, same per-mode
-//!   draw order), so the two solvers walk the same optimization path.
-//!   With the streaming MTTKRP bit-for-bit equal to the in-memory
-//!   kernels, per-iteration factors agree to roundoff.
-//! * **Streaming fit.** The in-memory fit needs `⟨X, M⟩`, a pass over
-//!   the nonzeros. Streaming avoids re-reading the tensor per iteration
-//!   with the SPLATT identity: the last mode's MTTKRP output `M₂`
-//!   already contracts `X` with the updated `A₀, A₁`, so
-//!   `⟨X, M⟩ = Σ_r λ_r Σ_k M₂[k,r] · A₂[k,r]` — free given the
-//!   iteration's final factors. `‖X‖²` is streamed once up front (one
-//!   extra tile pass, visible in the stream counters); `‖M‖²` uses the
-//!   gram identity. No tensor pass per iteration beyond the three
-//!   MTTKRPs.
+//! The streamed and the in-memory solver are one loop (`als::als_loop`):
+//! same seeded initial factors, same dense update, same fit. With the
+//! streaming MTTKRP bit-for-bit equal to the in-memory kernels, the
+//! per-iteration factors agree to roundoff. The loop's fit never touches
+//! the nonzeros (it pairs the last mode's MTTKRP output with the updated
+//! factor), so the only tensor passes are the three MTTKRPs per iteration
+//! and one `‖X‖²` pass up front, visible in the stream counters.
 
-use crate::als::{init_factors, update_mode, CpAlsOptions, CpAlsResult};
-use crate::kruskal::KruskalTensor;
-use crate::linalg::gram;
+use crate::als::{als_loop, CpAlsOptions, CpAlsResult};
 use std::sync::Arc;
 use tenblock_core::obs::StreamStats;
 use tenblock_core::{StreamError, StreamingMttkrp};
-use tenblock_tensor::{DenseMatrix, TensorSource, NMODES};
+use tenblock_tensor::TensorSource;
 
 /// CP-ALS over a [`TensorSource`]. Where [`crate::CpAls`] prepares one
 /// in-memory kernel per mode, this driver streams tiles per MTTKRP; the
@@ -73,78 +62,18 @@ impl<'a> CpAlsStream<'a> {
 
     /// Runs ALS, streaming every MTTKRP from the source.
     pub fn run(&self) -> Result<CpAlsResult, StreamError> {
-        let rank = self.opts.rank;
-        let dims = self.src.dims();
         let exec = &self.opts.kernel_cfg.exec;
         let strip = self.opts.kernel_cfg.strip_width;
-        let mut factors = init_factors(dims, rank, self.opts.seed);
-        let mut lambda = vec![1.0; rank];
-        let mut grams: Vec<DenseMatrix> = factors.iter().map(gram).collect();
-        let mut fit_history = Vec::new();
-        let mut prev_fit = f64::NEG_INFINITY;
-        let mut converged = false;
-        let mut mttkrp_out: Vec<DenseMatrix> =
-            dims.iter().map(|&d| DenseMatrix::zeros(d, rank)).collect();
-
-        let recorder = exec.recorder.clone();
-        let als_span = recorder.span("cpd/als-stream");
-        als_span.annotate_num("rank", rank as f64);
+        let als_span = exec.recorder.span("cpd/als-stream");
+        als_span.annotate_num("rank", self.opts.rank as f64);
         als_span.annotate_num("tiles", self.src.n_tiles() as f64);
 
         let x_sq = self.stream_sq_norm()?;
-
-        let mut iterations = 0;
-        for it in 0..self.opts.max_iters {
-            iterations += 1;
-            let iter_span = recorder.span("cpd/als/iter");
-            iter_span.annotate_num("iter", it as f64);
-            for m in 0..NMODES {
-                let fs: [&DenseMatrix; NMODES] = [&factors[0], &factors[1], &factors[2]];
-                StreamingMttkrp::new(self.src, m, strip)
-                    .with_exec(exec.clone())
-                    .with_stats(Arc::clone(&self.stats))
-                    .run(&fs, &mut mttkrp_out[m])?;
-                lambda = update_mode(m, &mttkrp_out[m], &mut factors, &mut grams);
-            }
-            // ⟨X, M⟩ from the mode-2 MTTKRP: it contracted X with the
-            // updated A₀/A₁, and λ/A₂ are its own normalization, so
-            // pairing it with the final A₂ reproduces the full inner
-            // product without touching the tensor again.
-            let m2 = &mttkrp_out[NMODES - 1];
-            let a2 = &factors[NMODES - 1];
-            let mut inner = 0.0;
-            for (r, &l) in lambda.iter().enumerate() {
-                let mut col = 0.0;
-                for k in 0..dims[NMODES - 1] {
-                    col += m2.get(k, r) * a2.get(k, r);
-                }
-                inner += l * col;
-            }
-            let model = KruskalTensor::new(lambda.clone(), factors.clone());
-            let fit = if x_sq == 0.0 {
-                if model.sq_norm() == 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            } else {
-                let resid_sq = (x_sq - 2.0 * inner + model.sq_norm()).max(0.0);
-                1.0 - (resid_sq.sqrt() / x_sq.sqrt())
-            };
-            fit_history.push(fit);
-            iter_span.annotate_num("fit", fit);
-            if (fit - prev_fit).abs() < self.opts.tol {
-                converged = true;
-                break;
-            }
-            prev_fit = fit;
-        }
-
-        Ok(CpAlsResult {
-            model: KruskalTensor::new(lambda, factors),
-            fit_history,
-            iterations,
-            converged,
+        als_loop(self.src.dims(), x_sq, &self.opts, |m, fs, out| {
+            StreamingMttkrp::new(self.src, m, strip)
+                .with_exec(exec.clone())
+                .with_stats(Arc::clone(&self.stats))
+                .run(fs, out)
         })
     }
 }
@@ -155,7 +84,7 @@ mod tests {
     use crate::als::CpAls;
     use tenblock_core::KernelKind;
     use tenblock_tensor::gen::{clustered_tensor, uniform_tensor, ClusteredConfig};
-    use tenblock_tensor::CooSource;
+    use tenblock_tensor::{CooSource, NMODES};
 
     #[test]
     fn streamed_als_matches_in_memory_fit() {

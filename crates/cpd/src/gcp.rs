@@ -15,7 +15,7 @@
 //! tensor traversal (the memoization trade-off of the paper's ref. [17]).
 //! Optimization uses Adam.
 
-use crate::kruskal::KruskalTensor;
+use crate::kruskal::{sq_norm_from_grams, KruskalTensor};
 use crate::linalg::{gram, hadamard_assign, matmul};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,7 +70,17 @@ pub fn cp_gradient(
     kernel: &AllModeKernel,
     factors: &[DenseMatrix; NMODES],
 ) -> (f64, [DenseMatrix; NMODES]) {
-    let dims = x.dims();
+    gradient_at(x.dims(), x.sq_norm(), kernel, factors)
+}
+
+/// [`cp_gradient`] given the tensor's shape and `‖X‖²`, which do not change
+/// between steps: the Adam loop computes them once.
+fn gradient_at(
+    dims: [usize; NMODES],
+    x_sq: f64,
+    kernel: &AllModeKernel,
+    factors: &[DenseMatrix; NMODES],
+) -> (f64, [DenseMatrix; NMODES]) {
     let rank = factors[0].cols();
     let fs: [&DenseMatrix; NMODES] = [&factors[0], &factors[1], &factors[2]];
 
@@ -92,8 +102,8 @@ pub fn cp_gradient(
         .zip(factors[0].as_slice())
         .map(|(a, b)| a * b)
         .sum();
-    let model = KruskalTensor::new(vec![1.0; rank], factors.to_vec());
-    let loss = 0.5 * (x.sq_norm() - 2.0 * inner + model.sq_norm());
+    let model_sq = sq_norm_from_grams(&grams, &vec![1.0; rank]);
+    let loss = 0.5 * (x_sq - 2.0 * inner + model_sq);
 
     let grads = std::array::from_fn(|m| {
         let others: Vec<usize> = (0..NMODES).filter(|&o| o != m).collect();
@@ -116,7 +126,8 @@ pub fn cp_gradient_descent(x: &CooTensor, opts: &GcpOptions) -> GcpResult {
     let dims = x.dims();
     let mut rng = StdRng::seed_from_u64(opts.seed);
     // scale-aware init so M starts in the right magnitude ballpark
-    let scale = (x.sq_norm() / (x.nnz().max(1) as f64)).sqrt().max(1e-3);
+    let x_sq = x.sq_norm();
+    let scale = (x_sq / (x.nnz().max(1) as f64)).sqrt().max(1e-3);
     let init = (scale / rank as f64).cbrt();
     let mut factors: [DenseMatrix; NMODES] = std::array::from_fn(|m| {
         DenseMatrix::from_fn(dims[m], rank, |_, _| (rng.random::<f64>() - 0.2) * init)
@@ -137,7 +148,7 @@ pub fn cp_gradient_descent(x: &CooTensor, opts: &GcpOptions) -> GcpResult {
 
     for step in 1..=opts.max_iters {
         iterations = step;
-        let (loss, grads) = cp_gradient(x, &kernel, &factors);
+        let (loss, grads) = gradient_at(dims, x_sq, &kernel, &factors);
         loss_history.push(loss);
         if (prev_loss - loss).abs() / prev_loss.abs().max(1.0) < opts.tol {
             converged = true;

@@ -1,7 +1,7 @@
 //! The Kruskal form of a CP decomposition: column-normalized factor
 //! matrices plus per-component weights `λ`.
 
-use crate::linalg::{gram, hadamard_assign};
+use crate::linalg::gram;
 use tenblock_tensor::{CooTensor, DenseMatrix, NMODES};
 
 /// A rank-`R` Kruskal tensor `Σ_r λ_r · a_r ∘ b_r ∘ c_r`.
@@ -50,37 +50,32 @@ impl KruskalTensor {
     /// `||M||²` via the gram identity:
     /// `Σ_{r,s} λ_r λ_s (AᵀA ∘ BᵀB ∘ CᵀC)_{rs}`.
     pub fn sq_norm(&self) -> f64 {
-        let mut g = gram(&self.factors[0]);
-        hadamard_assign(&mut g, &gram(&self.factors[1]));
-        hadamard_assign(&mut g, &gram(&self.factors[2]));
-        let r = self.rank();
-        let mut total = 0.0;
-        for p in 0..r {
-            for q in 0..r {
-                total += self.lambda[p] * self.lambda[q] * g.get(p, q);
-            }
-        }
-        total
+        let grams: Vec<DenseMatrix> = self.factors.iter().map(gram).collect();
+        sq_norm_from_grams(&grams, &self.lambda)
     }
 
     /// Inner product `⟨X, M⟩ = Σ_nnz x_ijk · m_ijk` with a sparse tensor.
     pub fn inner_with(&self, x: &CooTensor) -> f64 {
         assert_eq!(x.dims(), self.dims(), "tensor/model shape mismatch");
+        let (a, b, c) = (&self.factors[0], &self.factors[1], &self.factors[2]);
         x.entries()
             .iter()
-            .map(|e| e.val * self.value_at(e.idx[0] as usize, e.idx[1] as usize, e.idx[2] as usize))
+            .map(|e| {
+                let [i, j, k] = e.idx.map(|i| i as usize);
+                let model: f64 = (self.lambda.iter().zip(a.row(i)))
+                    .zip(b.row(j))
+                    .zip(c.row(k))
+                    .map(|(((&l, &av), &bv), &cv)| l * av * bv * cv)
+                    .sum();
+                e.val * model
+            })
             .sum()
     }
 
     /// The CP fit `1 - ||X - M||_F / ||X||_F`, computed without
     /// materializing `M`: `||X - M||² = ||X||² - 2⟨X, M⟩ + ||M||²`.
     pub fn fit(&self, x: &CooTensor) -> f64 {
-        let x_sq = x.sq_norm();
-        if x_sq == 0.0 {
-            return if self.sq_norm() == 0.0 { 1.0 } else { 0.0 };
-        }
-        let resid_sq = (x_sq - 2.0 * self.inner_with(x) + self.sq_norm()).max(0.0);
-        1.0 - (resid_sq.sqrt() / x_sq.sqrt())
+        fit_from_norms(x.sq_norm(), self.inner_with(x), self.sq_norm())
     }
 
     /// Materializes the model as a dense COO tensor (test-sized only).
@@ -103,6 +98,29 @@ impl KruskalTensor {
         }
         CooTensor::from_entries(dims, entries)
     }
+}
+
+/// `‖M‖² = λᵀ (G₀ ∘ G₁ ∘ G₂) λ` from the factors' gram matrices.
+pub(crate) fn sq_norm_from_grams(grams: &[DenseMatrix], lambda: &[f64]) -> f64 {
+    let mut total = 0.0;
+    for (p, &lp) in lambda.iter().enumerate() {
+        for (q, &lq) in lambda.iter().enumerate() {
+            total += lp * lq * grams.iter().map(|g| g.get(p, q)).product::<f64>();
+        }
+    }
+    total
+}
+
+/// The fit from `‖X‖²`, `⟨X, M⟩` and `‖M‖²`. Roundoff can push the
+/// residual of a near-perfect model below zero, which is clamped; a NaN
+/// residual must stay NaN (`f64::max` would turn it into a perfect fit).
+pub(crate) fn fit_from_norms(x_sq: f64, inner: f64, model_sq: f64) -> f64 {
+    if x_sq == 0.0 {
+        return f64::from(model_sq == 0.0);
+    }
+    let resid_sq = x_sq - 2.0 * inner + model_sq;
+    let resid_sq = if resid_sq < 0.0 { 0.0 } else { resid_sq };
+    1.0 - (resid_sq.sqrt() / x_sq.sqrt())
 }
 
 #[cfg(test)]
@@ -149,6 +167,16 @@ mod tests {
         }
         let f = m.fit(&x);
         assert!(f < 0.999, "fit = {f}");
+    }
+
+    #[test]
+    fn a_non_finite_model_has_a_nan_fit_not_a_perfect_one() {
+        let mut m = rank1();
+        let x = m.to_coo();
+        m.lambda[0] = f64::NAN;
+        assert!(m.fit(&x).is_nan());
+        // a residual that roundoff pushed below zero is still a perfect fit
+        assert_eq!(fit_from_norms(4.0, 4.0 + 1e-13, 4.0), 1.0);
     }
 
     #[test]

@@ -9,12 +9,15 @@
 //! iteration, 10–1000s of times per decomposition, amortizing the one-time
 //! blocking reorganization.
 //!
-//! * [`linalg`] — the small dense `R x R` algebra ALS needs (gram matrices,
-//!   Hadamard products, Cholesky solves with a ridge fallback).
+//! * [`linalg`] — the dense algebra ALS needs (gram matrices, Hadamard
+//!   products, Cholesky row solves with a ridge fallback). `R x R` systems,
+//!   but `n x R` operands with `n` a mode length, so the `O(n R²)` routines
+//!   are written for the vector units.
 //! * [`kruskal`] — the Kruskal-form result (`λ` + factor matrices), norms,
 //!   inner products and fit against a sparse tensor.
 //! * [`als`] — the CP-ALS driver, generic over any
-//!   [`tenblock_core::MttkrpKernel`].
+//!   [`tenblock_core::MttkrpKernel`]; [`als_stream`] runs the same loop over
+//!   a streamed MTTKRP.
 
 //! * [`apr`] — CP-APR, the Poisson (KL-divergence) factorization of
 //!   Chi & Kolda used on count data like the paper's Poisson tensors; each

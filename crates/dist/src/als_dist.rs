@@ -18,6 +18,8 @@ use crate::msg::{run_world, RankCtx};
 use crate::part3d::Partition3D;
 use tenblock_core::block::BlockedKernel;
 use tenblock_core::MttkrpKernel;
+use tenblock_cpd::linalg::{gram, hadamard_assign, normalize_columns, solve_spd_rhs_rows};
+use tenblock_cpd::KruskalTensor;
 use tenblock_tensor::{CooTensor, DenseMatrix, NMODES};
 
 /// Options for [`distributed_als`].
@@ -57,163 +59,12 @@ pub fn init_factor(mode: usize, rows: usize, rank: usize, seed: u64) -> DenseMat
 
 /// One ALS mode update given the (already reduced, global) MTTKRP result.
 fn als_update(mttkrp: &DenseMatrix, grams: &[DenseMatrix], mode: usize) -> (DenseMatrix, Vec<f64>) {
-    use tenblock_cpd_linalg::{hadamard_assign, normalize_columns, solve_spd_rhs_rows};
     let others: Vec<usize> = (0..NMODES).filter(|&o| o != mode).collect();
     let mut v = grams[others[0]].clone();
     hadamard_assign(&mut v, &grams[others[1]]);
     let mut updated = solve_spd_rhs_rows(&v, mttkrp);
     let lambda = normalize_columns(&mut updated);
     (updated, lambda)
-}
-
-// Local re-exports of the linalg helpers (tenblock-dist deliberately does
-// not depend on tenblock-cpd to keep the dependency graph a tree, so the
-// few small routines ALS needs are duplicated here with tests asserting
-// they match the cpd crate's behaviour at the call sites).
-mod tenblock_cpd_linalg {
-    use tenblock_tensor::DenseMatrix;
-
-    pub fn gram(a: &DenseMatrix) -> DenseMatrix {
-        let r = a.cols();
-        let mut g = DenseMatrix::zeros(r, r);
-        for i in 0..a.rows() {
-            let row = a.row(i);
-            for p in 0..r {
-                let v = row[p];
-                if v != 0.0 {
-                    let grow = g.row_mut(p);
-                    for (q, &w) in row.iter().enumerate() {
-                        grow[q] += v * w;
-                    }
-                }
-            }
-        }
-        g
-    }
-
-    pub fn hadamard_assign(a: &mut DenseMatrix, b: &DenseMatrix) {
-        for (x, &y) in a.as_mut_slice().iter_mut().zip(b.as_slice()) {
-            *x *= y;
-        }
-    }
-
-    pub fn cholesky(a: &DenseMatrix) -> Option<DenseMatrix> {
-        let n = a.rows();
-        let mut l = DenseMatrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a.get(i, j);
-                for k in 0..j {
-                    sum -= l.get(i, k) * l.get(j, k);
-                }
-                if i == j {
-                    if sum <= 0.0 {
-                        return None;
-                    }
-                    l.set(i, j, sum.sqrt());
-                } else {
-                    l.set(i, j, sum / l.get(j, j));
-                }
-            }
-        }
-        Some(l)
-    }
-
-    pub fn solve_spd_rhs_rows(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
-        let n = a.rows();
-        let l = cholesky(a).unwrap_or_else(|| {
-            let trace: f64 = (0..n).map(|i| a.get(i, i)).sum();
-            let mut eps = (trace / n as f64).max(1.0) * 1e-10;
-            let mut reg = a.clone();
-            loop {
-                for i in 0..n {
-                    reg.set(i, i, reg.get(i, i) + eps);
-                }
-                if let Some(l) = cholesky(&reg) {
-                    return l;
-                }
-                eps *= 100.0;
-                assert!(eps.is_finite(), "ridge regularization diverged");
-            }
-        });
-        let mut out = DenseMatrix::zeros(b.rows(), n);
-        let mut y = vec![0.0; n];
-        for r in 0..b.rows() {
-            let rhs = b.row(r);
-            for i in 0..n {
-                let mut s = rhs[i];
-                for k in 0..i {
-                    s -= l.get(i, k) * y[k];
-                }
-                y[i] = s / l.get(i, i);
-            }
-            let orow = out.row_mut(r);
-            for i in (0..n).rev() {
-                let mut s = y[i];
-                for k in i + 1..n {
-                    s -= l.get(k, i) * orow[k];
-                }
-                orow[i] = s / l.get(i, i);
-            }
-        }
-        out
-    }
-
-    pub fn normalize_columns(a: &mut DenseMatrix) -> Vec<f64> {
-        let rank = a.cols();
-        let mut sums = vec![0.0; rank];
-        for i in 0..a.rows() {
-            for (s, &v) in sums.iter_mut().zip(a.row(i)) {
-                *s += v * v;
-            }
-        }
-        let norms: Vec<f64> = sums.iter().map(|s| s.sqrt()).collect();
-        for i in 0..a.rows() {
-            for (v, &n) in a.row_mut(i).iter_mut().zip(&norms) {
-                if n > 0.0 {
-                    *v /= n;
-                }
-            }
-        }
-        norms
-    }
-}
-
-/// Fit of the Kruskal model against a sparse tensor (local helper; mirrors
-/// `tenblock_cpd::KruskalTensor::fit`).
-fn model_fit(x: &CooTensor, lambda: &[f64], factors: &[DenseMatrix]) -> f64 {
-    use tenblock_cpd_linalg::{gram, hadamard_assign};
-    let rank = lambda.len();
-    let inner: f64 = x
-        .entries()
-        .iter()
-        .map(|e| {
-            (0..rank)
-                .map(|r| {
-                    lambda[r]
-                        * factors[0].get(e.idx[0] as usize, r)
-                        * factors[1].get(e.idx[1] as usize, r)
-                        * factors[2].get(e.idx[2] as usize, r)
-                })
-                .sum::<f64>()
-                * e.val
-        })
-        .sum();
-    let mut g = gram(&factors[0]);
-    hadamard_assign(&mut g, &gram(&factors[1]));
-    hadamard_assign(&mut g, &gram(&factors[2]));
-    let mut model_sq = 0.0;
-    for p in 0..rank {
-        for q in 0..rank {
-            model_sq += lambda[p] * lambda[q] * g.get(p, q);
-        }
-    }
-    let x_sq = x.sq_norm();
-    if x_sq == 0.0 {
-        return if model_sq == 0.0 { 1.0 } else { 0.0 };
-    }
-    let resid = (x_sq - 2.0 * inner + model_sq).max(0.0);
-    1.0 - resid.sqrt() / x_sq.sqrt()
 }
 
 /// Runs distributed CP-ALS on `grid` thread-ranks.
@@ -234,7 +85,7 @@ pub fn distributed_als(
         let mut factors: Vec<DenseMatrix> = (0..NMODES)
             .map(|m| init_factor(m, dims[m], rank, opts.seed))
             .collect();
-        let mut grams: Vec<DenseMatrix> = factors.iter().map(tenblock_cpd_linalg::gram).collect();
+        let mut grams: Vec<DenseMatrix> = factors.iter().map(gram).collect();
         let mut lambda = vec![1.0; rank];
         let local = part.local(me);
         let kernels: Vec<Option<BlockedKernel>> = (0..NMODES)
@@ -253,7 +104,7 @@ pub fn distributed_als(
                 let global = DenseMatrix::from_vec(dims[m], rank, reduced);
                 let (updated, l) = als_update(&global, &grams, m);
                 lambda = l;
-                grams[m] = tenblock_cpd_linalg::gram(&updated);
+                grams[m] = gram(&updated);
                 factors[m] = updated;
             }
         }
@@ -264,10 +115,11 @@ pub fn distributed_als(
     // fit history is recomputed post-hoc against the relabeled tensor for
     // the final state only; per-iteration fits would need per-iteration
     // snapshots — we recompute the final fit, which tests compare.
-    let fit = model_fit(&rel, &lambda, &factors);
+    let model = KruskalTensor::new(lambda, factors);
+    let fit = model.fit(&rel);
     DistAlsResult {
-        factors,
-        lambda,
+        factors: model.factors,
+        lambda: model.lambda,
         fit_history: vec![fit],
         wire_bytes,
     }
