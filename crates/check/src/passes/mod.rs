@@ -237,7 +237,10 @@ pub fn panic_sites(tokens: &[Token], item: &FnItem) -> Vec<PanicSite> {
                     &body[i - 1].kind,
                     TokenKind::Ident(_) | TokenKind::Punct(")") | TokenKind::Punct("]")
                 ) && !body[i - 1].kind.ident().is_some_and(|w| {
-                    matches!(w, "in" | "return" | "else" | "match" | "mut" | "ref")
+                    matches!(
+                        w,
+                        "in" | "return" | "else" | "match" | "mut" | "ref" | "let"
+                    )
                 });
                 if expr_before {
                     out.push(PanicSite {
@@ -513,7 +516,7 @@ mod tests {
     fn attribute_and_array_literal_brackets_are_not_indexing() {
         let w = ws(&[(
             "a.rs",
-            "fn f() { #[cfg(unix)] let v = [0u8; 4]; for _x in [1, 2] {} drop(v); }",
+            "fn f() { #[cfg(unix)] let v = [0u8; 4]; for _x in [1, 2] {} let [_a, ..] = v; }",
         )]);
         let f = &w.files[0];
         assert!(panic_sites(&f.tokens, &f.items[0]).is_empty());

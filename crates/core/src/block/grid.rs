@@ -8,8 +8,10 @@
 //! to fit in cache. The data reorganization cost is a single sort, "
 //! negligible compared to the reordering methods" (Section V-A).
 
+use tenblock_tensor::bcoo::uniform_bounds;
 use tenblock_tensor::coo::perm_for_mode;
-use tenblock_tensor::{CooTensor, Entry, SplattTensor, NMODES};
+use tenblock_tensor::fiber_sort::sort_into_cells;
+use tenblock_tensor::{CooTensor, SplattTensor, NMODES};
 
 /// A tensor partitioned into a 3-D grid of SPLATT blocks.
 pub struct BlockGrid {
@@ -23,20 +25,6 @@ pub struct BlockGrid {
     nnz: usize,
 }
 
-/// Uniform boundaries splitting `dim` indices into `n` blocks:
-/// block `t` covers `[t*dim/n, (t+1)*dim/n)`.
-fn uniform_bounds(dim: usize, n: usize) -> Vec<usize> {
-    (0..=n).map(|t| t * dim / n).collect()
-}
-
-/// The block that contains index `idx` under `bounds` (binary search; the
-/// grids are tiny, so this is a handful of comparisons).
-#[inline]
-fn find_block(bounds: &[usize], idx: usize) -> usize {
-    debug_assert!(bounds.last().is_some_and(|&end| idx < end));
-    bounds.partition_point(|&b| b <= idx) - 1
-}
-
 /// Buckets `coo`'s entries by linear block id `(a * N_B + b) * N_C + c`
 /// and builds each non-empty block as a slice-compressed SPLATT tensor.
 fn bucket_blocks(
@@ -45,39 +33,23 @@ fn bucket_blocks(
     grid: [usize; NMODES],
     bounds: &[Vec<usize>; NMODES],
 ) -> Vec<Option<SplattTensor>> {
-    let (nb, nc) = (grid[1], grid[2]);
-    let n_blocks = grid[0] * nb * nc;
-    let mut tagged: Vec<(u32, Entry)> = coo
-        .entries()
-        .iter()
-        .map(|e| {
-            let a = find_block(&bounds[0], e.idx[perm[0]] as usize);
-            let b = find_block(&bounds[1], e.idx[perm[1]] as usize);
-            let c = find_block(&bounds[2], e.idx[perm[2]] as usize);
-            (((a * nb + b) * nc + c) as u32, *e)
-        })
-        .collect();
-    tagged.sort_unstable_by_key(|&(id, e)| (id, e.idx[perm[0]], e.idx[perm[2]], e.idx[perm[1]]));
-
-    let mut blocks: Vec<Option<SplattTensor>> = Vec::with_capacity(n_blocks);
-    let mut pos = 0;
-    for id in 0..n_blocks as u32 {
-        let start = pos;
-        while pos < tagged.len() && tagged[pos].0 == id {
-            pos += 1;
-        }
-        if pos == start {
-            blocks.push(None);
-        } else {
-            let entries: Vec<Entry> = tagged[start..pos].iter().map(|&(_, e)| e).collect();
-            blocks.push(Some(SplattTensor::from_entries_compressed(
-                coo.dims(),
-                perm,
-                entries,
-            )));
-        }
+    let entries = coo.entries();
+    let sorted = sort_into_cells(
+        entries.len(),
+        |n| entries[n],
+        |e| [e.idx[perm[0]], e.idx[perm[1]], e.idx[perm[2]]],
+        bounds,
+    );
+    let mut blocks = vec![None; grid[0] * grid[1] * grid[2]];
+    let mut start = 0;
+    for &([a, b, c], end) in &sorted.cells {
+        blocks[(a * grid[1] + b) * grid[2] + c] = Some(SplattTensor::from_sorted_compressed(
+            coo.dims(),
+            perm,
+            &sorted.records[start..end],
+        ));
+        start = end;
     }
-    debug_assert_eq!(pos, tagged.len());
     blocks
 }
 
@@ -252,10 +224,7 @@ mod tests {
     fn uniform_bounds_cover_exactly() {
         let b = uniform_bounds(10, 3);
         assert_eq!(b, vec![0, 3, 6, 10]);
-        for i in 0..10 {
-            let t = find_block(&b, i);
-            assert!(b[t] <= i && i < b[t + 1]);
-        }
+        assert!(b.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub use exec::{ExecPolicy, Threads};
 pub use kernel::{
     build_kernel, try_build_kernel, KernelConfig, KernelError, KernelKind, MttkrpKernel,
 };
-pub use stream::{StreamError, StreamingMttkrp};
+pub use stream::{stream_sq_norm, StreamError, StreamingMttkrp};
 pub use tune::{try_tune, tune, TuneError, TuneOptions, TuneResult};
 
 // Re-export the observability vocabulary so downstream crates don't need a

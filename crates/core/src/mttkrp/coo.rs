@@ -11,6 +11,7 @@ use crate::kernel::MttkrpKernel;
 use tenblock_check::{write_set_violations, RaceReport, WriteSet};
 use tenblock_obs::KernelCounters;
 use tenblock_tensor::coo::perm_for_mode;
+use tenblock_tensor::fiber_sort::{fiber_key, FiberSorter};
 use tenblock_tensor::{CooTensor, DenseMatrix, Idx, NMODES};
 
 /// COO MTTKRP kernel for one mode.
@@ -28,12 +29,21 @@ impl CooKernel {
     /// Prepares the kernel: re-indexes and sorts the nonzeros by output row.
     pub fn new(coo: &CooTensor, mode: usize) -> Self {
         let perm = perm_for_mode(mode);
-        let mut entries: Vec<(Idx, Idx, Idx, f64)> = coo
-            .entries()
-            .iter()
-            .map(|e| (e.idx[perm[0]], e.idx[perm[1]], e.idx[perm[2]], e.val))
-            .collect();
-        entries.sort_unstable_by_key(|&(i, j, k, _)| (i, k, j));
+        let dims = coo.dims();
+        let src = coo.entries();
+        let entries = FiberSorter::new().sort_by_ranges(
+            src.len(),
+            |n| {
+                let e = &src[n];
+                (e.idx[perm[0]], e.idx[perm[1]], e.idx[perm[2]], e.val)
+            },
+            [
+                dims[perm[0]] as u64,
+                dims[perm[2]] as u64,
+                dims[perm[1]] as u64,
+            ],
+            |&(i, j, k, _)| fiber_key([i, j, k]),
+        );
         CooKernel {
             mode,
             perm,

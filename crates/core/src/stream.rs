@@ -1,18 +1,28 @@
 //! Out-of-core streaming MTTKRP over a [`TensorSource`].
 //!
 //! [`StreamingMttkrp`] runs one mode's MTTKRP by iterating grid tiles
-//! instead of holding a layout: a prefetch thread loads and re-sorts the
-//! next tile while the compute thread runs the BCOO micro-kernel on the
-//! current one (rendezvous channel — classic double buffering, at most
-//! two tiles resident). The result is **bit-for-bit identical** to the
-//! in-memory MB and BCOO kernels in serial mode, which pins down three
-//! invariants this module must never break:
+//! instead of holding a layout. A prefetch thread loads the next tile and
+//! puts it into fiber order while the compute thread runs the BCOO
+//! micro-kernel on the current one; the handoff is a rendezvous channel,
+//! so two prepared tiles are resident at most (one computing, one
+//! waiting), and a spent tile's column buffers travel back to the prefetch
+//! thread on a return channel: a pass allocates its buffers before the
+//! first tile and none after. Preparation is O(tile nnz): the source
+//! decodes into one reused [`SourceTile`], and the counting passes of
+//! [`FiberSorter::sort_tile`] move the records into kernel axes and fiber
+//! order between a column buffer and the spent decoded columns — no
+//! comparison sort, no index vector.
+//!
+//! The result is **bit-for-bit identical** to the in-memory MB and BCOO
+//! kernels in serial mode, which pins down three invariants this module
+//! must never break:
 //!
 //! 1. tiles execute sorted by kernel-axis cell id — the order the BCOO
 //!    block table stores and the MB kernel's block-major loop visits;
-//! 2. entries within a tile execute in `(slice, k, j)` local order — the
-//!    sort `BcooTensor::from_coo` applies (unique coordinates, so the
-//!    unstable sort is deterministic);
+//! 2. entries within a tile execute in the `(slice, k, j)` order of
+//!    [`tenblock_tensor::fiber_sort`] — the one `BcooTensor::from_coo`
+//!    builds with; the sort is stable, so a source that repeats a
+//!    coordinate streams the repeats in the order it served them;
 //! 3. tile extents come from the same `uniform_bounds` arithmetic, so
 //!    per-column accumulation order matches term for term.
 //!
@@ -24,7 +34,7 @@
 use crate::exec::ExecPolicy;
 use crate::mttkrp::micro::{process_block_bcoo, GatherBuf};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::sync_channel;
+use std::sync::mpsc::{channel, sync_channel};
 use std::sync::Arc;
 use std::time::Instant;
 use tenblock_check::{write_set_violations, RaceReport, WriteSet};
@@ -32,7 +42,7 @@ use tenblock_faults::{is_transient, Backoff, FaultOp, FaultPolicy, IoOutcome};
 use tenblock_obs::{KernelCounters, StreamStats};
 use tenblock_tensor::coo::perm_for_mode;
 use tenblock_tensor::io_bin::BinError;
-use tenblock_tensor::{DenseMatrix, SourceTile, TensorSource, NMODES};
+use tenblock_tensor::{DenseMatrix, FiberCols, FiberSorter, SourceTile, TensorSource, NMODES};
 
 /// Why a streaming pass stopped.
 #[derive(Debug)]
@@ -86,14 +96,13 @@ impl From<BinError> for StreamError {
     }
 }
 
-/// One prefetched tile, already re-sorted and permuted into kernel axes.
+/// One prefetched tile, in kernel axes and fiber order.
 struct KernelTile {
     /// Slice-axis grid cell (for checked-mode band accounting).
     slice_cell: usize,
     origin: [usize; NMODES],
     spans: [usize; NMODES],
-    offs: Vec<[u32; NMODES]>,
-    vals: Vec<f64>,
+    cols: FiberCols,
     bytes: u64,
 }
 
@@ -104,6 +113,9 @@ pub struct StreamingMttkrp<'a> {
     strip_width: usize,
     exec: ExecPolicy,
     stats: Arc<StreamStats>,
+    /// Column buffers created, over all passes of this driver.
+    #[cfg(test)]
+    col_buffers_created: std::sync::atomic::AtomicUsize,
 }
 
 impl<'a> StreamingMttkrp<'a> {
@@ -120,6 +132,8 @@ impl<'a> StreamingMttkrp<'a> {
             },
             exec: ExecPolicy::serial(),
             stats: Arc::new(StreamStats::new()),
+            #[cfg(test)]
+            col_buffers_created: Default::default(),
         }
     }
 
@@ -213,19 +227,51 @@ impl<'a> StreamingMttkrp<'a> {
 
         std::thread::scope(|scope| -> Result<(), StreamError> {
             // Rendezvous channel: the handoff blocks until the compute
-            // thread takes the tile, so at most two tiles are ever
-            // resident (one computing, one prefetched).
+            // thread takes the tile, so at most two prepared tiles are
+            // ever resident (one computing, one prefetched). Their column
+            // buffers are the two made here, which go round: the compute
+            // side puts a spent one back on `spent_tx` before it asks for
+            // the next tile, so the prefetch side always finds one there.
+            // Every buffer is allocated on this thread, for the largest
+            // tile, once — nothing grows mid-pass, and passes run from
+            // one thread reuse one another's memory.
             let (tx, rx) = sync_channel::<Result<KernelTile, StreamError>>(0);
+            let (spent_tx, spent_rx) = channel::<FiberCols>();
+            let max_nnz = src.max_tile_nnz();
+            for _ in 0..2 {
+                #[cfg(test)]
+                self.col_buffers_created
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let _ = spent_tx.send(FiberCols::with_capacity(max_nnz));
+            }
+            // What the prefetch thread keeps from tile to tile: the decode
+            // target (the sort's second buffer once decoded) and the
+            // sort's histogram.
+            let mut loaded = SourceTile::with_capacity(max_nnz);
+            let mut sorter = FiberSorter::new();
             let bounds = &bounds;
             let prefetch_stats = Arc::clone(&stats);
             scope.spawn(move || {
                 for &i in &order {
+                    let Ok(cols) = spent_rx.recv() else {
+                        return; // compute side hung up
+                    };
                     // catch_unwind: a panicking `TensorSource` impl (or a
-                    // bug in `prepare_tile`) must surface as a typed error
-                    // on the channel, never as a poisoned rendezvous that
-                    // the compute side would misread as end-of-stream.
+                    // bug in the preparation) must surface as a typed
+                    // error on the channel, never as a poisoned rendezvous
+                    // that the compute side would misread as end-of-stream.
                     let msg = catch_unwind(AssertUnwindSafe(|| {
-                        load_tile_retrying(src, i, perm, bounds, &faults, &prefetch_stats)
+                        let t0 = Instant::now();
+                        load_tile_retrying(src, i, &faults, &prefetch_stats, &mut loaded)?;
+                        let t1 = Instant::now();
+                        let bytes = src.tile_bytes(i);
+                        let tile =
+                            prepare_tile(&mut loaded, &mut sorter, cols, perm, bytes, bounds);
+                        prefetch_stats.add_prefetch_ns(
+                            (t1 - t0).as_nanos() as u64,
+                            t1.elapsed().as_nanos() as u64,
+                        );
+                        tile
                     }))
                     .unwrap_or_else(|panic| {
                         Err(StreamError::Prefetch(format!(
@@ -266,7 +312,7 @@ impl<'a> StreamingMttkrp<'a> {
                 if self.exec.is_checked() {
                     let band = &mut touched[tile.slice_cell];
                     let mut prev = usize::MAX;
-                    for o in &tile.offs {
+                    for o in &tile.cols.offs {
                         let row = tile.origin[0] + o[0] as usize;
                         if row != prev {
                             band.push(row);
@@ -275,8 +321,8 @@ impl<'a> StreamingMttkrp<'a> {
                     }
                 }
                 process_block_bcoo(
-                    &tile.offs,
-                    &tile.vals,
+                    &tile.cols.offs,
+                    &tile.cols.vals,
                     b,
                     c,
                     tile.origin,
@@ -287,6 +333,8 @@ impl<'a> StreamingMttkrp<'a> {
                     self.strip_width,
                     &mut scratch,
                 );
+                // The prefetch thread may already be gone (last tile).
+                let _ = spent_tx.send(tile.cols);
             }
             Ok(())
         })?;
@@ -304,49 +352,65 @@ impl<'a> StreamingMttkrp<'a> {
     }
 }
 
-/// Permutes a loaded tile into kernel axes and applies invariant 2: the
-/// `(slice, k, j)` local entry order the BCOO layout stores. Runs on the
-/// prefetch thread so the sort overlaps compute. `bounds` are the grid
-/// boundaries per *original* axis; spans are bounds-derived so the
-/// micro-kernel's gather heuristic matches the in-memory layout exactly.
+/// Turns the tile just loaded into `tile` into kernel form in `cols`:
+/// invariant 2 through the fiber sort's counting passes, on the prefetch
+/// thread so they overlap compute. `bounds` are the grid boundaries per
+/// *original* axis; spans are bounds-derived so the micro-kernel's gather
+/// heuristic matches the in-memory layout exactly. A cell outside the
+/// grid, or a local offset outside its span, is a typed
+/// [`StreamError::Load`] whichever source produced it.
 fn prepare_tile(
-    tile: SourceTile,
+    tile: &mut SourceTile,
+    sorter: &mut FiberSorter,
+    mut cols: FiberCols,
     perm: [usize; NMODES],
     bytes: u64,
     bounds: &[Vec<usize>; NMODES],
-) -> KernelTile {
-    let n = tile.nnz();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_unstable_by_key(|&e| {
-        let l = tile.locals[e as usize];
-        (l[perm[0]], l[perm[2]], l[perm[1]])
-    });
-    let mut offs = Vec::with_capacity(n);
-    let mut vals = Vec::with_capacity(n);
-    for &e in &order {
-        let l = tile.locals[e as usize];
-        offs.push([l[perm[0]], l[perm[1]], l[perm[2]]]);
-        vals.push(tile.vals[e as usize]);
-    }
+) -> Result<KernelTile, StreamError> {
     let mut origin = [0usize; NMODES];
     let mut spans = [0usize; NMODES];
     for ax in 0..NMODES {
         let orig_ax = perm[ax];
         let cell = tile.cell[orig_ax];
+        let (Some(lo), Some(hi)) = (bounds[orig_ax].get(cell), bounds[orig_ax].get(cell + 1))
+        else {
+            return Err(StreamError::Load(BinError::Format(format!(
+                "tile cell {:?} outside the grid on axis {orig_ax}",
+                tile.cell
+            ))));
+        };
         origin[ax] = tile.origin[orig_ax];
-        spans[ax] = bounds[orig_ax][cell + 1] - bounds[orig_ax][cell];
+        spans[ax] = hi - lo;
     }
-    KernelTile {
+    sorter.sort_tile(&mut tile.locals, &mut tile.vals, perm, spans, &mut cols)?;
+    Ok(KernelTile {
         slice_cell: tile.cell[perm[0]],
         origin,
         spans,
-        offs,
-        vals,
+        cols,
         bytes,
-    }
+    })
 }
 
-/// Loads and prepares one tile, retrying transient I/O failures with
+/// `‖X‖²` of a source in one pass over its tiles, in index order, through
+/// the same retrying loader (and the same fault hook, typed errors and
+/// counters) as an MTTKRP pass.
+pub fn stream_sq_norm(
+    src: &dyn TensorSource,
+    exec: &ExecPolicy,
+    stats: &StreamStats,
+) -> Result<f64, StreamError> {
+    let mut tile = SourceTile::with_capacity(src.max_tile_nnz());
+    let mut total = 0.0;
+    for i in 0..src.n_tiles() {
+        load_tile_retrying(src, i, &exec.faults, stats, &mut tile)?;
+        stats.add_tile(src.tile_bytes(i));
+        total += tile.vals.iter().map(|v| v * v).sum::<f64>();
+    }
+    Ok(total)
+}
+
+/// Loads one tile into `tile`, retrying transient I/O failures with
 /// seeded exponential backoff. Classification:
 ///
 /// * transient ([`is_transient`]: `EINTR`/`EAGAIN`/timeouts) → retry up
@@ -363,11 +427,10 @@ fn prepare_tile(
 fn load_tile_retrying(
     src: &dyn TensorSource,
     i: usize,
-    perm: [usize; NMODES],
-    bounds: &[Vec<usize>; NMODES],
     faults: &FaultPolicy,
     stats: &StreamStats,
-) -> Result<KernelTile, StreamError> {
+    tile: &mut SourceTile,
+) -> Result<(), StreamError> {
     let io_err = |source: BinError| StreamError::Io {
         tile: i,
         offset: src.tile_offset(i),
@@ -375,9 +438,8 @@ fn load_tile_retrying(
     };
     let mut backoff = Backoff::for_io(i as u64);
     loop {
-        let attempt = load_tile_once(src, i, faults);
-        match attempt {
-            Ok(tile) => return Ok(prepare_tile(tile, perm, src.tile_bytes(i), bounds)),
+        match load_tile_once(src, i, faults, tile) {
+            Ok(()) => return Ok(()),
             Err(BinError::Io(e)) if is_transient(&e) => match backoff.next_delay() {
                 Some(delay) => {
                     stats.add_retry();
@@ -401,21 +463,22 @@ fn load_tile_once(
     src: &dyn TensorSource,
     i: usize,
     faults: &FaultPolicy,
-) -> Result<SourceTile, BinError> {
+    tile: &mut SourceTile,
+) -> Result<(), BinError> {
     match faults.before(FaultOp::Read, src.tile_bytes(i) as usize) {
-        IoOutcome::Ok => src.load_tile(i),
+        IoOutcome::Ok => src.load_tile_into(i, tile),
         IoOutcome::Err(e) => Err(BinError::Io(e)),
         IoOutcome::Short(_) => Err(BinError::Io(std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
             format!("short read injected on tile {i}"),
         ))),
         IoOutcome::Corrupt(off) => {
-            let mut tile = src.load_tile(i)?;
+            src.load_tile_into(i, tile)?;
             if !tile.vals.is_empty() {
                 let k = off % tile.vals.len();
                 tile.vals[k] = f64::from_bits(tile.vals[k].to_bits() ^ 0x40);
             }
-            Ok(tile)
+            Ok(())
         }
     }
 }
@@ -573,44 +636,18 @@ mod tests {
 
     #[test]
     fn checked_streaming_refuses_rows_outside_the_band() {
-        /// A source whose single tile claims cell 0 but decodes rows in
-        /// the second band — the streamed analogue of a corrupted block
-        /// table.
-        struct LyingSource {
-            inner: CooSource,
-        }
-        impl TensorSource for LyingSource {
-            fn dims(&self) -> [usize; NMODES] {
-                self.inner.dims()
-            }
-            fn nnz(&self) -> usize {
-                self.inner.nnz()
-            }
-            fn grid(&self) -> [usize; NMODES] {
-                self.inner.grid()
-            }
-            fn n_tiles(&self) -> usize {
-                self.inner.n_tiles()
-            }
-            fn tile_cell(&self, i: usize) -> [usize; NMODES] {
-                self.inner.tile_cell(i)
-            }
-            fn tile_nnz(&self, i: usize) -> usize {
-                self.inner.tile_nnz(i)
-            }
-            fn load_tile(&self, i: usize) -> Result<SourceTile, BinError> {
-                let mut t = self.inner.load_tile(i)?;
-                if t.cell[0] == 0 {
-                    // Shift the tile into the next band's rows without
-                    // updating the cell claim.
-                    t.origin[0] += self.dims()[0] / 2;
-                }
-                Ok(t)
-            }
-        }
+        // A source whose first-band tile claims cell 0 but decodes rows in
+        // the second band — the streamed analogue of a corrupted block
+        // table: the tile is shifted into the next band's rows without
+        // updating the cell claim.
         let x = uniform_tensor([16, 10, 10], 300, 5);
-        let src = LyingSource {
+        let src = EditedSource {
             inner: CooSource::new(&x, [2, 1, 1]),
+            edit: |t: &mut SourceTile| {
+                if t.cell[0] == 0 {
+                    t.origin[0] += 8;
+                }
+            },
         };
         let rank = 3;
         let factors = factors_for(&x, rank);
@@ -621,6 +658,149 @@ mod tests {
             .run(&fs, &mut out)
             .unwrap_err();
         assert!(matches!(err, StreamError::Race(_)), "got: {err}");
+    }
+
+    /// Delegates everything but the tile contents, which `edit` rewrites
+    /// after the inner source loaded them.
+    struct EditedSource<F> {
+        inner: CooSource,
+        edit: F,
+    }
+    impl<F: Fn(&mut SourceTile) + Send + Sync> TensorSource for EditedSource<F> {
+        fn dims(&self) -> [usize; NMODES] {
+            self.inner.dims()
+        }
+        fn nnz(&self) -> usize {
+            self.inner.nnz()
+        }
+        fn grid(&self) -> [usize; NMODES] {
+            self.inner.grid()
+        }
+        fn n_tiles(&self) -> usize {
+            self.inner.n_tiles()
+        }
+        fn tile_cell(&self, i: usize) -> [usize; NMODES] {
+            self.inner.tile_cell(i)
+        }
+        fn tile_nnz(&self, i: usize) -> usize {
+            self.inner.tile_nnz(i)
+        }
+        fn load_tile_into(&self, i: usize, tile: &mut SourceTile) -> Result<(), BinError> {
+            self.inner.load_tile_into(i, tile)?;
+            (self.edit)(tile);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn reversed_and_shuffled_tiles_still_match_bcoo_bit_for_bit() {
+        // Invariant 2 is the driver's, not the source's: whatever order a
+        // source serves a tile's entries in, they execute in fiber order.
+        let cfg = ClusteredConfig::new([50, 40, 30], 2_000);
+        let x = clustered_tensor(&cfg, 17);
+        let grid_orig = [3, 2, 2];
+        let rank = 10;
+        let factors = factors_for(&x, rank);
+        let fs: [&DenseMatrix; NMODES] = [&factors[0], &factors[1], &factors[2]];
+        let scramble = |tile: &mut SourceTile| {
+            tile.locals.reverse();
+            tile.vals.reverse();
+            let mut s = tile.nnz() as u64 ^ 0x9e37_79b9_7f4a_7c15;
+            for n in (1..tile.nnz()).rev() {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let m = (s >> 33) as usize % (n + 1);
+                tile.locals.swap(n, m);
+                tile.vals.swap(n, m);
+            }
+        };
+        let src = EditedSource {
+            inner: CooSource::new(&x, grid_orig),
+            edit: scramble,
+        };
+        for mode in 0..NMODES {
+            let perm = perm_for_mode(mode);
+            let grid_kernel = [grid_orig[perm[0]], grid_orig[perm[1]], grid_orig[perm[2]]];
+            let mut expect = DenseMatrix::zeros(x.dims()[mode], rank);
+            BcooKernel::new(&x, mode, grid_kernel, 16).mttkrp(&fs, &mut expect);
+            let mut got = DenseMatrix::zeros(x.dims()[mode], rank);
+            StreamingMttkrp::new(&src, mode, 16)
+                .run(&fs, &mut got)
+                .unwrap();
+            assert_bits_equal(&expect, &got, &format!("scrambled source, mode {mode}"));
+        }
+    }
+
+    #[test]
+    fn a_source_that_lies_about_its_spans_is_a_typed_load_error() {
+        // Only the tile store validates offsets while decoding; the driver
+        // must hold every source to its spans before a counting pass
+        // indexes a histogram with them.
+        let x = uniform_tensor([20, 12, 12], 400, 11);
+        for ax in 0..NMODES {
+            let src = EditedSource {
+                inner: CooSource::new(&x, [2, 2, 2]),
+                edit: move |tile: &mut SourceTile| {
+                    if let Some(l) = tile.locals.last_mut() {
+                        l[ax] = 1 << 20;
+                    }
+                },
+            };
+            for checked in [false, true] {
+                let exec = if checked {
+                    ExecPolicy::checked()
+                } else {
+                    ExecPolicy::serial()
+                };
+                let (res, _) = small_run(&src, exec);
+                let err = res.unwrap_err();
+                assert!(
+                    matches!(err, StreamError::Load(BinError::Format(_))),
+                    "axis {ax}: got {err}"
+                );
+            }
+        }
+        // A cell outside the grid is the same kind of lie.
+        let src = EditedSource {
+            inner: CooSource::new(&x, [2, 2, 2]),
+            edit: |tile: &mut SourceTile| tile.cell[1] = 9,
+        };
+        let (res, _) = small_run(&src, ExecPolicy::serial());
+        let err = res.unwrap_err();
+        assert!(
+            matches!(err, StreamError::Load(BinError::Format(_))),
+            "got {err}"
+        );
+    }
+
+    #[test]
+    fn a_three_mode_sweep_creates_a_bounded_number_of_tile_buffers() {
+        // Two column buffers circulate per pass (one computing, one being
+        // prepared) however many tiles the pass has.
+        let x = uniform_tensor([40, 40, 40], 6_000, 23);
+        let rank = 4;
+        let factors = factors_for(&x, rank);
+        let fs: [&DenseMatrix; NMODES] = [&factors[0], &factors[1], &factors[2]];
+        for grid in [[2, 1, 1], [4, 4, 4], [8, 8, 8]] {
+            let src = CooSource::new(&x, grid);
+            assert!(src.n_tiles() >= 2);
+            let mut created = 0;
+            for mode in 0..NMODES {
+                let driver = StreamingMttkrp::new(&src, mode, 16);
+                let mut out = DenseMatrix::zeros(x.dims()[mode], rank);
+                driver.run(&fs, &mut out).unwrap();
+                created += driver
+                    .col_buffers_created
+                    .load(std::sync::atomic::Ordering::Relaxed);
+            }
+            assert_eq!(
+                created,
+                2 * NMODES,
+                "{} tiles per pass must not change the buffer count",
+                src.n_tiles()
+            );
+        }
     }
 
     /// Delegating source that fails or panics on a chosen tile — the
@@ -653,14 +833,14 @@ mod tests {
         fn tile_offset(&self, i: usize) -> u64 {
             (i as u64) * 1000
         }
-        fn load_tile(&self, i: usize) -> Result<SourceTile, BinError> {
+        fn load_tile_into(&self, i: usize, tile: &mut SourceTile) -> Result<(), BinError> {
             if i == self.bad_tile {
                 if self.panic {
                     panic!("injected panic on tile {i}");
                 }
                 return Err(BinError::Io(std::io::Error::other("injected EIO")));
             }
-            self.inner.load_tile(i)
+            self.inner.load_tile_into(i, tile)
         }
     }
 

@@ -13,7 +13,7 @@
 use crate::als::{als_loop, CpAlsOptions, CpAlsResult};
 use std::sync::Arc;
 use tenblock_core::obs::StreamStats;
-use tenblock_core::{StreamError, StreamingMttkrp};
+use tenblock_core::{stream_sq_norm, StreamError, StreamingMttkrp};
 use tenblock_tensor::TensorSource;
 
 /// CP-ALS over a [`TensorSource`]. Where [`crate::CpAls`] prepares one
@@ -49,17 +49,6 @@ impl<'a> CpAlsStream<'a> {
         &self.stats
     }
 
-    /// `‖X‖²` in one tile pass, counted in the stream stats.
-    fn stream_sq_norm(&self) -> Result<f64, StreamError> {
-        let mut total = 0.0;
-        for i in 0..self.src.n_tiles() {
-            let tile = self.src.load_tile(i)?;
-            self.stats.add_tile(self.src.tile_bytes(i));
-            total += tile.vals.iter().map(|v| v * v).sum::<f64>();
-        }
-        Ok(total)
-    }
-
     /// Runs ALS, streaming every MTTKRP from the source.
     pub fn run(&self) -> Result<CpAlsResult, StreamError> {
         let exec = &self.opts.kernel_cfg.exec;
@@ -68,7 +57,7 @@ impl<'a> CpAlsStream<'a> {
         als_span.annotate_num("rank", self.opts.rank as f64);
         als_span.annotate_num("tiles", self.src.n_tiles() as f64);
 
-        let x_sq = self.stream_sq_norm()?;
+        let x_sq = stream_sq_norm(self.src, exec, &self.stats)?;
         als_loop(self.src.dims(), x_sq, &self.opts, |m, fs, out| {
             StreamingMttkrp::new(self.src, m, strip)
                 .with_exec(exec.clone())
@@ -129,6 +118,80 @@ mod tests {
         let passes = 1 + NMODES as u64 * result.iterations as u64;
         assert_eq!(snap.tiles_loaded, passes * src.n_tiles() as u64);
         assert_eq!(snap.bytes_streamed, passes * src.total_tile_bytes());
+    }
+
+    #[test]
+    fn the_norm_pass_retries_and_reports_like_an_mttkrp_pass() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use tenblock_core::ExecPolicy;
+        use tenblock_faults::{FaultAction, FaultOp, FaultPolicy, Trigger};
+        use tenblock_tensor::io_bin::BinError;
+        use tenblock_tensor::SourceTile;
+
+        /// Fails the first `flaky` loads it is asked for with `EINTR`.
+        struct FlakySource {
+            inner: CooSource,
+            flaky: usize,
+            loads: AtomicUsize,
+        }
+        impl TensorSource for FlakySource {
+            fn dims(&self) -> [usize; NMODES] {
+                self.inner.dims()
+            }
+            fn nnz(&self) -> usize {
+                self.inner.nnz()
+            }
+            fn grid(&self) -> [usize; NMODES] {
+                self.inner.grid()
+            }
+            fn n_tiles(&self) -> usize {
+                self.inner.n_tiles()
+            }
+            fn tile_cell(&self, i: usize) -> [usize; NMODES] {
+                self.inner.tile_cell(i)
+            }
+            fn tile_nnz(&self, i: usize) -> usize {
+                self.inner.tile_nnz(i)
+            }
+            fn load_tile_into(&self, i: usize, tile: &mut SourceTile) -> Result<(), BinError> {
+                if self.loads.fetch_add(1, Ordering::Relaxed) < self.flaky {
+                    return Err(BinError::Io(std::io::ErrorKind::Interrupted.into()));
+                }
+                self.inner.load_tile_into(i, tile)
+            }
+        }
+
+        let x = uniform_tensor([20, 20, 20], 600, 8);
+        let mut opts = CpAlsOptions::new(3);
+        opts.max_iters = 3;
+        opts.tol = 0.0;
+        let clean = CpAlsStream::new(&CooSource::new(&x, [2, 2, 2]), opts.clone())
+            .run()
+            .unwrap();
+
+        // The job's first loads are the ‖X‖² pass. It used to call the
+        // source directly, so one EINTR there failed the whole job.
+        let src = FlakySource {
+            inner: CooSource::new(&x, [2, 2, 2]),
+            flaky: 2,
+            loads: AtomicUsize::new(0),
+        };
+        let solver = CpAlsStream::new(&src, opts.clone());
+        let healed = solver.run().unwrap();
+        assert_eq!(solver.stats().snapshot().tile_retries, 2);
+        assert_eq!(healed.fit_history, clean.fit_history);
+
+        // The fault plane reaches it too: a permanent errno injected at the
+        // job's very first read is a typed I/O error naming the tile, and
+        // nothing was retried or streamed before it.
+        let eio = FaultPolicy::new(FaultOp::Read, FaultAction::Errno(5), Trigger::Nth(0), 7);
+        opts.kernel_cfg.exec = ExecPolicy::serial().with_faults(eio);
+        let src = CooSource::new(&x, [2, 2, 2]);
+        let solver = CpAlsStream::new(&src, opts);
+        let err = solver.run().unwrap_err();
+        assert!(matches!(err, StreamError::Io { tile: 0, .. }), "got: {err}");
+        let snap = solver.stats().snapshot();
+        assert_eq!((snap.tile_retries, snap.tiles_loaded), (0, 0));
     }
 
     #[test]

@@ -11,11 +11,14 @@ use crate::Finding;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use tenblock_core::mttkrp::dense_mttkrp;
 use tenblock_core::{
-    try_build_kernel, try_tune, ExecPolicy, KernelConfig, KernelKind, TuneError, TuneOptions,
+    try_build_kernel, try_tune, ExecPolicy, KernelConfig, KernelKind, StreamError, StreamingMttkrp,
+    TuneError, TuneOptions,
 };
 use tenblock_dist::exec::{run_3d, run_4d, DistConfig};
+use tenblock_tensor::bcoo::uniform_bounds;
 use tenblock_tensor::coo::perm_for_mode;
-use tenblock_tensor::{CooTensor, DenseMatrix, NMODES};
+use tenblock_tensor::io_bin::BinError;
+use tenblock_tensor::{CooSource, CooTensor, DenseMatrix, SourceTile, TensorSource, NMODES};
 
 /// Numeric agreement tolerance. Generated values are in `[-1, 1)` and case
 /// sizes are bounded, so anything past reassociation noise is a real
@@ -342,6 +345,128 @@ pub(crate) fn check_tuner(case: &FuzzCase, rng: &mut FuzzRng) -> Vec<Finding> {
                 });
             }
         }
+    }
+    findings
+}
+
+/// A [`CooSource`] that serves one tile wrong: its entries in reverse
+/// order (legal — sources may serve any order), or with one local offset
+/// moved outside the tile's span, or with a value column one short.
+struct MutantSource {
+    inner: CooSource,
+    tile: usize,
+    lie: SourceLie,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum SourceLie {
+    Reversed,
+    OffsetPastSpan { axis: usize, offset: u32 },
+    ShortValues,
+}
+
+impl TensorSource for MutantSource {
+    fn dims(&self) -> [usize; NMODES] {
+        self.inner.dims()
+    }
+    fn nnz(&self) -> usize {
+        self.inner.nnz()
+    }
+    fn grid(&self) -> [usize; NMODES] {
+        self.inner.grid()
+    }
+    fn n_tiles(&self) -> usize {
+        self.inner.n_tiles()
+    }
+    fn tile_cell(&self, i: usize) -> [usize; NMODES] {
+        self.inner.tile_cell(i)
+    }
+    fn tile_nnz(&self, i: usize) -> usize {
+        self.inner.tile_nnz(i)
+    }
+    fn load_tile_into(&self, i: usize, tile: &mut SourceTile) -> Result<(), BinError> {
+        self.inner.load_tile_into(i, tile)?;
+        if i == self.tile {
+            match self.lie {
+                SourceLie::Reversed => {
+                    tile.locals.reverse();
+                    tile.vals.reverse();
+                }
+                SourceLie::OffsetPastSpan { axis, offset } => {
+                    if let Some(l) = tile.locals.last_mut() {
+                        l[axis] = offset;
+                    }
+                }
+                SourceLie::ShortValues => {
+                    tile.vals.pop();
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Source stage: the streaming driver over a [`TensorSource`] it cannot
+/// trust. A tile served in another order must still produce the dense
+/// reference; a tile that lies about its spans (an offset at or past the
+/// span, up to `u32::MAX`, or columns of unequal length) must come back as
+/// `StreamError::Load` — the driver's counting passes index histograms by
+/// offset, so anything else is an out-of-bounds index waiting to happen.
+pub(crate) fn check_source(case: &FuzzCase, rng: &mut FuzzRng) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    let coo = &case.coo;
+    let dims = coo.dims();
+    if case.rank == 0 || coo.nnz() == 0 {
+        return findings;
+    }
+    let grid: [usize; NMODES] = std::array::from_fn(|m| 1 + rng.below(dims[m].min(3)));
+    let inner = CooSource::new(coo, grid);
+    let tile = rng.below(inner.n_tiles());
+    let axis = rng.below(NMODES);
+    let span = uniform_bounds(dims[axis], grid[axis])
+        .windows(2)
+        .nth(inner.tile_cell(tile)[axis])
+        .map_or(0, |w| (w[1] - w[0]) as u32);
+    let far = u32::MAX - rng.below(3) as u32;
+    let lie = *rng.pick(&[
+        SourceLie::Reversed,
+        SourceLie::OffsetPastSpan { axis, offset: span },
+        SourceLie::OffsetPastSpan { axis, offset: far },
+        SourceLie::ShortValues,
+    ]);
+    let src = MutantSource { inner, tile, lie };
+    let mode = rng.below(NMODES);
+    let factors = factors_for(coo, case.rank, rng.next_u64());
+    let fs: [&DenseMatrix; NMODES] = [&factors[0], &factors[1], &factors[2]];
+    let exec = if rng.below(2) == 0 {
+        ExecPolicy::serial()
+    } else {
+        ExecPolicy::checked()
+    };
+    let outcome = catch(|| {
+        let mut out = DenseMatrix::zeros(dims[mode], case.rank);
+        StreamingMttkrp::new(&src, mode, 16)
+            .with_exec(exec)
+            .run(&fs, &mut out)
+            .map(|()| out)
+    });
+    let failure = match (lie, outcome) {
+        (_, Err(p)) => Some(format!("panicked: {p}")),
+        (SourceLie::Reversed, Ok(Ok(out))) => (!out.approx_eq(&dense_mttkrp(coo, &fs, mode), TOL))
+            .then(|| "reversed tile changed the streamed result".to_string()),
+        (SourceLie::Reversed, Ok(Err(e))) => Some(format!("honest source rejected: {e}")),
+        (_, Ok(Err(StreamError::Load(_)))) => None,
+        (_, Ok(Err(e))) => Some(format!("lie surfaced as the wrong error: {e}")),
+        (_, Ok(Ok(_))) => Some("lie about the tile's spans was accepted".to_string()),
+    };
+    if let Some(detail) = failure {
+        findings.push(Finding {
+            seed: 0,
+            case: format!("{}/source-{lie:?}", case.label),
+            detail,
+            repro: Some(render_tns(coo)),
+            repro_bin: None,
+        });
     }
     findings
 }

@@ -8,7 +8,9 @@
 //!    coordinates, hyper-sparse long-tail dimensions, clustered dense
 //!    blocks, ranks straddling the register block) runs through all
 //!    seven MTTKRP kernels, the BCOO storage round-trip, the
-//!    block-size tuner, and (sampled) the distributed executors. Results
+//!    block-size tuner, the streaming driver over a source that serves
+//!    one tile in another order or lies about its spans, and (sampled)
+//!    the distributed executors. Results
 //!    are cross-checked against the dense reference and the
 //!    `tenblock-check` oracles; invalid requests must come back as typed
 //!    errors ([`tenblock_core::KernelError`], [`tenblock_core::TuneError`]).
@@ -122,6 +124,8 @@ pub struct FuzzReport {
     pub tuner_runs: u64,
     /// Distributed-executor differential runs.
     pub dist_runs: u64,
+    /// Streaming runs over a source that serves one tile wrong.
+    pub source_runs: u64,
     /// Corpus files replayed.
     pub corpus_replayed: u64,
     /// Every violation found.
@@ -154,9 +158,13 @@ impl std::fmt::Display for FuzzReport {
         )?;
         writeln!(
             f,
-            "      {} tuner run(s), {} dist run(s), {} fault run(s), \
+            "      {} tuner run(s), {} dist run(s), {} source run(s), {} fault run(s), \
              {} corpus file(s) replayed",
-            self.tuner_runs, self.dist_runs, self.fault_runs, self.corpus_replayed
+            self.tuner_runs,
+            self.dist_runs,
+            self.source_runs,
+            self.fault_runs,
+            self.corpus_replayed
         )?;
         if self.findings.is_empty() {
             write!(f, "      no findings")
@@ -208,6 +216,8 @@ fn run_seed(seed: u64, report: &mut FuzzReport) {
         collect(report, seed, diff::check_dist(&case, &mut rng));
         report.dist_runs += 1;
     }
+    collect(report, seed, diff::check_source(&case, &mut rng));
+    report.source_runs += 1;
 
     let (label, bytes) = gen::mutant_tns(&mut rng);
     report.parse_cases += 1;
@@ -432,6 +442,7 @@ mod tests {
         // validator must catch; only bit flips may land in value bytes.
         assert!(report.tnsb_rejected > report.tnsb_accepted);
         assert!(report.tuner_runs > 0);
+        assert_eq!(report.source_runs, 30);
         assert!(report.to_string().contains("no findings"));
     }
 

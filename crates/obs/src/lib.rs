@@ -149,6 +149,13 @@ pub struct StreamStats {
     /// Tile loads retried after a transient I/O error (each retry that
     /// eventually fed a tile to the kernel, all passes).
     pub tile_retries: std::sync::atomic::AtomicU64,
+    /// Nanoseconds the prefetch thread spent loading tiles (read, decode,
+    /// retry backoff). With `prefetch_prepare_ns` and the stall it says
+    /// whether a pass was I/O-, prepare- or compute-bound.
+    pub prefetch_load_ns: std::sync::atomic::AtomicU64,
+    /// Nanoseconds the prefetch thread spent putting loaded tiles into
+    /// kernel axes and fiber order.
+    pub prefetch_prepare_ns: std::sync::atomic::AtomicU64,
 }
 
 impl StreamStats {
@@ -176,6 +183,14 @@ impl StreamStats {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
+    /// Records the prefetch thread's busy time on one tile, split into
+    /// loading and preparing it.
+    pub fn add_prefetch_ns(&self, load_ns: u64, prepare_ns: u64) {
+        use std::sync::atomic::Ordering::Relaxed;
+        self.prefetch_load_ns.fetch_add(load_ns, Relaxed);
+        self.prefetch_prepare_ns.fetch_add(prepare_ns, Relaxed);
+    }
+
     /// A plain-value copy of the counters.
     pub fn snapshot(&self) -> StreamSnapshot {
         use std::sync::atomic::Ordering::Relaxed;
@@ -184,6 +199,8 @@ impl StreamStats {
             bytes_streamed: self.bytes_streamed.load(Relaxed),
             prefetch_stall_ns: self.prefetch_stall_ns.load(Relaxed),
             tile_retries: self.tile_retries.load(Relaxed),
+            prefetch_load_ns: self.prefetch_load_ns.load(Relaxed),
+            prefetch_prepare_ns: self.prefetch_prepare_ns.load(Relaxed),
         }
     }
 }
@@ -199,6 +216,10 @@ pub struct StreamSnapshot {
     pub prefetch_stall_ns: u64,
     /// Tile loads retried after a transient I/O error.
     pub tile_retries: u64,
+    /// Prefetch-thread time spent loading tiles, in nanoseconds.
+    pub prefetch_load_ns: u64,
+    /// Prefetch-thread time spent preparing loaded tiles, in nanoseconds.
+    pub prefetch_prepare_ns: u64,
 }
 
 /// The recording sink. Every method has a no-op default so a custom

@@ -445,6 +445,17 @@ impl Service {
                             // Additive (protocol stays v1): transient tile
                             // reloads that were retried.
                             ("tile_retries", Json::num(stream.tile_retries as f64)),
+                            // Additive: the prefetch thread's busy time,
+                            // split — with the stall it says whether a
+                            // pass was I/O-, prepare- or compute-bound.
+                            (
+                                "prefetch_load_ns",
+                                Json::num(stream.prefetch_load_ns as f64),
+                            ),
+                            (
+                                "prefetch_prepare_ns",
+                                Json::num(stream.prefetch_prepare_ns as f64),
+                            ),
                         ]),
                     ),
                     // Additive (protocol stays v1): degradation counters.

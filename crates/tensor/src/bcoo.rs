@@ -24,6 +24,7 @@
 //! which is what lets checked execution catch a drifted boundary.
 
 use crate::coo::{perm_for_mode, CooTensor};
+use crate::fiber_sort::sort_into_cells;
 use crate::{Entry, Idx, NMODES};
 use std::ops::Range;
 
@@ -35,13 +36,6 @@ use std::ops::Range;
 pub fn uniform_bounds(dim: usize, n: usize) -> Vec<usize> {
     // t ≤ n ≤ dim and dim is an in-memory mode length; t·dim fits usize — lint: allow(index-overflow)
     (0..=n).map(|t| t * dim / n).collect()
-}
-
-/// The block that contains index `idx` under `bounds`.
-#[inline]
-fn find_block(bounds: &[usize], idx: usize) -> usize {
-    debug_assert!(bounds.last().is_some_and(|&end| idx < end));
-    bounds.partition_point(|&b| b <= idx) - 1
 }
 
 /// One nonempty block's table entry: where the block sits in the grid and
@@ -139,14 +133,11 @@ impl BcooTensor {
             uniform_bounds(dims[perm[2]], grid[2]),
         ];
 
-        // Bucket entries by linear block id, then sort so blocks are
-        // contiguous and each block's entries run (a, k, j) — the fiber
-        // order the micro-kernel consumes.
+        // The linear cell id is u64 arithmetic over na·nb·nc cells (a u32
+        // tag once truncated ids on grids with ≥ 2^32 cells, scattering
+        // entries into the wrong blocks); check the cell count up front so
+        // it cannot wrap.
         let (nb, nc) = (grid[1], grid[2]);
-        // The linear cell id must be wide enough for na·nb·nc cells. A u32
-        // tag silently truncated ids on grids with ≥ 2^32 cells, scattering
-        // entries into the wrong blocks; the tag is u64 with the cell count
-        // checked up front so the arithmetic below cannot wrap.
         assert!(
             (grid[0] as u64)
                 .checked_mul(nb as u64)
@@ -157,19 +148,15 @@ impl BcooTensor {
             nb,
             nc
         );
-        let mut tagged: Vec<(u64, Entry)> = coo
-            .entries()
-            .iter()
-            .map(|e| {
-                let a = find_block(&bounds[0], e.idx[perm[0]] as usize) as u64;
-                let b = find_block(&bounds[1], e.idx[perm[1]] as usize) as u64;
-                let c = find_block(&bounds[2], e.idx[perm[2]] as usize) as u64;
-                // bounded by the checked cell count above — lint: allow(index-overflow)
-                ((a * nb as u64 + b) * nc as u64 + c, *e)
-            })
-            .collect();
-        tagged
-            .sort_unstable_by_key(|&(id, e)| (id, e.idx[perm[0]], e.idx[perm[2]], e.idx[perm[1]]));
+        // Blocks contiguous in id order, each block's entries in the
+        // (a, k, j) fiber order the micro-kernel consumes.
+        let entries = coo.entries();
+        let sorted = sort_into_cells(
+            entries.len(),
+            |n| entries[n],
+            |e| [e.idx[perm[0]], e.idx[perm[1]], e.idx[perm[2]]],
+            &bounds,
+        );
 
         let max_side = (0..NMODES)
             .map(|ax| {
@@ -182,26 +169,19 @@ impl BcooTensor {
             .max()
             .unwrap_or(0);
 
-        let mut blocks = Vec::new();
+        let mut blocks = Vec::with_capacity(sorted.cells.len());
         let mut ptr = vec![0usize];
-        let mut locals: Vec<[u32; NMODES]> = Vec::with_capacity(tagged.len());
-        let mut vals = Vec::with_capacity(tagged.len());
+        let mut locals: Vec<[u32; NMODES]> = Vec::with_capacity(entries.len());
+        let mut vals = Vec::with_capacity(entries.len());
         let mut fibers = 0usize;
-        let mut pos = 0;
-        while pos < tagged.len() {
-            let id = tagged[pos].0;
-            let c = (id % nc as u64) as u32;
-            let b = ((id / nc as u64) % nb as u64) as u32;
-            // nb·nc ≤ the checked cell count — lint: allow(index-overflow)
-            let a = (id / (nb as u64 * nc as u64)) as u32;
+        for &([a, b, c], end) in &sorted.cells {
             let origin = [
-                bounds[0][a as usize] as Idx,
-                bounds[1][b as usize] as Idx,
-                bounds[2][c as usize] as Idx,
+                bounds[0][a] as Idx,
+                bounds[1][b] as Idx,
+                bounds[2][c] as Idx,
             ];
             let mut prev_fiber = None;
-            while pos < tagged.len() && tagged[pos].0 == id {
-                let e = tagged[pos].1;
+            for e in &sorted.records[locals.len()..end] {
                 let la = e.idx[perm[0]] - origin[0];
                 let lj = e.idx[perm[1]] - origin[1];
                 let lk = e.idx[perm[2]] - origin[2];
@@ -211,13 +191,12 @@ impl BcooTensor {
                     fibers += 1;
                     prev_fiber = Some((la, lk));
                 }
-                pos += 1;
             }
             blocks.push(BcooBlock {
-                coords: [a, b, c],
+                coords: [a as u32, b as u32, c as u32],
                 origin,
             });
-            ptr.push(locals.len());
+            ptr.push(end);
         }
 
         let offsets = if max_side <= 1 << 8 {

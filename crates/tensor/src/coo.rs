@@ -229,8 +229,7 @@ impl CooTensor {
     /// SPLATT format oriented by `perm` (fibers vary along `perm[1]`).
     pub fn sort(&mut self, perm: [usize; NMODES]) {
         debug_assert!(is_permutation(perm));
-        self.entries
-            .sort_unstable_by_key(|e| (e.idx[perm[0]], e.idx[perm[2]], e.idx[perm[1]]));
+        self.entries = crate::fiber_sort::fiber_sorted(self.dims, perm, &self.entries);
     }
 
     /// Returns a new tensor whose mode `m` is the old mode `perm[m]`

@@ -29,6 +29,7 @@ pub mod bcoo;
 pub mod coo;
 pub mod csf;
 pub mod dense;
+pub mod fiber_sort;
 pub mod gen;
 pub mod io;
 pub mod io_bin;
@@ -45,6 +46,7 @@ pub use bcoo::BcooTensor;
 pub use coo::{CooTensor, Entry, TensorError};
 pub use csf::CsfTensor;
 pub use dense::{DenseMatrix, StripMatrix};
+pub use fiber_sort::{FiberCols, FiberSorter};
 pub use nd::NdCooTensor;
 pub use persist::{atomic_write, atomic_write_with, AtomicFile};
 pub use source::{BcooSource, CooSource, SourceTile, TensorSource};

@@ -12,17 +12,23 @@
 //! the same [`uniform_bounds`](crate::bcoo::uniform_bounds) arithmetic as
 //! the MB/BCOO layouts. A mode-`m` kernel permutes per tile (cheap —
 //! three-element arrays) rather than the source per mode (a full
-//! re-shard). Tiles may be served in any order; drivers that need a
-//! deterministic traversal sort tile indices themselves.
+//! re-shard). Tiles may be served in any order, and so may a tile's
+//! entries; drivers that need a deterministic traversal sort tile indices
+//! and entries themselves, and hold every offset against its span — a
+//! source is not trusted to.
 
 use crate::bcoo::{BcooOffsets, BcooTensor};
 use crate::coo::CooTensor;
+use crate::fiber_sort::sort_into_cells;
 use crate::io_bin::BinError;
 use crate::tile_store::{TileStore, TILE_ENTRY_BYTES};
-use crate::{Entry, NMODES};
+use crate::NMODES;
 
 /// One loaded tile: a block-local COO fragment in original mode axes.
-#[derive(Debug, Clone, PartialEq)]
+/// Loading into a tile that already served another reuses its buffers, so
+/// a driver cycling one `SourceTile` through a pass allocates nothing once
+/// the largest tile has been seen.
+#[derive(Debug, Clone, Default)]
 pub struct SourceTile {
     /// Grid cell per original axis.
     pub cell: [usize; NMODES],
@@ -32,9 +38,22 @@ pub struct SourceTile {
     pub locals: Vec<[u32; NMODES]>,
     /// Entry values, parallel to `locals`.
     pub vals: Vec<f64>,
+    /// The encoded payload an on-disk source read this tile from.
+    pub(crate) payload: Vec<u8>,
 }
 
 impl SourceTile {
+    /// An empty tile with room for `nnz` entries (and their encoded
+    /// payload), so that loading tiles no larger never reallocates.
+    pub fn with_capacity(nnz: usize) -> Self {
+        SourceTile {
+            locals: Vec::with_capacity(nnz),
+            vals: Vec::with_capacity(nnz),
+            payload: Vec::with_capacity(nnz.saturating_mul(TILE_ENTRY_BYTES as usize)),
+            ..Default::default()
+        }
+    }
+
     /// Nonzeros in the tile.
     pub fn nnz(&self) -> usize {
         self.vals.len()
@@ -59,9 +78,10 @@ pub trait TensorSource: Send + Sync {
     fn tile_cell(&self, i: usize) -> [usize; NMODES];
     /// Nonzeros in tile `i`.
     fn tile_nnz(&self, i: usize) -> usize;
-    /// Loads tile `i`. In-memory sources copy slices; the tile store
-    /// reads and decodes from disk.
-    fn load_tile(&self, i: usize) -> Result<SourceTile, BinError>;
+    /// Loads tile `i` into `tile`, replacing what it held and reusing its
+    /// buffers. In-memory sources copy slices; the tile store reads and
+    /// decodes from disk.
+    fn load_tile_into(&self, i: usize, tile: &mut SourceTile) -> Result<(), BinError>;
 
     /// Streaming cost of tile `i` in bytes, as the uniform 20-byte-entry
     /// tile encoding. Budget planning uses this even for in-memory
@@ -75,6 +95,15 @@ pub trait TensorSource: Send + Sync {
     fn max_tile_bytes(&self) -> u64 {
         (0..self.n_tiles())
             .map(|i| self.tile_bytes(i))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Nonzeros of the largest tile — the capacity a reused
+    /// [`SourceTile`] needs.
+    fn max_tile_nnz(&self) -> usize {
+        (0..self.n_tiles())
+            .map(|i| self.tile_nnz(i))
             .max()
             .unwrap_or(0)
     }
@@ -94,8 +123,8 @@ pub trait TensorSource: Send + Sync {
 }
 
 /// An in-memory COO tensor pre-sharded into grid tiles. Entries are
-/// tagged, sorted by linear cell id, and converted to block-local form
-/// once at construction; `load_tile` copies one contiguous range.
+/// grouped by linear cell id and converted to block-local form once at
+/// construction; loading a tile copies one contiguous range.
 #[derive(Debug, Clone)]
 pub struct CooSource {
     dims: [usize; NMODES],
@@ -130,46 +159,26 @@ impl CooSource {
             crate::bcoo::uniform_bounds(dims[1], grid[1]),
             crate::bcoo::uniform_bounds(dims[2], grid[2]),
         ];
-        let cell_of = |ax: usize, idx: usize| bounds[ax].partition_point(|&b| b <= idx) - 1;
-        let mut tagged: Vec<(u64, &Entry)> = coo
-            .entries()
-            .iter()
-            .map(|e| {
-                let c = [
-                    cell_of(0, e.idx[0] as usize) as u64,
-                    cell_of(1, e.idx[1] as usize) as u64,
-                    cell_of(2, e.idx[2] as usize) as u64,
-                ];
-                // grid axes are tuner outputs; their product (the cell count) fits u64 — lint: allow(index-overflow)
-                ((c[0] * grid[1] as u64 + c[1]) * grid[2] as u64 + c[2], e)
-            })
-            .collect();
-        tagged.sort_unstable_by_key(|&(id, e)| (id, e.idx));
-
-        let mut cells = Vec::new();
-        let mut starts = Vec::new();
-        let mut locals = Vec::with_capacity(tagged.len());
-        let mut vals = Vec::with_capacity(tagged.len());
-        let mut prev = None;
-        for (n, &(id, e)) in tagged.iter().enumerate() {
-            if prev != Some(id) {
-                // grid[1]·grid[2] ≤ the cell count — lint: allow(index-overflow)
-                let c0 = (id / (grid[1] as u64 * grid[2] as u64)) as usize;
-                let c1 = ((id / grid[2] as u64) % grid[1] as u64) as usize;
-                let c2 = (id % grid[2] as u64) as usize;
-                cells.push([c0, c1, c2]);
-                starts.push(n);
-                prev = Some(id);
+        // Same cell order and in-tile entry order as a written tile store.
+        let entries = coo.entries();
+        let sorted = sort_into_cells(entries.len(), |n| &entries[n], |e| e.idx, &bounds);
+        let mut cells = Vec::with_capacity(sorted.cells.len());
+        let mut starts = Vec::with_capacity(sorted.cells.len() + 1);
+        let mut locals = Vec::with_capacity(entries.len());
+        let mut vals = Vec::with_capacity(entries.len());
+        for &(cell, end) in &sorted.cells {
+            cells.push(cell);
+            starts.push(locals.len());
+            for e in &sorted.records[locals.len()..end] {
+                locals.push([
+                    e.idx[0] - bounds[0][cell[0]] as u32,
+                    e.idx[1] - bounds[1][cell[1]] as u32,
+                    e.idx[2] - bounds[2][cell[2]] as u32,
+                ]);
+                vals.push(e.val);
             }
-            let cell = *cells.last().expect("just pushed");
-            locals.push([
-                e.idx[0] - bounds[0][cell[0]] as u32,
-                e.idx[1] - bounds[1][cell[1]] as u32,
-                e.idx[2] - bounds[2][cell[2]] as u32,
-            ]);
-            vals.push(e.val);
         }
-        starts.push(tagged.len());
+        starts.push(locals.len());
         CooSource {
             dims,
             grid,
@@ -201,19 +210,20 @@ impl TensorSource for CooSource {
     fn tile_nnz(&self, i: usize) -> usize {
         self.starts[i + 1] - self.starts[i]
     }
-    fn load_tile(&self, i: usize) -> Result<SourceTile, BinError> {
+    fn load_tile_into(&self, i: usize, tile: &mut SourceTile) -> Result<(), BinError> {
         let cell = self.cells[i];
         let range = self.starts[i]..self.starts[i + 1];
-        Ok(SourceTile {
-            cell,
-            origin: [
-                self.bounds[0][cell[0]],
-                self.bounds[1][cell[1]],
-                self.bounds[2][cell[2]],
-            ],
-            locals: self.locals[range.clone()].to_vec(),
-            vals: self.vals[range].to_vec(),
-        })
+        tile.cell = cell;
+        tile.origin = [
+            self.bounds[0][cell[0]],
+            self.bounds[1][cell[1]],
+            self.bounds[2][cell[2]],
+        ];
+        tile.locals.clear();
+        tile.locals.extend_from_slice(&self.locals[range.clone()]);
+        tile.vals.clear();
+        tile.vals.extend_from_slice(&self.vals[range]);
+        Ok(())
     }
 }
 
@@ -269,18 +279,16 @@ impl TensorSource for BcooSource {
     fn tile_nnz(&self, i: usize) -> usize {
         self.t.block_range(i).len()
     }
-    fn load_tile(&self, i: usize) -> Result<SourceTile, BinError> {
+    fn load_tile_into(&self, i: usize, tile: &mut SourceTile) -> Result<(), BinError> {
         let perm = self.t.perm();
         let b = self.t.block(i);
         let range = self.t.block_range(i);
-        let mut cell = [0usize; NMODES];
-        let mut origin = [0usize; NMODES];
         for ax in 0..NMODES {
-            cell[perm[ax]] = b.coords[ax] as usize;
-            origin[perm[ax]] = b.origin[ax] as usize;
+            tile.cell[perm[ax]] = b.coords[ax] as usize;
+            tile.origin[perm[ax]] = b.origin[ax] as usize;
         }
-        let n = range.len();
-        let mut locals = Vec::with_capacity(n);
+        let locals = &mut tile.locals;
+        locals.clear();
         let to_orig = |l: [u32; NMODES]| {
             let mut o = [0u32; NMODES];
             for ax in 0..NMODES {
@@ -297,12 +305,9 @@ impl TensorSource for BcooSource {
             }
             BcooOffsets::U32(o) => locals.extend(o[range.clone()].iter().map(|&l| to_orig(l))),
         }
-        Ok(SourceTile {
-            cell,
-            origin,
-            locals,
-            vals: self.t.vals()[range].to_vec(),
-        })
+        tile.vals.clear();
+        tile.vals.extend_from_slice(&self.t.vals()[range]);
+        Ok(())
     }
 }
 
@@ -331,8 +336,8 @@ impl TensorSource for TileStore {
     fn tile_offset(&self, i: usize) -> u64 {
         self.tile(i).off
     }
-    fn load_tile(&self, i: usize) -> Result<SourceTile, BinError> {
-        TileStore::load_tile(self, i)
+    fn load_tile_into(&self, i: usize, tile: &mut SourceTile) -> Result<(), BinError> {
+        self.load_tile_reusing(i, tile)
     }
 }
 
@@ -340,6 +345,7 @@ impl TensorSource for TileStore {
 mod tests {
     use super::*;
     use crate::gen::{clustered_tensor, uniform_tensor, ClusteredConfig};
+    use crate::Entry;
 
     /// Streams every tile back to entries and compares against the COO.
     fn assert_source_matches(src: &dyn TensorSource, coo: &CooTensor) {
@@ -347,8 +353,9 @@ mod tests {
         assert_eq!(src.nnz(), coo.nnz());
         let mut entries = Vec::with_capacity(src.nnz());
         let mut prev_cell = None;
+        let mut tile = SourceTile::default();
         for i in 0..src.n_tiles() {
-            let tile = src.load_tile(i).unwrap();
+            src.load_tile_into(i, &mut tile).unwrap();
             assert_eq!(tile.cell, src.tile_cell(i));
             assert_eq!(tile.nnz(), src.tile_nnz(i));
             assert!(tile.nnz() > 0, "sources never serve empty tiles");

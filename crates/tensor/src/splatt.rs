@@ -8,6 +8,7 @@
 //! are mode-2 fibers.
 
 use crate::coo::{is_permutation, CooTensor, Entry};
+use crate::fiber_sort::fiber_sorted;
 use crate::{Idx, NMODES};
 
 /// A 3-mode sparse tensor in the SPLATT format, oriented for the MTTKRP of
@@ -58,7 +59,7 @@ impl SplattTensor {
     /// covering all slices of mode `perm[0]`.
     pub fn from_coo(coo: &CooTensor, perm: [usize; NMODES]) -> Self {
         let n_slices = coo.dims()[perm[0]];
-        Self::from_entries_ranged(coo.dims(), perm, coo.entries().to_vec(), 0, n_slices)
+        Self::from_entries_ranged(coo.dims(), perm, coo.entries(), 0, n_slices)
     }
 
     /// Builds the SPLATT representation for the mode-`m` MTTKRP using the
@@ -72,18 +73,18 @@ impl SplattTensor {
     /// `perm[0]`. Entries may arrive in any order; they are sorted here.
     ///
     /// # Panics
-    /// Panics if `perm` is not a permutation or an entry's slice coordinate
-    /// falls outside the covered range.
+    /// Panics if `perm` is not a permutation or an entry's coordinate
+    /// falls outside `dims` or its slice outside the covered range.
     pub fn from_entries_ranged(
         dims: [usize; NMODES],
         perm: [usize; NMODES],
-        mut entries: Vec<Entry>,
+        entries: &[Entry],
         slice_begin: usize,
         n_slices: usize,
     ) -> Self {
         assert!(is_permutation(perm), "invalid mode permutation {perm:?}");
         assert!(slice_begin + n_slices <= dims[perm[0]]);
-        entries.sort_unstable_by_key(|e| (e.idx[perm[0]], e.idx[perm[2]], e.idx[perm[1]]));
+        let entries = fiber_sorted(dims, perm, entries);
 
         let nnz = entries.len();
         let mut i_ptr = Vec::with_capacity(n_slices + 1);
@@ -154,11 +155,20 @@ impl SplattTensor {
     pub fn from_entries_compressed(
         dims: [usize; NMODES],
         perm: [usize; NMODES],
-        mut entries: Vec<Entry>,
+        entries: Vec<Entry>,
     ) -> Self {
         assert!(is_permutation(perm), "invalid mode permutation {perm:?}");
-        entries.sort_unstable_by_key(|e| (e.idx[perm[0]], e.idx[perm[2]], e.idx[perm[1]]));
+        Self::from_sorted_compressed(dims, perm, &fiber_sorted(dims, perm, &entries))
+    }
 
+    /// [`Self::from_entries_compressed`] for entries already in the
+    /// `(slice, k, j)` fiber order of `perm` — what
+    /// [`crate::fiber_sort::sort_into_cells`] hands each grid block.
+    pub fn from_sorted_compressed(
+        dims: [usize; NMODES],
+        perm: [usize; NMODES],
+        entries: &[Entry],
+    ) -> Self {
         let nnz = entries.len();
         let mut slice_ids: Vec<Idx> = Vec::new();
         let mut i_ptr: Vec<usize> = vec![0];
@@ -168,7 +178,7 @@ impl SplattTensor {
         let mut vals = Vec::with_capacity(nnz);
 
         let mut last_fiber: Option<(Idx, Idx)> = None;
-        for e in &entries {
+        for e in entries {
             let s = e.idx[perm[0]];
             assert!((s as usize) < dims[perm[0]], "slice {s} out of range");
             let kid = e.idx[perm[2]];
@@ -409,7 +419,7 @@ mod tests {
             .copied()
             .filter(|e| e.idx[0] >= 1)
             .collect();
-        let t = SplattTensor::from_entries_ranged([3, 3, 3], MODE1_PERM, entries, 1, 2);
+        let t = SplattTensor::from_entries_ranged([3, 3, 3], MODE1_PERM, &entries, 1, 2);
         assert_eq!(t.slice_begin(), 1);
         assert_eq!(t.n_slices(), 2);
         let cuts: Vec<usize> = (0..5).map(|row| t.slice_lower_bound(row)).collect();

@@ -7,7 +7,10 @@
 //! the original grid read through `perm_for_mode(m)`. Entries inside a
 //! tile are stored block-local (`u32` offset per axis + `f64` value, 20
 //! bytes an entry), which is what lets a streaming driver hand a loaded
-//! tile straight to the BCOO micro-kernel after a per-mode re-sort.
+//! tile to the BCOO micro-kernel after a per-mode fiber sort. A tile's
+//! entries may be stored in any order; [`TileStore::write_tiles`] writes
+//! them in the fiber order of mode 0, which that sort detects and then
+//! has nothing (mode 0), one pass (mode 1) or two (mode 2) left to do.
 //!
 //! Layout after the shared versioned header ([`crate::io_bin`],
 //! `version = 2`):
@@ -28,6 +31,7 @@
 
 use crate::bcoo::uniform_bounds;
 use crate::coo::CooTensor;
+use crate::fiber_sort::sort_into_cells;
 use crate::io_bin::{
     read_header, read_u32, read_u64, write_header, write_u32, write_u64, BinError, BinHeader,
     VERSION_COO, VERSION_TILES,
@@ -232,11 +236,21 @@ fn parse_meta<R: Read>(r: &mut R, total_len: u64) -> Result<StoreMeta, BinError>
     })
 }
 
-/// Decodes one tile's payload bytes into a [`SourceTile`], validating
-/// every local offset against the tile's span.
-fn decode_tile(meta: &StoreMeta, t: usize, payload: &[u8]) -> Result<SourceTile, BinError> {
-    // callers iterate t < meta.tiles.len() — lint: allow(panic-reach)
-    let tm = &meta.tiles[t];
+/// Decodes `tile.payload` — tile `t`'s bytes — into `tile`, holding every
+/// local offset against the tile's span.
+fn decode_tile(
+    bounds: &[Vec<usize>; NMODES],
+    t: usize,
+    tm: &TileMeta,
+    tile: &mut SourceTile,
+) -> Result<(), BinError> {
+    let SourceTile {
+        cell,
+        origin,
+        locals,
+        vals,
+        payload,
+    } = tile;
     if payload.len() as u64 != tm.len {
         return Err(BinError::Format(format!(
             "tile {t}: payload has {} bytes, table says {}",
@@ -244,54 +258,49 @@ fn decode_tile(meta: &StoreMeta, t: usize, payload: &[u8]) -> Result<SourceTile,
             tm.len
         )));
     }
-    let mut origin = [0usize; NMODES];
+    *cell = tm.cell.map(|c| c as usize);
     let mut span = [0usize; NMODES];
-    for ax in 0..NMODES {
-        // parse_meta established cell[ax] < grid[ax] and
-        // bounds[ax].len() == grid[ax] + 1
-        let c = tm.cell[ax] as usize; // lint: allow(panic-reach)
-        origin[ax] = meta.bounds[ax][c]; // lint: allow(panic-reach)
-        span[ax] = meta.bounds[ax][c + 1] - meta.bounds[ax][c]; // lint: allow(panic-reach)
+    for (((o, s), b), &c) in origin
+        .iter_mut()
+        .zip(&mut span)
+        .zip(bounds)
+        .zip(cell.iter())
+    {
+        // parse_meta put every cell inside the grid, so both bounds exist.
+        let (Some(&lo), Some(&hi)) = (b.get(c), b.get(c + 1)) else {
+            return Err(BinError::Format(format!(
+                "tile {t}: cell {c} outside the grid"
+            )));
+        };
+        *o = lo;
+        *s = hi - lo;
     }
-    let n = tm.nnz as usize;
-    let mut locals = Vec::with_capacity(n);
-    let mut vals = Vec::with_capacity(n);
-    for (e, rec) in payload.chunks_exact(TILE_ENTRY_BYTES as usize).enumerate() {
-        let mut l = [0u32; NMODES];
-        // rec comes from chunks_exact(20), so rec[0..20] and ax < NMODES
-        // are all in range.
-        for ax in 0..NMODES {
-            // lint: allow(panic-reach) — l is a fixed NMODES array
-            l[ax] = u32::from_le_bytes([
-                // lint: allow(panic-reach)
-                rec[4 * ax],     // lint: allow(panic-reach)
-                rec[4 * ax + 1], // lint: allow(panic-reach)
-                rec[4 * ax + 2], // lint: allow(panic-reach)
-                rec[4 * ax + 3], // lint: allow(panic-reach)
-            ]);
-            // lint: allow(panic-reach) — ax < NMODES fixed arrays
-            if l[ax] as usize >= span[ax] {
-                return Err(BinError::Format(format!(
-                    "tile {t} entry {e}: local offset {} outside span {} on axis {ax}",
-                    l[ax],    // lint: allow(panic-reach)
-                    span[ax]  // lint: allow(panic-reach)
-                )));
-            }
-        }
-        let v = f64::from_le_bytes([
-            // lint: allow(panic-reach) — rec has exactly 20 bytes
-            rec[12], rec[13], rec[14], rec[15], rec[16], rec[17], rec[18],
-            rec[19], // lint: allow(panic-reach)
-        ]);
-        locals.push(l);
-        vals.push(v);
+    let decode = |rec: &[u8]| {
+        let [a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, v0, v1, v2, v3, v4, v5, v6, v7] = *rec
+        else {
+            return ([u32::MAX; NMODES], 0.0); // chunks_exact hands out whole records only
+        };
+        let local = [
+            u32::from_le_bytes([a0, a1, a2, a3]),
+            u32::from_le_bytes([b0, b1, b2, b3]),
+            u32::from_le_bytes([c0, c1, c2, c3]),
+        ];
+        (local, f64::from_le_bytes([v0, v1, v2, v3, v4, v5, v6, v7]))
+    };
+    let inside = |l: &[u32; NMODES]| l.iter().zip(&span).all(|(&o, &s)| (o as usize) < s);
+    let records = payload.chunks_exact(TILE_ENTRY_BYTES as usize);
+    locals.clear();
+    locals.extend(records.clone().map(|rec| decode(rec).0));
+    vals.clear();
+    vals.extend(records.map(|rec| decode(rec).1));
+    // Checked after the decode so the loops above stay branch-free.
+    if !locals.iter().fold(true, |ok, l| ok & inside(l)) {
+        let e = locals.iter().position(|l| !inside(l));
+        return Err(BinError::Format(format!(
+            "tile {t} entry {e:?}: a local offset lies outside the span {span:?}"
+        )));
     }
-    Ok(SourceTile {
-        cell: tm.cell.map(|c| c as usize),
-        origin,
-        locals,
-        vals,
-    })
+    Ok(())
 }
 
 impl TileStore {
@@ -321,12 +330,15 @@ impl TileStore {
     pub fn validate_bytes(bytes: &[u8]) -> Result<(), BinError> {
         let mut r = bytes;
         let meta = parse_meta(&mut r, bytes.len() as u64)?;
-        for t in 0..meta.tiles.len() {
-            let tm = &meta.tiles[t]; // t < tiles.len() — lint: allow(panic-reach)
-                                     // parse_meta proved payload spans tile [table_end, total_len)
-                                     // exactly, so off..off+len is in range — lint: allow(panic-reach)
-            let payload = &bytes[tm.off as usize..(tm.off + tm.len) as usize];
-            decode_tile(&meta, t, payload)?;
+        let mut tile = SourceTile::default();
+        for (t, tm) in meta.tiles.iter().enumerate() {
+            // parse_meta proved the payloads tile [table_end, total_len).
+            let payload = bytes
+                .get(tm.off as usize..(tm.off + tm.len) as usize)
+                .ok_or_else(|| BinError::Format(format!("tile {t}: payload past the end")))?;
+            tile.payload.clear();
+            tile.payload.extend_from_slice(payload);
+            decode_tile(&meta.bounds, t, tm, &mut tile)?;
         }
         Ok(())
     }
@@ -346,28 +358,11 @@ impl TileStore {
             uniform_bounds(dims[1], grid[1]),
             uniform_bounds(dims[2], grid[2]),
         ];
-        let mut tagged: Vec<(u64, &Entry)> = coo
-            .entries()
-            .iter()
-            .map(|e| {
-                let cell = [
-                    cell_of(&bounds[0], e.idx[0] as usize) as u32,
-                    cell_of(&bounds[1], e.idx[1] as usize) as u32,
-                    cell_of(&bounds[2], e.idx[2] as usize) as u32,
-                ];
-                (cell_id(cell, grid), e)
-            })
-            .collect();
-        tagged.sort_unstable_by_key(|&(id, e)| (id, e.idx));
-
         // Tile table: one record per nonempty cell, payloads contiguous.
-        let mut tiles: Vec<(u64, u64)> = Vec::new(); // (cell id, nnz)
-        for &(id, _) in &tagged {
-            match tiles.last_mut() {
-                Some((last, n)) if *last == id => *n += 1,
-                _ => tiles.push((id, 1)),
-            }
-        }
+        // Within a tile the entries are in the fiber order of mode 0, so
+        // a mode-0 pass streams them without reordering.
+        let entries = coo.entries();
+        let sorted = sort_into_cells(entries.len(), |n| &entries[n], |e| e.idx, &bounds);
         let header = BinHeader {
             version: VERSION_TILES,
             dims: dims.to_vec(),
@@ -378,18 +373,15 @@ impl TileStore {
         for &g in &grid {
             write_u32(&mut w, g as u32)?;
         }
-        write_u64(&mut w, tiles.len() as u64)?;
+        write_u64(&mut w, sorted.cells.len() as u64)?;
         let mut off =
-            header.encoded_len() as u64 + 12 + 8 + tiles.len() as u64 * TABLE_RECORD_BYTES;
-        for &(id, nnz) in &tiles {
-            let cell = [
-                // grid products ≤ cell count ≤ u64 (check_grid) — lint: allow(index-overflow)
-                (id / (grid[1] as u64 * grid[2] as u64)) as u32,
-                ((id / grid[2] as u64) % grid[1] as u64) as u32,
-                (id % grid[2] as u64) as u32,
-            ];
+            header.encoded_len() as u64 + 12 + 8 + sorted.cells.len() as u64 * TABLE_RECORD_BYTES;
+        let mut start = 0;
+        for &(cell, end) in &sorted.cells {
+            let nnz = (end - start) as u64;
+            start = end;
             for &c in &cell {
-                write_u32(&mut w, c)?;
+                write_u32(&mut w, c as u32)?;
             }
             // nnz ≤ the in-memory entry count, so nnz·20 fits u64 — lint: allow(index-overflow)
             let len = nnz * TILE_ENTRY_BYTES;
@@ -398,17 +390,15 @@ impl TileStore {
             write_u64(&mut w, len)?;
             off += len;
         }
-        for &(id, e) in &tagged {
-            let cell = [
-                // grid products ≤ cell count ≤ u64 (check_grid) — lint: allow(index-overflow)
-                (id / (grid[1] as u64 * grid[2] as u64)) as usize,
-                ((id / grid[2] as u64) % grid[1] as u64) as usize,
-                (id % grid[2] as u64) as usize,
-            ];
-            for ax in 0..NMODES {
-                write_u32(&mut w, e.idx[ax] - bounds[ax][cell[ax]] as Idx)?;
+        let mut start = 0;
+        for &(cell, end) in &sorted.cells {
+            for e in &sorted.records[start..end] {
+                for ax in 0..NMODES {
+                    write_u32(&mut w, e.idx[ax] - bounds[ax][cell[ax]] as Idx)?;
+                }
+                w.write_all(&e.val.to_le_bytes())?;
             }
-            w.write_all(&e.val.to_le_bytes())?;
+            start = end;
         }
         w.flush()?;
         Ok(())
@@ -640,8 +630,16 @@ impl TileStore {
         &self.path
     }
 
-    /// Loads and decodes one tile from disk.
+    /// Loads and decodes one tile from disk into a fresh [`SourceTile`].
     pub fn load_tile(&self, i: usize) -> Result<SourceTile, BinError> {
+        let mut tile = SourceTile::default();
+        self.load_tile_reusing(i, &mut tile)?;
+        Ok(tile)
+    }
+
+    /// Loads and decodes one tile from disk into `tile`, reusing its
+    /// buffers (the read buffer included).
+    pub fn load_tile_reusing(&self, i: usize, tile: &mut SourceTile) -> Result<(), BinError> {
         let tm = *self.meta.tiles.get(i).ok_or_else(|| {
             BinError::Format(format!(
                 "tile index {i} out of range ({} tiles)",
@@ -650,9 +648,9 @@ impl TileStore {
         })?;
         let mut f = std::fs::File::open(&self.path)?;
         f.seek(SeekFrom::Start(tm.off))?;
-        let mut payload = vec![0u8; tm.len as usize];
-        FaultRead::new(f, self.faults.clone()).read_exact(&mut payload)?;
-        decode_tile(&self.meta, i, &payload)
+        tile.payload.resize(tm.len as usize, 0);
+        FaultRead::new(f, self.faults.clone()).read_exact(&mut tile.payload)?;
+        decode_tile(&self.meta.bounds, i, &tm, tile)
     }
 
     /// Reassembles the whole tensor (one tile at a time). This is the
@@ -661,8 +659,9 @@ impl TileStore {
     /// become resident again.
     pub fn to_coo(&self) -> Result<CooTensor, BinError> {
         let mut entries = Vec::with_capacity(self.nnz());
+        let mut tile = SourceTile::default();
         for i in 0..self.n_tiles() {
-            let tile = self.load_tile(i)?;
+            self.load_tile_reusing(i, &mut tile)?;
             for (l, &v) in tile.locals.iter().zip(&tile.vals) {
                 entries.push(Entry {
                     idx: [

@@ -28,7 +28,8 @@
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::time::Duration;
-use tenblock_core::{ExecPolicy, StreamError, StreamingMttkrp};
+use tenblock_core::obs::StreamStats;
+use tenblock_core::{stream_sq_norm, ExecPolicy, StreamError, StreamingMttkrp};
 use tenblock_faults::{FaultAction, FaultOp, FaultPolicy, Trigger};
 use tenblock_serve::Registry;
 use tenblock_tensor::gen::uniform_tensor;
@@ -295,6 +296,15 @@ fn run_stream(sc: &Scenario, dir: &Path) -> Result<(), String> {
         | Err(StreamError::Load(_))
         | Err(StreamError::Prefetch(_))
         | Err(StreamError::Race(_)) => {}
+    }
+    // The ‖X‖² pass of streamed ALS goes through the same loader: the same
+    // policy must heal to the exact norm or fail typed.
+    let norm = |exec: &ExecPolicy| stream_sq_norm(&store, exec, &StreamStats::new());
+    let expect = norm(&ExecPolicy::serial()).map_err(|e| format!("healthy norm pass: {e}"))?;
+    if let Ok(got) = norm(&ExecPolicy::serial().with_faults(sc.policy())) {
+        if sc.exactness_holds() && got.to_bits() != expect.to_bits() {
+            return Err("norm pass recovered but is not bit-exact".into());
+        }
     }
     Ok(())
 }

@@ -331,7 +331,8 @@ fn decompose_stream(
     let mut msg = format!(
         "CP-ALS (streamed) rank {rank}: fit {:.5} after {} iterations (converged: {})\n\
          {store_note}: {} tiles, grid {:?}, max tile {} B, budget {budget} B\n\
-         streamed {} tiles / {} B in {} passes, prefetch stall {:.2} ms",
+         streamed {} tiles / {} B in {} passes, prefetch stall {:.2} ms\n\
+         prefetch thread: load {:.2} ms, prepare {:.2} ms, {} retried load(s)",
         result.fit_history.last().unwrap_or(&0.0),
         result.iterations,
         result.converged,
@@ -342,6 +343,9 @@ fn decompose_stream(
         snap.bytes_streamed,
         snap.tiles_loaded / n_tiles,
         snap.prefetch_stall_ns as f64 / 1e6,
+        snap.prefetch_load_ns as f64 / 1e6,
+        snap.prefetch_prepare_ns as f64 / 1e6,
+        snap.tile_retries,
     );
     if let Some(cap) = args.flag("assert-peak-rss") {
         let cap: u64 = cap
