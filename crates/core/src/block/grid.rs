@@ -14,6 +14,11 @@ use tenblock_tensor::fiber_sort::sort_into_cells;
 use tenblock_tensor::{CooTensor, SplattTensor, NMODES};
 
 /// A tensor partitioned into a 3-D grid of SPLATT blocks.
+///
+/// A grid depends only on `(tensor, mode, grid)` and is immutable once
+/// built, so any number of [`super::BlockedKernel`]s — whatever their strip
+/// width, name or execution policy — run over one shared `Arc<BlockGrid>`.
+#[derive(Debug)]
 pub struct BlockGrid {
     dims: [usize; NMODES],
     perm: [usize; NMODES],
@@ -23,6 +28,13 @@ pub struct BlockGrid {
     /// Blocks in `(a, b, c)` row-major order; empty blocks are `None`.
     blocks: Vec<Option<SplattTensor>>,
     nnz: usize,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Grids built on this thread, for tests that pin how often a caller
+    /// pays for a layout.
+    pub(crate) static BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Buckets `coo`'s entries by linear block id `(a * N_B + b) * N_C + c`
@@ -87,6 +99,8 @@ impl BlockGrid {
         } else {
             bucket_blocks(coo, perm, grid, &bounds)
         };
+        #[cfg(test)]
+        BUILDS.with(|n| n.set(n.get() + 1));
 
         BlockGrid {
             dims,
@@ -141,6 +155,13 @@ impl BlockGrid {
     /// Number of non-empty blocks.
     pub fn n_nonempty(&self) -> usize {
         self.blocks.iter().filter(|b| b.is_some()).count()
+    }
+
+    /// Fibers summed over the blocks — the traversal a kernel performs.
+    /// For the unblocked `[1, 1, 1]` grid this is the tensor's non-empty
+    /// fiber count for the mode (the `F` of Equation 1).
+    pub fn n_fibers(&self) -> usize {
+        self.blocks.iter().flatten().map(|b| b.n_fibers()).sum()
     }
 
     /// The paper's redundant-access counts (Section V-A): how many times

@@ -24,7 +24,7 @@
 //! disjoint rows, so no synchronization is needed. With one block row the
 //! pieces are SPLATT's slice chunks.
 
-use super::{split_rows_by_bounds, BlockGrid};
+use super::{build_layout, split_rows_by_bounds, BlockGrid};
 use crate::checked::{effective_strip_plan, push_oracle, row_task_write_sets};
 use crate::exec::ExecPolicy;
 use crate::kernel::MttkrpKernel;
@@ -33,6 +33,7 @@ use crate::mttkrp::{
 };
 use rayon::prelude::*;
 use std::ops::Range;
+use std::sync::Arc;
 use tenblock_check::{check_strip_plan, write_set_violations, RaceReport};
 use tenblock_obs::KernelCounters;
 use tenblock_tensor::{CooTensor, DenseMatrix, SplattTensor, StripMatrix, NMODES};
@@ -112,10 +113,12 @@ pub(crate) fn row_tasks(bounds0: &[usize], chunk: usize) -> Vec<RowTask> {
     tasks
 }
 
-/// The blocked MTTKRP kernel for one mode.
+/// The blocked MTTKRP kernel for one mode: a strip width, a name and an
+/// execution policy over a shared, immutable [`BlockGrid`] — building the
+/// grid is the cost, a kernel over an existing one is a few words.
 pub struct BlockedKernel {
     mode: usize,
-    grid: BlockGrid,
+    grid: Arc<BlockGrid>,
     strip: Option<usize>,
     layout: RankbLayout,
     exec: ExecPolicy,
@@ -141,23 +144,26 @@ impl BlockedKernel {
         grid: Option<[usize; NMODES]>,
         strip: Option<usize>,
     ) -> Self {
-        let blocks = BlockGrid::new(coo, mode, grid.unwrap_or([1, 1, 1]));
-        BlockedKernel {
-            label: LABELS[grid.is_some() as usize][strip.is_some() as usize],
-            ..Self::from_grid(blocks, strip)
-        }
+        let layout = build_layout(coo, mode, grid.unwrap_or([1, 1, 1]));
+        Self::over(layout, grid.is_some(), strip)
     }
 
-    /// Wraps an existing grid (its `perm()[0]` is the mode).
-    pub fn from_grid(grid: BlockGrid, strip: Option<usize>) -> Self {
+    /// The kernel over a shared layout (its `perm()[0]` is the mode). `mb`
+    /// says whether the name reports multi-dimensional blocking:
+    /// `Mb`/`MbRankB` answer "MB"/"MB+RankB" even over the unblocked
+    /// `[1, 1, 1]` layout they share with `Splatt`/`RankB`.
+    ///
+    /// # Panics
+    /// Panics on a zero strip width.
+    pub fn over(layout: Arc<BlockGrid>, mb: bool, strip: Option<usize>) -> Self {
         assert!(strip != Some(0), "strip width must be positive");
         BlockedKernel {
-            mode: grid.perm()[0],
-            grid,
+            mode: layout.perm()[0],
+            grid: layout,
             strip,
             layout: RankbLayout::Plain,
             exec: ExecPolicy::serial(),
-            label: LABELS[1][strip.is_some() as usize],
+            label: LABELS[mb as usize][strip.is_some() as usize],
         }
     }
 
@@ -225,10 +231,7 @@ impl BlockedKernel {
     /// Section IV counters of one launch; fibers are summed over blocks
     /// (the traversal the kernel actually performs).
     fn counters(&self, rank: usize) -> KernelCounters {
-        let fibers: usize = (0..self.grid.grid()[0])
-            .flat_map(|a| self.grid.row_blocks(a))
-            .map(|t| t.n_fibers())
-            .sum();
+        let fibers = self.grid.n_fibers();
         KernelCounters::fibered_model(self.grid.nnz() as u64, fibers as u64, rank as u64)
             .with_blocks(self.grid.n_nonempty() as u64)
             .with_strips(self.strip_plan(rank).len().max(1) as u64)
@@ -367,7 +370,6 @@ mod tests {
     use super::*;
     use crate::exec::Threads;
     use crate::mttkrp::dense_mttkrp;
-    use std::sync::Arc;
     use tenblock_obs::{Rec, TraceRecorder};
     use tenblock_tensor::gen::{clustered_tensor, uniform_tensor, ClusteredConfig};
 
@@ -546,7 +548,11 @@ mod tests {
             k.mttkrp(&fs, &mut DenseMatrix::zeros(8, 4));
             assert_eq!(tracer.snapshot()[0].name, format!("mttkrp/{name}"));
         }
-        let grid = BlockGrid::new(&x, 0, [2, 1, 1]);
-        assert_eq!(BlockedKernel::from_grid(grid, None).name(), "MB");
+        // The name is the caller's, not the layout's: both run over one grid.
+        let layout = build_layout(&x, 0, [1, 1, 1]);
+        let splatt = BlockedKernel::over(Arc::clone(&layout), false, None);
+        let mb = BlockedKernel::over(Arc::clone(&layout), true, Some(16));
+        assert_eq!((splatt.name(), mb.name()), ("SPLATT", "MB+RankB"));
+        assert!(std::ptr::eq(splatt.grid(), mb.grid()));
     }
 }

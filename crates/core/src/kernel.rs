@@ -1,8 +1,9 @@
 //! The [`MttkrpKernel`] trait and the kernel registry.
 
-use crate::block::BlockedKernel;
+use crate::block::{build_layout, BlockGrid, BlockedKernel};
 use crate::exec::ExecPolicy;
 use crate::mttkrp::{BcooKernel, CooKernel, Csf3Kernel};
+use std::sync::Arc;
 use tenblock_check::RaceReport;
 use tenblock_tensor::{CooTensor, DenseMatrix, NMODES};
 
@@ -229,8 +230,25 @@ pub fn try_build_kernel(
     mode: usize,
     cfg: &KernelConfig,
 ) -> Result<Box<dyn MttkrpKernel>, KernelError> {
+    try_build_kernel_with(kind, coo, mode, cfg, |grid| build_layout(coo, mode, grid))
+}
+
+/// [`try_build_kernel`], with the caller supplying the layout: the four
+/// fibered kinds call `layout(grid)` for the [`BlockGrid`] of `(coo, mode,
+/// grid)` — `[1, 1, 1]` for `Splatt`/`RankB`, `cfg.grid` for
+/// `Mb`/`MbRankB` — and wrap what it returns, so a caller that keeps
+/// layouts (built with [`build_layout`]) pays for each once however many
+/// kernels it asks for. `layout` runs only after validation and at most
+/// once; `Coo`, `Csf` and `Bcoo` have their own layouts and never call it.
+pub fn try_build_kernel_with(
+    kind: KernelKind,
+    coo: &CooTensor,
+    mode: usize,
+    cfg: &KernelConfig,
+    layout: impl FnOnce([usize; NMODES]) -> Arc<BlockGrid>,
+) -> Result<Box<dyn MttkrpKernel>, KernelError> {
     validate_request(coo, mode, cfg.grid)?;
-    Ok(build_validated(kind, coo, mode, cfg))
+    Ok(build_validated(kind, coo, mode, cfg, layout))
 }
 
 /// Builds a kernel of the requested kind for mode `mode` of `coo`.
@@ -259,6 +277,7 @@ fn build_validated(
     coo: &CooTensor,
     mode: usize,
     cfg: &KernelConfig,
+    layout: impl FnOnce([usize; NMODES]) -> Arc<BlockGrid>,
 ) -> Box<dyn MttkrpKernel> {
     let strip = if cfg.strip_width == 0 {
         16
@@ -270,9 +289,10 @@ fn build_validated(
         KernelKind::Coo => Box::new(CooKernel::new(coo, mode).with_exec(exec)),
         // One kernel, four corners: the kind says which blockings are on.
         KernelKind::Splatt | KernelKind::Mb | KernelKind::RankB | KernelKind::MbRankB => {
-            let grid = matches!(kind, KernelKind::Mb | KernelKind::MbRankB).then_some(cfg.grid);
+            let mb = matches!(kind, KernelKind::Mb | KernelKind::MbRankB);
+            let grid = if mb { cfg.grid } else { [1, 1, 1] };
             let strip = matches!(kind, KernelKind::RankB | KernelKind::MbRankB).then_some(strip);
-            Box::new(BlockedKernel::new(coo, mode, grid, strip).with_exec(exec))
+            Box::new(BlockedKernel::over(layout(grid), mb, strip).with_exec(exec))
         }
         KernelKind::Csf => Box::new(
             Csf3Kernel::new(coo, mode)

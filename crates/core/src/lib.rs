@@ -58,9 +58,11 @@ pub mod stream;
 pub mod timing;
 pub mod tune;
 
+pub use block::build_layout;
 pub use exec::{ExecPolicy, Threads};
 pub use kernel::{
-    build_kernel, try_build_kernel, KernelConfig, KernelError, KernelKind, MttkrpKernel,
+    build_kernel, try_build_kernel, try_build_kernel_with, KernelConfig, KernelError, KernelKind,
+    MttkrpKernel,
 };
 pub use stream::{stream_sq_norm, StreamError, StreamingMttkrp};
 pub use tune::{try_tune, tune, TuneError, TuneOptions, TuneResult};

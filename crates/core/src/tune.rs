@@ -21,11 +21,12 @@
 //! The search cost is `O(log2 I_n)` per mode, "relatively inexpensive
 //! compared to the 10–1000s of iterations required for decomposition".
 
-use crate::block::BlockedKernel;
+use crate::block::{build_layout, BlockGrid, BlockedKernel};
 use crate::exec::ExecPolicy;
 use crate::kernel::{KernelKind, MttkrpKernel};
 use crate::mttkrp::{BcooKernel, REG_BLOCK};
-use crate::timing::{time_reps, TimingStats};
+use crate::timing::time_reps;
+use std::sync::Arc;
 use tenblock_tensor::coo::perm_for_mode;
 use tenblock_tensor::{CooTensor, DenseMatrix, NMODES};
 
@@ -187,36 +188,6 @@ fn timing_factors(coo: &CooTensor, rank: usize, seed: u64) -> Vec<DenseMatrix> {
         .collect()
 }
 
-/// Times one configuration: one discarded warmup rep then best of `reps`
-/// runs of a freshly built kernel of the candidate family (construction
-/// cost excluded, as the paper amortizes it over the CPD iterations). The
-/// warmup absorbs first-touch page faults in `out`, which otherwise skew
-/// min-of-1 candidate comparisons on small tensors.
-#[allow(clippy::too_many_arguments)]
-fn time_config(
-    kind: KernelKind,
-    coo: &CooTensor,
-    mode: usize,
-    grid: [usize; NMODES],
-    strip_width: usize,
-    factors: &[DenseMatrix],
-    out: &mut DenseMatrix,
-    opts: &TuneOptions,
-) -> TimingStats {
-    // Candidate timing runs with the recorder stripped: per-candidate spans
-    // come from `tune` itself, not from every repetition's kernel call.
-    let exec = ExecPolicy {
-        threads: opts.exec.threads,
-        ..ExecPolicy::default()
-    };
-    let kernel: Box<dyn MttkrpKernel> = match kind {
-        KernelKind::Bcoo => Box::new(BcooKernel::new(coo, mode, grid, strip_width).with_exec(exec)),
-        _ => Box::new(BlockedKernel::new(coo, mode, Some(grid), Some(strip_width)).with_exec(exec)),
-    };
-    let fs: [&DenseMatrix; NMODES] = [&factors[0], &factors[1], &factors[2]];
-    time_reps(1, opts.reps, || kernel.mttkrp(&fs, out))
-}
-
 /// Runs the Section V-C heuristic, rejecting degenerate inputs (empty
 /// tensor, rank 0, out-of-range mode, zero-length axis) with a typed
 /// [`TuneError`] instead of panicking mid-search.
@@ -314,34 +285,63 @@ fn tune_validated(coo: &CooTensor, mode: usize, opts: &TuneOptions) -> TuneResul
     let tune_span = opts.exec.recorder.span("tune");
     tune_span.annotate_num("mode", mode as f64);
 
-    let mut eval =
-        |kind: KernelKind, grid: [usize; NMODES], strip: usize, history: &mut Vec<TuneSample>| {
-            let span = opts.exec.recorder.span("tune/candidate");
-            let stats = time_config(kind, coo, mode, grid, strip, &factors, &mut out, opts);
-            if span.active() {
-                span.annotate_str("kernel", kind.as_str());
-                span.annotate_str("grid", &format!("{}x{}x{}", grid[0], grid[1], grid[2]));
-                span.annotate_num("strip_width", strip as f64);
-                span.annotate_num("secs", stats.min_secs);
-            }
-            history.push(TuneSample {
-                kind,
-                grid,
-                strip_width: strip,
-                secs: stats.min_secs,
-                mean_secs: stats.mean_secs,
-                stddev_secs: stats.stddev_secs,
-            });
-            stats.min_secs
-        };
+    // Candidate timing runs with the recorder stripped: per-candidate spans
+    // come from `eval`, not from every repetition's kernel call.
+    let exec = ExecPolicy {
+        threads: opts.exec.threads,
+        ..ExecPolicy::default()
+    };
+    let fs: [&DenseMatrix; NMODES] = [&factors[0], &factors[1], &factors[2]];
+    // Times one candidate: one discarded warmup rep, then best of `reps`
+    // runs of a kernel the caller built (construction cost excluded, as the
+    // paper amortizes it over the CPD iterations). The warmup absorbs
+    // first-touch page faults in `out`, which otherwise skew min-of-1
+    // candidate comparisons on small tensors.
+    let mut eval = |kind: KernelKind,
+                    kernel: &dyn MttkrpKernel,
+                    grid: [usize; NMODES],
+                    strip: usize,
+                    history: &mut Vec<TuneSample>| {
+        let span = opts.exec.recorder.span("tune/candidate");
+        let stats = time_reps(1, opts.reps, || kernel.mttkrp(&fs, &mut out));
+        if span.active() {
+            span.annotate_str("kernel", kind.as_str());
+            span.annotate_str("grid", &format!("{}x{}x{}", grid[0], grid[1], grid[2]));
+            span.annotate_num("strip_width", strip as f64);
+            span.annotate_num("secs", stats.min_secs);
+        }
+        history.push(TuneSample {
+            kind,
+            grid,
+            strip_width: strip,
+            secs: stats.min_secs,
+            mean_secs: stats.mean_secs,
+            stddev_secs: stats.stddev_secs,
+        });
+        stats.min_secs
+    };
+    let mb_rankb = |layout: &Arc<BlockGrid>, strip: usize| {
+        BlockedKernel::over(Arc::clone(layout), true, Some(strip)).with_exec(exec.clone())
+    };
 
     // --- Phase 1: rank strip width, 16-column increments, stop when the
-    // time stops improving. Width == rank means a single strip.
+    // time stops improving. Width == rank means a single strip. Every
+    // width runs over the one unblocked layout, freed before phase 2
+    // builds its grids.
+    let unblocked = build_layout(coo, mode, [1, 1, 1]);
     let mut best_strip = opts.rank.max(1);
-    let mut best_secs = eval(KernelKind::MbRankB, [1, 1, 1], best_strip, &mut history);
+    let kernel = mb_rankb(&unblocked, best_strip);
+    let mut best_secs = eval(
+        KernelKind::MbRankB,
+        &kernel,
+        [1, 1, 1],
+        best_strip,
+        &mut history,
+    );
     let mut width = REG_BLOCK;
     while width < opts.rank {
-        let secs = eval(KernelKind::MbRankB, [1, 1, 1], width, &mut history);
+        let kernel = mb_rankb(&unblocked, width);
+        let secs = eval(KernelKind::MbRankB, &kernel, [1, 1, 1], width, &mut history);
         if secs < best_secs {
             best_secs = secs;
             best_strip = width;
@@ -350,6 +350,7 @@ fn tune_validated(coo: &CooTensor, mode: usize, opts: &TuneOptions) -> TuneResul
             break;
         }
     }
+    drop(unblocked);
 
     // --- Phase 2: MB grid, axes in descending length order (ties broken by
     // access volume: j axis, k axis, slice axis).
@@ -368,7 +369,8 @@ fn tune_validated(coo: &CooTensor, mode: usize, opts: &TuneOptions) -> TuneResul
             }
             let mut cand = grid;
             cand[ax] = next;
-            let secs = eval(KernelKind::MbRankB, cand, best_strip, &mut history);
+            let kernel = mb_rankb(&build_layout(coo, mode, cand), best_strip);
+            let secs = eval(KernelKind::MbRankB, &kernel, cand, best_strip, &mut history);
             if secs < best_secs {
                 best_secs = secs;
                 grid = cand;
@@ -382,7 +384,8 @@ fn tune_validated(coo: &CooTensor, mode: usize, opts: &TuneOptions) -> TuneResul
     // --- Phase 3: storage layout. The MB+RankB winner competes against the
     // block-native BCOO kernel at the same grid and strip width.
     let mut kind = KernelKind::MbRankB;
-    let secs = eval(KernelKind::Bcoo, grid, best_strip, &mut history);
+    let bcoo = BcooKernel::new(coo, mode, grid, best_strip).with_exec(exec.clone());
+    let secs = eval(KernelKind::Bcoo, &bcoo, grid, best_strip, &mut history);
     if secs < best_secs {
         best_secs = secs;
         kind = KernelKind::Bcoo;
@@ -426,6 +429,29 @@ mod tests {
         // and the selected kind is one of the two finalists
         assert!(r.history.iter().any(|s| s.kind == KernelKind::Bcoo));
         assert!(matches!(r.kind, KernelKind::MbRankB | KernelKind::Bcoo));
+    }
+
+    /// Phase 1 times every strip width over one unblocked layout: a `tune`
+    /// call builds that grid once, plus one grid per phase-2 candidate.
+    #[test]
+    fn strip_candidates_share_one_unblocked_grid() {
+        use crate::block::grid::BUILDS;
+        let x = clustered_tensor(&ClusteredConfig::new([60, 80, 40], 4_000), 4);
+        let opts = TuneOptions {
+            reps: 1,
+            max_blocks: 4,
+            ..TuneOptions::new(48)
+        };
+        let before = BUILDS.with(|n| n.get());
+        let r = tune(&x, 0, &opts);
+        let builds = BUILDS.with(|n| n.get()) - before;
+        let fibered = r.history.iter().filter(|s| s.kind == KernelKind::MbRankB);
+        let (strips, grids): (Vec<_>, Vec<_>) = fibered.partition(|s| s.grid == [1, 1, 1]);
+        assert!(
+            strips.len() >= 2,
+            "rank 48 has a full-rank and a 16-wide candidate"
+        );
+        assert_eq!(builds, 1 + grids.len());
     }
 
     #[test]

@@ -218,14 +218,32 @@ pub struct CpAls {
 impl CpAls {
     /// Prepares kernels for every mode of `x`.
     pub fn new(x: &CooTensor, opts: CpAlsOptions) -> Self {
-        assert!(opts.rank > 0, "rank must be positive");
         let kernels = (0..NMODES)
             .map(|m| build_kernel(opts.kernel, x, m, &opts.kernel_cfg))
             .collect();
+        Self::with_kernels(x.dims(), kernels, opts)
+    }
+
+    /// The solver over kernels the caller already holds — one per mode of
+    /// a tensor of shape `dims`, in mode order — for callers that keep a
+    /// tensor's layouts across decompositions. `opts.kernel` and the
+    /// blocking fields of `opts.kernel_cfg` are not consulted; the
+    /// recorder and thread policy of `opts.kernel_cfg.exec` still drive
+    /// the dense half.
+    pub fn with_kernels(
+        dims: [usize; NMODES],
+        kernels: Vec<Box<dyn MttkrpKernel>>,
+        opts: CpAlsOptions,
+    ) -> Self {
+        assert!(opts.rank > 0, "rank must be positive");
+        assert!(
+            kernels.iter().map(|k| k.mode()).eq(0..NMODES),
+            "one kernel per mode, in mode order"
+        );
         CpAls {
             opts,
             kernels,
-            dims: x.dims(),
+            dims,
         }
     }
 

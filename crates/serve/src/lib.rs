@@ -1,13 +1,13 @@
 //! # tenblock-serve
 //!
 //! Long-lived, in-process decomposition service over the `tenblock`
-//! kernels. Loading a tensor, fibering it into SPLATT form, and tuning
-//! block sizes are all front-loaded costs that a one-shot CLI pays on
-//! every invocation; this crate keeps them resident:
+//! kernels. Loading a tensor, sorting it into the kernels' layouts, and
+//! tuning block sizes are all front-loaded costs that a one-shot CLI pays
+//! on every invocation; this crate keeps them resident:
 //!
 //! * [`registry`] — named tensors, loaded or generated once, shared
-//!   (`Arc`) across concurrent jobs with precomputed stats and per-mode
-//!   SPLATT builds,
+//!   (`Arc`) across concurrent jobs with precomputed stats and the
+//!   per-mode layouts every fibered kernel runs over,
 //! * [`plan_cache`] — memoized Section V-C tuning decisions keyed by
 //!   tensor shape fingerprint × rank, persisted as JSON,
 //! * [`scheduler`] — a bounded job queue in front of a fixed worker pool,
@@ -28,7 +28,7 @@ pub mod server;
 mod sync;
 
 pub use json::Json;
-pub use metrics::{FaultCounters, FaultSnapshot, Metrics, MetricsSnapshot};
+pub use metrics::{FaultCounters, FaultSnapshot, LayoutCounters, Metrics, MetricsSnapshot};
 pub use plan_cache::{PlanCache, PlanKey, TunedPlan};
 pub use proto::{ErrorCode, Service, PROTOCOL_VERSION};
 pub use registry::{Registry, RegistryError, TensorEntry};

@@ -1,10 +1,13 @@
 //! Atomic service metrics: job counters by terminal state, queue depth,
 //! plan-cache hit/miss, and per-kernel MTTKRP latency histograms.
 //!
-//! Everything is lock-free (`AtomicU64` with relaxed ordering — counters
-//! tolerate torn reads across fields) so the hot path never blocks on a
-//! metrics mutex. [`Metrics::snapshot`] materializes a plain struct; the
-//! `metrics` protocol request serializes that.
+//! Everything is lock-free (`AtomicU64`; relaxed ordering for independent
+//! counters, which tolerate torn reads across fields) so the hot path
+//! never blocks on a metrics mutex. A histogram's `total` is the exception:
+//! it is published with `Release` after its bucket and read first with
+//! `Acquire`, so a snapshot's buckets and sum always cover its total.
+//! [`Metrics::snapshot`] materializes a plain struct; the `metrics`
+//! protocol request serializes that.
 
 use crate::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,15 +56,21 @@ impl LatencyHistogram {
             .unwrap_or(LATENCY_BOUNDS_US.len());
         self.counts[bucket].fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(raw.min(top), Ordering::Relaxed);
-        self.total.fetch_add(1, Ordering::Relaxed);
+        // Release: pairs with the Acquire load in `snapshot`, publishing
+        // the bucket and sum updates above with the count that covers them.
+        self.total.fetch_add(1, Ordering::Release);
     }
 
-    /// Plain-data view.
+    /// Plain-data view. `total` is read first: every observation it counts
+    /// has its bucket and sum visible to the loads that follow (writers
+    /// landing in between only add to those), so `Σcounts >= total` and
+    /// `mean_secs` never divides a sum by a count that ran ahead of it.
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let total = self.total.load(Ordering::Acquire);
         HistogramSnapshot {
             counts: self.counts.each_ref().map(|c| c.load(Ordering::Relaxed)),
             sum_us: self.sum_us.load(Ordering::Relaxed),
-            total: self.total.load(Ordering::Relaxed),
+            total,
         }
     }
 }
@@ -173,6 +182,18 @@ impl FaultSnapshot {
     }
 }
 
+/// Layout-cache counters, shared between the [`crate::Registry`] (whose
+/// entries bump them as they build and hand out layouts) and [`Metrics`]
+/// (which serializes them).
+#[derive(Debug, Default)]
+pub struct LayoutCounters {
+    /// Layouts actually built: three per tensor at registration (and again
+    /// at each reload from the spill tier), one per new blocked grid.
+    pub builds: AtomicU64,
+    /// Kernel requests answered from a layout the entry already held.
+    pub hits: AtomicU64,
+}
+
 /// All service counters. One instance lives for the life of the server.
 #[derive(Debug, Default)]
 pub struct Metrics {
@@ -206,6 +227,8 @@ pub struct Metrics {
     pub job_run: LatencyHistogram,
     /// Fault-tolerance counters, shared with the registry that bumps them.
     pub faults: std::sync::Arc<FaultCounters>,
+    /// Layout-cache counters, shared with the registry's entries.
+    pub layouts: std::sync::Arc<LayoutCounters>,
 }
 
 /// Materialized view of [`Metrics`] plus instantaneous queue state.
@@ -245,6 +268,10 @@ pub struct MetricsSnapshot {
     pub job_run: HistogramSnapshot,
     /// Fault-tolerance counters.
     pub faults: FaultSnapshot,
+    /// See [`LayoutCounters::builds`].
+    pub layout_builds: u64,
+    /// See [`LayoutCounters::hits`].
+    pub layout_hits: u64,
 }
 
 impl Metrics {
@@ -269,6 +296,8 @@ impl Metrics {
             job_queue_wait: self.job_queue_wait.snapshot(),
             job_run: self.job_run.snapshot(),
             faults: self.faults.snapshot(),
+            layout_builds: self.layouts.builds.load(Ordering::Relaxed),
+            layout_hits: self.layouts.hits.load(Ordering::Relaxed),
         }
     }
 }
@@ -305,6 +334,9 @@ impl MetricsSnapshot {
             ),
             ("tensors", Json::usize(self.tensors_registered as usize)),
             ("faults", self.faults.to_json()),
+            // Additive (protocol stays v1): the layout cache.
+            ("layout_builds", Json::usize(self.layout_builds as usize)),
+            ("layout_hits", Json::usize(self.layout_hits as usize)),
             ("mttkrp_latency", self.mttkrp_latency.to_json()),
             ("job_latency", self.job_latency.to_json()),
             ("job_queue_wait", self.job_queue_wait.to_json()),
@@ -382,9 +414,10 @@ mod tests {
             .collect();
 
         // Snapshot continuously while writers hammer the histogram.
-        // `observe` bumps the bucket before `total`, so any snapshot must
-        // satisfy sum(counts) >= total — a torn snapshot that violated this
-        // would mean buckets and totals disagree about what was recorded.
+        // `observe` bumps the bucket before it publishes `total`, and
+        // `snapshot` reads `total` first, so any snapshot must satisfy
+        // sum(counts) >= total — a torn snapshot that violated this would
+        // mean buckets and totals disagree about what was recorded.
         for _ in 0..200 {
             let s = m.snapshot(0, 1);
             let bucket_sum: u64 = s.job_latency.counts.iter().sum();

@@ -21,7 +21,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tenblock_core::obs::{Rec, TraceRecorder};
-use tenblock_core::{build_kernel, try_tune, ExecPolicy, KernelConfig, KernelKind, TuneOptions};
+use tenblock_core::{try_tune, ExecPolicy, KernelConfig, KernelKind, TuneOptions};
 use tenblock_cpd::{cp_apr, CpAls, CpAlsOptions, CpAprOptions};
 use tenblock_tensor::{DenseMatrix, NMODES};
 
@@ -266,9 +266,6 @@ fn run_traced(core: &ServiceCore, rec: &Rec, payload: JobPayload) -> Result<Json
         } => {
             let _span = rec.span("job/mttkrp");
             let entry = core.registry.get(&tensor).map_err(|e| e.to_string())?;
-            if mode >= NMODES {
-                return Err(format!("mode {mode} out of range (0..{NMODES})"));
-            }
             // Use the tuned plan when one is cached for this shape+rank;
             // otherwise the kernel defaults.
             let mut cfg = core
@@ -284,7 +281,11 @@ fn run_traced(core: &ServiceCore, rec: &Rec, payload: JobPayload) -> Result<Json
                 })
                 .unwrap_or_default();
             cfg.exec = ExecPolicy::serial().with_recorder(rec.clone());
-            let k = build_kernel(kernel, &entry.coo, mode, &cfg);
+            // Over the entry's shared layout: only the first request for a
+            // plan's grid sorts the tensor.
+            let k = entry
+                .kernel(kernel, mode, &cfg)
+                .map_err(|e| e.to_string())?;
             let dims = entry.coo.dims();
             let factors: Vec<DenseMatrix> = dims
                 .iter()
@@ -339,8 +340,12 @@ fn run_traced(core: &ServiceCore, rec: &Rec, payload: JobPayload) -> Result<Json
                     let mut opts = CpAlsOptions::new(rank);
                     opts.max_iters = iters;
                     opts.kernel = kernel;
+                    let kernels = (0..NMODES)
+                        .map(|m| entry.kernel(kernel, m, &cfg))
+                        .collect::<Result<Vec<_>, _>>()
+                        .map_err(|e| e.to_string())?;
                     opts.kernel_cfg = cfg;
-                    let r = CpAls::new(&entry.coo, opts).run(&entry.coo);
+                    let r = CpAls::with_kernels(entry.coo.dims(), kernels, opts).run(&entry.coo);
                     Ok(Json::obj([
                         ("tensor", Json::str(tensor)),
                         ("method", Json::str("als")),
@@ -389,9 +394,11 @@ impl Service {
         registry: Registry,
     ) -> Service {
         let metrics = Arc::new(Metrics {
-            // Share the registry's degradation counters so the `metrics`
-            // command sees spill failures and quarantines as they happen.
+            // Share the registry's degradation and layout counters so the
+            // `metrics` command sees spill failures, quarantines and layout
+            // builds as they happen.
             faults: Arc::clone(registry.fault_counters()),
+            layouts: Arc::clone(registry.layout_counters()),
             ..Metrics::default()
         });
         metrics
@@ -433,6 +440,17 @@ impl Service {
                     ("tensors", strs(reg.names())),
                     ("resident", strs(reg.resident_names())),
                     ("spilled", strs(reg.spilled_names())),
+                    // Additive (protocol stays v1): bytes of layouts each
+                    // resident tensor holds beside its COO copy.
+                    (
+                        "layout_bytes",
+                        Json::Obj(
+                            reg.layout_bytes()
+                                .into_iter()
+                                .map(|(name, bytes)| (name, Json::usize(bytes)))
+                                .collect(),
+                        ),
+                    ),
                     (
                         "stream",
                         Json::obj([
@@ -877,6 +895,142 @@ mod tests {
         ));
         assert_eq!(d.get_str("state"), Some("done"), "{d:?}");
         assert!(d.get("result").unwrap().get_usize("iterations").unwrap() >= 1);
+    }
+
+    fn layout_counts(s: &Service) -> (usize, usize) {
+        let m = s.handle(&req(r#"{"cmd":"metrics"}"#));
+        let m = m.get("metrics").unwrap();
+        (
+            m.get_usize("layout_builds").unwrap(),
+            m.get_usize("layout_hits").unwrap(),
+        )
+    }
+
+    /// The names of the spans directly under the last job's root.
+    fn last_trace_children(s: &Service) -> Vec<String> {
+        let t = s.handle(&req(r#"{"cmd":"trace"}"#));
+        let Some(Json::Arr(roots)) = t.get("trace").unwrap().get("spans") else {
+            panic!("trace has no spans array: {t:?}");
+        };
+        let Some(Json::Arr(children)) = roots[0].get("children") else {
+            return Vec::new();
+        };
+        children
+            .iter()
+            .map(|c| c.get_str("name").unwrap().to_string())
+            .collect()
+    }
+
+    #[test]
+    fn a_hundred_default_requests_build_nothing_beyond_registration() {
+        let s = svc();
+        gen_small(&s, "t");
+        assert_eq!(layout_counts(&s), (3, 0), "one unblocked layout per mode");
+        for n in 0..100 {
+            let r = s.handle(&req(&format!(
+                r#"{{"cmd":"mttkrp","tensor":"t","mode":{},"rank":8,"reps":1,"wait":true}}"#,
+                n % 3
+            )));
+            assert_eq!(r.get_str("state"), Some("done"), "{r:?}");
+            // The default kind is `mbrankb`, and says so at grid [1,1,1].
+            assert_eq!(r.get("result").unwrap().get_str("kernel"), Some("MB+RankB"));
+        }
+        assert_eq!(layout_counts(&s), (3, 100));
+        assert_eq!(last_trace_children(&s), ["mttkrp/MB+RankB"]);
+        // `coo`, `csf` and `bcoo` have layouts of their own: not counted.
+        let r = s.handle(&req(
+            r#"{"cmd":"mttkrp","tensor":"t","kernel":"bcoo","rank":8,"reps":1,"wait":true}"#,
+        ));
+        assert_eq!(r.get_str("state"), Some("done"), "{r:?}");
+        assert_eq!(layout_counts(&s), (3, 100));
+    }
+
+    #[test]
+    fn a_plans_grid_is_built_once_into_the_blocked_slot_and_replaced_by_the_next() {
+        // Eight workers, so eight first requests really run at once.
+        let s = Service::new(8, 16, PlanCache::in_memory());
+        gen_small(&s, "t");
+        let entry = s.core().registry.get("t").unwrap();
+        let pin = |rank, grid| {
+            let key = PlanKey {
+                fingerprint: entry.fingerprint,
+                rank,
+            };
+            let plan = TunedPlan {
+                kernel: "mbrankb".into(),
+                grid,
+                strip_width: 16,
+                best_secs: 0.0,
+            };
+            s.core().plans.insert(key, plan).unwrap();
+        };
+        pin(8, [2, 2, 2]);
+        pin(4, [2, 1, 2]);
+        let mttkrp = |rank: usize| {
+            let r = s.handle(&req(&format!(
+                r#"{{"cmd":"mttkrp","tensor":"t","mode":1,"rank":{rank},"reps":1,"wait":true}}"#
+            )));
+            assert_eq!(r.get_str("state"), Some("done"), "{r:?}");
+        };
+
+        let unblocked = entry.layout_bytes();
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| mttkrp(8));
+            }
+        });
+        assert_eq!(layout_counts(&s), (3 + 1, 7));
+        assert_eq!(entry.blocked_grid(1), Some([2, 2, 2]));
+        let list = s.handle(&req(r#"{"cmd":"list"}"#));
+        let listed = list.get("layout_bytes").unwrap().get_usize("t").unwrap();
+        assert_eq!(listed, entry.layout_bytes());
+        assert!(listed > unblocked);
+
+        // Only a request that sorts shows a `job/layout` span.
+        mttkrp(4);
+        assert_eq!(entry.blocked_grid(1), Some([2, 1, 2]));
+        assert_eq!(last_trace_children(&s), ["job/layout", "mttkrp/MB+RankB"]);
+        mttkrp(4);
+        assert_eq!(last_trace_children(&s), ["mttkrp/MB+RankB"]);
+        assert_eq!(layout_counts(&s), (3 + 2, 7 + 1));
+        // `splatt` ignores the plan's grid and the slot.
+        let r = s.handle(&req(
+            r#"{"cmd":"mttkrp","tensor":"t","mode":1,"kernel":"splatt","rank":4,"reps":1,"wait":true}"#,
+        ));
+        assert_eq!(r.get("result").unwrap().get_str("kernel"), Some("SPLATT"));
+        assert_eq!(entry.blocked_grid(1), Some([2, 1, 2]));
+        assert_eq!(layout_counts(&s), (3 + 2, 7 + 2));
+    }
+
+    #[test]
+    fn served_decompose_matches_the_in_process_solver_and_keeps_its_grids() {
+        let s = svc();
+        gen_small(&s, "t");
+        let entry = s.core().registry.get("t").unwrap();
+        let decompose =
+            r#"{"cmd":"decompose","tensor":"t","method":"als","rank":4,"iters":6,"wait":true}"#;
+        let d = s.handle(&req(decompose));
+        assert_eq!(d.get_str("state"), Some("done"), "{d:?}");
+        let result = d.get("result").unwrap();
+
+        // What the job runs without a tuned plan, built from COO.
+        let mut opts = CpAlsOptions::new(4);
+        opts.max_iters = 6;
+        opts.kernel = KernelKind::MbRankB;
+        opts.kernel_cfg = KernelConfig {
+            grid: [4, 2, 2],
+            strip_width: 16,
+            exec: ExecPolicy::auto(),
+        };
+        let want = CpAls::new(&entry.coo, opts).run(&entry.coo);
+        let fit = result.get_num("fit").unwrap();
+        assert!((fit - want.fit_history.last().unwrap()).abs() < 1e-9);
+        assert_eq!(result.get_usize("iterations"), Some(want.iterations));
+
+        // The second decomposition sorts nothing.
+        assert_eq!(layout_counts(&s), (3 + 3, 0));
+        assert_eq!(s.handle(&req(decompose)).get("result"), Some(result));
+        assert_eq!(layout_counts(&s), (3 + 3, 3));
     }
 
     #[test]

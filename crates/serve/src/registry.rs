@@ -2,13 +2,38 @@
 //! optional spill tier.
 //!
 //! A decomposition service repeats three expensive steps per request if it
-//! is naive: parse the tensor file, compute statistics, and build the
-//! fiber-compressed SPLATT views. The registry does each exactly once per
-//! tensor and hands out `Arc<TensorEntry>` clones, so concurrent jobs share
-//! one resident copy. Entries are keyed by a caller-chosen string handle;
-//! registration is first-wins (re-registering an existing handle is an
-//! error rather than a silent replace, so a handle never changes meaning
-//! mid-session).
+//! is naive: parse the tensor file, compute statistics, and sort the tensor
+//! into the fiber-compressed layout a kernel runs over. The registry does
+//! each exactly once per tensor and hands out `Arc<TensorEntry>` clones, so
+//! concurrent jobs share one resident copy. Entries are keyed by a
+//! caller-chosen string handle; registration is first-wins (re-registering
+//! an existing handle is an error rather than a silent replace, so a handle
+//! never changes meaning mid-session).
+//!
+//! # Layouts
+//!
+//! A layout is a `BlockGrid`: the tensor sorted for one mode at one grid.
+//! It depends on nothing else — strip width, kernel name and execution
+//! policy belong to the per-job `BlockedKernel` wrapped around it — so an
+//! entry keeps its layouts and every job shares them:
+//!
+//! * **At registration** (and at each reload from the spill tier) the three
+//!   unblocked `[1, 1, 1]` layouts are built, one per mode. `splatt` and
+//!   `rankb` always run over them, `mb`/`mbrankb` do whenever no tuned plan
+//!   pins a grid, and the per-mode fiber counts of [`TensorStats`] are read
+//!   off them instead of from three more sorts.
+//! * **On first use** a blocked grid — a tuned plan's, or `decompose`'s
+//!   default — is built into the mode's one blocked slot. A plan pins one
+//!   grid per tensor × rank, so one slot is the working set; a request for
+//!   a different grid replaces it (jobs still running over the old layout
+//!   keep it alive until they finish). Concurrent first requests for the
+//!   same grid build it once: the others wait for that build, not for
+//!   their own.
+//!
+//! Memory per resident entry is therefore the COO tensor plus at most two
+//! layouts per mode. `coo`, `csf` and `bcoo` kernels have layouts of their
+//! own and still build per request. Evicting an entry to the spill tier
+//! drops its layouts with it.
 //!
 //! # Spill tier
 //!
@@ -45,54 +70,149 @@
 //!   (surviving a restart), invalid ones are quarantined, and `*.tmp`
 //!   litter from a crashed writer is removed.
 
-use crate::metrics::FaultCounters;
+use crate::metrics::{FaultCounters, LayoutCounters};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
-use tenblock_core::obs::StreamStats;
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use tenblock_core::block::BlockGrid;
+use tenblock_core::obs::{Rec, StreamStats};
 use tenblock_core::tune::grid_for_tile_budget;
+use tenblock_core::{
+    build_layout, try_build_kernel_with, KernelConfig, KernelError, KernelKind, MttkrpKernel,
+};
 use tenblock_faults::{is_transient, Backoff, FaultPolicy};
 use tenblock_tensor::gen::ALL_DATASETS;
-use tenblock_tensor::{io, io_bin, CooTensor, SplattTensor, TensorStats, TileStore, NMODES};
+use tenblock_tensor::{io, io_bin, CooTensor, TensorStats, TileStore, NMODES};
 
 /// Per-tile byte budget used when spilling (the tile grid is chosen so a
 /// reload streams in modest chunks rather than one giant payload).
 const SPILL_TILE_BUDGET: u64 = 8 << 20;
+
+/// The grid of the unblocked layout.
+const UNBLOCKED: [usize; NMODES] = [1, 1, 1];
+
+/// A blocked layout being built or built: the slot is claimed for `grid`
+/// before the sort runs, so concurrent requests for it find the claim and
+/// wait on `layout` instead of sorting again.
+#[derive(Debug)]
+struct BlockedLayout {
+    grid: [usize; NMODES],
+    layout: OnceLock<Arc<BlockGrid>>,
+}
+
+/// One mode's layouts (see the module doc).
+#[derive(Debug)]
+struct ModeLayouts {
+    unblocked: Arc<BlockGrid>,
+    /// The most recently requested blocked grid.
+    blocked: Mutex<Option<Arc<BlockedLayout>>>,
+}
 
 /// One resident tensor with everything derived from it.
 #[derive(Debug)]
 pub struct TensorEntry {
     /// Registry handle.
     pub name: String,
-    /// The coordinate-format tensor (kernels are built from this).
+    /// The coordinate-format tensor (layouts are built from this).
     pub coo: CooTensor,
     /// Precomputed statistics (also the plan-cache fingerprint source).
     pub stats: TensorStats,
     /// Shape fingerprint, cached from `stats`.
     pub fingerprint: u64,
-    /// Per-mode SPLATT builds, shared by `stats`-style queries and the
-    /// baseline kernels. Built eagerly at registration: the cost is paid
-    /// once, off the job workers' critical path.
-    pub splatt: [SplattTensor; NMODES],
+    layouts: [ModeLayouts; NMODES],
+    counters: Arc<LayoutCounters>,
 }
 
 impl TensorEntry {
-    fn build(name: &str, coo: CooTensor) -> TensorEntry {
-        let stats = TensorStats::of(&coo);
-        let fingerprint = stats.fingerprint();
-        let splatt = [
-            SplattTensor::for_mode(&coo, 0),
-            SplattTensor::for_mode(&coo, 1),
-            SplattTensor::for_mode(&coo, 2),
-        ];
+    fn build(name: &str, coo: CooTensor, counters: Arc<LayoutCounters>) -> TensorEntry {
+        let layouts = [0, 1, 2].map(|mode| ModeLayouts {
+            unblocked: build_layout(&coo, mode, UNBLOCKED),
+            blocked: Mutex::new(None),
+        });
+        counters.builds.fetch_add(NMODES as u64, Ordering::Relaxed);
+        // The unblocked layout of a mode has counted that mode's fibers.
+        let fibers = [0, 1, 2].map(|mode| layouts[mode].unblocked.n_fibers());
+        let stats = TensorStats::from_fibers(coo.dims(), coo.nnz(), fibers);
         TensorEntry {
             name: name.to_string(),
+            fingerprint: stats.fingerprint(),
             coo,
             stats,
-            fingerprint,
-            splatt,
+            layouts,
+            counters,
         }
+    }
+
+    /// A kernel of `kind` for mode `mode` at `cfg`, rejecting an invalid
+    /// mode or grid as [`tenblock_core::try_build_kernel`] does. The four
+    /// fibered kinds run over the entry's shared layouts, so only the first
+    /// request for a blocked grid sorts the tensor (under a `job/layout`
+    /// span of `cfg.exec`'s recorder); the others build per request.
+    pub fn kernel(
+        &self,
+        kind: KernelKind,
+        mode: usize,
+        cfg: &KernelConfig,
+    ) -> Result<Box<dyn MttkrpKernel>, KernelError> {
+        try_build_kernel_with(kind, &self.coo, mode, cfg, |grid| {
+            self.layout(mode, grid, &cfg.exec.recorder)
+        })
+    }
+
+    /// The layout of `mode` at `grid` (valid for this tensor), built under a
+    /// `job/layout` span of `rec` if the entry does not hold it.
+    fn layout(&self, mode: usize, grid: [usize; NMODES], rec: &Rec) -> Arc<BlockGrid> {
+        let layouts = &self.layouts[mode];
+        let mut built = false;
+        let layout = if grid == UNBLOCKED {
+            Arc::clone(&layouts.unblocked)
+        } else {
+            let claim = {
+                let mut slot = crate::sync::lock(&layouts.blocked);
+                match &*slot {
+                    Some(held) if held.grid == grid => Arc::clone(held),
+                    _ => Arc::clone(slot.insert(Arc::new(BlockedLayout {
+                        grid,
+                        layout: OnceLock::new(),
+                    }))),
+                }
+            };
+            // Outside the slot's lock: a request for another grid replaces
+            // the claim without waiting for this sort.
+            Arc::clone(claim.layout.get_or_init(|| {
+                built = true;
+                let _span = rec.span("job/layout");
+                build_layout(&self.coo, mode, grid)
+            }))
+        };
+        let counter = if built {
+            &self.counters.builds
+        } else {
+            &self.counters.hits
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        layout
+    }
+
+    /// The blocked grid `mode`'s slot holds, built or being built.
+    #[cfg(test)]
+    pub(crate) fn blocked_grid(&self, mode: usize) -> Option<[usize; NMODES]> {
+        crate::sync::lock(&self.layouts[mode].blocked)
+            .as_ref()
+            .map(|b| b.grid)
+    }
+
+    /// Bytes of the layouts the entry holds right now.
+    pub fn layout_bytes(&self) -> usize {
+        self.layouts
+            .iter()
+            .map(|l| {
+                let blocked = crate::sync::lock(&l.blocked);
+                let blocked = blocked.as_ref().and_then(|b| b.layout.get());
+                l.unblocked.tensor_bytes() + blocked.map_or(0, |b| b.tensor_bytes())
+            })
+            .sum()
     }
 }
 
@@ -162,6 +282,8 @@ pub struct Registry {
     faults: FaultPolicy,
     /// Degradation counters, shared with the service [`crate::Metrics`].
     counters: Arc<FaultCounters>,
+    /// Layout-cache counters, shared with every entry and the metrics.
+    layout_counters: Arc<LayoutCounters>,
 }
 
 /// `name`, reduced to filesystem-safe characters for the spill filename.
@@ -228,6 +350,12 @@ impl Registry {
     /// service metrics).
     pub fn fault_counters(&self) -> &Arc<FaultCounters> {
         &self.counters
+    }
+
+    /// The layout-cache counters this registry's entries increment (shared
+    /// into the service metrics).
+    pub fn layout_counters(&self) -> &Arc<LayoutCounters> {
+        &self.layout_counters
     }
 
     /// The stream counters charged by spill reloads.
@@ -390,10 +518,14 @@ impl Registry {
 
     /// Registers an in-memory tensor under `name`.
     pub fn register(&self, name: &str, coo: CooTensor) -> Result<Arc<TensorEntry>, RegistryError> {
-        // Build outside the lock: SPLATT construction is O(nnz log nnz) and
-        // must not block readers. The handle check is repeated under the
-        // write lock (first insert wins).
-        let entry = Arc::new(TensorEntry::build(name, coo));
+        // Build outside the lock: the three layout sorts must not block
+        // readers. The handle check is repeated under the write lock (first
+        // insert wins).
+        let entry = Arc::new(TensorEntry::build(
+            name,
+            coo,
+            Arc::clone(&self.layout_counters),
+        ));
         let mut map = crate::sync::write(&self.entries);
         if map.contains_key(name) {
             return Err(RegistryError::Exists(name.to_string()));
@@ -482,7 +614,7 @@ impl Registry {
                 }
             }
         };
-        // Reload outside the lock: tile streaming plus the SPLATT rebuild
+        // Reload outside the lock: tile streaming plus the layout rebuild
         // must not block concurrent lookups of other tensors. Transient
         // I/O errors retry with backoff; a validation failure means the
         // bytes on disk are wrong — quarantine the store and surface a
@@ -533,7 +665,11 @@ impl Registry {
                 }
             }
         };
-        let entry = Arc::new(TensorEntry::build(name, coo));
+        let entry = Arc::new(TensorEntry::build(
+            name,
+            coo,
+            Arc::clone(&self.layout_counters),
+        ));
         let mut map = crate::sync::write(&self.entries);
         let Some(slot) = map.get_mut(name) else {
             return Err(RegistryError::NotFound(name.to_string()));
@@ -586,6 +722,16 @@ impl Registry {
         v
     }
 
+    /// Bytes of layouts held per resident tensor, sorted by handle.
+    pub fn layout_bytes(&self) -> Vec<(String, usize)> {
+        let mut v: Vec<_> = crate::sync::read(&self.entries)
+            .iter()
+            .filter_map(|(n, s)| Some((n.clone(), s.resident.as_ref()?.layout_bytes())))
+            .collect();
+        v.sort();
+        v
+    }
+
     /// Number of registered tensors, resident or spilled.
     pub fn len(&self) -> usize {
         crate::sync::read(&self.entries).len()
@@ -600,12 +746,134 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tenblock_core::{build_kernel, ExecPolicy};
     use tenblock_tensor::gen::uniform_tensor;
+    use tenblock_tensor::DenseMatrix;
 
     fn spill_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("tenblock_spill_{}_{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// One launch of `k` at rank 5 on fixed factors, as output bits.
+    fn run_bits(k: &dyn MttkrpKernel, dims: [usize; NMODES]) -> Vec<u64> {
+        let fs = dims.map(|d| DenseMatrix::from_fn(d, 5, |r, c| ((r * 7 + c) % 11) as f64 * 0.1));
+        let mut out = DenseMatrix::zeros(dims[k.mode()], 5);
+        k.mttkrp(&[&fs[0], &fs[1], &fs[2]], &mut out);
+        out.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn counts(reg: &Registry) -> (u64, u64) {
+        let c = reg.layout_counters();
+        (
+            c.builds.load(Ordering::Relaxed),
+            c.hits.load(Ordering::Relaxed),
+        )
+    }
+
+    /// Plan-cache keys are persisted: the fingerprint read off the layouts
+    /// must be the one `TensorStats::of` computes with its own sorts.
+    #[test]
+    fn stats_from_the_layouts_equal_stats_of_the_tensor() {
+        let mut tensors: Vec<CooTensor> = ALL_DATASETS
+            .into_iter()
+            .map(|ds| ds.generate_with([40, 60, 30], 1_500, 9))
+            .collect();
+        // Empty slices in every mode, duplicates of one fiber, and nothing.
+        tensors.push(CooTensor::from_triples(
+            [6, 5, 7],
+            &[0, 0, 4, 4, 4],
+            &[1, 3, 3, 3, 0],
+            &[6, 6, 2, 2, 2],
+            &[1.0, 2.0, 3.0, 4.0, 5.0],
+        ));
+        tensors.push(CooTensor::empty([4, 4, 4]));
+        let reg = Registry::new();
+        for (n, coo) in tensors.into_iter().enumerate() {
+            let want = TensorStats::of(&coo);
+            let e = reg.register(&format!("t{n}"), coo).unwrap();
+            assert_eq!(e.stats, want, "tensor {n}");
+            assert_eq!(e.fingerprint, want.fingerprint(), "tensor {n}");
+        }
+    }
+
+    /// Eight first requests at once: a blocked grid is sorted by exactly
+    /// one of them, the unblocked layout by none (registration built it),
+    /// and every kernel computes what a fresh build from COO computes.
+    #[test]
+    fn concurrent_first_requests_build_once_and_match_a_fresh_kernel() {
+        const THREADS: usize = 8;
+        let x = uniform_tensor([40, 30, 20], 3_000, 17);
+        let cfg = KernelConfig {
+            grid: [2, 2, 2],
+            strip_width: 4,
+            exec: ExecPolicy::serial(),
+        };
+        let reg = Registry::new();
+        for kind in [
+            KernelKind::Splatt,
+            KernelKind::Mb,
+            KernelKind::RankB,
+            KernelKind::MbRankB,
+        ] {
+            // A fresh entry per kind: its blocked slots start empty.
+            let e = reg.register(kind.as_str(), x.clone()).unwrap();
+            let blocked = matches!(kind, KernelKind::Mb | KernelKind::MbRankB) as u64;
+            for mode in 0..NMODES {
+                let fresh = build_kernel(kind, &x, mode, &cfg);
+                let want = (fresh.name(), run_bits(fresh.as_ref(), x.dims()));
+                let before = counts(&reg);
+                let barrier = std::sync::Barrier::new(THREADS);
+                let got: Vec<_> = std::thread::scope(|s| {
+                    let served: Vec<_> = (0..THREADS)
+                        .map(|_| {
+                            s.spawn(|| {
+                                barrier.wait();
+                                let k = e.kernel(kind, mode, &cfg).unwrap();
+                                (k.name(), run_bits(k.as_ref(), x.dims()))
+                            })
+                        })
+                        .collect();
+                    served.into_iter().map(|h| h.join().unwrap()).collect()
+                });
+                let after = counts(&reg);
+                assert_eq!(after.0 - before.0, blocked, "{kind:?} mode {mode}: builds");
+                assert_eq!(
+                    after.1 - before.1,
+                    THREADS as u64 - blocked,
+                    "{kind:?} mode {mode}: hits"
+                );
+                assert!(got.iter().all(|g| *g == want), "{kind:?} mode {mode}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_second_grid_replaces_the_first_in_the_blocked_slot() {
+        let x = uniform_tensor([24, 18, 12], 1_200, 5);
+        let reg = Registry::new();
+        let e = reg.register("t", x.clone()).unwrap();
+        let unblocked = e.layout_bytes();
+        assert_eq!(e.blocked_grid(0), None);
+        let at = |grid| KernelConfig {
+            grid,
+            ..KernelConfig::default()
+        };
+        for grid in [[2, 2, 2], [3, 1, 2], [3, 1, 2]] {
+            e.kernel(KernelKind::Mb, 0, &at(grid)).unwrap();
+            assert_eq!(e.blocked_grid(0), Some(grid));
+            // The unblocked layouts plus this grid — never the one before.
+            let held = build_layout(&x, 0, grid).tensor_bytes();
+            assert_eq!(e.layout_bytes(), unblocked + held);
+        }
+        // Registration, then one build per distinct grid; the repeat hit.
+        assert_eq!(counts(&reg), (3 + 2, 1));
+        // The unblocked grid never takes the slot, nor do invalid ones.
+        e.kernel(KernelKind::Mb, 0, &at([1, 1, 1])).unwrap();
+        assert!(e.kernel(KernelKind::Mb, 0, &at([25, 1, 1])).is_err());
+        assert!(e.kernel(KernelKind::Mb, 3, &at([1, 1, 1])).is_err());
+        assert_eq!(e.blocked_grid(0), Some([3, 1, 2]));
     }
 
     #[test]
@@ -615,7 +883,6 @@ mod tests {
         let e = reg.register("a", t.clone()).unwrap();
         assert_eq!(e.stats.nnz, e.coo.nnz());
         assert_eq!(e.fingerprint, e.stats.fingerprint());
-        assert_eq!(e.splatt[1].dims(), [20, 30, 10]);
 
         let again = reg.register("a", t);
         assert_eq!(again.unwrap_err(), RegistryError::Exists("a".into()));
@@ -712,6 +979,53 @@ mod tests {
         let snap = reg.stream_stats().snapshot();
         assert!(snap.tiles_loaded > 0, "reload must be counted");
         assert!(snap.bytes_streamed > 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn eviction_drops_the_layouts_and_reload_rebuilds_them_bit_for_bit() {
+        let dir = spill_dir("layouts");
+        let reg = Registry::with_spill(&dir, 1);
+        let cfg = KernelConfig {
+            grid: [3, 2, 2],
+            strip_width: 4,
+            exec: ExecPolicy::serial(),
+        };
+        let a = reg
+            .register("a", uniform_tensor([15, 12, 9], 400, 3))
+            .unwrap();
+        let dims = a.coo.dims();
+        let serve = |e: &TensorEntry| -> Vec<_> {
+            (0..NMODES)
+                .map(|m| {
+                    run_bits(
+                        e.kernel(KernelKind::MbRankB, m, &cfg).unwrap().as_ref(),
+                        dims,
+                    )
+                })
+                .collect()
+        };
+        let before = serve(&a);
+        assert_eq!(counts(&reg).0, 3 + 3);
+        drop(a);
+        reg.register("b", uniform_tensor([8, 8, 8], 150, 5))
+            .unwrap();
+        // "a" is on disk only: its layouts went with the entry.
+        assert_eq!(reg.spilled_names(), vec!["a".to_string()]);
+        assert_eq!(
+            reg.layout_bytes()
+                .iter()
+                .map(|(n, _)| n)
+                .collect::<Vec<_>>(),
+            ["b"]
+        );
+
+        let builds = counts(&reg).0;
+        let a2 = reg.get("a").unwrap();
+        assert_eq!(a2.blocked_grid(0), None);
+        assert_eq!(serve(&a2), before);
+        // Three unblocked layouts at the reload, three blocked on demand.
+        assert_eq!(counts(&reg).0 - builds, 3 + 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

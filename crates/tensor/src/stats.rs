@@ -20,21 +20,18 @@ pub struct TensorStats {
 }
 
 impl TensorStats {
-    /// Computes statistics of `t`.
+    /// Computes statistics of `t` (one sort per mode to count the fibers).
     pub fn of(t: &CooTensor) -> Self {
-        let dims = t.dims();
-        let nnz = t.nnz();
+        let fibers = [0, 1, 2].map(|m| t.count_fibers(perm_for_mode(m)));
+        Self::from_fibers(t.dims(), t.nnz(), fibers)
+    }
+
+    /// The statistics of a tensor whose per-mode non-empty fiber counts
+    /// are already known — a mode's fiber-compressed layout has counted
+    /// them — with every derived field exactly as [`Self::of`] computes it.
+    pub fn from_fibers(dims: [usize; NMODES], nnz: usize, fibers: [usize; NMODES]) -> Self {
         let cells: f64 = dims.iter().map(|&d| d as f64).product();
-        let mut fibers = [0usize; NMODES];
-        let mut nnz_per_fiber = [0.0; NMODES];
-        for m in 0..NMODES {
-            fibers[m] = t.count_fibers(perm_for_mode(m));
-            nnz_per_fiber[m] = if fibers[m] == 0 {
-                0.0
-            } else {
-                nnz as f64 / fibers[m] as f64
-            };
-        }
+        let nnz_per_fiber = fibers.map(|f| if f == 0 { 0.0 } else { nnz as f64 / f as f64 });
         TensorStats {
             dims,
             nnz,

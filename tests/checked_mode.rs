@@ -60,7 +60,7 @@ fn shifted_block_boundary_is_caught_with_the_overlapping_row() {
 
     // The healthy grid passes.
     let healthy = BlockGrid::new(&x, 0, [3, 2, 2]);
-    let k = BlockedKernel::from_grid(healthy, None).with_exec(ExecPolicy::checked());
+    let k = BlockedKernel::over(healthy.into(), true, None).with_exec(ExecPolicy::checked());
     let fs_owned = factors(x.dims(), 8);
     let fs: [&DenseMatrix; 3] = [&fs_owned[0], &fs_owned[1], &fs_owned[2]];
     let mut out = DenseMatrix::zeros(12, 8);
@@ -71,7 +71,7 @@ fn shifted_block_boundary_is_caught_with_the_overlapping_row() {
     // the nonzeros: block row 1 still contains slices starting at
     // `boundary`, which now belong to task 0's claim.
     grid.shift_bound_for_test(0, 1, 1);
-    let bad = BlockedKernel::from_grid(grid, None).with_exec(ExecPolicy::checked());
+    let bad = BlockedKernel::over(grid.into(), true, None).with_exec(ExecPolicy::checked());
     let mut out = DenseMatrix::zeros(12, 8);
     let report = bad
         .mttkrp_checked(&fs, &mut out)
@@ -138,7 +138,7 @@ fn plain_mttkrp_panics_on_a_corrupt_grid_in_checked_mode() {
     let x = uniform_tensor([12, 8, 8], 500, 7);
     let mut grid = BlockGrid::new(&x, 0, [3, 2, 2]);
     grid.shift_bound_for_test(0, 1, 1);
-    let bad = BlockedKernel::from_grid(grid, None).with_exec(ExecPolicy::checked());
+    let bad = BlockedKernel::over(grid.into(), true, None).with_exec(ExecPolicy::checked());
     let fs_owned = factors(x.dims(), 8);
     let fs: [&DenseMatrix; 3] = [&fs_owned[0], &fs_owned[1], &fs_owned[2]];
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
