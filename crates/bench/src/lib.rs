@@ -1,15 +1,14 @@
 //! # tenblock-bench
 //!
-//! The benchmark harness: one binary per table/figure of the paper plus
-//! criterion micro-benchmarks. See DESIGN.md §5 for the experiment index
-//! and EXPERIMENTS.md for recorded results.
+//! The figure/table harness: one binary per table/figure of the paper.
+//! See DESIGN.md §5 for the experiment index and EXPERIMENTS.md for
+//! recorded results. The benchmark and regression gate is
+//! `crates/sysbench`, not this crate.
 //!
 //! All binaries accept `--scale <f>` (default 1.0) to shrink/grow the data
 //! sets relative to the registry defaults (which are themselves scaled-down
 //! analogues of Table II — see `tenblock_tensor::gen::Dataset`), and most
 //! accept `--reps <n>` for timing repetitions.
-
-pub mod suite;
 
 use tenblock_core::timing::{time_reps, TimingStats};
 use tenblock_core::MttkrpKernel;

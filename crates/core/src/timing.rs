@@ -1,9 +1,10 @@
 //! Shared wall-clock measurement for the tuner and the benchmark harness.
 //!
-//! Every timing loop in the workspace (the Section V-C tuner candidates,
-//! the `tenblock bench` CLI, the pinned JSON suite) funnels through
-//! [`time_reps`]: a fixed number of *discarded warmup* repetitions followed
-//! by `reps` measured repetitions, summarized as min / mean / stddev. The
+//! Every kernel timing loop in the workspace (the Section V-C tuner
+//! candidates, the `tenblock bench` CLI, the figure/table binaries, the
+//! distributed model's local kernel) funnels through [`time_reps`]: a
+//! fixed number of *discarded warmup* repetitions followed by `reps`
+//! measured repetitions, summarized as min / mean / stddev. The
 //! warmup absorbs first-touch page faults and allocator growth, which on
 //! small tensors can inflate a cold first rep by an order of magnitude and
 //! skew a min-of-1 tuner decision.

@@ -1,25 +1,26 @@
 //! Distributed MTTKRP execution: real local kernels + modeled network.
 //!
-//! One Table III cell is produced by [`run_3d`] / [`run_4d`]: the tensor is
-//! partitioned, the *largest* rank's local mode-1 MTTKRP is executed for
-//! real on this machine (per-rank compute is nnz-proportional, so the
-//! maximum rank bounds the compute phase), and the per-iteration
-//! communication of the medium-grained exchange is priced by the α–β model:
+//! One Table III cell is produced by [`run_4d`] ([`run_3d`] is its `t = 1`
+//! case): the tensor is partitioned, the *largest* rank's local mode-1
+//! MTTKRP is executed for real on this machine (per-rank compute is
+//! nnz-proportional, so the maximum rank bounds the compute phase), and the
+//! per-iteration communication of the medium-grained exchange is priced by
+//! the α–β model:
 //!
 //! * AllGather of the needed mode-2 factor rows within each `j`-layer,
 //! * AllGather of the needed mode-3 factor rows within each `k`-layer,
 //! * Reduce-Scatter of the partial output rows within each `i`-layer,
 //! * (4D only) AllGather of the column strips along the rank dimension.
 //!
-//! [`best_3d`] / [`best_4d`] search the processor-grid factorizations with
-//! the communication model and return the measured result for the winner —
-//! mirroring how distributed SPLATT picks its grid.
+//! [`best_3d`] / [`best_4d`] search the processor-grid factorizations (3D:
+//! restricted to `t = 1`) with the communication model and return the
+//! measured result for the winner — mirroring how distributed SPLATT picks
+//! its grid.
 
 use crate::comm::CommParams;
-use crate::part3d::Partition3D;
 use crate::part4d::Partition4D;
-use std::time::Instant;
 use tenblock_core::block::BlockedKernel;
+use tenblock_core::timing::time_reps;
 use tenblock_core::MttkrpKernel;
 use tenblock_tensor::{CooTensor, DenseMatrix, NMODES};
 
@@ -124,12 +125,7 @@ fn time_local(local: &CooTensor, kernel: LocalKernel, width: usize, reps: usize)
     let fs: [&DenseMatrix; NMODES] = [&a, &b, &c];
 
     let kernel = kernel.build(local, width);
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        kernel.mttkrp(&fs, &mut out);
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
+    let best = time_reps(0, reps, || kernel.mttkrp(&fs, &mut out)).min_secs;
     std::hint::black_box(out.as_slice());
     best
 }
@@ -188,26 +184,10 @@ fn factorizations(p: usize, dims: [usize; NMODES]) -> Vec<[usize; NMODES]> {
     out
 }
 
-/// Runs a 3D (medium-grained) distributed MTTKRP on `p = q*r*s` ranks.
+/// Runs a 3D (medium-grained) distributed MTTKRP on `p = q*r*s` ranks:
+/// [`run_4d`] with a single rank-strip.
 pub fn run_3d(coo: &CooTensor, cfg: &DistConfig, grid: [usize; NMODES]) -> DistResult {
-    let part = Partition3D::new(coo, grid, cfg.seed);
-    let counts = part.rank_nnz();
-    let (argmax, &max_nnz) = counts
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, &n)| n)
-        .expect("at least one rank");
-    let compute = time_local(part.local(argmax), cfg.local, cfg.rank, cfg.reps);
-    let chunks = std::array::from_fn(|m| max_chunk(part.bounds(m)));
-    let comm = comm_3d(&cfg.comm, grid, chunks, cfg.rank);
-    DistResult {
-        grid: [grid[0], grid[1], grid[2], 1],
-        total_secs: compute + comm,
-        compute_secs: compute,
-        comm_secs: comm,
-        max_nnz,
-        imbalance: part.imbalance(),
-    }
+    run_4d(coo, cfg, grid, 1)
 }
 
 /// Runs a 4D distributed MTTKRP: `t` rank-strips x a 3D grid of `p/t`.
@@ -225,7 +205,7 @@ pub fn run_4d(coo: &CooTensor, cfg: &DistConfig, grid3: [usize; NMODES], t: usiz
     let chunks: [usize; NMODES] = std::array::from_fn(|m| max_chunk(p3.bounds(m)));
     let mut comm = comm_3d(&cfg.comm, grid3, chunks, width);
     // the extra AllGather along the rank dimension: full-width rows of the
-    // updated factor's chunk are reassembled from t strips
+    // updated factor's chunk are reassembled from t strips (free at t = 1)
     comm += cfg.comm.allgather(t, (chunks[0] * cfg.rank * 8) as f64);
     DistResult {
         grid: [grid3[0], grid3[1], grid3[2], t],
@@ -240,23 +220,22 @@ pub fn run_4d(coo: &CooTensor, cfg: &DistConfig, grid3: [usize; NMODES], t: usiz
 /// Picks the best 3D grid for `p` ranks by the communication model, then
 /// measures it.
 pub fn best_3d(coo: &CooTensor, cfg: &DistConfig, p: usize) -> DistResult {
-    let dims = coo.dims();
-    let grid = factorizations(p, dims)
-        .into_iter()
-        .min_by(|a, b| {
-            comm_score(&cfg.comm, dims, *a, cfg.rank)
-                .total_cmp(&comm_score(&cfg.comm, dims, *b, cfg.rank))
-        })
-        .expect("no valid grid factorization");
-    run_3d(coo, cfg, grid)
+    best_upto(coo, cfg, p, 1)
 }
 
 /// Picks the best `(t, 3D grid)` for `p` ranks by the communication model
 /// (including the rank-dimension AllGather), then measures it.
 pub fn best_4d(coo: &CooTensor, cfg: &DistConfig, p: usize) -> DistResult {
+    best_upto(coo, cfg, p, p)
+}
+
+/// The grid search over `t <= max_t` rank-strips x every 3D factorization
+/// of `p / t`; the first configuration with the lowest modeled
+/// communication wins.
+fn best_upto(coo: &CooTensor, cfg: &DistConfig, p: usize, max_t: usize) -> DistResult {
     let dims = coo.dims();
     let mut best: Option<([usize; NMODES], usize, f64)> = None;
-    for t in 1..=p {
+    for t in 1..=max_t {
         if !p.is_multiple_of(t) || t > cfg.rank {
             continue;
         }
@@ -276,13 +255,14 @@ pub fn best_4d(coo: &CooTensor, cfg: &DistConfig, p: usize) -> DistResult {
             }
         }
     }
-    let (grid, t, _) = best.expect("no valid 4D configuration");
+    let (grid, t, _) = best.expect("no valid grid factorization");
     run_4d(coo, cfg, grid, t)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::part3d::Partition3D;
     use tenblock_core::mttkrp::dense_mttkrp;
     use tenblock_tensor::gen::uniform_tensor;
 

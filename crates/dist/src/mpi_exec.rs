@@ -54,7 +54,7 @@ pub fn full_factor(mode: usize, rows: usize, rank: usize, seed: u64) -> DenseMat
 }
 
 /// Executes a 3D medium-grained distributed mode-1 MTTKRP for real on
-/// thread-ranks.
+/// thread-ranks: [`execute_4d`] with a single rank-strip group.
 pub fn execute_3d(
     coo: &CooTensor,
     grid: [usize; NMODES],
@@ -62,108 +62,15 @@ pub fn execute_3d(
     local: LocalKernel,
     seed: u64,
 ) -> ExecOutcome {
-    let part = Partition3D::new(coo, grid, seed);
-    let (q, r, s) = (grid[0], grid[1], grid[2]);
-    let p = q * r * s;
-    let dims = coo.dims();
-    let rank_id = |a: usize, b: usize, c: usize| (a * r + b) * s + c;
-
-    let (mut results, wire_bytes) = run_world(p, |ctx: &mut RankCtx| {
-        let me = ctx.rank();
-        let (a, b, c) = (me / (r * s), (me / s) % r, me % s);
-
-        // --- step 1: factor-chunk broadcasts -------------------------------
-        // mode-2 chunk b: owner (0, b, 0)
-        let (jb_lo, jb_hi) = (part.bounds(1)[b], part.bounds(1)[b + 1]);
-        let b_chunk = if (a, c) == (0, 0) {
-            let data = factor_chunk(1, jb_lo, jb_hi, rank, seed);
-            for aa in 0..q {
-                for cc in 0..s {
-                    if (aa, cc) != (0, 0) {
-                        ctx.send(rank_id(aa, b, cc), 100 + b as u64, data.clone());
-                    }
-                }
-            }
-            data
-        } else {
-            ctx.recv(rank_id(0, b, 0), 100 + b as u64)
-        };
-        // mode-3 chunk c: owner (0, 0, c)
-        let (kc_lo, kc_hi) = (part.bounds(2)[c], part.bounds(2)[c + 1]);
-        let c_chunk = if (a, b) == (0, 0) {
-            let data = factor_chunk(2, kc_lo, kc_hi, rank, seed);
-            for aa in 0..q {
-                for bb in 0..r {
-                    if (aa, bb) != (0, 0) {
-                        ctx.send(rank_id(aa, bb, c), 200 + c as u64, data.clone());
-                    }
-                }
-            }
-            data
-        } else {
-            ctx.recv(rank_id(0, 0, c), 200 + c as u64)
-        };
-
-        // scatter the chunks into full-size factor matrices (rows outside
-        // the chunk are never read: the local tensor only references its
-        // own chunk ranges)
-        let mut bmat = DenseMatrix::zeros(dims[1], rank);
-        bmat.as_mut_slice()[jb_lo * rank..jb_hi * rank].copy_from_slice(&b_chunk);
-        let mut cmat = DenseMatrix::zeros(dims[2], rank);
-        cmat.as_mut_slice()[kc_lo * rank..kc_hi * rank].copy_from_slice(&c_chunk);
-        let amat = DenseMatrix::zeros(dims[0], rank);
-
-        // --- step 2: local kernel ------------------------------------------
-        let local_t = part.local(me);
-        let mut out = DenseMatrix::zeros(dims[0], rank);
-        if local_t.nnz() > 0 {
-            let kernel = local.build(local_t, rank);
-            kernel.mttkrp(&[&amat, &bmat, &cmat], &mut out);
-        }
-
-        // --- step 3: reduce partial rows within the i-layer -----------------
-        let (ia_lo, ia_hi) = (part.bounds(0)[a], part.bounds(0)[a + 1]);
-        let mine: Vec<f64> = out.as_slice()[ia_lo * rank..ia_hi * rank].to_vec();
-        let layer: Vec<usize> = (0..r)
-            .flat_map(|bb| (0..s).map(move |cc| rank_id(a, bb, cc)))
-            .collect();
-        let reduced = ctx.allreduce_sum(&layer, 300 + a as u64, mine);
-
-        // --- step 4: representatives ship to rank 0 ------------------------
-        if (b, c) == (0, 0) && me != 0 {
-            ctx.send(0, 400 + a as u64, reduced.clone());
-        }
-        if me == 0 {
-            let mut assembled = DenseMatrix::zeros(dims[0], rank);
-            for aa in 0..q {
-                let (lo, hi) = (part.bounds(0)[aa], part.bounds(0)[aa + 1]);
-                let chunk = if aa == a {
-                    reduced.clone()
-                } else {
-                    ctx.recv(rank_id(aa, 0, 0), 400 + aa as u64)
-                };
-                assembled.as_mut_slice()[lo * rank..hi * rank].copy_from_slice(&chunk);
-            }
-            Some(assembled)
-        } else {
-            None
-        }
-    });
-
-    let output = results.remove(0).expect("rank 0 assembles the output");
-    ExecOutcome {
-        output,
-        wire_bytes,
-        n_ranks: p,
-    }
+    execute_4d(coo, grid, 1, rank, local, seed)
 }
 
 /// Executes a 4D (rank-split) distributed mode-1 MTTKRP for real: `t`
-/// replica groups of `q x r x s` thread-ranks each. Group `g` runs the 3D
-/// protocol on columns `strip_cols(g)` only; rank 0 assembles the full
-/// output column-wise. The only cross-group traffic is the final
+/// replica groups of `q x r x s` thread-ranks each. Group `g` runs the
+/// module-level protocol on columns `strip_cols(g)` only; rank 0 assembles
+/// the full output column-wise. The only cross-group traffic is the final
 /// column-strip gather — the paper's "extra AllGather along the rank
-/// dimension".
+/// dimension" — so `t = 1` is the plain 3D exchange.
 pub fn execute_4d(
     coo: &CooTensor,
     grid3: [usize; NMODES],
@@ -377,14 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn executed_4d_t1_equals_3d() {
-        let x = uniform_tensor([14, 14, 14], 350, 8);
-        let o3 = execute_3d(&x, [2, 2, 1], 6, LocalKernel::Baseline, 4);
-        let o4 = execute_4d(&x, [2, 2, 1], 1, 6, LocalKernel::Baseline, 4);
-        assert!(o3.output.approx_eq(&o4.output, 1e-12));
-    }
-
-    #[test]
     fn wire_bytes_grow_with_grid() {
         let x = uniform_tensor([30, 30, 30], 1_000, 2);
         let single = execute_3d(&x, [1, 1, 1], 8, LocalKernel::Baseline, 3);
@@ -394,29 +293,44 @@ mod tests {
         assert_eq!(eight.n_ranks, 8);
     }
 
+    /// Bytes the module-level protocol puts on the wire for a 3D `grid` at
+    /// factor width `rank`, from the partition's chunk bounds alone.
+    fn protocol_bytes(part: &Partition3D, grid: [usize; NMODES], rank: usize) -> u64 {
+        let [q, r, s] = grid.map(|g| g as u64);
+        let row = 8 * rank as u64;
+        let chunk = |m: usize, i: usize| (part.bounds(m)[i + 1] - part.bounds(m)[i]) as u64 * row;
+        // step 1: the owner of a B (C) chunk sends it to the rest of its
+        // j-layer (k-layer)
+        let b_bytes: u64 = (0..grid[1]).map(|b| (q * s - 1) * chunk(1, b)).sum();
+        let c_bytes: u64 = (0..grid[2]).map(|c| (q * r - 1) * chunk(2, c)).sum();
+        // step 3: each of an i-layer's r*s ranks sends its chunk to the others
+        let a_bytes: u64 = (0..grid[0])
+            .map(|a| r * s * (r * s - 1) * chunk(0, a))
+            .sum();
+        // step 4: every layer's representative but rank 0 itself ships to rank 0
+        let gather_bytes: u64 = (1..grid[0]).map(|a| chunk(0, a)).sum();
+        b_bytes + c_bytes + a_bytes + gather_bytes
+    }
+
     #[test]
     fn wire_volume_matches_protocol_accounting() {
-        // grid 2x2x1, rank width R: volumes are exactly computable
         let x = uniform_tensor([10, 12, 8], 200, 6);
-        let rank = 4;
-        let grid = [2usize, 2, 1];
-        let out = execute_3d(&x, grid, rank, LocalKernel::Baseline, 11);
-        let part = Partition3D::new(&x, grid, 11);
-        let row = 8 * rank as u64;
-        // B chunks: owner (0,b,0) sends to (q*s - 1) = 1 peer each
-        let b_bytes: u64 = (0..2)
-            .map(|b| (part.bounds(1)[b + 1] - part.bounds(1)[b]) as u64 * row)
-            .sum();
-        // C chunk: owner (0,0,0) sends to q*r - 1 = 3 peers
-        let c_bytes = 3 * (part.bounds(2)[1] - part.bounds(2)[0]) as u64 * row;
-        // i-layer allreduce: per layer a, group g = r*s = 2 ranks each
-        // send their chunk to g-1 = 1 peer
-        let a_bytes: u64 = (0..2)
-            .map(|a| 2 * (part.bounds(0)[a + 1] - part.bounds(0)[a]) as u64 * row)
-            .sum();
-        // rank-0 gather: representative of layer a=1 ships its chunk
-        let gather_bytes = (part.bounds(0)[2] - part.bounds(0)[1]) as u64 * row;
-        let expect = b_bytes + c_bytes + a_bytes + gather_bytes;
-        assert_eq!(out.wire_bytes, expect);
+        for grid in [[2, 2, 1], [3, 1, 2], [2, 2, 2]] {
+            let out = execute_3d(&x, grid, 4, LocalKernel::Baseline, 11);
+            let part = Partition3D::new(&x, grid, 11);
+            assert_eq!(out.wire_bytes, protocol_bytes(&part, grid, 4), "{grid:?}");
+        }
+    }
+
+    /// A 3D grid reached through the 4D entry point moves the 3D protocol's
+    /// bytes and no more: one strip group has nobody to gather columns from.
+    #[test]
+    fn executed_4d_t1_moves_the_3d_protocol_bytes() {
+        let x = uniform_tensor([14, 14, 14], 350, 8);
+        let grid = [2, 2, 1];
+        let out = execute_4d(&x, grid, 1, 6, LocalKernel::Baseline, 4);
+        let part = Partition3D::new(&x, grid, 4);
+        assert_eq!(out.wire_bytes, protocol_bytes(&part, grid, 6));
+        assert_eq!(out.n_ranks, 4);
     }
 }

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use tenblock_core::obs::{Rec, TraceRecorder};
 use tenblock_core::timing::time_reps;
 use tenblock_core::tune::grid_for_tile_budget;
-use tenblock_core::{build_kernel, tune, ExecPolicy, KernelConfig, KernelKind, TuneOptions};
+use tenblock_core::{try_build_kernel, tune, ExecPolicy, KernelConfig, KernelKind, TuneOptions};
 use tenblock_cpd::{cp_apr, CpAls, CpAlsOptions, CpAlsStream, CpAprOptions};
 use tenblock_serve::{PlanCache, PlanKey, Server, ServerConfig, TunedPlan};
 use tenblock_tensor::gen::{Dataset, ALL_DATASETS};
@@ -119,9 +119,6 @@ USAGE:
   tenblock gen <dataset> <out> [--nnz N] [--seed S]
   tenblock bench <file> [--rank R] [--reps N] [--grid AxBxC] [--strip W]
                        [--trace [path]]
-  tenblock bench --json [--out PATH] [--suite pinned|quick] [--reps N]
-  tenblock bench --compare BASELINE.json [--current RECORD.json]
-                 [--suite pinned|quick] [--reps N]
   tenblock tune <file> [--rank R] [--plan-cache <path>] [--trace [path]]
   tenblock decompose <file> [--rank R] [--iters N] [--method als|apr]
                             [--kernel splatt|mb|rankb|mbrankb|bcoo]
@@ -141,13 +138,6 @@ the mode-1 BCOO blocking under that grid (how many nonzeros each
 nonempty block holds — the profile that decides whether the BCOO
 dense micro-kernel pays off).
 Datasets: Poisson1-3, NELL2, Netflix, Reddit, Amazon (scaled analogues).
-`bench --json` (no tensor file) runs the pinned benchmark suite — every
-registry kernel × three synthetic generators × {serial, parallel}, plus a
-streamed MTTKRP and the in-process serve path — and writes a schema-stable
-BENCH_<date>.json record (override with --out). `bench --compare BASELINE`
-diffs a record (freshly measured, or loaded via --current) against the
-baseline and exits nonzero on a >10% same-machine regression or coverage
-loss; cross-machine timing drift is advisory only.
 --trace records execution spans (kernel calls, ALS iterations, tune
 candidates) with Section IV byte/flop counters and writes chrome://tracing
 JSON to `path` (default trace.json); open it at chrome://tracing or
@@ -191,9 +181,16 @@ temp dir) and streams them back on demand; {\"cmd\":\"list\"} reports
 resident vs spilled handles and the stream counters.
 The serve protocol is line-delimited JSON; see crates/serve/README.md.";
 
-/// Parses a `--grid AxBxC` spec, clamping each axis into `1..=dim` so
-/// oversized requests on small tensors degrade to coarser grids instead
-/// of erroring.
+/// Caps each kernel axis of `grid` at the axis length `lens[ax]`, so
+/// oversized requests and the built-in default grids degrade to coarser
+/// grids on small tensors instead of erroring. A mode-0 kernel's axes run
+/// along `dims`; see `decompose` for the all-modes case.
+fn clamp_grid(grid: [usize; 3], lens: [usize; 3]) -> [usize; 3] {
+    std::array::from_fn(|ax| grid[ax].min(lens[ax].max(1)))
+}
+
+/// Parses a `--grid AxBxC` spec for a mode-0 kernel, clamped by
+/// [`clamp_grid`].
 fn parse_grid(spec: &str, dims: [usize; 3]) -> Result<[usize; 3], String> {
     let parts: Vec<usize> = spec
         .split(['x', 'X'])
@@ -205,7 +202,7 @@ fn parse_grid(spec: &str, dims: [usize; 3]) -> Result<[usize; 3], String> {
             "bad --grid `{spec}` (expected three positive axes AxBxC)"
         ));
     }
-    Ok(std::array::from_fn(|ax| parts[ax].min(dims[ax].max(1))))
+    Ok(clamp_grid([parts[0], parts[1], parts[2]], dims))
 }
 
 /// Resolves `--trace [path]`: present without a value means `trace.json`.
@@ -363,89 +360,6 @@ fn decompose_stream(
     Ok(msg)
 }
 
-/// UTC calendar date (`YYYY-MM-DD`) for the default `BENCH_<date>.json`
-/// name, via the days-to-civil conversion (no date crate in the offline
-/// workspace).
-fn utc_date_string() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let z = (secs / 86_400) as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = yoe + era * 400 + i64::from(m <= 2);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-/// `bench` without a tensor file: the pinned JSON suite and comparator.
-/// `--json [--out PATH]` measures and writes a record; `--compare BASE`
-/// gates a record (measured, or loaded via `--current`) against a
-/// baseline, exiting nonzero on same-machine regressions or coverage loss.
-fn bench_suite(args: &Args) -> Result<String, String> {
-    use tenblock_bench::suite::{compare, run_suite, BenchRecord, CompareOptions, SuiteOptions};
-    let mut opts = match args.flag("suite").unwrap_or("pinned") {
-        "pinned" | "" => SuiteOptions::pinned(),
-        "quick" => SuiteOptions::quick(),
-        other => return Err(format!("bench: unknown suite `{other}` (pinned|quick)")),
-    };
-    if let Some(reps) = args.flag("reps") {
-        opts.reps = reps
-            .parse()
-            .map_err(|_| format!("bench: bad --reps `{reps}`"))?;
-    }
-    let wants_json = args.flag("json").is_some() || args.flag("out").is_some();
-    let compare_path = args.flag("compare");
-    if !wants_json && compare_path.is_none() {
-        return Err(
-            "bench: pass a tensor <file>, or --json [--out PATH] / --compare BASELINE.json \
-             for the suite"
-                .to_string(),
-        );
-    }
-    let load = |path: &str| -> Result<BenchRecord, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("bench: read {path}: {e}"))?;
-        BenchRecord::parse(&text).map_err(|e| format!("bench: {path}: {e}"))
-    };
-    let current = match args.flag("current") {
-        Some(path) if !path.is_empty() => load(path)?,
-        _ => run_suite(&opts)?,
-    };
-    let mut out_lines = Vec::new();
-    if wants_json {
-        let out_path = match args.flag("out") {
-            Some(p) if !p.is_empty() => p.to_string(),
-            _ => format!("BENCH_{}.json", utc_date_string()),
-        };
-        tenblock_tensor::atomic_write(&out_path, current.to_file_string().as_bytes())
-            .map_err(|e| format!("bench: write {out_path}: {e}"))?;
-        out_lines.push(format!(
-            "wrote {} suite record ({} entries, commit {}) -> {}",
-            current.suite,
-            current.entries.len(),
-            current.commit,
-            out_path
-        ));
-    }
-    if let Some(base_path) = compare_path {
-        let base = load(base_path)?;
-        let report = compare(&base, &current, &CompareOptions::default());
-        match report.gate() {
-            Ok(text) => out_lines.push(text),
-            Err(text) => {
-                out_lines.push(text);
-                return Err(out_lines.join("\n"));
-            }
-        }
-    }
-    Ok(out_lines.join("\n"))
-}
-
 /// Runs one subcommand; returns the text to print or an error message.
 pub fn run(cmd: &str, args: &Args) -> Result<String, String> {
     match cmd {
@@ -497,9 +411,7 @@ pub fn run(cmd: &str, args: &Args) -> Result<String, String> {
             ))
         }
         "bench" => {
-            let Some(path) = args.positional.first() else {
-                return bench_suite(args);
-            };
+            let path = args.positional.first().ok_or("bench: missing <file>")?;
             let rank: usize = args.flag_or("rank", 64);
             let reps: usize = args.flag_or("reps", 3);
             let t = load_tensor(path)?;
@@ -514,7 +426,7 @@ pub fn run(cmd: &str, args: &Args) -> Result<String, String> {
             let tracer = Arc::new(TraceRecorder::new());
             let grid = match args.flag("grid") {
                 Some(spec) => parse_grid(spec, t.dims())?,
-                None => [4, 4, 2],
+                None => clamp_grid([4, 4, 2], t.dims()),
             };
             let cfg = KernelConfig {
                 grid,
@@ -531,7 +443,7 @@ pub fn run(cmd: &str, args: &Args) -> Result<String, String> {
             )];
             let nnz = t.nnz().max(1) as f64;
             for kind in KernelKind::ALL {
-                let k = build_kernel(kind, &t, 0, &cfg);
+                let k = try_build_kernel(kind, &t, 0, &cfg).map_err(|e| e.to_string())?;
                 let stats = time_reps(1, reps, || k.mttkrp(&fs, &mut out));
                 lines.push(format!(
                     "  {:<10} {:>10.4} s  mean {:>10.4} s  sd {:>9.4} s   {:>6.1} tensor B/nnz",
@@ -632,14 +544,23 @@ pub fn run(cmd: &str, args: &Args) -> Result<String, String> {
                     strip_width: 16,
                     ..Default::default()
                 });
+            // One grid serves all three modes' kernels, and each kernel axis
+            // runs along every tensor mode in turn, so the shortest mode
+            // bounds every axis (of the default and of a cached plan alike).
+            let shortest = t.dims().into_iter().min().unwrap_or(1);
+            cfg.grid = clamp_grid(cfg.grid, [shortest; 3]);
             cfg.exec = with_tracing(ExecPolicy::auto(), &trace, &tracer);
             let mut msg = match method {
                 "als" => {
+                    let kernels = (0..t.dims().len())
+                        .map(|m| try_build_kernel(kernel, &t, m, &cfg))
+                        .collect::<Result<Vec<_>, _>>()
+                        .map_err(|e| e.to_string())?;
                     let mut opts = CpAlsOptions::new(rank);
                     opts.max_iters = iters;
                     opts.kernel = kernel;
                     opts.kernel_cfg = cfg;
-                    let result = CpAls::new(&t, opts).run(&t);
+                    let result = CpAls::with_kernels(t.dims(), kernels, opts).run(&t);
                     format!(
                         "CP-ALS rank {rank}: fit {:.5} after {} iterations (converged: {})",
                         result.fit_history.last().unwrap_or(&0.0),
@@ -700,7 +621,7 @@ pub fn run(cmd: &str, args: &Args) -> Result<String, String> {
                 .collect();
             let fs: [&DenseMatrix; 3] = [&factors[0], &factors[1], &factors[2]];
             let cfg = KernelConfig {
-                grid: [4, 4, 2],
+                grid: clamp_grid([4, 4, 2], t.dims()),
                 strip_width: 16,
                 exec: ExecPolicy::checked(),
             };
@@ -711,7 +632,7 @@ pub fn run(cmd: &str, args: &Args) -> Result<String, String> {
             )];
             let mut failures = 0usize;
             for kind in KernelKind::ALL {
-                let k = build_kernel(kind, &t, 0, &cfg);
+                let k = try_build_kernel(kind, &t, 0, &cfg).map_err(|e| e.to_string())?;
                 let mut out = DenseMatrix::zeros(t.dims()[0], rank);
                 match k.mttkrp_checked(&fs, &mut out) {
                     Ok(()) => lines.push(format!(
@@ -1057,5 +978,31 @@ mod tests {
         dargs.flags.push(("method".into(), "magic".into()));
         assert!(run("decompose", &dargs).is_err());
         assert!(run("help", &Args::default()).unwrap().contains("USAGE"));
+        // `bench` has no file-less form: the flags of the removed quick
+        // suite get the usage error, not a silent no-op.
+        for raw in [&[][..], &["--json"], &["--compare", "x"]] {
+            let raw: Vec<String> = raw.iter().map(|s| s.to_string()).collect();
+            let err = run("bench", &Args::parse(&raw)).unwrap_err();
+            assert!(err.contains("missing <file>"), "{raw:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn default_grids_shrink_to_a_tensor_with_a_short_mode() {
+        // 3 x 9 x 9: shorter along mode 0 than the default grids' 4 blocks.
+        let tns = tmpfile("short_mode.tns");
+        std::fs::write(&tns, "1 1 1 1.0\n3 9 9 2.0\n2 5 4 3.0\n").unwrap();
+        let file = Args::parse(std::slice::from_ref(&tns));
+        let bench = run("bench", &file).unwrap();
+        assert!(bench.contains("grid 3x4x2"), "{bench}");
+        let check = run("check", &file).unwrap();
+        assert!(check.contains("MB+RankB"), "{check}");
+        let mut dargs = file.clone();
+        dargs.flags.push(("iters".into(), "2".into()));
+        let als = run("decompose", &dargs).unwrap();
+        assert!(als.contains("CP-ALS"), "{als}");
+        dargs.flags.push(("method".into(), "apr".into()));
+        let apr = run("decompose", &dargs).unwrap();
+        assert!(apr.contains("CP-APR"), "{apr}");
     }
 }
