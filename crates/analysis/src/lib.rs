@@ -21,6 +21,8 @@
 //!   selection driven by the cache simulator's predicted memory traffic
 //!   instead of wall-clock timing.
 
+#![forbid(unsafe_code)]
+
 /// Re-export of the observability crate: recorders, spans, and the
 /// [`obs::KernelCounters`] model the kernels report against (the same
 /// quantities [`roofline`] predicts).

@@ -9,6 +9,8 @@
 //! Run: `cargo run -p tenblock-bench --release --bin alpha_measure \
 //!        [--scale f] [--rank r] [--dataset poisson3]`
 
+#![forbid(unsafe_code)]
+
 use tenblock_analysis::roofline::RooflineInputs;
 use tenblock_analysis::trace::{trace_kernel, TraceKernel};
 use tenblock_analysis::CacheSim;

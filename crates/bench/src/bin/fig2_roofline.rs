@@ -3,6 +3,8 @@
 //!
 //! Run: `cargo run -p tenblock-bench --release --bin fig2_roofline`
 
+#![forbid(unsafe_code)]
+
 use tenblock_analysis::roofline::{fig2_series, MachineBalance, FIG2_RANKS};
 
 fn main() {

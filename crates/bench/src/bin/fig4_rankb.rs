@@ -4,6 +4,8 @@
 //!
 //! Run: `cargo run -p tenblock-bench --release --bin fig4_rankb [--scale f] [--rank r] [--reps n]`
 
+#![forbid(unsafe_code)]
+
 use tenblock_bench::{
     arg_reps, arg_scale, arg_seed, arg_value, bench_factors, gflops, scaled_dataset, time_kernel,
 };

@@ -5,6 +5,8 @@
 //!
 //! Run: `cargo run -p tenblock-bench --release --bin fig5_mb [--scale f] [--rank r] [--reps n]`
 
+#![forbid(unsafe_code)]
+
 use tenblock_bench::{
     arg_reps, arg_scale, arg_seed, arg_value, bench_factors, gflops, scaled_dataset, time_kernel,
 };

@@ -5,6 +5,8 @@
 //! Run: `cargo run -p tenblock-bench --release --bin fig6_speedup \
 //!        [--scale f] [--reps n] [--ranks 16,32,64,128,256]`
 
+#![forbid(unsafe_code)]
+
 use tenblock_bench::{
     arg_reps, arg_scale, arg_seed, arg_value, bench_factors, scaled_dataset, time_kernel,
     FIG6_DATASETS,

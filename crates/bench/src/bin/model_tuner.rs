@@ -8,6 +8,8 @@
 //!
 //! Run: `cargo run -p tenblock-bench --release --bin model_tuner [--scale f] [--rank r]`
 
+#![forbid(unsafe_code)]
+
 use tenblock_analysis::{tune_by_model, ModelTuneOptions};
 use tenblock_bench::{arg_scale, arg_seed, arg_value, bench_factors, scaled_dataset, time_kernel};
 use tenblock_core::block::BlockedKernel;

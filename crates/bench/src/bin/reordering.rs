@@ -10,6 +10,8 @@
 //!
 //! Run: `cargo run -p tenblock-bench --release --bin reordering [--scale f] [--rank r]`
 
+#![forbid(unsafe_code)]
+
 use tenblock_bench::{
     arg_reps, arg_scale, arg_seed, arg_value, bench_factors, scaled_dataset, time_kernel,
 };

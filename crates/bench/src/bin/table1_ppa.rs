@@ -6,6 +6,8 @@
 //!
 //! Run: `cargo run -p tenblock-bench --release --bin table1_ppa [--scale f] [--reps n] [--rank r]`
 
+#![forbid(unsafe_code)]
+
 use tenblock_analysis::run_ppa;
 use tenblock_bench::{arg_reps, arg_scale, arg_seed, arg_value};
 use tenblock_tensor::coo::MODE1_PERM;

@@ -5,6 +5,8 @@
 //!
 //! Run: `cargo run -p tenblock-bench --release --bin table2_datasets [--scale f]`
 
+#![forbid(unsafe_code)]
+
 use tenblock_bench::{arg_scale, arg_seed, scaled_dataset};
 use tenblock_tensor::gen::ALL_DATASETS;
 use tenblock_tensor::TensorStats;

@@ -6,6 +6,8 @@
 //! Run: `cargo run -p tenblock-bench --release --bin table3_distributed \
 //!        [--scale f] [--rank r] [--nodes 1,2,4,8,16,32,64]`
 
+#![forbid(unsafe_code)]
+
 use tenblock_bench::{arg_scale, arg_seed, arg_value, scaled_dataset};
 use tenblock_dist::{best_3d, best_4d, DistConfig, LocalKernel};
 use tenblock_tensor::gen::Dataset;

@@ -10,6 +10,8 @@
 //! analogues of Table II — see `tenblock_tensor::gen::Dataset`), and most
 //! accept `--reps <n>` for timing repetitions.
 
+#![forbid(unsafe_code)]
+
 use tenblock_core::timing::{time_reps, TimingStats};
 use tenblock_core::MttkrpKernel;
 use tenblock_tensor::gen::Dataset;

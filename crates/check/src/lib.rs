@@ -28,6 +28,8 @@
 //! `tenblock-core` can depend on it without a cycle: kernels translate
 //! their internal state into the plain-data vocabulary here.
 
+#![forbid(unsafe_code)]
+
 pub mod callgraph;
 pub mod items;
 pub mod lexer;

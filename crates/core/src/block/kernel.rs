@@ -11,7 +11,10 @@
 //! | `N_A x N_B x N_C` | width `w` | MB+RankB, Figure 3b | 16-wide registers |
 //!
 //! Without strips every fiber gathers `val * B[j]` into a heap accumulator
-//! and folds it into `A[i]` through `C[k]` (Algorithm 1). With strips the
+//! and folds it into `A[i]` through `C[k]` (Algorithm 1), prefetching the
+//! factor rows a few nonzeros ahead (the strip loop does not: on a grid a
+//! block's rows are already cache-resident, and prefetching them bought
+//! nothing — EXPERIMENTS.md "Hiding latency"). With strips the
 //! whole grid is traversed once per strip of `w` factor columns, and the
 //! accumulator becomes [`crate::mttkrp::REG_BLOCK`] registers, which
 //! removes the load-unit pressure of Section IV-B (type 3). Within one

@@ -48,6 +48,8 @@
 
 // Index loops are the clearer idiom for the numeric kernels here.
 #![allow(clippy::needless_range_loop)]
+// One `unsafe` block in the crate: `mttkrp::prefetch_row`, the only `allow`.
+#![deny(unsafe_code)]
 
 pub mod block;
 mod checked;

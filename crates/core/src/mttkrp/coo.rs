@@ -8,6 +8,7 @@
 
 use crate::exec::ExecPolicy;
 use crate::kernel::MttkrpKernel;
+use crate::mttkrp::{prefetch_row, AHEAD};
 use tenblock_check::{write_set_violations, RaceReport, WriteSet};
 use tenblock_obs::KernelCounters;
 use tenblock_tensor::coo::perm_for_mode;
@@ -95,7 +96,13 @@ impl MttkrpKernel for CooKernel {
             ));
         }
         out.fill_zero();
-        for &(i, j, k, v) in &self.entries {
+        for (n, &(i, j, k, v)) in self.entries.iter().enumerate() {
+            // The same look-ahead as `process_block_plain`, so the kernel
+            // table compares like with like.
+            if let Some(&(_, ja, ka, _)) = self.entries.get(n + AHEAD) {
+                prefetch_row(b.row(ja as usize));
+                prefetch_row(c.row(ka as usize));
+            }
             let brow = b.row(j as usize);
             let crow = c.row(k as usize);
             let orow = out.row_mut(i as usize);

@@ -16,6 +16,8 @@
 //! decides *what happens to an I/O operation*, and the callers own how
 //! to apply that decision to their file handles.
 
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;

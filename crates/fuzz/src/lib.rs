@@ -31,6 +31,8 @@
 //!
 //! [`CooTensor`]: tenblock_tensor::CooTensor
 
+#![forbid(unsafe_code)]
+
 pub mod diff;
 pub mod gen;
 pub mod rng;

@@ -19,6 +19,8 @@
 //! * [`TraceRecorder::to_span_tree_json`] — the nested span tree, for
 //!   programmatic inspection over the wire.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::ThreadId;

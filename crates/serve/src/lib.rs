@@ -18,6 +18,8 @@
 //! * [`json`] — the self-contained JSON value type used by all of the
 //!   above (the build is offline; no serde).
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 pub mod metrics;
 pub mod plan_cache;

@@ -24,6 +24,7 @@
 // Index-based loops are the clearer idiom for the numeric code in this
 // crate (triangular solves, coordinate walks); silence the style lint.
 #![allow(clippy::needless_range_loop)]
+#![forbid(unsafe_code)]
 
 pub mod bcoo;
 pub mod coo;

@@ -8,6 +8,8 @@
 //! queues, but the payloads moved through these channels (tensors, MTTKRP
 //! jobs, rank messages) are large enough that channel overhead is noise.
 
+#![forbid(unsafe_code)]
+
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;

@@ -10,6 +10,8 @@
 //! only. That trade keeps the shim ~300 lines while preserving the tests'
 //! power to find counterexamples.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::ops::{Range, RangeInclusive};
 

@@ -8,6 +8,8 @@
 //! shim promises API compatibility only; the byte streams differ from
 //! upstream `rand`.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Low-level source of random 64-bit words.

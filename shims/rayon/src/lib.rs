@@ -8,6 +8,8 @@
 //! hardware thread), so a simple shared-queue pull loop — no work stealing —
 //! recovers nearly all of rayon's benefit for these workloads.
 
+#![forbid(unsafe_code)]
+
 use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard};
 

@@ -25,6 +25,8 @@
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod cli;
 

@@ -1,5 +1,7 @@
 //! The `tenblock` command-line tool. See [`tenblock::cli::USAGE`].
 
+#![forbid(unsafe_code)]
+
 use tenblock::cli::{run, Args, USAGE};
 
 fn main() {

@@ -9,6 +9,11 @@
 //! leaves block rows of unequal height; `fixed(3)` splits rows into pieces
 //! that do not line up with the block rows.
 //!
+//! A second table, recorded at the commit before the unblocked loops gained
+//! look-ahead prefetch (PR 22), pins COO — sysbench's sweep oracle — at rank
+//! 37 and `splatt`/`mb` at rank 64, where a factor row is a whole number of
+//! cache lines (rank 37 never is).
+//!
 //! A change that *means* to alter summation order re-records the table
 //! from the failure messages, which print the new hash.
 
@@ -38,12 +43,32 @@ const GOLDEN: [(&str, usize, u64, u64); 6] = [
     ("powerlaw", 2, 0x3e83851e4d5f39d3, 0x2695c4d7c957d111),
 ];
 
+/// `(tensor, mode, hash)` of COO at rank 37, serial and `fixed(3)` alike.
+const GOLDEN_COO: [(&str, usize, u64); 6] = [
+    ("clustered", 0, 0xe98c62ce5dc2bb44),
+    ("clustered", 1, 0x62228d3a2e06fa0f),
+    ("clustered", 2, 0x15b63e7f0f34dd63),
+    ("powerlaw", 0, 0x6a82bd4ae94cf83d),
+    ("powerlaw", 1, 0xe65cec3da04999ac),
+    ("powerlaw", 2, 0x76195ecad1da6f69),
+];
+
+/// [`GOLDEN`]'s columns at rank 64, for `splatt` and `mb` only.
+const GOLDEN_RANK64: [(&str, usize, u64, u64); 6] = [
+    ("clustered", 0, 0xb2a26376fbdd2239, 0x38204370e1ccb45b),
+    ("clustered", 1, 0x600f8842341f86ad, 0xb45c09e2c6c5aeed),
+    ("clustered", 2, 0xb902aa7ca077900e, 0x727d88012c4eb2e2),
+    ("powerlaw", 0, 0x53b416247701f733, 0x3ead3ca9c1c9ce74),
+    ("powerlaw", 1, 0xa603687a4ea20d78, 0x095bde677d7a14b6),
+    ("powerlaw", 2, 0x37a77a8b48ea8022, 0xb0cb3b9696d21501),
+];
+
 /// Factors with full-width mantissas (integer hash → exact conversion, no
 /// libm), so a reordered sum changes the low bits of nearly every output.
-fn factors(dims: [usize; 3]) -> Vec<DenseMatrix> {
+fn factors(dims: [usize; 3], rank: usize) -> Vec<DenseMatrix> {
     (0..3)
         .map(|m| {
-            DenseMatrix::from_fn(dims[m], RANK, |r, c| {
+            DenseMatrix::from_fn(dims[m], rank, |r, c| {
                 let mut h = 0x6a09e667f3bcc908 ^ ((r as u64) << 32) ^ ((c as u64) << 8) ^ m as u64;
                 h ^= h >> 33;
                 h = h.wrapping_mul(0xff51afd7ed558ccd);
@@ -64,9 +89,8 @@ fn fnv1a(out: &DenseMatrix) -> u64 {
     h
 }
 
-#[test]
-fn fibered_kernels_reproduce_the_recorded_bits() {
-    let tensors: [(&str, CooTensor); 2] = [
+fn tensors() -> [(&'static str, CooTensor); 2] {
+    [
         (
             "clustered",
             clustered_tensor(&ClusteredConfig::new([70, 50, 40], 4_000), 20180521),
@@ -75,11 +99,37 @@ fn fibered_kernels_reproduce_the_recorded_bits() {
             "powerlaw",
             powerlaw_tensor(&PowerLawConfig::new([90, 45, 20], 4_000), 20180522),
         ),
-    ];
+    ]
+}
+
+/// Runs `kind` on `x` under serial and `fixed(3)` and holds both outputs to
+/// the recorded hash.
+fn assert_bits(tname: &str, x: &CooTensor, kind: KernelKind, mode: usize, rank: usize, want: u64) {
+    let fs_owned = factors(x.dims(), rank);
+    let fs = [&fs_owned[0], &fs_owned[1], &fs_owned[2]];
+    for exec in [ExecPolicy::serial(), ExecPolicy::fixed(3)] {
+        let threads = exec.threads;
+        let cfg = KernelConfig {
+            grid: [3, 2, 2],
+            strip_width: 16,
+            exec,
+        };
+        let k = build_kernel(kind, x, mode, &cfg);
+        let mut out = DenseMatrix::zeros(x.dims()[mode], rank);
+        k.mttkrp(&fs, &mut out);
+        let got = fnv1a(&out);
+        assert!(
+            got == want,
+            "{tname} {kind:?} mode {mode} rank {rank} {threads:?}: output bits hash to \
+             {got:#018x}, recorded {want:#018x}"
+        );
+    }
+}
+
+#[test]
+fn fibered_kernels_reproduce_the_recorded_bits() {
     let mut rows = GOLDEN.iter();
-    for (tname, x) in &tensors {
-        let fs_owned = factors(x.dims());
-        let fs = [&fs_owned[0], &fs_owned[1], &fs_owned[2]];
+    for (tname, x) in &tensors() {
         for mode in 0..3 {
             let &(gt, gm, unblocked, blocked) = rows.next().expect("one row per tensor and mode");
             assert_eq!((gt, gm), (*tname, mode), "table order");
@@ -88,24 +138,27 @@ fn fibered_kernels_reproduce_the_recorded_bits() {
                     KernelKind::Splatt | KernelKind::RankB => unblocked,
                     _ => blocked,
                 };
-                for exec in [ExecPolicy::serial(), ExecPolicy::fixed(3)] {
-                    let threads = exec.threads;
-                    let cfg = KernelConfig {
-                        grid: [3, 2, 2],
-                        strip_width: 16,
-                        exec,
-                    };
-                    let k = build_kernel(kind, x, mode, &cfg);
-                    let mut out = DenseMatrix::zeros(x.dims()[mode], RANK);
-                    k.mttkrp(&fs, &mut out);
-                    let got = fnv1a(&out);
-                    assert!(
-                        got == want,
-                        "{tname} {kind:?} mode {mode} {threads:?}: output bits hash to \
-                         {got:#018x}, recorded {want:#018x}"
-                    );
-                }
+                assert_bits(tname, x, kind, mode, RANK, want);
             }
+        }
+    }
+}
+
+#[test]
+fn unblocked_loops_reproduce_the_bits_recorded_before_look_ahead() {
+    let mut rows = GOLDEN_COO.iter().zip(&GOLDEN_RANK64);
+    for (tname, x) in &tensors() {
+        for mode in 0..3 {
+            let (&(ct, cm, coo), &(gt, gm, splatt, mb)) =
+                rows.next().expect("one row per tensor and mode");
+            assert_eq!(
+                (ct, cm, gt, gm),
+                (*tname, mode, *tname, mode),
+                "table order"
+            );
+            assert_bits(tname, x, KernelKind::Coo, mode, RANK, coo);
+            assert_bits(tname, x, KernelKind::Splatt, mode, 64, splatt);
+            assert_bits(tname, x, KernelKind::Mb, mode, 64, mb);
         }
     }
 }
