@@ -1,14 +1,15 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! 1. **Strip factor layout** (Section V-B's "small rearrangement of the
-//!    factor matrix") vs reading strips out of the plain row-major layout.
-//! 2. **Format**: the COO kernel vs the SPLATT kernel (the Section III-C
+//! 1. **Format**: the COO kernel vs the SPLATT kernel (the Section III-C
 //!    motivation for the fiber format).
-//! 3. **Parallelism**: rayon on/off for the baseline and blocked kernels.
+//! 2. **Parallelism**: rayon on/off for the baseline and blocked kernels.
 //!
-//! `results/ablations.txt` was recorded when a block-traversal-order
-//! section (`b`-major vs `c`-major, 1.02x) sat between 1 and 2; the knob
-//! measured within noise and is gone.
+//! `results/ablations.txt` was recorded when two more sections came first:
+//! a stacked strip factor layout (Section V-B's "small rearrangement of the
+//! factor matrix", one run at 1.06x over reading strips out of the plain
+//! row-major factors) and the block traversal order (`b`-major vs
+//! `c`-major, 1.02x). Neither knob was ever set by a default path, the
+//! tuner or a benchmark; both are gone, and that file stays their record.
 //!
 //! Run: `cargo run -p tenblock-bench --release --bin ablations [--scale f] [--rank r] [--reps n]`
 
@@ -17,7 +18,7 @@
 use tenblock_bench::{
     arg_reps, arg_scale, arg_seed, arg_value, bench_factors, scaled_dataset, time_kernel,
 };
-use tenblock_core::block::{BlockedKernel, RankbLayout};
+use tenblock_core::block::BlockedKernel;
 use tenblock_core::mttkrp::CooKernel;
 use tenblock_core::ExecPolicy;
 use tenblock_tensor::gen::Dataset;
@@ -47,15 +48,7 @@ fn main() {
         secs
     };
 
-    println!("\n[1] RankB factor layout (strip width 16):");
-    let plain = BlockedKernel::new(&x, 0, None, Some(16));
-    let strip = BlockedKernel::new(&x, 0, None, Some(16)).with_layout(RankbLayout::Strip);
-    let tp = time_kernel(&plain, &factors, &mut out, reps);
-    row("plain row-major reads", tp, None);
-    let ts = time_kernel(&strip, &factors, &mut out, reps);
-    row("stacked strip layout", ts, Some(tp));
-
-    println!("\n[2] Storage format (Section III-C):");
+    println!("\n[1] Storage format (Section III-C):");
     println!("  -- thin fibers (this NELL2 analogue, nnz/F ~= 1):");
     let coo = CooKernel::new(&x, 0);
     let splatt = BlockedKernel::new(&x, 0, None, None);
@@ -89,7 +82,7 @@ fn main() {
     }
 
     println!(
-        "\n[3] rayon parallelism ({} threads available):",
+        "\n[2] rayon parallelism ({} threads available):",
         rayon::current_num_threads()
     );
     let base_seq = BlockedKernel::new(&x, 0, None, None);

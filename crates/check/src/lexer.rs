@@ -6,14 +6,14 @@
 //! raw-string hashes `r##"..."##`, *nested* block comments — were handled
 //! slightly differently in each place. This module lexes a whole file
 //! once into a [`Token`] stream with line numbers, and every pass (the
-//! ported style rules, panic-reachability, lock-discipline, the kernel
-//! contract, index-overflow) consumes the same stream.
+//! ported style rules, panic-reachability, lock-discipline, index-overflow,
+//! atomic-persist) consumes the same stream.
 //!
 //! The lexer is deliberately smaller than rustc's: it does not
 //! distinguish keywords from identifiers (passes match on the ident
 //! text), merges only the multi-char operators the passes care about
-//! (`::`, `->`, `=>`, `..`), and keeps string-literal *content* (the
-//! kernel-contract pass matches obs span names like `"mttkrp/BCOO"`).
+//! (`::`, `->`, `=>`, `..`), and keeps string-literal *content*, so a
+//! pass can match on a literal.
 //! It never errors: unterminated literals lex to end-of-file, because a
 //! lint must degrade gracefully on code mid-edit.
 

@@ -20,9 +20,9 @@
 //!    shared token streams: the four line-rules ported from v1
 //!    (`no-unwrap`, `pub-fn-doc`, `no-lock-unwrap`, `pub-fn-doc`'s scope)
 //!    plus panic-reachability with call-chain witnesses, lock-discipline
-//!    (no I/O under a `sync.rs` guard, global lock order), kernel-contract
-//!    completeness over `KernelKind`, and index-overflow checking in the
-//!    tensor crate's block arithmetic.
+//!    (no I/O under a `sync.rs` guard, global lock order), index-overflow
+//!    checking in the tensor crate's block arithmetic, and atomic
+//!    publication of persisted files.
 //!
 //! The crate has no dependencies (not even on `tenblock-tensor`), so
 //! `tenblock-core` can depend on it without a cycle: kernels translate

@@ -16,15 +16,12 @@
 //! * `no-lock-unwrap` — no `lock().unwrap()` outside the shims; poison
 //!   recovery belongs in `sync.rs`.
 //! * `panic-reach` — declared boundary roots (ingest parsing, tile
-//!   store validation, kernel entries, the serve request loop) must not
+//!   store validation, the kernel launch, the serve request loop) must not
 //!   transitively reach a panic site; findings carry the witness chain.
 //!   Replaces v1's file-scoped `no-panic-ingest`.
 //! * `lock-discipline` — no file/socket I/O (direct or transitive)
 //!   while a `sync.rs` guard is live; lock order is registry →
 //!   scheduler → plan-cache.
-//! * `kernel-contract` — every `KernelKind` variant is registered in
-//!   `ALL`, named in `as_str`, dispatched in `build_validated`, and its
-//!   kernel ships a write-set derivation, an obs span, and a fuzz hook.
 //! * `index-overflow` — block-coordinate/tile-extent multiplies in
 //!   `crates/tensor` use `checked_mul` or carry a waiver.
 //! * `atomic-persist` — persistence modules publish durable files only
@@ -56,8 +53,6 @@ pub enum Rule {
     PanicReach,
     /// No I/O under a `sync.rs` guard; global lock order.
     LockDiscipline,
-    /// Every `KernelKind` variant fully wired.
-    KernelContract,
     /// Coordinate/extent multiplies in `crates/tensor` are checked.
     IndexOverflow,
     /// Durable artifacts are published via temp-file + rename only.
@@ -66,13 +61,12 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, in reporting order.
-    pub const ALL: [Rule; 8] = [
+    pub const ALL: [Rule; 7] = [
         Rule::NoUnwrap,
         Rule::PubFnDoc,
         Rule::NoLockUnwrap,
         Rule::PanicReach,
         Rule::LockDiscipline,
-        Rule::KernelContract,
         Rule::IndexOverflow,
         Rule::AtomicPersist,
     ];
@@ -86,7 +80,6 @@ impl Rule {
             Rule::NoLockUnwrap => "no-lock-unwrap",
             Rule::PanicReach => "panic-reach",
             Rule::LockDiscipline => "lock-discipline",
-            Rule::KernelContract => "kernel-contract",
             Rule::IndexOverflow => "index-overflow",
             Rule::AtomicPersist => "atomic-persist",
         }
@@ -234,7 +227,6 @@ pub fn lint_sources(sources: &[(String, String)]) -> LintReport {
     findings.extend(passes::line_rules::run(&ws));
     findings.extend(passes::panic_reach::run(&ws));
     findings.extend(passes::lock_discipline::run(&ws));
-    findings.extend(passes::kernel_contract::run(&ws));
     findings.extend(passes::index_overflow::run(&ws));
     findings.extend(passes::atomic_persist::run(&ws));
     findings.sort_by(|a, b| {

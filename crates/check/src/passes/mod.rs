@@ -13,9 +13,6 @@
 //!   boundary roots, with call-chain witnesses.
 //! - [`lock_discipline`] — no I/O while a `sync.rs` guard is live, and
 //!   the global lock-acquisition order.
-//! - [`kernel_contract`] — `KernelKind` completeness: dispatch arm,
-//!   `ALL` registration, `as_str` name, write-set derivation, obs span,
-//!   fuzz hook per variant.
 //! - [`index_overflow`] — unchecked multiplies in block-coordinate and
 //!   tile-extent arithmetic in `crates/tensor`.
 //! - [`atomic_persist`] — durable files in persistence modules are
@@ -23,7 +20,6 @@
 
 pub mod atomic_persist;
 pub mod index_overflow;
-pub mod kernel_contract;
 pub mod line_rules;
 pub mod lock_discipline;
 pub mod panic_reach;

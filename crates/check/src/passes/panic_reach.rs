@@ -11,11 +11,15 @@
 //!   `.expect()`, assertion macros, *and* explicit `[i]` indexing. A
 //!   malformed file must never abort the process, so even "impossible"
 //!   index arithmetic counts.
-//! - **Relaxed** (kernel entries and the serve request loop): panic
+//! - **Relaxed** (the kernel launch and the serve request loop): panic
 //!   macros and `.unwrap()`/`.expect()` only. Assertions there are
 //!   declared preconditions on in-memory structures the ingest layer
 //!   already validated, and indexing is the hot loop's job — the
 //!   dynamic write-set checker owns those bounds.
+//!
+//! Roots are named, not matched by shape, and a named root missing from
+//! its file is itself a finding: a renamed or deleted root must fail the
+//! pass rather than quietly stop checking everything below it.
 //!
 //! Functions whose body mentions `catch_unwind` are panic *boundaries*:
 //! nothing inside them propagates out (the serve worker catches job
@@ -54,9 +58,13 @@ const STRICT_ROOTS: &[(&str, &str)] = &[
     ("crates/tensor/src/tile_store.rs", "load_tile"),
 ];
 
-/// Relaxed-tier roots: the serve request handler (kernel `mttkrp`
-/// entries are matched by trait, not listed here).
-const RELAXED_ROOTS: &[(&str, &str)] = &[("crates/serve/src/proto.rs", "handle")];
+/// Relaxed-tier roots: the one MTTKRP launch every kernel runs through
+/// (task bodies are reached by their `run_task` calls) and the serve
+/// request handler.
+const RELAXED_ROOTS: &[(&str, &str)] = &[
+    ("crates/core/src/kernel.rs", "launch"),
+    ("crates/serve/src/proto.rs", "handle"),
+];
 
 /// The declared boundary roots present in this workspace.
 pub fn roots(ws: &Workspace) -> Vec<(FnId, Tier)> {
@@ -72,14 +80,33 @@ pub fn roots(ws: &Workspace) -> Vec<(FnId, Tier)> {
         };
         if listed(STRICT_ROOTS) {
             out.push((id, Tier::Strict));
-        } else if listed(RELAXED_ROOTS)
-            || (node.item.name == "mttkrp"
-                && node.item.trait_name.as_deref() == Some("MttkrpKernel"))
-        {
+        } else if listed(RELAXED_ROOTS) {
             out.push((id, Tier::Relaxed));
         }
     }
     out
+}
+
+/// One finding per declared root whose file is in the workspace but which
+/// that file no longer defines.
+fn missing_roots(ws: &Workspace) -> Vec<Finding> {
+    STRICT_ROOTS
+        .iter()
+        .chain(RELAXED_ROOTS)
+        .filter_map(|&(path, name)| {
+            let file = ws.files.iter().find(|f| f.path.ends_with(path))?;
+            let defined = file.items.iter().any(|it| it.name == name && !it.in_test);
+            (!defined).then(|| Finding {
+                rule: Rule::PanicReach,
+                file: file.path.clone(),
+                line: 1,
+                func: None,
+                excerpt: format!("declared root `{name}` is not defined here"),
+                chain: Vec::new(),
+                waived: false,
+            })
+        })
+        .collect()
 }
 
 /// Runs the pass: BFS from every root, reporting each reachable panic
@@ -172,7 +199,9 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
             }
         }
     }
-    reported.into_values().collect()
+    let mut findings = missing_roots(ws);
+    findings.extend(reported.into_values());
+    findings
 }
 
 /// Reconstructs the witness chain `root → … → containing fn → site`.
@@ -211,10 +240,23 @@ mod tests {
     use super::*;
     use crate::lint::test_util::ws;
 
+    /// `crates/tensor/src/io.rs` with `body` and the io root no test here
+    /// exercises, so only the test's own sites are findings.
+    fn io_rs(body: &str) -> (&'static str, String) {
+        (
+            "crates/tensor/src/io.rs",
+            format!("{body}\npub fn read_tns_file() {{}}"),
+        )
+    }
+
+    fn ws_of(files: &[(&'static str, String)]) -> Workspace {
+        let files: Vec<(&str, &str)> = files.iter().map(|(p, s)| (*p, s.as_str())).collect();
+        ws(&files)
+    }
+
     #[test]
     fn ingest_root_reaches_panicking_helper_with_witness() {
-        let w = ws(&[(
-            "crates/tensor/src/io.rs",
+        let w = ws_of(&[io_rs(
             "pub fn read_tns(text: &str) -> u32 { parse_line(text) }
              fn parse_line(t: &str) -> u32 { t.parse().unwrap() }",
         )]);
@@ -231,8 +273,7 @@ mod tests {
 
     #[test]
     fn strict_tier_counts_indexing_and_asserts() {
-        let w = ws(&[(
-            "crates/tensor/src/io.rs",
+        let w = ws_of(&[io_rs(
             "pub fn read_tns(v: &[u8]) -> u8 { assert!(!v.is_empty()); v[0] }",
         )]);
         let f = run(&w);
@@ -243,20 +284,56 @@ mod tests {
     #[test]
     fn relaxed_tier_ignores_asserts_and_indexing_but_not_unwrap() {
         let w = ws(&[(
-            "crates/core/src/coo.rs",
-            "pub struct CooKernel;
-             impl MttkrpKernel for CooKernel {
-                 fn mttkrp(&self, out: &mut [f64], o: Option<u32>) {
-                     assert_eq!(out.len(), 4);
-                     out[0] = 1.0;
-                     helper(o);
-                 }
+            "crates/core/src/kernel.rs",
+            "pub(crate) fn launch(out: &mut [f64], o: Option<u32>) {
+                 assert_eq!(out.len(), 4);
+                 out[0] = 1.0;
+                 helper(o);
              }
              fn helper(o: Option<u32>) { o.unwrap(); }",
         )]);
         let f = run(&w);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].func.as_deref(), Some("helper"));
+    }
+
+    /// Every kernel's body is reached from the one launch through its
+    /// `run_task` call, whichever kernel defines it.
+    #[test]
+    fn a_panic_in_a_task_body_is_reported_through_the_launch() {
+        let w = ws(&[
+            (
+                "crates/core/src/kernel.rs",
+                "pub(crate) fn launch<K: RowKernel>(k: &K) { try_launch(k); }
+                 fn try_launch<K: RowKernel>(k: &K) { k.run_task(); }",
+            ),
+            (
+                "crates/core/src/mttkrp/coo.rs",
+                "impl crate::kernel::RowKernel for CooKernel { fn run_task(&self) { body(None); } }
+                 fn body(o: Option<u32>) -> u32 { o.unwrap() }",
+            ),
+        ]);
+        let f = run(&w);
+        assert_eq!(f.len(), 1);
+        let hops: Vec<&str> = f[0].chain.iter().map(|h| h.func.as_str()).collect();
+        assert_eq!(
+            hops,
+            ["launch", "try_launch", "CooKernel::run_task", "body"]
+        );
+    }
+
+    #[test]
+    fn a_root_missing_from_its_file_is_a_finding() {
+        // The launch renamed: nothing below it would be checked any more.
+        let w = ws(&[(
+            "crates/core/src/kernel.rs",
+            "pub(crate) fn start(o: Option<u32>) -> u32 { o.unwrap() }",
+        )]);
+        let f = run(&w);
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].file, "crates/core/src/kernel.rs");
+        assert!(f[0].excerpt.contains("`launch`"), "{}", f[0].excerpt);
+        assert!(!f[0].waived);
     }
 
     #[test]
@@ -274,8 +351,7 @@ mod tests {
 
     #[test]
     fn waived_site_is_reported_but_waived() {
-        let w = ws(&[(
-            "crates/tensor/src/io.rs",
+        let w = ws_of(&[io_rs(
             "pub fn read_tns(o: Option<u32>) -> u32 {\n    o.unwrap() // invariant: checked by caller — lint: allow(panic-reach)\n}",
         )]);
         let f = run(&w);
@@ -285,8 +361,7 @@ mod tests {
 
     #[test]
     fn unreached_panics_are_not_findings() {
-        let w = ws(&[(
-            "crates/tensor/src/io.rs",
+        let w = ws_of(&[io_rs(
             "pub fn read_tns() -> u32 { 7 }
              pub fn unrelated(o: Option<u32>) -> u32 { o.unwrap() }",
         )]);

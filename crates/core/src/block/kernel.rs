@@ -27,52 +27,32 @@
 //! disjoint rows, so no synchronization is needed. With one block row the
 //! pieces are SPLATT's slice chunks.
 
-use super::{build_layout, split_rows_by_bounds, BlockGrid};
-use crate::checked::{effective_strip_plan, push_oracle, row_task_write_sets};
+use super::{build_layout, BlockGrid};
+use crate::checked::effective_strip_plan;
 use crate::exec::ExecPolicy;
-use crate::kernel::MttkrpKernel;
-use crate::mttkrp::{
-    process_block_plain, process_block_rankb, DenseWindow, RowWindow, StripWindow, REG_BLOCK,
-};
-use rayon::prelude::*;
+use crate::kernel::RowTask;
+use crate::mttkrp::{process_block_plain, process_block_rankb, DenseWindow};
 use std::ops::Range;
 use std::sync::Arc;
-use tenblock_check::{check_strip_plan, write_set_violations, RaceReport};
+use tenblock_check::OracleError;
 use tenblock_obs::KernelCounters;
-use tenblock_tensor::{CooTensor, DenseMatrix, SplattTensor, StripMatrix, NMODES};
+use tenblock_tensor::{CooTensor, DenseMatrix, SplattTensor, NMODES};
 
-/// Factor-matrix layout used by the rank-strip passes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RankbLayout {
-    /// Read strips directly out of the row-major factor matrices.
-    Plain,
-    /// Re-lay the factors out as stacked strips before the passes (the
-    /// paper's `(I*N_RankB) x BS_RankB` arrangement, Section V-B's "small
-    /// rearrangement of the factor matrix"), so each pass reads contiguous
-    /// memory.
-    Strip,
-}
+/// `name()`, by `[grid given][strips given]`.
+const LABELS: [[&str; 2]; 2] = [["SPLATT", "RankB"], ["MB", "MB+RankB"]];
 
-/// `name()` and obs span name, by `[grid given][strips given]`.
-const LABELS: [[(&str, &str); 2]; 2] = [
-    [("SPLATT", "mttkrp/SPLATT"), ("RankB", "mttkrp/RankB")],
-    [("MB", "mttkrp/MB"), ("MB+RankB", "mttkrp/MB+RankB")],
-];
-
-/// One parallel task: the output rows `rows`, a piece of slice-axis block
+/// What a task of the blocked kernel covers: a piece of slice-axis block
 /// row `band`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct RowTask {
-    /// The block row whose blocks this task reads.
+pub(crate) struct Piece {
+    /// The block row whose blocks the task reads.
     pub band: usize,
-    /// The output rows this task owns.
-    pub rows: Range<usize>,
-    /// Whether `rows` starts / ends where the block row does.
+    /// Whether the task's rows start / end where the block row does.
     first: bool,
     last: bool,
 }
 
-impl RowTask {
+impl RowTask<Piece> {
     /// The local slices of `t`, a block of row `band`, that this task
     /// processes: those whose global row lies in `rows` — except that the
     /// block row's first piece starts at the block's first slice and its
@@ -80,12 +60,12 @@ impl RowTask {
     /// row therefore still belongs to a task, where checked execution
     /// reports it; it is never filtered away by the lookup.
     pub fn slices(&self, t: &SplattTensor) -> Range<usize> {
-        let lo = if self.first {
+        let lo = if self.payload.first {
             0
         } else {
             t.slice_lower_bound(self.rows.start)
         };
-        let hi = if self.last {
+        let hi = if self.payload.last {
             t.n_slices()
         } else {
             t.slice_lower_bound(self.rows.end)
@@ -97,7 +77,7 @@ impl RowTask {
 /// The row partition of a launch: each block row `bounds0[a]..bounds0[a+1]`
 /// cut into pieces of at most `chunk` rows. An empty block row yields no
 /// task; the tasks' rows tile `bounds0[0]..bounds0[last]` in order.
-pub(crate) fn row_tasks(bounds0: &[usize], chunk: usize) -> Vec<RowTask> {
+pub(crate) fn row_tasks(bounds0: &[usize], chunk: usize) -> Vec<RowTask<Piece>> {
     assert!(chunk > 0, "chunk must be positive");
     let mut tasks = Vec::new();
     for (band, w) in bounds0.windows(2).enumerate() {
@@ -105,10 +85,12 @@ pub(crate) fn row_tasks(bounds0: &[usize], chunk: usize) -> Vec<RowTask> {
         while lo < w[1] {
             let hi = w[1].min(lo.saturating_add(chunk));
             tasks.push(RowTask {
-                band,
                 rows: lo..hi,
-                first: lo == w[0],
-                last: hi == w[1],
+                payload: Piece {
+                    band,
+                    first: lo == w[0],
+                    last: hi == w[1],
+                },
             });
             lo = hi;
         }
@@ -121,11 +103,11 @@ pub(crate) fn row_tasks(bounds0: &[usize], chunk: usize) -> Vec<RowTask> {
 /// grid is the cost, a kernel over an existing one is a few words.
 pub struct BlockedKernel {
     mode: usize,
+    dims: [usize; NMODES],
     grid: Arc<BlockGrid>,
     strip: Option<usize>,
-    layout: RankbLayout,
     exec: ExecPolicy,
-    label: (&'static str, &'static str),
+    label: &'static str,
 }
 
 impl BlockedKernel {
@@ -162,19 +144,12 @@ impl BlockedKernel {
         assert!(strip != Some(0), "strip width must be positive");
         BlockedKernel {
             mode: layout.perm()[0],
+            dims: layout.dims(),
             grid: layout,
             strip,
-            layout: RankbLayout::Plain,
             exec: ExecPolicy::serial(),
             label: LABELS[mb as usize][strip.is_some() as usize],
         }
-    }
-
-    /// Selects the factor layout for the strip passes (ignored without
-    /// strips).
-    pub fn with_layout(mut self, layout: RankbLayout) -> Self {
-        self.layout = layout;
-        self
     }
 
     /// Sets the execution policy (threading + recorder).
@@ -187,11 +162,38 @@ impl BlockedKernel {
     pub fn grid(&self) -> &BlockGrid {
         &self.grid
     }
+}
 
-    /// The row partition of a launch over `out_rows` output rows: one task
-    /// per block row when serial, pieces of the policy's chunk size when
-    /// parallel.
-    fn tasks(&self, out_rows: usize) -> Vec<RowTask> {
+impl crate::kernel::RowKernel for BlockedKernel {
+    type Payload = Piece;
+
+    fn name(&self) -> &'static str {
+        self.label
+    }
+
+    fn mode(&self) -> usize {
+        self.mode
+    }
+
+    fn dims(&self) -> &[usize] {
+        &self.dims
+    }
+
+    fn exec(&self) -> &ExecPolicy {
+        &self.exec
+    }
+
+    fn tensor_bytes(&self) -> usize {
+        self.grid.tensor_bytes()
+    }
+
+    fn strip(&self) -> Option<usize> {
+        self.strip
+    }
+
+    /// One task per block row when serial, pieces of the policy's chunk
+    /// size when parallel.
+    fn row_tasks(&self, out_rows: usize) -> Vec<RowTask<Piece>> {
         let chunk = if self.exec.is_parallel() {
             self.exec.chunk_size(out_rows)
         } else {
@@ -200,171 +202,64 @@ impl BlockedKernel {
         row_tasks(self.grid.bounds(0), chunk)
     }
 
-    /// The `(col0, width)` strips a launch at `rank` columns executes
-    /// (empty without strips).
-    fn strip_plan(&self, rank: usize) -> Vec<(usize, usize)> {
-        self.strip
-            .map_or_else(Vec::new, |w| effective_strip_plan(rank, w))
+    /// The global row of every slice the task processes, by
+    /// [`RowTask::slices`] — the same lookup the body uses. Compressed
+    /// blocks store true row ids, so this cross-checks the grid assignment
+    /// against the claim.
+    fn touched_rows(&self, task: &RowTask<Piece>) -> impl Iterator<Item = usize> {
+        self.grid
+            .row_blocks(task.payload.band)
+            .flat_map(move |t| task.slices(t).map(|s| t.slice_global(s)))
     }
 
-    /// Verifies what a launch would do: the grid oracle (bounds tile the
-    /// axes, every stored nonzero inside its block's box) when there is a
-    /// partition into blocks to check, the strip-plan oracle when there are
-    /// strips and, when parallel, the write sets of the row partition —
-    /// each task's claimed rows against the global rows of the slices it
-    /// will process.
-    fn verify(&self, out_rows: usize, rank: usize) -> Result<(), RaceReport> {
-        let mut violations = Vec::new();
-        if self.grid.grid() != [1, 1, 1] {
-            push_oracle(&mut violations, self.grid.validate());
+    /// The grid oracle (bounds tile the axes, every stored nonzero inside
+    /// its block's box), when there is a partition into blocks to check.
+    fn oracle(&self) -> Result<(), OracleError> {
+        if self.grid.grid() == [1, 1, 1] {
+            return Ok(());
         }
-        if self.strip.is_some() {
-            push_oracle(
-                &mut violations,
-                check_strip_plan(rank, &self.strip_plan(rank), REG_BLOCK),
-            );
-        }
-        if self.exec.is_parallel() {
-            let sets = row_task_write_sets(&self.grid, &self.tasks(out_rows));
-            violations.extend(write_set_violations(out_rows, &sets));
-        }
-        RaceReport::check(self.label.0, violations)
+        self.grid.validate()
     }
 
-    /// Section IV counters of one launch; fibers are summed over blocks
-    /// (the traversal the kernel actually performs).
+    /// Fibers are summed over blocks (the traversal the kernel actually
+    /// performs).
     fn counters(&self, rank: usize) -> KernelCounters {
         let fibers = self.grid.n_fibers();
+        let strips = effective_strip_plan(rank, self.strip.unwrap_or(usize::MAX));
         KernelCounters::fibered_model(self.grid.nnz() as u64, fibers as u64, rank as u64)
             .with_blocks(self.grid.n_nonempty() as u64)
-            .with_strips(self.strip_plan(rank).len().max(1) as u64)
+            .with_strips(strips.len().max(1) as u64)
     }
 
-    /// Runs `work(task, rows)` for every task with `rows` that task's rows
-    /// of `out`, in parallel under a parallel policy.
-    fn for_each_task(
+    /// Every block of the task's block row, through Algorithm 1's
+    /// accumulator loop or, with strips, the register loop over `cols`.
+    fn run_task(
         &self,
-        tasks: &[RowTask],
-        out: &mut DenseMatrix,
-        work: impl Fn(&RowTask, &mut [f64]) + Send + Sync,
+        task: &RowTask<Piece>,
+        factors: &[&DenseMatrix],
+        rows: &mut [f64],
+        rank: usize,
+        cols: Range<usize>,
     ) {
-        let rank = out.cols();
-        let bounds: Vec<usize> = std::iter::once(0)
-            .chain(tasks.iter().map(|task| task.rows.end))
-            .collect();
-        let pieces: Vec<_> = tasks
-            .iter()
-            .zip(split_rows_by_bounds(out.as_mut_slice(), &bounds, rank))
-            .collect();
-        if self.exec.is_parallel() {
-            pieces
-                .into_par_iter()
-                .for_each(|(task, (_, rows))| work(task, rows));
-        } else {
-            pieces
-                .into_iter()
-                .for_each(|(task, (_, rows))| work(task, rows));
-        }
-    }
-
-    /// One strip pass over the whole grid: columns `[col0, col0 + width)`.
-    fn strip_pass<B: RowWindow, C: RowWindow>(
-        &self,
-        tasks: &[RowTask],
-        b: &B,
-        c: &C,
-        out: &mut DenseMatrix,
-        col0: usize,
-        width: usize,
-    ) {
-        let rank = out.cols();
-        self.for_each_task(tasks, out, |task, rows| {
-            for t in self.grid.row_blocks(task.band) {
-                let row0 = task.rows.start;
-                process_block_rankb(t, b, c, task.slices(t), rows, row0, rank, col0, width);
-            }
-        });
-    }
-}
-
-impl MttkrpKernel for BlockedKernel {
-    fn mttkrp(&self, factors: &[&DenseMatrix; NMODES], out: &mut DenseMatrix) {
         let perm = self.grid.perm();
-        let b = factors[perm[1]];
-        let c = factors[perm[2]];
-        let rank = out.cols();
-        assert_eq!(
-            out.rows(),
-            self.grid.dims()[perm[0]],
-            "output rows != mode length"
-        );
-        assert_eq!(b.cols(), rank, "factor rank mismatch");
-        assert_eq!(c.cols(), rank, "factor rank mismatch");
-        if self.exec.is_checked() {
-            if let Err(report) = self.verify(out.rows(), rank) {
-                panic!("checked execution refused launch: {report}"); // deliberate fail-stop on a racy plan — lint: allow(panic-reach)
+        let (b, c) = (factors[perm[1]], factors[perm[2]]);
+        let row0 = task.rows.start;
+        let blocks = self.grid.row_blocks(task.payload.band);
+        if self.strip.is_none() {
+            let mut accum = vec![0.0; rank];
+            for t in blocks {
+                process_block_plain(t, b, c, task.slices(t), rows, row0, &mut accum);
             }
-        }
-        let span = self.exec.recorder.span(self.label.1);
-        if span.active() {
-            span.annotate_num("mode", self.mode as f64);
-            span.counters(&self.counters(rank));
-        }
-        out.fill_zero();
-
-        let tasks = self.tasks(out.rows());
-        let Some(strip) = self.strip else {
-            self.for_each_task(&tasks, out, |task, rows| {
-                let mut accum = vec![0.0; rank];
-                for t in self.grid.row_blocks(task.band) {
-                    let row0 = task.rows.start;
-                    process_block_plain(t, b, c, task.slices(t), rows, row0, &mut accum);
-                }
-            });
             return;
-        };
-        let stacked = (self.layout == RankbLayout::Strip).then(|| {
-            (
-                StripMatrix::from_dense(b, strip),
-                StripMatrix::from_dense(c, strip),
-            )
-        });
-        for (s, (col0, width)) in self.strip_plan(rank).into_iter().enumerate() {
-            match &stacked {
-                None => {
-                    let bw = DenseWindow::new(b, col0, width);
-                    let cw = DenseWindow::new(c, col0, width);
-                    self.strip_pass(&tasks, &bw, &cw, out, col0, width);
-                }
-                Some((bs, cs)) => {
-                    let bw = StripWindow::new(bs, s);
-                    let cw = StripWindow::new(cs, s);
-                    self.strip_pass(&tasks, &bw, &cw, out, col0, width);
-                }
-            }
         }
-    }
-
-    fn mttkrp_checked(
-        &self,
-        factors: &[&DenseMatrix; NMODES],
-        out: &mut DenseMatrix,
-    ) -> Result<(), RaceReport> {
-        self.verify(out.rows(), out.cols())?;
-        self.mttkrp(factors, out);
-        Ok(())
-    }
-
-    fn mode(&self) -> usize {
-        self.mode
-    }
-
-    fn name(&self) -> &'static str {
-        self.label.0
-    }
-
-    fn tensor_bytes(&self) -> usize {
-        self.grid.tensor_bytes()
+        let (col0, width) = (cols.start, cols.len());
+        let (bw, cw) = (
+            DenseWindow::new(b, col0, width),
+            DenseWindow::new(c, col0, width),
+        );
+        for t in blocks {
+            process_block_rankb(t, &bw, &cw, task.slices(t), rows, row0, rank, col0, width);
+        }
     }
 }
 
@@ -372,11 +267,11 @@ impl MttkrpKernel for BlockedKernel {
 mod tests {
     use super::*;
     use crate::exec::Threads;
+    use crate::kernel::MttkrpKernel;
     use crate::mttkrp::dense_mttkrp;
     use tenblock_obs::{Rec, TraceRecorder};
     use tenblock_tensor::gen::{clustered_tensor, uniform_tensor, ClusteredConfig};
 
-    const LAYOUTS: [RankbLayout; 2] = [RankbLayout::Plain, RankbLayout::Strip];
     const THREADS: [Threads; 4] = [
         Threads::Serial,
         Threads::Fixed(4),
@@ -396,21 +291,19 @@ mod tests {
             .collect()
     }
 
-    /// One launch at `(grid, strip, layout, threads)` into an output that
-    /// starts out as garbage: the kernel overwrites, it does not accumulate.
+    /// One launch at `(grid, strip, threads)` into an output that starts
+    /// out as garbage: the kernel overwrites, it does not accumulate.
     fn run(
         x: &CooTensor,
         mode: usize,
         factors: &[DenseMatrix],
-        (grid, strip, layout, threads): (Option<[usize; 3]>, Option<usize>, RankbLayout, Threads),
+        (grid, strip, threads): (Option<[usize; 3]>, Option<usize>, Threads),
     ) -> DenseMatrix {
         let exec = ExecPolicy {
             threads,
             ..ExecPolicy::default()
         };
-        let k = BlockedKernel::new(x, mode, grid, strip)
-            .with_layout(layout)
-            .with_exec(exec);
+        let k = BlockedKernel::new(x, mode, grid, strip).with_exec(exec);
         let fs: [&DenseMatrix; 3] = [&factors[0], &factors[1], &factors[2]];
         let mut out = DenseMatrix::from_fn(x.dims()[mode], factors[0].cols(), |_, _| 1234.5);
         k.mttkrp(&fs, &mut out);
@@ -445,7 +338,7 @@ mod tests {
                         grid.map(|g| std::array::from_fn(|ax| g[ax].min(x.dims()[perm[ax]])));
                     for strip in [None, Some(1), Some(5), Some(16), Some(100)] {
                         for threads in [Threads::Serial, Threads::Fixed(3)] {
-                            let setting = (grid, strip, RankbLayout::Plain, threads);
+                            let setting = (grid, strip, threads);
                             let out = run(x, mode, &factors, setting);
                             assert!(
                                 expect.approx_eq(&out, 1e-10),
@@ -459,34 +352,27 @@ mod tests {
         }
     }
 
-    /// For a fixed grid the strip width, the factor layout and the thread
-    /// policy change how the work is cut, never the order in which one
-    /// output element's terms are added.
+    /// For a fixed grid the strip width and the thread policy change how
+    /// the work is cut, never the order in which one output element's terms
+    /// are added.
     #[test]
-    fn strips_layouts_and_threads_never_change_the_bits() {
+    fn strips_and_threads_never_change_the_bits() {
         let x = clustered_tensor(&ClusteredConfig::new([120, 90, 60], 4_000), 8);
         let rank = 37;
         let factors = factors_for(&x, rank);
         for grid in [None, Some([1, 2, 2]), Some([4, 3, 2])] {
-            let want = run(
-                &x,
-                0,
-                &factors,
-                (grid, None, RankbLayout::Plain, Threads::Serial),
-            );
+            let want = run(&x, 0, &factors, (grid, None, Threads::Serial));
             for strip in [None, Some(1), Some(16), Some(17), Some(rank)] {
-                for layout in LAYOUTS {
-                    for threads in THREADS {
-                        let setting = (grid, strip, layout, threads);
-                        let got = run(&x, 0, &factors, setting);
-                        assert!(
-                            want.as_slice()
-                                .iter()
-                                .zip(got.as_slice())
-                                .all(|(a, b)| a.to_bits() == b.to_bits()),
-                            "{setting:?} differs from the serial accumulator loop"
-                        );
-                    }
+                for threads in THREADS {
+                    let setting = (grid, strip, threads);
+                    let got = run(&x, 0, &factors, setting);
+                    assert!(
+                        want.as_slice()
+                            .iter()
+                            .zip(got.as_slice())
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{setting:?} differs from the serial accumulator loop"
+                    );
                 }
             }
         }
@@ -497,7 +383,7 @@ mod tests {
         let rows = |bounds0: &[usize], chunk| -> Vec<(usize, Range<usize>)> {
             row_tasks(bounds0, chunk)
                 .into_iter()
-                .map(|t| (t.band, t.rows))
+                .map(|t| (t.payload.band, t.rows))
                 .collect()
         };
         assert_eq!(
@@ -516,7 +402,7 @@ mod tests {
     fn pieces_of_one_block_row_partition_each_blocks_slices() {
         let x = clustered_tensor(&ClusteredConfig::new([120, 90, 60], 4_000), 8);
         let k = BlockedKernel::new(&x, 0, Some([1, 2, 2]), None).with_exec(ExecPolicy::fixed(4));
-        let tasks = k.tasks(120);
+        let tasks = crate::kernel::RowKernel::row_tasks(&k, 120);
         assert_eq!(tasks.len(), 15); // 120 rows, 8 = ceil(120 / (4 workers * 4)) apiece
         for t in k.grid().row_blocks(0) {
             assert!(t.is_slice_compressed());

@@ -1,89 +1,52 @@
-//! Bridges from kernel internals to the `tenblock-check` vocabulary.
+//! What a launch verifies before any task runs, under
+//! [`crate::Threads::Checked`] or through
+//! [`crate::MttkrpKernel::mttkrp_checked`].
 //!
-//! Each kernel's checked path ([`crate::MttkrpKernel::mttkrp_checked`], or
-//! `mttkrp` under [`crate::Threads::Checked`]) declares the output-row
-//! footprint of every parallel task as a [`WriteSet`]: the contiguous range
-//! it *owns* (from the partition arithmetic) and the rows it will actually
-//! *touch* (from the tensor data — slice ids, block contents, root fids).
-//! The builders here mirror each kernel's partitioning formula exactly, so
+//! Every kernel declares its launch as row tasks, each owning a contiguous
+//! range of output rows, and says which rows each task's body will actually
+//! touch — read from the tensor data (slice ids, block contents, entry rows,
+//! root fids), independently of the partition arithmetic behind the claim.
+//! [`write_sets`] turns both halves into the `tenblock-check` vocabulary, so
 //! a drifted boundary in the real structures shows up as a write-set
 //! violation before any task runs.
 
-use crate::block::kernel::RowTask;
-use crate::block::BlockGrid;
-use tenblock_check::{Violation, WriteSet};
-use tenblock_tensor::{BcooTensor, CsfTensor};
+use crate::kernel::{RowKernel, RowTask};
+use crate::mttkrp::REG_BLOCK;
+use tenblock_check::{check_strip_plan, write_set_violations, RaceReport, Violation, WriteSet};
 
-/// Write sets for the blocked kernel's row partition: task `i` owns
-/// `tasks[i].rows` and touches the global row of every slice it will
-/// process in every block of its block row — [`RowTask::slices`], the same
-/// lookup the launch uses. Compressed blocks store true row ids, so this
-/// cross-checks the grid assignment against the claim; with one
-/// uncompressed block the touches are the claim itself (SPLATT's slice
-/// chunks).
-pub(crate) fn row_task_write_sets(grid: &BlockGrid, tasks: &[RowTask]) -> Vec<WriteSet> {
+/// Verifies a launch of `tasks` into `out_rows` rows at `rank` columns in
+/// `strips`: the kernel's oracle and the strip plan (as
+/// [`Violation::Invariant`]s, first), then the tasks' write sets.
+pub(crate) fn verify<K: RowKernel>(
+    k: &K,
+    tasks: &[RowTask<K::Payload>],
+    out_rows: usize,
+    rank: usize,
+    strips: &[(usize, usize)],
+) -> Result<(), RaceReport> {
+    let mut violations: Vec<Violation> = [k.oracle(), check_strip_plan(rank, strips, REG_BLOCK)]
+        .into_iter()
+        .filter_map(Result::err)
+        .map(|e| Violation::Invariant {
+            detail: e.to_string(),
+        })
+        .collect();
+    violations.extend(write_set_violations(out_rows, &write_sets(k, tasks)));
+    RaceReport::check(k.name(), violations)
+}
+
+/// The write sets of a launch: task `i` owns `tasks[i].rows` and touches
+/// [`RowKernel::touched_rows`].
+pub(crate) fn write_sets<K: RowKernel>(k: &K, tasks: &[RowTask<K::Payload>]) -> Vec<WriteSet> {
     tasks
         .iter()
         .enumerate()
-        .map(|(i, task)| {
-            let mut ws = WriteSet::new(i, task.rows.clone());
-            for t in grid.row_blocks(task.band) {
-                ws = ws.touch_all(task.slices(t).map(|s| t.slice_global(s)));
-            }
-            ws
-        })
+        .map(|(i, task)| WriteSet::new(i, task.rows.clone()).touch_all(k.touched_rows(task)))
         .collect()
 }
 
-/// Write sets for the BCOO kernel, parallel over slice-axis block rows:
-/// task `a` owns `bounds0[a]..bounds0[a+1]` and touches the global output
-/// row of every nonzero in every block of row `a`. Touches decode as
-/// `block origin + stored local offset` — independent of the bounds
-/// arithmetic — so a drifted boundary shows up as an overlap against the
-/// neighboring task's claim.
-pub(crate) fn bcoo_row_write_sets(t: &BcooTensor) -> Vec<WriteSet> {
-    let bounds0 = t.bounds(0);
-    let mut sets = Vec::new();
-    for (a, w) in bounds0.windows(2).enumerate() {
-        let mut ws = WriteSet::new(a, w[0]..w[1]);
-        for i in t.row_blocks(a) {
-            ws = ws.touch_all(t.block_slice_rows(i));
-        }
-        sets.push(ws);
-    }
-    sets
-}
-
-/// Write sets for the CSF strip pass, which splits the output buffer at the
-/// first root fid of each root chunk. The skip regions (rows with no root)
-/// are never written; they are folded into the preceding task's claim so
-/// the claims tile the output exactly as the buffer splits do.
-pub(crate) fn csf_root_write_sets(t: &CsfTensor, out_rows: usize, chunk: usize) -> Vec<WriteSet> {
-    let n_roots = t.n_nodes(0);
-    if n_roots == 0 {
-        return vec![WriteSet::new(0, 0..out_rows)];
-    }
-    let starts: Vec<usize> = (0..n_roots).step_by(chunk).collect();
-    let mut sets = Vec::new();
-    let mut prev_end = 0usize;
-    for (ci, &lo) in starts.iter().enumerate() {
-        let hi = (lo + chunk).min(n_roots);
-        let row_end = if ci + 1 < starts.len() {
-            t.fid(0, starts[ci + 1]) as usize
-        } else {
-            out_rows
-        };
-        sets.push(
-            WriteSet::new(ci, prev_end..row_end).touch_all((lo..hi).map(|r| t.fid(0, r) as usize)),
-        );
-        prev_end = row_end;
-    }
-    sets
-}
-
-/// The effective `(col0, width)` strip plan a rank-blocked kernel executes
-/// for `rank` columns at `strip_width` (a width of `usize::MAX` means a
-/// single full-rank strip, as in the unblocked CSF path).
+/// The `(col0, width)` strips a launch at `rank` columns executes at
+/// `strip_width` (`usize::MAX`: one full-rank strip; none at rank 0).
 pub(crate) fn effective_strip_plan(rank: usize, strip_width: usize) -> Vec<(usize, usize)> {
     let mut plan = Vec::new();
     let mut col0 = 0usize;
@@ -95,36 +58,35 @@ pub(crate) fn effective_strip_plan(rank: usize, strip_width: usize) -> Vec<(usiz
     plan
 }
 
-/// Folds an oracle failure into the violation list as an
-/// [`Violation::Invariant`].
-pub(crate) fn push_oracle(
-    violations: &mut Vec<Violation>,
-    result: Result<(), tenblock_check::OracleError>,
-) {
-    if let Err(e) = result {
-        violations.push(Violation::Invariant {
-            detail: e.to_string(),
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::kernel::row_tasks;
+    use crate::block::{BlockGrid, BlockedKernel};
+    use crate::exec::ExecPolicy;
+    use crate::mttkrp::CsfKernel;
+    use std::sync::Arc;
+    use tenblock_check::check_write_sets;
     use tenblock_tensor::gen::uniform_tensor;
-    use tenblock_tensor::NdCooTensor;
+    use tenblock_tensor::{CooTensor, NdCooTensor};
+
+    /// The write sets a launch of `k` into `out_rows` rows would check.
+    fn sets_of<K: RowKernel>(k: &K, out_rows: usize) -> Vec<WriteSet> {
+        write_sets(k, &k.row_tasks(out_rows))
+    }
 
     #[test]
-    fn row_tasks_tile_and_touch_identity_for_one_uncompressed_block() {
+    fn one_uncompressed_block_touches_exactly_its_claims() {
         let x = uniform_tensor([10, 6, 6], 100, 3);
-        let grid = BlockGrid::new(&x, 0, [1, 1, 1]);
-        let sets = row_task_write_sets(&grid, &row_tasks(grid.bounds(0), 4));
-        assert_eq!(sets.len(), 3);
-        assert_eq!(sets[0].owned, 0..4);
-        assert_eq!(sets[0].touched, vec![0, 1, 2, 3]);
-        assert_eq!(sets[2].owned, 8..10);
-        assert!(tenblock_check::check_write_sets("SPLATT", 10, &sets).is_ok());
+        // Three workers: 10 rows in pieces of ceil(10 / 12) = 1 row.
+        let k = BlockedKernel::new(&x, 0, None, None).with_exec(ExecPolicy::fixed(3));
+        let sets = sets_of(&k, 10);
+        assert_eq!(sets.len(), 10);
+        assert_eq!(sets[4].owned, 4..5);
+        // 100 nonzeros over 10 rows leave no row empty.
+        for set in &sets {
+            assert_eq!(set.touched, set.owned.clone().collect::<Vec<_>>());
+        }
+        assert!(check_write_sets("SPLATT", 10, &sets).is_ok());
     }
 
     #[test]
@@ -133,36 +95,54 @@ mod tests {
         // boundary moved to 5 its first piece still touches row 4, which
         // is now task 0's — whatever the piece height.
         let x = uniform_tensor([12, 8, 8], 500, 7);
-        let mut grid = BlockGrid::new(&x, 0, [3, 2, 2]);
-        assert_eq!(grid.bounds(0), [0, 4, 8, 12]);
-        for chunk in [1, 2, 12] {
-            let healthy = row_task_write_sets(&grid, &row_tasks(grid.bounds(0), chunk));
-            assert!(tenblock_check::check_write_sets("MB", 12, &healthy).is_ok());
+        let kernel = |shifted: bool, exec: &ExecPolicy| {
+            let mut grid = BlockGrid::new(&x, 0, [3, 2, 2]);
+            assert_eq!(grid.bounds(0), [0, 4, 8, 12]);
+            if shifted {
+                grid.shift_bound_for_test(0, 1, 1);
+            }
+            BlockedKernel::over(Arc::new(grid), true, None).with_exec(exec.clone())
+        };
+        let policies = [
+            ExecPolicy::serial(),
+            ExecPolicy::fixed(2),
+            ExecPolicy::fixed(12),
+        ];
+        for exec in &policies {
+            let healthy = sets_of(&kernel(false, exec), 12);
+            assert!(check_write_sets("MB", 12, &healthy).is_ok());
         }
-        grid.shift_bound_for_test(0, 1, 1);
-        for chunk in [1, 2, 12] {
-            let tasks = row_tasks(grid.bounds(0), chunk);
-            let first_of_band_1 = tasks.iter().position(|t| t.band == 1).unwrap();
-            let sets = row_task_write_sets(&grid, &tasks);
-            assert!(sets[first_of_band_1].touched.contains(&4), "chunk {chunk}");
-            let report = tenblock_check::check_write_sets("MB", 12, &sets).unwrap_err();
-            assert_eq!(report.overlapping_rows(), vec![4], "chunk {chunk}");
+        for exec in &policies {
+            let k = kernel(true, exec);
+            let tasks = k.row_tasks(12);
+            let first_of_band_1 = tasks.iter().position(|t| t.payload.band == 1).unwrap();
+            let sets = write_sets(&k, &tasks);
+            assert!(sets[first_of_band_1].touched.contains(&4), "{exec:?}");
+            let report = check_write_sets("MB", 12, &sets).unwrap_err();
+            assert_eq!(report.overlapping_rows(), vec![4], "{exec:?}");
         }
     }
 
     #[test]
     fn csf_roots_fold_skip_regions_into_claims() {
         // Rows 0 and 7 only: the claims must still tile 0..10.
-        let x = NdCooTensor::from_coo3(&tenblock_tensor::CooTensor::from_triples(
+        let x = NdCooTensor::from_coo3(&CooTensor::from_triples(
             [10, 3, 3],
             &[0, 7],
             &[1, 2],
             &[0, 1],
             &[1.0, 2.0],
         ));
-        let t = CsfTensor::for_mode(&x, 0);
-        let sets = csf_root_write_sets(&t, 10, 1);
-        assert!(tenblock_check::check_write_sets("CSF", 10, &sets).is_ok());
+        for exec in [ExecPolicy::serial(), ExecPolicy::fixed(2)] {
+            let sets = sets_of(&CsfKernel::new(&x, 0).with_exec(exec), 10);
+            assert!(check_write_sets("CSF", 10, &sets).is_ok());
+        }
+        let empty = NdCooTensor::from_coo3(&CooTensor::empty([10, 3, 3]));
+        let sets = sets_of(
+            &CsfKernel::new(&empty, 0).with_exec(ExecPolicy::fixed(2)),
+            10,
+        );
+        assert!(check_write_sets("CSF", 10, &sets).is_ok());
     }
 
     #[test]
@@ -170,7 +150,7 @@ mod tests {
         for (rank, width) in [(37, 16), (8, 16), (32, 1), (24, usize::MAX), (0, 16)] {
             let plan = effective_strip_plan(rank, width);
             assert!(
-                tenblock_check::check_strip_plan(rank, &plan, crate::mttkrp::REG_BLOCK).is_ok(),
+                check_strip_plan(rank, &plan, REG_BLOCK).is_ok(),
                 "rank {rank} width {width}"
             );
         }

@@ -1,11 +1,24 @@
-//! The [`MttkrpKernel`] trait and the kernel registry.
+//! The [`MttkrpKernel`] trait, the one launch every kernel runs through, and
+//! the kernel registry.
+//!
+//! A kernel is what is its own — its row tasks, the rows each task touches,
+//! its layout oracle, its counters, its name and a per-task body — written
+//! as a [`RowKernel`]. Everything else a launch does is [`launch`], once:
+//! check the factor shapes, verify under checked execution, open the
+//! `mttkrp/<name>` span, zero the output, and run every task once per rank
+//! strip, serially or in parallel over disjoint row pieces. Every
+//! [`RowKernel`] is an [`MttkrpKernel`] through that routine.
 
 use crate::block::{build_layout, BlockGrid, BlockedKernel};
+use crate::checked::{effective_strip_plan, verify};
 use crate::exec::ExecPolicy;
-use crate::mttkrp::{BcooKernel, CooKernel, Csf3Kernel};
+use crate::mttkrp::{BcooKernel, CooKernel, CsfKernel};
+use rayon::prelude::*;
+use std::ops::Range;
 use std::sync::Arc;
-use tenblock_check::RaceReport;
-use tenblock_tensor::{CooTensor, DenseMatrix, NMODES};
+use tenblock_check::{OracleError, RaceReport};
+use tenblock_obs::KernelCounters;
+use tenblock_tensor::{CooTensor, DenseMatrix, NdCooTensor, NMODES};
 
 /// A prepared MTTKRP kernel for one mode of one tensor.
 ///
@@ -17,29 +30,25 @@ pub trait MttkrpKernel: Send + Sync {
     /// Computes the mode-`m` MTTKRP: `out = X_(m) (⊙ of the other factors)`.
     ///
     /// `factors` are indexed by original mode; `factors[self.mode()]` is
-    /// ignored (it is the output slot). `out` must be
-    /// `dims[m] x R` where every factor has `R` columns.
+    /// ignored (it is the output slot). `out` must be `dims[m] x R` and
+    /// every other factor `dims[k] x R`.
+    ///
+    /// # Panics
+    /// Panics on any other shape, and — under [`crate::Threads::Checked`]
+    /// — with the [`RaceReport`] when verification refuses the launch.
     fn mttkrp(&self, factors: &[&DenseMatrix; NMODES], out: &mut DenseMatrix);
 
     /// Like [`MttkrpKernel::mttkrp`], but first verifies the kernel's
-    /// blocking invariants and the write sets of its parallel tasks
-    /// (claimed output-row ranges pairwise disjoint and jointly covering
-    /// the output, actual touches confined to the owning claim). On
-    /// violation, returns a structured [`RaceReport`] *without running any
-    /// task*; on success, computes exactly what `mttkrp` would.
-    ///
-    /// The default implementation performs no verification — kernels with
-    /// a parallel path override it. A kernel whose `exec` policy is
-    /// [`crate::Threads::Checked`] performs the same verification inside
-    /// `mttkrp` itself and panics with the report on violation.
+    /// layout invariants and the write sets of its tasks (claimed
+    /// output-row ranges pairwise disjoint and jointly covering the output,
+    /// actual touches confined to the owning claim), whatever the threading
+    /// policy. On violation, returns a structured [`RaceReport`] *without
+    /// running any task*; on success, computes exactly what `mttkrp` would.
     fn mttkrp_checked(
         &self,
         factors: &[&DenseMatrix; NMODES],
         out: &mut DenseMatrix,
-    ) -> Result<(), RaceReport> {
-        self.mttkrp(factors, out);
-        Ok(())
-    }
+    ) -> Result<(), RaceReport>;
 
     /// The mode this kernel computes.
     fn mode(&self) -> usize;
@@ -50,6 +59,164 @@ pub trait MttkrpKernel: Send + Sync {
     /// Bytes of tensor data this kernel's representation occupies
     /// (for memory/traffic reporting).
     fn tensor_bytes(&self) -> usize;
+}
+
+/// One task of a launch: the output rows it owns and what its body needs
+/// besides them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct RowTask<P> {
+    /// The output rows this task owns; a launch's tasks tile the output in
+    /// order.
+    pub rows: Range<usize>,
+    /// The kernel's own description of the task's work.
+    pub payload: P,
+}
+
+/// What a kernel contributes to [`launch`].
+pub(crate) trait RowKernel: Send + Sync {
+    /// Per-task payload (a block row, a root range, ...).
+    type Payload: Sync;
+
+    /// `name()` of the [`MttkrpKernel`]; the span is `mttkrp/<name>`.
+    fn name(&self) -> &'static str;
+    /// The output mode.
+    fn mode(&self) -> usize;
+    /// The tensor's dimensions, by original mode.
+    fn dims(&self) -> &[usize];
+    /// Threading policy and recorder.
+    fn exec(&self) -> &ExecPolicy;
+    /// Bytes of the kernel's tensor representation.
+    fn tensor_bytes(&self) -> usize;
+    /// Rank-strip width: every task runs once per strip of this many
+    /// columns, strips in order (`None`: one full-rank pass).
+    fn strip(&self) -> Option<usize> {
+        None
+    }
+    /// The tasks of a launch into `out_rows` output rows.
+    fn row_tasks(&self, out_rows: usize) -> Vec<RowTask<Self::Payload>>;
+    /// The global output rows `task`'s body writes, read from the tensor
+    /// data rather than from the partition arithmetic behind `task.rows`.
+    fn touched_rows(&self, task: &RowTask<Self::Payload>) -> impl Iterator<Item = usize>;
+    /// The layout invariant a checked launch verifies first.
+    fn oracle(&self) -> Result<(), OracleError> {
+        Ok(())
+    }
+    /// Section IV counters of one launch at `rank` columns.
+    fn counters(&self, rank: usize) -> KernelCounters;
+    /// Adds `task`'s contribution to columns `cols` of `rows`: the task's
+    /// output rows, `rank` wide.
+    fn run_task(
+        &self,
+        task: &RowTask<Self::Payload>,
+        factors: &[&DenseMatrix],
+        rows: &mut [f64],
+        rank: usize,
+        cols: Range<usize>,
+    );
+}
+
+impl<K: RowKernel> MttkrpKernel for K {
+    fn mttkrp(&self, factors: &[&DenseMatrix; NMODES], out: &mut DenseMatrix) {
+        launch(self, factors, out);
+    }
+
+    fn mttkrp_checked(
+        &self,
+        factors: &[&DenseMatrix; NMODES],
+        out: &mut DenseMatrix,
+    ) -> Result<(), RaceReport> {
+        try_launch(self, factors, out, true)
+    }
+
+    fn mode(&self) -> usize {
+        RowKernel::mode(self)
+    }
+
+    fn name(&self) -> &'static str {
+        RowKernel::name(self)
+    }
+
+    fn tensor_bytes(&self) -> usize {
+        RowKernel::tensor_bytes(self)
+    }
+}
+
+/// The MTTKRP launch of every kernel, for any number of modes: `factors`
+/// holds one matrix per mode.
+///
+/// # Panics
+/// As [`MttkrpKernel::mttkrp`].
+pub(crate) fn launch<K: RowKernel>(k: &K, factors: &[&DenseMatrix], out: &mut DenseMatrix) {
+    if let Err(report) = try_launch(k, factors, out, k.exec().is_checked()) {
+        panic!("checked execution refused launch: {report}"); // deliberate fail-stop on a racy plan — lint: allow(panic-reach)
+    }
+}
+
+/// [`launch`], verifying first when `checked`.
+fn try_launch<K: RowKernel>(
+    k: &K,
+    factors: &[&DenseMatrix],
+    out: &mut DenseMatrix,
+    checked: bool,
+) -> Result<(), RaceReport> {
+    let (mode, dims, rank) = (k.mode(), k.dims(), out.cols());
+    assert_eq!(factors.len(), dims.len(), "need one factor per mode");
+    assert_eq!(out.rows(), dims[mode], "output rows != mode length");
+    for (m, f) in factors.iter().enumerate() {
+        assert!(
+            m == mode || (f.rows(), f.cols()) == (dims[m], rank),
+            "factor {m} is {} x {}, mode {m} needs {} x {rank}",
+            f.rows(),
+            f.cols(),
+            dims[m]
+        );
+    }
+    let tasks = k.row_tasks(out.rows());
+    let strips = effective_strip_plan(rank, k.strip().unwrap_or(usize::MAX));
+    if checked {
+        verify(k, &tasks, out.rows(), rank, &strips)?;
+    }
+    let rec = &k.exec().recorder;
+    let _span = rec.enabled().then(|| {
+        let span = rec.span(&format!("mttkrp/{}", k.name()));
+        span.annotate_num("mode", mode as f64);
+        span.counters(&k.counters(rank));
+        span
+    });
+    out.fill_zero();
+
+    let parallel = k.exec().is_parallel() && tasks.len() > 1;
+    for (col0, width) in strips {
+        let pieces = pieces(out.as_mut_slice(), &tasks, rank);
+        let body = |(task, rows): (&RowTask<K::Payload>, &mut [f64])| {
+            k.run_task(task, factors, rows, rank, col0..col0 + width)
+        };
+        if parallel {
+            pieces.into_par_iter().for_each(body);
+        } else {
+            pieces.into_iter().for_each(body);
+        }
+    }
+    Ok(())
+}
+
+/// Pairs each task with its rows of a row-major buffer `rank` wide — the
+/// disjoint pieces that make handing tasks to rayon workers safe. A piece
+/// ends at its task's last row and starts where the previous one ended.
+fn pieces<'a, P>(
+    mut data: &'a mut [f64],
+    tasks: &'a [RowTask<P>],
+    rank: usize,
+) -> Vec<(&'a RowTask<P>, &'a mut [f64])> {
+    let mut start = 0;
+    let mut pieces = Vec::with_capacity(tasks.len());
+    for task in tasks {
+        let (head, tail) = std::mem::take(&mut data).split_at_mut((task.rows.end - start) * rank);
+        pieces.push((task, head));
+        data = tail;
+        start = task.rows.end;
+    }
+    pieces
 }
 
 /// Kernel families available in the registry.
@@ -115,8 +282,9 @@ impl KernelKind {
 pub struct KernelConfig {
     /// MB grid in kernel axes `[slice, j, k]`; `[1, 1, 1]` disables MB.
     pub grid: [usize; NMODES],
-    /// RankB strip width in columns; `0` means "whole rank" (disables
-    /// rank blocking).
+    /// Strip width in columns for the kinds with rank strips (`RankB`,
+    /// `MbRankB`, `Csf`, `Bcoo`); `0` means the default, 16 columns. The
+    /// other kinds ignore it.
     pub strip_width: usize,
     /// Threading policy and observability recorder.
     pub exec: ExecPolicy,
@@ -295,7 +463,7 @@ fn build_validated(
             Box::new(BlockedKernel::over(layout(grid), mb, strip).with_exec(exec))
         }
         KernelKind::Csf => Box::new(
-            Csf3Kernel::new(coo, mode)
+            CsfKernel::new(&NdCooTensor::from_coo3(coo), mode)
                 .with_strip_width(strip)
                 .with_exec(exec),
         ),
@@ -307,6 +475,19 @@ fn build_validated(
 mod tests {
     use super::*;
     use tenblock_tensor::gen::uniform_tensor;
+
+    #[test]
+    fn pieces_cover_the_output_disjointly() {
+        let task = |rows: Range<usize>| RowTask { rows, payload: () };
+        let tasks = [task(0..4), task(4..4), task(4..7), task(7..10)];
+        let mut data = vec![0.0; 10 * 3];
+        let lens: Vec<(Range<usize>, usize)> = pieces(&mut data, &tasks, 3)
+            .into_iter()
+            .map(|(t, rows)| (t.rows.clone(), rows.len()))
+            .collect();
+        // An empty task gets an empty piece.
+        assert_eq!(lens, [(0..4, 12), (4..4, 0), (4..7, 9), (7..10, 9)]);
+    }
 
     #[test]
     fn invalid_requests_get_typed_errors() {

@@ -15,7 +15,7 @@
 //! | `Mb` | V-A | [`block::BlockedKernel`] over an `N_A x N_B x N_C` grid |
 //! | `RankB` | V-B / Algorithm 2 | [`block::BlockedKernel`] with rank strips + register blocking |
 //! | `MbRankB` | V-B, Fig. 3b | [`block::BlockedKernel`] with both |
-//! | `Csf` | ref. [12] | [`mttkrp::Csf3Kernel`], compressed sparse fiber |
+//! | `Csf` | ref. [12] | [`mttkrp::CsfKernel`], compressed sparse fiber |
 //! | `Bcoo` | V-A as a layout | [`mttkrp::BcooKernel`], block-native coordinates |
 //!
 //! The paper's Algorithm 2 is one loop nest — rank strips ⊃ grid blocks ⊃

@@ -10,12 +10,10 @@
 //! parallel under rayon, exactly like the MB kernel.
 
 use super::micro::{process_block_bcoo, GatherBuf};
-use crate::block::split_rows_by_bounds;
-use crate::checked::{bcoo_row_write_sets, push_oracle};
 use crate::exec::ExecPolicy;
-use crate::kernel::MttkrpKernel;
-use rayon::prelude::*;
-use tenblock_check::{write_set_violations, GridBlock, RaceReport};
+use crate::kernel::RowTask;
+use std::ops::Range;
+use tenblock_check::{GridBlock, OracleError};
 use tenblock_obs::KernelCounters;
 use tenblock_tensor::bcoo::BcooOffsets;
 use tenblock_tensor::{BcooTensor, CooTensor, DenseMatrix, NMODES};
@@ -23,6 +21,7 @@ use tenblock_tensor::{BcooTensor, CooTensor, DenseMatrix, NMODES};
 /// BCOO kernel for one mode.
 pub struct BcooKernel {
     mode: usize,
+    dims: [usize; NMODES],
     t: BcooTensor,
     strip_width: usize,
     exec: ExecPolicy,
@@ -40,6 +39,7 @@ impl BcooKernel {
     pub fn from_tensor(t: BcooTensor, strip_width: usize) -> Self {
         BcooKernel {
             mode: t.perm()[0],
+            dims: t.dims(),
             t,
             strip_width: if strip_width == 0 {
                 usize::MAX
@@ -60,14 +60,59 @@ impl BcooKernel {
     pub fn tensor(&self) -> &BcooTensor {
         &self.t
     }
+}
 
-    /// Runs the grid-blocks oracle over the decoded block table: every
-    /// decoded entry inside its block's bounds box, blocks correctly
-    /// placed, nonzeros conserved.
-    fn validate_blocks(&self) -> Result<(), tenblock_check::OracleError> {
-        let dims = self.t.dims();
+impl crate::kernel::RowKernel for BcooKernel {
+    /// The slice-axis block row.
+    type Payload = usize;
+
+    fn name(&self) -> &'static str {
+        "BCOO"
+    }
+
+    fn mode(&self) -> usize {
+        self.mode
+    }
+
+    fn dims(&self) -> &[usize] {
+        &self.dims
+    }
+
+    fn exec(&self) -> &ExecPolicy {
+        &self.exec
+    }
+
+    fn tensor_bytes(&self) -> usize {
+        self.t.actual_bytes()
+    }
+
+    /// One task per slice-axis block row, which owns its bounds.
+    fn row_tasks(&self, _out_rows: usize) -> Vec<RowTask<usize>> {
+        let bounds0 = self.t.bounds(0).windows(2);
+        bounds0
+            .enumerate()
+            .map(|(a, w)| RowTask {
+                rows: w[0]..w[1],
+                payload: a,
+            })
+            .collect()
+    }
+
+    /// Block origin plus stored local offset for every nonzero of the
+    /// block row — independent of the bounds arithmetic, so a drifted
+    /// boundary shows up as an overlap against the neighboring claim.
+    fn touched_rows(&self, task: &RowTask<usize>) -> impl Iterator<Item = usize> {
+        self.t
+            .row_blocks(task.payload)
+            .flat_map(|i| self.t.block_slice_rows(i))
+    }
+
+    /// The grid-blocks oracle over the decoded block table: every decoded
+    /// entry inside its block's bounds box, blocks correctly placed,
+    /// nonzeros conserved.
+    fn oracle(&self) -> Result<(), OracleError> {
         let perm = self.t.perm();
-        let dims_kernel = [dims[perm[0]], dims[perm[1]], dims[perm[2]]];
+        let dims_kernel = perm.map(|m| self.dims[m]);
         let blocks: Vec<GridBlock> = (0..self.t.n_blocks())
             .map(|i| GridBlock {
                 coords: self.t.block(i).coords.map(|c| c as usize),
@@ -82,22 +127,9 @@ impl BcooKernel {
         )
     }
 
-    /// Verifies the block-table invariants (oracle) and, when parallel,
-    /// the block-row write sets: each slice-axis row's bounds-derived
-    /// claim against the rows its blocks actually decode to.
-    fn verify(&self, out_rows: usize) -> Result<(), RaceReport> {
-        let mut violations = Vec::new();
-        push_oracle(&mut violations, self.validate_blocks());
-        if self.exec.is_parallel() {
-            let sets = bcoo_row_write_sets(&self.t);
-            violations.extend(write_set_violations(out_rows, &sets));
-        }
-        RaceReport::check("BCOO", violations)
-    }
-
-    /// Section IV counters for this layout: fiber runs summed over blocks,
-    /// with the model's tensor-stream bytes replaced by the bytes the
-    /// block-native slab actually streams (the layout's whole point).
+    /// Fiber runs summed over blocks, with the model's tensor-stream bytes
+    /// replaced by the bytes the block-native slab actually streams (the
+    /// layout's whole point).
     fn counters(&self, rank: usize) -> KernelCounters {
         let strips = if rank == 0 {
             0
@@ -114,123 +146,80 @@ impl BcooKernel {
         counters.tensor_bytes = self.t.actual_bytes() as u64;
         counters
     }
-}
 
-impl MttkrpKernel for BcooKernel {
-    fn mttkrp(&self, factors: &[&DenseMatrix; NMODES], out: &mut DenseMatrix) {
-        let perm = self.t.perm();
-        let b = factors[perm[1]];
-        let c = factors[perm[2]];
-        let rank = out.cols();
-        assert_eq!(
-            out.rows(),
-            self.t.dims()[perm[0]],
-            "output rows != mode length"
-        );
-        assert_eq!(b.cols(), rank, "factor rank mismatch");
-        assert_eq!(c.cols(), rank, "factor rank mismatch");
-        if self.exec.is_checked() {
-            if let Err(report) = self.verify(out.rows()) {
-                panic!("checked execution refused launch: {report}"); // deliberate fail-stop on a racy plan — lint: allow(panic-reach)
-            }
-        }
-        let span = self.exec.recorder.span("mttkrp/BCOO");
-        if span.active() {
-            span.annotate_num("mode", self.mode as f64);
-            span.counters(&self.counters(rank));
-        }
-        out.fill_zero();
-
-        let bounds0 = self.t.bounds(0).to_vec();
-        let chunks = split_rows_by_bounds(out.as_mut_slice(), &bounds0, rank);
-        let work = |(a, (row0, rows)): (usize, (usize, &mut [f64]))| {
-            let mut scratch = GatherBuf::default();
-            for i in self.t.row_blocks(a) {
-                let blk = self.t.block(i);
-                let range = self.t.block_range(i);
-                let origin = blk.origin.map(|o| o as usize);
-                let spans = [
-                    self.t.block_span(i, 0),
-                    self.t.block_span(i, 1),
-                    self.t.block_span(i, 2),
-                ];
-                let vals = &self.t.vals()[range.clone()];
-                match self.t.offsets() {
-                    BcooOffsets::U8(o) => process_block_bcoo(
-                        &o[range],
-                        vals,
-                        b,
-                        c,
-                        origin,
-                        spans,
-                        rows,
-                        row0,
-                        rank,
-                        self.strip_width,
-                        &mut scratch,
-                    ),
-                    BcooOffsets::U16(o) => process_block_bcoo(
-                        &o[range],
-                        vals,
-                        b,
-                        c,
-                        origin,
-                        spans,
-                        rows,
-                        row0,
-                        rank,
-                        self.strip_width,
-                        &mut scratch,
-                    ),
-                    BcooOffsets::U32(o) => process_block_bcoo(
-                        &o[range],
-                        vals,
-                        b,
-                        c,
-                        origin,
-                        spans,
-                        rows,
-                        row0,
-                        rank,
-                        self.strip_width,
-                        &mut scratch,
-                    ),
-                }
-            }
-        };
-        if self.exec.is_parallel() {
-            chunks.into_par_iter().enumerate().for_each(work);
-        } else {
-            chunks.into_iter().enumerate().for_each(work);
-        }
-    }
-
-    fn mttkrp_checked(
+    /// Every block of the block row through the micro-kernel, which strips
+    /// the rank itself (one launch pass).
+    fn run_task(
         &self,
-        factors: &[&DenseMatrix; NMODES],
-        out: &mut DenseMatrix,
-    ) -> Result<(), RaceReport> {
-        self.verify(out.rows())?;
-        self.mttkrp(factors, out);
-        Ok(())
-    }
-
-    fn mode(&self) -> usize {
-        self.mode
-    }
-
-    fn name(&self) -> &'static str {
-        "BCOO"
-    }
-
-    fn tensor_bytes(&self) -> usize {
-        self.t.actual_bytes()
+        task: &RowTask<usize>,
+        factors: &[&DenseMatrix],
+        rows: &mut [f64],
+        rank: usize,
+        _cols: Range<usize>,
+    ) {
+        let perm = self.t.perm();
+        let (b, c) = (factors[perm[1]], factors[perm[2]]);
+        let row0 = task.rows.start;
+        let mut scratch = GatherBuf::default();
+        for i in self.t.row_blocks(task.payload) {
+            let blk = self.t.block(i);
+            let range = self.t.block_range(i);
+            let origin = blk.origin.map(|o| o as usize);
+            let spans = [
+                self.t.block_span(i, 0),
+                self.t.block_span(i, 1),
+                self.t.block_span(i, 2),
+            ];
+            let vals = &self.t.vals()[range.clone()];
+            match self.t.offsets() {
+                BcooOffsets::U8(o) => process_block_bcoo(
+                    &o[range],
+                    vals,
+                    b,
+                    c,
+                    origin,
+                    spans,
+                    rows,
+                    row0,
+                    rank,
+                    self.strip_width,
+                    &mut scratch,
+                ),
+                BcooOffsets::U16(o) => process_block_bcoo(
+                    &o[range],
+                    vals,
+                    b,
+                    c,
+                    origin,
+                    spans,
+                    rows,
+                    row0,
+                    rank,
+                    self.strip_width,
+                    &mut scratch,
+                ),
+                BcooOffsets::U32(o) => process_block_bcoo(
+                    &o[range],
+                    vals,
+                    b,
+                    c,
+                    origin,
+                    spans,
+                    rows,
+                    row0,
+                    rank,
+                    self.strip_width,
+                    &mut scratch,
+                ),
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::MttkrpKernel;
     use crate::mttkrp::dense_mttkrp;
     use tenblock_tensor::gen::{clustered_tensor, uniform_tensor, ClusteredConfig};
 
@@ -311,7 +300,7 @@ mod tests {
             x.actual_bytes()
         );
         // The recorded counters advertise the same reduced stream.
-        let counters = k.counters(16);
+        let counters = crate::kernel::RowKernel::counters(&k, 16);
         assert_eq!(counters.tensor_bytes as usize, k.tensor_bytes());
         assert!(counters.blocks as usize == k.tensor().n_blocks());
     }

@@ -7,9 +7,9 @@
 //! extra work Algorithm 1 saves.
 
 use crate::exec::ExecPolicy;
-use crate::kernel::MttkrpKernel;
+use crate::kernel::RowTask;
 use crate::mttkrp::{prefetch_row, AHEAD};
-use tenblock_check::{write_set_violations, RaceReport, WriteSet};
+use std::ops::Range;
 use tenblock_obs::KernelCounters;
 use tenblock_tensor::coo::perm_for_mode;
 use tenblock_tensor::fiber_sort::{fiber_key, FiberSorter};
@@ -54,48 +54,63 @@ impl CooKernel {
         }
     }
 
-    /// Sets the execution policy. The COO kernel has no parallel path; only
-    /// the recorder is used.
+    /// Sets the execution policy. The COO kernel is one task, so only the
+    /// recorder and checked execution apply.
     pub fn with_exec(mut self, exec: ExecPolicy) -> Self {
         self.exec = exec;
         self
     }
-
-    /// The COO kernel runs one serial task owning the whole output; the
-    /// check degenerates to a bounds check on the entry rows.
-    fn verify(&self, out_rows: usize) -> Result<(), RaceReport> {
-        let set = WriteSet::new(0, 0..out_rows)
-            .touch_all(self.entries.iter().map(|&(i, _, _, _)| i as usize));
-        RaceReport::check("COO", write_set_violations(out_rows, &[set]))
-    }
 }
 
-impl MttkrpKernel for CooKernel {
-    fn mttkrp(&self, factors: &[&DenseMatrix; NMODES], out: &mut DenseMatrix) {
-        let b = factors[self.perm[1]];
-        let c = factors[self.perm[2]];
-        let rank = out.cols();
-        assert_eq!(
-            out.rows(),
-            self.dims[self.perm[0]],
-            "output rows != mode length"
-        );
-        assert_eq!(b.cols(), rank, "factor rank mismatch");
-        assert_eq!(c.cols(), rank, "factor rank mismatch");
-        if self.exec.is_checked() {
-            if let Err(report) = self.verify(out.rows()) {
-                panic!("checked execution refused launch: {report}"); // deliberate fail-stop on a racy plan — lint: allow(panic-reach)
-            }
-        }
-        let span = self.exec.recorder.span("mttkrp/COO");
-        if span.active() {
-            span.annotate_num("mode", self.mode as f64);
-            span.counters(&KernelCounters::coo_model(
-                self.entries.len() as u64,
-                rank as u64,
-            ));
-        }
-        out.fill_zero();
+impl crate::kernel::RowKernel for CooKernel {
+    type Payload = ();
+
+    fn name(&self) -> &'static str {
+        "COO"
+    }
+
+    fn mode(&self) -> usize {
+        self.mode
+    }
+
+    fn dims(&self) -> &[usize] {
+        &self.dims
+    }
+
+    fn exec(&self) -> &ExecPolicy {
+        &self.exec
+    }
+
+    fn tensor_bytes(&self) -> usize {
+        self.entries.len() * std::mem::size_of::<(Idx, Idx, Idx, f64)>()
+    }
+
+    /// One serial task owning the whole output; checking it degenerates to
+    /// a bounds check on the entry rows.
+    fn row_tasks(&self, out_rows: usize) -> Vec<RowTask<()>> {
+        vec![RowTask {
+            rows: 0..out_rows,
+            payload: (),
+        }]
+    }
+
+    fn touched_rows(&self, _task: &RowTask<()>) -> impl Iterator<Item = usize> {
+        self.entries.iter().map(|&(i, _, _, _)| i as usize)
+    }
+
+    fn counters(&self, rank: usize) -> KernelCounters {
+        KernelCounters::coo_model(self.entries.len() as u64, rank as u64)
+    }
+
+    fn run_task(
+        &self,
+        _task: &RowTask<()>,
+        factors: &[&DenseMatrix],
+        rows: &mut [f64],
+        rank: usize,
+        _cols: Range<usize>,
+    ) {
+        let (b, c) = (factors[self.perm[1]], factors[self.perm[2]]);
         for (n, &(i, j, k, v)) in self.entries.iter().enumerate() {
             // The same look-ahead as `process_block_plain`, so the kernel
             // table compares like with like.
@@ -105,39 +120,18 @@ impl MttkrpKernel for CooKernel {
             }
             let brow = b.row(j as usize);
             let crow = c.row(k as usize);
-            let orow = out.row_mut(i as usize);
+            let orow = &mut rows[i as usize * rank..(i as usize + 1) * rank];
             for ((o, &bv), &cv) in orow.iter_mut().zip(brow).zip(crow) {
                 *o += v * bv * cv;
             }
         }
-    }
-
-    fn mttkrp_checked(
-        &self,
-        factors: &[&DenseMatrix; NMODES],
-        out: &mut DenseMatrix,
-    ) -> Result<(), RaceReport> {
-        self.verify(out.rows())?;
-        self.mttkrp(factors, out);
-        Ok(())
-    }
-
-    fn mode(&self) -> usize {
-        self.mode
-    }
-
-    fn name(&self) -> &'static str {
-        "COO"
-    }
-
-    fn tensor_bytes(&self) -> usize {
-        self.entries.len() * std::mem::size_of::<(Idx, Idx, Idx, f64)>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::MttkrpKernel;
     use crate::mttkrp::dense_mttkrp;
     use tenblock_tensor::gen::uniform_tensor;
 

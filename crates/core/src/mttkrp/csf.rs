@@ -8,17 +8,24 @@
 //! root row of the output accumulates the sums of its level-1 children —
 //! the order-N generalization of Algorithm 1's per-fiber factoring.
 
-use crate::checked::{csf_root_write_sets, effective_strip_plan, push_oracle};
 use crate::exec::ExecPolicy;
-use tenblock_check::{check_strip_plan, write_set_violations, RaceReport};
+use crate::kernel::{launch, RowTask};
+use std::ops::Range;
 use tenblock_obs::KernelCounters;
 use tenblock_tensor::{CsfTensor, DenseMatrix, NdCooTensor};
 
-/// N-mode MTTKRP kernel over CSF, producing the root-mode factor.
+/// N-mode MTTKRP kernel over CSF, producing the root-mode factor; its root
+/// mode is [`crate::MttkrpKernel::mode`].
+///
+/// Every `CsfKernel` implements [`crate::MttkrpKernel`], so CSF can be used
+/// anywhere the SPLATT-family kernels can (CPD, benches, the registry), but
+/// only three-mode trees may be used that way: the trait's `mttkrp` passes
+/// three factors, and the launch refuses any other order with "need one
+/// factor per mode". Higher orders go through [`CsfKernel::mttkrp`].
 pub struct CsfKernel {
     t: CsfTensor,
-    /// Rank-blocking strip width in columns (`usize::MAX` = single strip).
-    strip_width: usize,
+    /// Rank-blocking strip width in columns (`None` = one full-rank strip).
+    strip: Option<usize>,
     /// Threading policy and observability recorder. Root nodes own disjoint
     /// output rows, so parallel workers need no synchronization.
     exec: ExecPolicy,
@@ -27,18 +34,14 @@ pub struct CsfKernel {
 impl CsfKernel {
     /// Builds the CSF representation rooted at `mode`.
     pub fn new(x: &NdCooTensor, mode: usize) -> Self {
-        CsfKernel {
-            t: CsfTensor::for_mode(x, mode),
-            strip_width: usize::MAX,
-            exec: ExecPolicy::serial(),
-        }
+        Self::from_csf(CsfTensor::for_mode(x, mode))
     }
 
     /// Wraps an existing CSF tensor.
     pub fn from_csf(t: CsfTensor) -> Self {
         CsfKernel {
             t,
-            strip_width: usize::MAX,
+            strip: None,
             exec: ExecPolicy::serial(),
         }
     }
@@ -54,13 +57,8 @@ impl CsfKernel {
     /// per strip, shrinking every level's factor working set).
     pub fn with_strip_width(mut self, width: usize) -> Self {
         assert!(width > 0, "strip width must be positive");
-        self.strip_width = width;
+        self.strip = Some(width);
         self
-    }
-
-    /// The root (output) mode.
-    pub fn mode(&self) -> usize {
-        self.t.perm()[0]
     }
 
     /// The underlying CSF tensor.
@@ -68,135 +66,11 @@ impl CsfKernel {
         &self.t
     }
 
-    /// Verifies the strip plan and, when parallel, the root-chunk write
-    /// sets (each chunk's buffer split against the root fids it processes).
-    fn verify(&self, out_rows: usize, rank: usize) -> Result<(), RaceReport> {
-        let mut violations = Vec::new();
-        push_oracle(
-            &mut violations,
-            check_strip_plan(
-                rank,
-                &effective_strip_plan(rank, self.strip_width),
-                crate::mttkrp::REG_BLOCK,
-            ),
-        );
-        if self.exec.is_parallel() && self.t.nnz() > 0 {
-            let n_roots = self.t.n_nodes(0);
-            if n_roots > 0 {
-                let chunk = self.exec.chunk_size(n_roots);
-                let sets = csf_root_write_sets(&self.t, out_rows, chunk);
-                violations.extend(write_set_violations(out_rows, &sets));
-            }
-        }
-        RaceReport::check("CSF", violations)
-    }
-
     /// Computes the root-mode MTTKRP. `factors` are indexed by original
-    /// mode (the root slot is ignored); `out` must be
-    /// `dims[root] x R`.
+    /// mode (the root slot is ignored); `out` must be `dims[root] x R` and
+    /// every other factor `dims[m] x R`.
     pub fn mttkrp(&self, factors: &[&DenseMatrix], out: &mut DenseMatrix) {
-        let order = self.t.order();
-        assert_eq!(factors.len(), order, "need one factor per mode");
-        let rank = out.cols();
-        let root_mode = self.t.perm()[0];
-        assert_eq!(
-            out.rows(),
-            self.t.dims()[root_mode],
-            "output rows != root mode length"
-        );
-        for (m, f) in factors.iter().enumerate() {
-            if m != root_mode {
-                assert_eq!(f.cols(), rank, "factor {m} rank mismatch");
-                assert_eq!(f.rows(), self.t.dims()[m], "factor {m} row mismatch");
-            }
-        }
-        if self.exec.is_checked() {
-            if let Err(report) = self.verify(out.rows(), rank) {
-                panic!("checked execution refused launch: {report}"); // deliberate fail-stop on a racy plan — lint: allow(panic-reach)
-            }
-        }
-        let span = self.exec.recorder.span("mttkrp/CSF");
-        if span.active() {
-            // Parent-of-leaf nodes are the CSF generalization of SPLATT's
-            // fibers; root mode aside, 3-mode trees make this n_nodes(1).
-            let fibers = if order >= 2 {
-                self.t.n_nodes(order - 2)
-            } else {
-                self.t.nnz()
-            };
-            let strips = rank.div_ceil(self.strip_width.min(rank).max(1));
-            span.annotate_num("mode", root_mode as f64);
-            span.counters(
-                &KernelCounters::fibered_model(self.t.nnz() as u64, fibers as u64, rank as u64)
-                    .with_strips(strips as u64),
-            );
-        }
-        out.fill_zero();
-        if self.t.nnz() == 0 {
-            return;
-        }
-
-        // order-2 degenerates to SpMV-like: leaf level is level 1
-        let mut col0 = 0;
-        while col0 < rank {
-            let width = self.strip_width.min(rank - col0);
-            self.strip_pass(factors, out, col0, width);
-            col0 += width;
-        }
-    }
-
-    /// One rank-strip pass over the whole tree.
-    fn strip_pass(
-        &self,
-        factors: &[&DenseMatrix],
-        out: &mut DenseMatrix,
-        col0: usize,
-        width: usize,
-    ) {
-        let n_roots = self.t.n_nodes(0);
-        if n_roots == 0 {
-            return;
-        }
-        let rank = out.cols();
-        if !self.exec.is_parallel() {
-            self.process_roots(
-                0..n_roots,
-                factors,
-                out.as_mut_slice(),
-                0,
-                rank,
-                col0,
-                width,
-            );
-            return;
-        }
-        // Parallel: root fids are strictly increasing, so chunks of roots
-        // own disjoint, ascending output-row ranges — split the buffer at
-        // each chunk's first row.
-        use rayon::prelude::*;
-        let chunk = self.exec.chunk_size(n_roots);
-        let starts: Vec<usize> = (0..n_roots).step_by(chunk).collect();
-        let mut jobs: Vec<(std::ops::Range<usize>, usize, &mut [f64])> = Vec::new();
-        let mut buf = out.as_mut_slice();
-        let mut consumed = 0usize;
-        for (ci, &lo) in starts.iter().enumerate() {
-            let hi = (lo + chunk).min(n_roots);
-            let row0 = self.t.fid(0, lo) as usize;
-            let row_end = if ci + 1 < starts.len() {
-                self.t.fid(0, starts[ci + 1]) as usize
-            } else {
-                buf.len() / rank + consumed
-            };
-            let (skip, rest) = buf.split_at_mut((row0 - consumed) * rank);
-            let _ = skip;
-            let (mine, rest) = rest.split_at_mut((row_end - row0) * rank);
-            jobs.push((lo..hi, row0, mine));
-            buf = rest;
-            consumed = row_end;
-        }
-        jobs.into_par_iter().for_each(|(roots, row0, rows)| {
-            self.process_roots(roots, factors, rows, row0, rank, col0, width);
-        });
+        launch(self, factors, out);
     }
 
     /// Processes a contiguous range of root nodes, writing into `out_buf`
@@ -269,60 +143,98 @@ impl CsfKernel {
     }
 }
 
-/// Adapter exposing a 3-mode [`CsfKernel`] through the
-/// [`crate::kernel::MttkrpKernel`] trait, so CSF can be used anywhere the
-/// SPLATT-family kernels can (CPD, benches, the registry).
-pub struct Csf3Kernel {
-    inner: CsfKernel,
-}
-
-impl Csf3Kernel {
-    /// Builds the CSF representation of a 3-mode tensor rooted at `mode`.
-    pub fn new(coo: &tenblock_tensor::CooTensor, mode: usize) -> Self {
-        let nd = NdCooTensor::from_coo3(coo);
-        Csf3Kernel {
-            inner: CsfKernel::new(&nd, mode),
-        }
-    }
-
-    /// Enables rank blocking on the wrapped kernel.
-    pub fn with_strip_width(mut self, width: usize) -> Self {
-        self.inner = self.inner.with_strip_width(width);
-        self
-    }
-
-    /// Sets the execution policy on the wrapped kernel.
-    pub fn with_exec(mut self, exec: ExecPolicy) -> Self {
-        self.inner = self.inner.with_exec(exec);
-        self
-    }
-}
-
-impl crate::kernel::MttkrpKernel for Csf3Kernel {
-    fn mttkrp(&self, factors: &[&DenseMatrix; tenblock_tensor::NMODES], out: &mut DenseMatrix) {
-        self.inner.mttkrp(&factors[..], out);
-    }
-
-    fn mttkrp_checked(
-        &self,
-        factors: &[&DenseMatrix; tenblock_tensor::NMODES],
-        out: &mut DenseMatrix,
-    ) -> Result<(), RaceReport> {
-        self.inner.verify(out.rows(), out.cols())?;
-        self.inner.mttkrp(&factors[..], out);
-        Ok(())
-    }
-
-    fn mode(&self) -> usize {
-        self.inner.mode()
-    }
+impl crate::kernel::RowKernel for CsfKernel {
+    /// The root nodes of the task.
+    type Payload = Range<usize>;
 
     fn name(&self) -> &'static str {
         "CSF"
     }
 
+    fn mode(&self) -> usize {
+        self.t.perm()[0]
+    }
+
+    fn dims(&self) -> &[usize] {
+        self.t.dims()
+    }
+
+    fn exec(&self) -> &ExecPolicy {
+        &self.exec
+    }
+
     fn tensor_bytes(&self) -> usize {
-        self.inner.tensor().actual_bytes()
+        self.t.actual_bytes()
+    }
+
+    fn strip(&self) -> Option<usize> {
+        self.strip
+    }
+
+    /// Chunks of root nodes: all of them when serial, the policy's chunk
+    /// size when parallel. Root fids ascend, so each chunk's claim runs to
+    /// the next chunk's first row (the first from row 0): rows with no root
+    /// are never written and fold into the preceding claim.
+    fn row_tasks(&self, out_rows: usize) -> Vec<RowTask<Range<usize>>> {
+        let n_roots = self.t.n_nodes(0);
+        let chunk = if self.exec.is_parallel() {
+            self.exec.chunk_size(n_roots)
+        } else {
+            n_roots.max(1)
+        };
+        let mut tasks = Vec::new();
+        let mut start = 0;
+        for lo in (0..n_roots).step_by(chunk) {
+            let hi = (lo + chunk).min(n_roots);
+            let end = if hi < n_roots {
+                self.t.fid(0, hi) as usize
+            } else {
+                out_rows
+            };
+            tasks.push(RowTask {
+                rows: start..end,
+                payload: lo..hi,
+            });
+            start = end;
+        }
+        if tasks.is_empty() {
+            tasks.push(RowTask {
+                rows: 0..out_rows,
+                payload: 0..0,
+            });
+        }
+        tasks
+    }
+
+    fn touched_rows(&self, task: &RowTask<Range<usize>>) -> impl Iterator<Item = usize> {
+        task.payload.clone().map(|r| self.t.fid(0, r) as usize)
+    }
+
+    /// Parent-of-leaf nodes are the CSF generalization of SPLATT's fibers;
+    /// root mode aside, 3-mode trees make this `n_nodes(1)`.
+    fn counters(&self, rank: usize) -> KernelCounters {
+        let order = self.t.order();
+        let fibers = if order >= 2 {
+            self.t.n_nodes(order - 2)
+        } else {
+            self.t.nnz()
+        };
+        let width = self.strip.unwrap_or(usize::MAX);
+        let strips = rank.div_ceil(width.min(rank).max(1));
+        KernelCounters::fibered_model(self.t.nnz() as u64, fibers as u64, rank as u64)
+            .with_strips(strips as u64)
+    }
+
+    fn run_task(
+        &self,
+        task: &RowTask<Range<usize>>,
+        factors: &[&DenseMatrix],
+        rows: &mut [f64],
+        rank: usize,
+        cols: Range<usize>,
+    ) {
+        let (roots, row0) = (task.payload.clone(), task.rows.start);
+        self.process_roots(roots, factors, rows, row0, rank, cols.start, cols.len());
     }
 }
 

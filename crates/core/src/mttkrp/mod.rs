@@ -12,10 +12,10 @@ pub(crate) mod micro;
 pub use allmode::AllModeKernel;
 pub use bcoo::BcooKernel;
 pub use coo::CooKernel;
-pub use csf::{nd_mttkrp_reference, Csf3Kernel, CsfKernel};
+pub use csf::{nd_mttkrp_reference, CsfKernel};
 pub use dense_ref::dense_mttkrp;
 
-use tenblock_tensor::{DenseMatrix, SplattTensor, StripMatrix};
+use tenblock_tensor::{DenseMatrix, SplattTensor};
 
 /// Register-block width: 16 doubles = 128 bytes = one POWER8 cache line,
 /// the paper's `N_RegB = 16` (Algorithm 2).
@@ -29,18 +29,17 @@ pub const REG_BLOCK: usize = 16;
 #[inline(always)]
 pub(crate) fn reg_chunk(row: &[f64], col: usize) -> &[f64; REG_BLOCK] {
     // Infallible: the slice is exactly REG_BLOCK long, and the hot loops
-    // must stay branch-free. Re-audited by the panic-reach pass (PR 8):
-    // every witnessed chain (BlockedKernel/Csf3Kernel::mttkrp → … →
-    // reg_chunk) reaches this site through a
+    // must stay branch-free. Re-audited by the panic-reach pass: every
+    // witnessed chain (launch → … → reg_chunk) reaches this site through a
     // `while col + REG_BLOCK <= width` guard over a width-long window.
     row[col..col + REG_BLOCK].try_into().unwrap() // lint: allow(no-unwrap, panic-reach)
 }
 
 /// A read-only view of one column window of a factor matrix, by row.
 ///
-/// Implementations exist for a column slice of a [`DenseMatrix`] and for a
-/// strip of a [`StripMatrix`], so the register-blocked inner loop is
-/// monomorphized for both layouts.
+/// Implementations exist for a column slice of a [`DenseMatrix`] and, in
+/// the BCOO micro-kernel, for gathered and origin-shifted sub-matrices, so
+/// the register-blocked inner loop is monomorphized for each.
 pub trait RowWindow: Sync {
     /// The window of row `r`; length is the window width for every row.
     fn window(&self, r: usize) -> &[f64];
@@ -66,28 +65,6 @@ impl RowWindow for DenseWindow<'_> {
     #[inline]
     fn window(&self, r: usize) -> &[f64] {
         &self.m.row(r)[self.col0..self.col0 + self.width]
-    }
-}
-
-/// One strip of a [`StripMatrix`] (rows are contiguous in memory).
-#[derive(Clone, Copy)]
-pub struct StripWindow<'m> {
-    m: &'m StripMatrix,
-    strip: usize,
-}
-
-impl<'m> StripWindow<'m> {
-    /// Creates a view of strip `strip`.
-    pub fn new(m: &'m StripMatrix, strip: usize) -> Self {
-        assert!(strip < m.n_strips(), "strip out of range");
-        StripWindow { m, strip }
-    }
-}
-
-impl RowWindow for StripWindow<'_> {
-    #[inline]
-    fn window(&self, r: usize) -> &[f64] {
-        self.m.strip_row(self.strip, r)
     }
 }
 
@@ -546,19 +523,6 @@ mod tests {
 
         for (p, r) in out_plain.iter().zip(&out_rb) {
             assert!((p - r).abs() < 1e-9, "{p} vs {r}");
-        }
-    }
-
-    #[test]
-    fn strip_window_matches_dense_window() {
-        let m = DenseMatrix::from_fn(5, 20, |r, c| (r * 100 + c) as f64);
-        let s = StripMatrix::from_dense(&m, 8);
-        for strip in 0..s.n_strips() {
-            let dw = DenseWindow::new(&m, s.col_begin(strip), s.width_of(strip));
-            let sw = StripWindow::new(&s, strip);
-            for r in 0..5 {
-                assert_eq!(dw.window(r), sw.window(r));
-            }
         }
     }
 }

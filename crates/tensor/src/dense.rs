@@ -1,10 +1,7 @@
 //! Dense factor matrices.
 //!
-//! [`DenseMatrix`] is the ordinary row-major layout used by the baseline
-//! SPLATT kernel. [`StripMatrix`] is the rank-strip layout of Section V-B:
-//! the factor matrix is cut into `n_strips` column strips which are stacked
-//! vertically, making accesses within one rank block fully sequential (an
-//! `(I * n_strips) x strip_width` matrix in the paper's description).
+//! [`DenseMatrix`] is the row-major layout every kernel reads; the rank
+//! strips of Section V-B are column windows of it.
 
 use std::fmt;
 
@@ -160,110 +157,6 @@ impl fmt::Debug for DenseMatrix {
     }
 }
 
-/// The rank-strip factor layout of Section V-B.
-///
-/// The matrix's `cols` columns are divided into strips of `strip_width`
-/// columns (the last strip may be narrower). Strip `s` is stored as its own
-/// contiguous row-major block, and the blocks are stacked: the paper's
-/// "(I * N_RankB) x BS_RankB matrix". Accessing rows of one strip touches a
-/// contiguous region, which keeps the hardware prefetcher effective and
-/// reduces page misses.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StripMatrix {
-    rows: usize,
-    cols: usize,
-    strip_width: usize,
-    /// Byte offsets of each strip block inside `data` (in f64 elements),
-    /// plus a final end offset.
-    strip_off: Vec<usize>,
-    data: Vec<f64>,
-}
-
-impl StripMatrix {
-    /// Re-lays out `m` into strips of `strip_width` columns.
-    ///
-    /// # Panics
-    /// Panics if `strip_width == 0`.
-    pub fn from_dense(m: &DenseMatrix, strip_width: usize) -> Self {
-        assert!(strip_width > 0, "strip width must be positive");
-        let rows = m.rows();
-        let cols = m.cols();
-        let n_strips = cols.div_ceil(strip_width);
-        let mut data = Vec::with_capacity(rows * cols);
-        let mut strip_off = Vec::with_capacity(n_strips + 1);
-        for s in 0..n_strips {
-            strip_off.push(data.len());
-            let c0 = s * strip_width;
-            let c1 = cols.min(c0 + strip_width);
-            for r in 0..rows {
-                data.extend_from_slice(&m.row(r)[c0..c1]);
-            }
-        }
-        strip_off.push(data.len());
-        StripMatrix {
-            rows,
-            cols,
-            strip_width,
-            strip_off,
-            data,
-        }
-    }
-
-    /// Number of logical rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of logical columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Number of strips.
-    pub fn n_strips(&self) -> usize {
-        self.strip_off.len() - 1
-    }
-
-    /// Configured strip width (last strip may be narrower).
-    pub fn strip_width(&self) -> usize {
-        self.strip_width
-    }
-
-    /// Width of strip `s`.
-    #[inline]
-    pub fn width_of(&self, s: usize) -> usize {
-        let c0 = s * self.strip_width;
-        (self.cols - c0).min(self.strip_width)
-    }
-
-    /// First column covered by strip `s`.
-    #[inline]
-    pub fn col_begin(&self, s: usize) -> usize {
-        s * self.strip_width
-    }
-
-    /// Row `r` of strip `s` as a contiguous slice of `width_of(s)` values.
-    #[inline]
-    pub fn strip_row(&self, s: usize, r: usize) -> &[f64] {
-        let w = self.width_of(s);
-        let base = self.strip_off[s] + r * w;
-        &self.data[base..base + w]
-    }
-
-    /// Converts back to the ordinary row-major layout.
-    pub fn to_dense(&self) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(self.rows, self.cols);
-        for s in 0..self.n_strips() {
-            let c0 = self.col_begin(s);
-            let w = self.width_of(s);
-            for r in 0..self.rows {
-                out.row_mut(r)[c0..c0 + w].copy_from_slice(self.strip_row(s, r));
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,35 +198,5 @@ mod tests {
         assert!(a.approx_eq(&b, 1e-8));
         assert!(!a.approx_eq(&b, 1e-12));
         assert!(a.max_abs_diff(&b) > 0.0);
-    }
-
-    #[test]
-    fn strip_roundtrip_exact_division() {
-        let m = DenseMatrix::from_fn(4, 8, |r, c| (r * 100 + c) as f64);
-        let s = StripMatrix::from_dense(&m, 4);
-        assert_eq!(s.n_strips(), 2);
-        assert_eq!(s.width_of(0), 4);
-        assert_eq!(s.width_of(1), 4);
-        assert_eq!(s.to_dense(), m);
-        assert_eq!(s.strip_row(1, 2), &[204.0, 205.0, 206.0, 207.0]);
-    }
-
-    #[test]
-    fn strip_roundtrip_ragged() {
-        let m = DenseMatrix::from_fn(3, 10, |r, c| (r * 100 + c) as f64);
-        let s = StripMatrix::from_dense(&m, 4);
-        assert_eq!(s.n_strips(), 3);
-        assert_eq!(s.width_of(2), 2);
-        assert_eq!(s.col_begin(2), 8);
-        assert_eq!(s.to_dense(), m);
-    }
-
-    #[test]
-    fn strip_wider_than_matrix() {
-        let m = DenseMatrix::from_fn(2, 3, |r, c| (r + c) as f64);
-        let s = StripMatrix::from_dense(&m, 16);
-        assert_eq!(s.n_strips(), 1);
-        assert_eq!(s.width_of(0), 3);
-        assert_eq!(s.to_dense(), m);
     }
 }

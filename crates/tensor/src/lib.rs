@@ -10,8 +10,7 @@
 //! * [`BcooTensor`] — block-native coordinate storage: a table of nonempty
 //!   blocks, each a mini-tensor of byte-wide local offsets (Section V-A as
 //!   a data layout rather than an iteration order),
-//! * [`DenseMatrix`] / [`StripMatrix`] — row-major factor matrices and the
-//!   rank-strip layout used by rank blocking (Section V-B),
+//! * [`DenseMatrix`] — row-major factor matrices,
 //! * [`io`] — FROSTT `.tns` reading/writing,
 //! * [`gen`] — the synthetic Poisson / clustered / uniform generators used to
 //!   stand in for the paper's data sets (Table II),
@@ -46,7 +45,7 @@ pub mod validate;
 pub use bcoo::BcooTensor;
 pub use coo::{CooTensor, Entry, TensorError};
 pub use csf::CsfTensor;
-pub use dense::{DenseMatrix, StripMatrix};
+pub use dense::DenseMatrix;
 pub use fiber_sort::{FiberCols, FiberSorter};
 pub use nd::NdCooTensor;
 pub use persist::{atomic_write, atomic_write_with, AtomicFile};

@@ -1,6 +1,5 @@
 //! Offline shim for the `rayon` crate, covering the API subset this
-//! workspace uses: `into_par_iter().for_each`, `.enumerate().for_each`,
-//! `par_chunks_mut`, and [`current_num_threads`].
+//! workspace uses: `into_par_iter().for_each` and [`current_num_threads`].
 //!
 //! Unlike a sequential stub, this shim delivers real parallelism: items are
 //! pulled from a shared queue by `std::thread::scope` workers. The kernels
@@ -28,9 +27,7 @@ pub fn current_num_threads() -> usize {
 /// can re-raise the original. Recovering the guard lets the surviving
 /// workers drain (or observe an empty) queue and park at the scope join, so
 /// the caller sees the original panic, not a pile-up.
-fn lock_queue<'a, T>(
-    queue: &'a Mutex<VecDeque<(usize, T)>>,
-) -> MutexGuard<'a, VecDeque<(usize, T)>> {
+fn lock_queue<T>(queue: &Mutex<VecDeque<T>>) -> MutexGuard<'_, VecDeque<T>> {
     queue
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -38,42 +35,25 @@ fn lock_queue<'a, T>(
 
 /// Runs `f` over `items` on up to [`current_num_threads`] scoped threads.
 /// Panics in workers propagate to the caller when the scope joins.
-fn drive<T: Send, F: Fn(usize, T) + Sync>(items: Vec<T>, f: F) {
+fn drive<T: Send, F: Fn(T) + Sync>(items: Vec<T>, f: F) {
     let threads = current_num_threads().min(items.len());
     if threads <= 1 {
-        for (i, item) in items.into_iter().enumerate() {
-            f(i, item);
-        }
+        items.into_iter().for_each(f);
         return;
     }
-    let queue: Mutex<VecDeque<(usize, T)>> = Mutex::new(items.into_iter().enumerate().collect());
+    let queue = Mutex::new(VecDeque::from(items));
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| loop {
+                // The guard drops here, before `f` runs.
                 let next = lock_queue(&queue).pop_front();
                 match next {
-                    Some((i, item)) => f(i, item),
+                    Some(item) => f(item),
                     None => break,
                 }
             });
         }
     });
-}
-
-/// Like [`drive`], but runs `verify` over all items *before* any worker
-/// starts. If `verify` rejects the batch, no task runs and the error is
-/// returned — this is the entry point for checked execution
-/// (`Threads::Checked` in `tenblock-core`), where the verifier is a
-/// write-set disjointness check.
-pub fn drive_checked<T, E, V, F>(items: Vec<T>, verify: V, f: F) -> Result<(), E>
-where
-    T: Send,
-    V: FnOnce(&[T]) -> Result<(), E>,
-    F: Fn(usize, T) + Sync,
-{
-    verify(&items)?;
-    drive(items, f);
-    Ok(())
 }
 
 /// Parallel iterator over an owned list of items.
@@ -84,24 +64,7 @@ pub struct ParIter<T> {
 impl<T: Send> ParIter<T> {
     /// Consumes every item, in parallel.
     pub fn for_each<F: Fn(T) + Sync>(self, f: F) {
-        drive(self.items, |_, item| f(item));
-    }
-
-    /// Pairs each item with its index.
-    pub fn enumerate(self) -> ParEnumerate<T> {
-        ParEnumerate { items: self.items }
-    }
-}
-
-/// Index-carrying parallel iterator (result of [`ParIter::enumerate`]).
-pub struct ParEnumerate<T> {
-    items: Vec<T>,
-}
-
-impl<T: Send> ParEnumerate<T> {
-    /// Consumes every `(index, item)` pair, in parallel.
-    pub fn for_each<F: Fn((usize, T)) + Sync>(self, f: F) {
-        drive(self.items, |i, item| f((i, item)));
+        drive(self.items, f);
     }
 }
 
@@ -120,22 +83,8 @@ impl<T: Send> IntoParallelIterator for Vec<T> {
     }
 }
 
-/// Parallel mutable-chunk splitting for slices.
-pub trait ParallelSliceMut<T: Send> {
-    /// Like `chunks_mut`, but the chunks are processed in parallel.
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<&mut [T]>;
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<&mut [T]> {
-        ParIter {
-            items: self.chunks_mut(chunk_size).collect(),
-        }
-    }
-}
-
 pub mod prelude {
-    pub use super::{IntoParallelIterator, ParallelSliceMut};
+    pub use super::IntoParallelIterator;
 }
 
 #[cfg(test)]
@@ -153,31 +102,6 @@ mod tests {
                 seen.fetch_add(i, Ordering::Relaxed);
             });
         assert_eq!(seen.load(Ordering::Relaxed), 99 * 100 / 2);
-    }
-
-    #[test]
-    fn enumerate_indices_match_order() {
-        let vals: Vec<u32> = (0..64).map(|i| i * 3).collect();
-        let hits = AtomicUsize::new(0);
-        vals.into_par_iter().enumerate().for_each(|(i, v)| {
-            assert_eq!(v, i as u32 * 3);
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn par_chunks_mut_covers_disjointly() {
-        let mut data = vec![0u64; 1000];
-        data.par_chunks_mut(64).enumerate().for_each(|(ci, rows)| {
-            for r in rows {
-                *r += ci as u64 + 1;
-            }
-        });
-        // every element written exactly once, by its own chunk
-        for (i, &v) in data.iter().enumerate() {
-            assert_eq!(v, (i / 64) as u64 + 1);
-        }
     }
 
     #[test]
@@ -216,40 +140,5 @@ mod tests {
         // progress on other items.
         assert!(result.is_err());
         assert!(processed.load(Ordering::Relaxed) <= 63);
-    }
-
-    #[test]
-    fn drive_checked_runs_only_after_verification() {
-        let sum = AtomicUsize::new(0);
-        let ok: Result<(), &str> = super::drive_checked(
-            (0..16usize).collect(),
-            |items| {
-                if items.len() == 16 {
-                    Ok(())
-                } else {
-                    Err("bad batch")
-                }
-            },
-            |_, v| {
-                sum.fetch_add(v, Ordering::Relaxed);
-            },
-        );
-        assert!(ok.is_ok());
-        assert_eq!(sum.load(Ordering::Relaxed), 15 * 16 / 2);
-
-        let ran = AtomicUsize::new(0);
-        let err: Result<(), &str> = super::drive_checked(
-            vec![1usize, 2, 3],
-            |_| Err("rejected"),
-            |_, _| {
-                ran.fetch_add(1, Ordering::Relaxed);
-            },
-        );
-        assert_eq!(err, Err("rejected"));
-        assert_eq!(
-            ran.load(Ordering::Relaxed),
-            0,
-            "no task may run after a rejected batch"
-        );
     }
 }

@@ -162,11 +162,12 @@ Exits nonzero on any violation.
 `lint` runs the static-analysis passes over `root` (default `.`): the
 line rules (unwrap in serve/core, undocumented core pub fns,
 lock().unwrap() outside shims) plus panic-reachability from the declared
-ingest/kernel/serve roots (with call-chain witnesses), lock-discipline
-(no file/socket I/O under a sync.rs guard; lock order registry →
-scheduler → plan-cache), kernel-contract completeness over KernelKind,
-and index-overflow in the tensor crate's block arithmetic. Exits nonzero
-on unwaived findings. --json emits the stable machine-readable report;
+ingest, kernel-launch and serve roots (with call-chain witnesses),
+lock-discipline (no file/socket I/O under a sync.rs guard; lock order
+registry → scheduler → plan-cache), index-overflow in the tensor crate's
+block arithmetic, and atomic publication in the persistence modules.
+Exits nonzero on unwaived findings. --json emits the stable
+machine-readable report;
 --baseline compares against a checked-in baseline (new findings fail,
 newly-fixed ones warn); --write-baseline regenerates it.
 `decompose --stream` runs CP-ALS out of core: the tensor is served from an

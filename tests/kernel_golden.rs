@@ -14,6 +14,11 @@
 //! 37 and `splatt`/`mb` at rank 64, where a factor row is a whole number of
 //! cache lines (rank 37 never is).
 //!
+//! A third table, recorded at the commit before every kernel's launch became
+//! one routine, pins `bcoo` and `csf` at the first table's setting (rank 37,
+//! strip 16, grid `[3,2,2]`). BCOO adds each column in MB's order, so its
+//! hashes equal the first table's blocked column.
+//!
 //! A change that *means* to alter summation order re-records the table
 //! from the failure messages, which print the new hash.
 
@@ -61,6 +66,17 @@ const GOLDEN_RANK64: [(&str, usize, u64, u64); 6] = [
     ("powerlaw", 0, 0x53b416247701f733, 0x3ead3ca9c1c9ce74),
     ("powerlaw", 1, 0xa603687a4ea20d78, 0x095bde677d7a14b6),
     ("powerlaw", 2, 0x37a77a8b48ea8022, 0xb0cb3b9696d21501),
+];
+
+/// `(tensor, mode, bcoo hash, csf hash)` at rank 37, strip 16, grid
+/// `[3,2,2]`, serial and `fixed(3)` alike.
+const GOLDEN_BCOO_CSF: [(&str, usize, u64, u64); 6] = [
+    ("clustered", 0, 0x79d59793b4df403d, 0x0a7038090e9b3c91),
+    ("clustered", 1, 0x61a5e286f3cb7b96, 0x400d2921c7c8d1ac),
+    ("clustered", 2, 0x2deacc6b5e2269a2, 0xba7ad5fa74bc344f),
+    ("powerlaw", 0, 0x47a4f2319fb348a0, 0x5b794198fb636d69),
+    ("powerlaw", 1, 0x26dc2a55a2d122bc, 0xb5fbaf9909ad9658),
+    ("powerlaw", 2, 0x2695c4d7c957d111, 0x8b7b78c689e521fa),
 ];
 
 /// Factors with full-width mantissas (integer hash → exact conversion, no
@@ -159,6 +175,19 @@ fn unblocked_loops_reproduce_the_bits_recorded_before_look_ahead() {
             assert_bits(tname, x, KernelKind::Coo, mode, RANK, coo);
             assert_bits(tname, x, KernelKind::Splatt, mode, 64, splatt);
             assert_bits(tname, x, KernelKind::Mb, mode, 64, mb);
+        }
+    }
+}
+
+#[test]
+fn bcoo_and_csf_reproduce_the_bits_recorded_before_the_one_launch() {
+    let mut rows = GOLDEN_BCOO_CSF.iter();
+    for (tname, x) in &tensors() {
+        for mode in 0..3 {
+            let &(gt, gm, bcoo, csf) = rows.next().expect("one row per tensor and mode");
+            assert_eq!((gt, gm), (*tname, mode), "table order");
+            assert_bits(tname, x, KernelKind::Bcoo, mode, RANK, bcoo);
+            assert_bits(tname, x, KernelKind::Csf, mode, RANK, csf);
         }
     }
 }
