@@ -127,7 +127,10 @@ fn walk_plain(
 }
 
 /// Replays the register-blocked pass of Algorithm 2 over one column window.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "process_block_rankb's arguments plus the simulated base addresses"
+)]
 fn walk_rankb(
     sim: &mut CacheSim,
     t: &SplattTensor,

@@ -1,6 +1,6 @@
 //! A lightweight item parser over the token stream: extracts `fn` items
-//! with their impl context, visibility, receiver, doc status, and body
-//! token range, plus the `#[cfg(test)]` regions that scope every rule.
+//! with their impl context, receiver, and body token range, plus the
+//! `#[cfg(test)]` regions that scope every rule.
 //!
 //! This is not a Rust parser. It walks the token stream once, tracking
 //! brace depth and a stack of contexts (`mod`, `impl`, test regions),
@@ -30,12 +30,8 @@ pub struct FnItem {
     pub body: (usize, usize),
     /// Whether the first parameter is a `self` receiver.
     pub has_self: bool,
-    /// Whether the fn is `pub` (any visibility spec counts).
-    pub is_pub: bool,
     /// Whether the fn sits inside a `#[cfg(test)]` region.
     pub in_test: bool,
-    /// Whether a doc comment (or `#[doc]`) immediately precedes it.
-    pub has_doc: bool,
 }
 
 impl FnItem {
@@ -64,18 +60,12 @@ pub fn parse_items(tokens: &[Token]) -> Vec<FnItem> {
     let mut items = Vec::new();
     let mut scopes: Vec<Scope> = Vec::new();
     // Attribute state, reset at each item keyword: did a `#[cfg(test)]`
-    // or a doc comment/`#[doc(...)]` occur since the last item boundary?
+    // occur since the last item boundary?
     let mut pending_cfg_test = false;
-    let mut pending_doc = false;
-    let mut pending_pub = false;
 
     let mut i = 0usize;
     while i < tokens.len() {
         match &tokens[i].kind {
-            TokenKind::Doc => {
-                pending_doc = true;
-                i += 1;
-            }
             TokenKind::Punct("#") => {
                 // Attribute: #[...] or #![...]; scan the bracket group.
                 let mut j = i + 1;
@@ -87,9 +77,6 @@ pub fn parse_items(tokens: &[Token]) -> Vec<FnItem> {
                     let attr = &tokens[j + 1..close.min(tokens.len())];
                     if is_cfg_test(attr) {
                         pending_cfg_test = true;
-                    }
-                    if attr.first().is_some_and(|t| t.kind.is_ident("doc")) {
-                        pending_doc = true;
                     }
                     i = close + 1;
                 } else {
@@ -103,8 +90,6 @@ pub fn parse_items(tokens: &[Token]) -> Vec<FnItem> {
                     Scope::Plain
                 });
                 pending_cfg_test = false;
-                pending_doc = false;
-                pending_pub = false;
                 i += 1;
             }
             TokenKind::Punct("}") => {
@@ -112,15 +97,6 @@ pub fn parse_items(tokens: &[Token]) -> Vec<FnItem> {
                 i += 1;
             }
             TokenKind::Ident(word) => match word.as_str() {
-                "pub" => {
-                    pending_pub = true;
-                    // Skip a `pub(crate)`-style restriction group.
-                    if tokens.get(i + 1).is_some_and(|t| t.kind.is_punct("(")) {
-                        i = match_bracket(tokens, i + 1, "(", ")") + 1;
-                    } else {
-                        i += 1;
-                    }
-                }
                 "impl" => {
                     let (ty, tr, brace) = parse_impl_header(tokens, i);
                     match brace {
@@ -134,8 +110,6 @@ pub fn parse_items(tokens: &[Token]) -> Vec<FnItem> {
                                 }
                             });
                             pending_cfg_test = false;
-                            pending_doc = false;
-                            pending_pub = false;
                             i = b + 1;
                         }
                         None => i += 1,
@@ -155,8 +129,6 @@ pub fn parse_items(tokens: &[Token]) -> Vec<FnItem> {
                         item.owner = owner;
                         item.trait_name = trait_name;
                         item.in_test = in_test || pending_cfg_test;
-                        item.is_pub = pending_pub;
-                        item.has_doc = pending_doc;
                         let body_open = item.body.0;
                         let has_body = body_open != usize::MAX;
                         if has_body {
@@ -181,25 +153,11 @@ pub fn parse_items(tokens: &[Token]) -> Vec<FnItem> {
                         i += 1;
                     }
                     pending_cfg_test = false;
-                    pending_doc = false;
-                    pending_pub = false;
                 }
-                _ => {
-                    // Any other item-ish keyword clears the attr state
-                    // only when it starts a new line-of-thought; being
-                    // conservative, leave doc/cfg pending so attributes
-                    // survive `pub const unsafe extern "C" fn`-style
-                    // modifier chains.
-                    if matches!(
-                        word.as_str(),
-                        "struct" | "enum" | "trait" | "mod" | "use" | "static" | "type" | "macro"
-                    ) {
-                        pending_doc = false;
-                        // cfg(test) stays pending: it gates the next brace
-                        // (e.g. `mod tests {`).
-                    }
-                    i += 1;
-                }
+                // Other keywords leave `cfg(test)` pending: it gates the
+                // next brace (`mod tests {`) and survives modifier chains
+                // like `pub const unsafe extern "C" fn`.
+                _ => i += 1,
             },
             _ => i += 1,
         }
@@ -332,7 +290,7 @@ fn skip_angles(tokens: &[Token], at: usize) -> usize {
 }
 
 /// Parses a `fn` at `tokens[at]` (the `fn` keyword). Returns the item with
-/// `owner`/`trait_name`/`in_test`/`is_pub`/`has_doc` left default. The
+/// `owner`/`trait_name`/`in_test` left default. The
 /// body span is `(usize::MAX, usize::MAX)` for bodiless declarations.
 fn parse_fn(tokens: &[Token], at: usize) -> Option<FnItem> {
     let name_tok = tokens.get(at + 1)?;
@@ -377,9 +335,7 @@ fn parse_fn(tokens: &[Token], at: usize) -> Option<FnItem> {
                     line,
                     body: (j, close),
                     has_self,
-                    is_pub: false,
                     in_test: false,
-                    has_doc: false,
                 });
             }
             TokenKind::Punct(";") => {
@@ -390,9 +346,7 @@ fn parse_fn(tokens: &[Token], at: usize) -> Option<FnItem> {
                     line,
                     body: (usize::MAX, usize::MAX),
                     has_self,
-                    is_pub: false,
                     in_test: false,
-                    has_doc: false,
                 })
             }
             TokenKind::Punct("<") => j = skip_angles(tokens, j),
@@ -431,7 +385,6 @@ mod tests {
         let items = items_of(src);
         let names: Vec<String> = items.iter().map(|f| f.qualified()).collect();
         assert_eq!(names, vec!["free", "S::method", "S::assoc", "S::clone"]);
-        assert!(items[0].is_pub && !items[1].is_pub && items[2].is_pub);
         assert!(!items[0].has_self && items[1].has_self && !items[2].has_self);
         assert_eq!(items[3].trait_name.as_deref(), Some("Clone"));
         assert_eq!(items[1].trait_name, None);
@@ -483,26 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn doc_detection() {
-        let src = "
-            /// Documented.
-            pub fn a() {}
-            #[inline]
-            /// Documented behind attr.
-            pub fn b() {}
-            pub fn naked() {}
-            #[doc = \"explicit\"]
-            pub fn c() {}
-        ";
-        let items = items_of(src);
-        let by_name = |n: &str| items.iter().find(|f| f.name == n).unwrap();
-        assert!(by_name("a").has_doc);
-        assert!(by_name("b").has_doc);
-        assert!(!by_name("naked").has_doc);
-        assert!(by_name("c").has_doc);
-    }
-
-    #[test]
     fn bodies_span_the_right_tokens() {
         let src = "fn f() { let x = \"}}}\"; g(); } fn g() {}";
         let toks = lex(src);
@@ -547,7 +480,6 @@ mod tests {
         let items = items_of(src);
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].name, "read_file");
-        assert!(items[0].is_pub);
         assert!(!items[0].has_self);
     }
 }

@@ -5,9 +5,9 @@
 //! cross-line corner cases — a lifetime `'a` vs a char literal `'}'`,
 //! raw-string hashes `r##"..."##`, *nested* block comments — were handled
 //! slightly differently in each place. This module lexes a whole file
-//! once into a [`Token`] stream with line numbers, and every pass (the
-//! ported style rules, panic-reachability, lock-discipline, index-overflow,
-//! atomic-persist) consumes the same stream.
+//! once into a [`Token`] stream with line numbers, and every pass
+//! (panic-reachability, lock-discipline, index-overflow) consumes the same
+//! stream.
 //!
 //! The lexer is deliberately smaller than rustc's: it does not
 //! distinguish keywords from identifiers (passes match on the ident
@@ -43,8 +43,6 @@ pub enum TokenKind {
     /// Punctuation. Single chars, plus the merged pairs `::`, `->`,
     /// `=>`, `..` (and `..=` lexes as `..` then `=`).
     Punct(&'static str),
-    /// A doc comment (`///`, `//!`, `/** */`); content not kept.
-    Doc,
 }
 
 impl TokenKind {
@@ -142,23 +140,14 @@ impl<'t> Lexer<'t> {
     }
 
     fn line_comment(&mut self) {
-        let doc = matches!(self.peek(2), Some(b'/') | Some(b'!'))
-            // `////…` dividers are plain comments, not docs.
-            && self.peek(3) != Some(b'/');
-        let line = self.line;
         while self.i < self.bytes.len() && self.bytes[self.i] != b'\n' {
             self.i += 1;
-        }
-        if doc {
-            self.push(TokenKind::Doc, line);
         }
     }
 
     /// Block comments nest, per the Rust grammar — the seed lexer got
     /// `/* /* */ */` wrong and resumed code one `*/` early.
     fn block_comment(&mut self) {
-        let doc = matches!(self.peek(2), Some(b'*') | Some(b'!')) && self.peek(3) != Some(b'/');
-        let line = self.line;
         self.advance(2);
         let mut depth = 1usize;
         while self.i < self.bytes.len() && depth > 0 {
@@ -171,9 +160,6 @@ impl<'t> Lexer<'t> {
             } else {
                 self.advance(1);
             }
-        }
-        if doc {
-            self.push(TokenKind::Doc, line);
         }
     }
 
@@ -504,15 +490,11 @@ mod tests {
     }
 
     #[test]
-    fn doc_comments_are_tokens_plain_comments_vanish() {
-        let src = "/// docs\n// plain\n//! inner doc\n//// divider\nfn f() {}";
+    fn comments_of_every_kind_vanish() {
+        let src = "/// docs\n// plain\n//! inner doc\n//// divider\n/** block */ fn f() {}";
         let toks = lex(src);
-        let docs = toks
-            .iter()
-            .filter(|t| matches!(t.kind, TokenKind::Doc))
-            .count();
-        assert_eq!(docs, 2);
-        assert_eq!(toks[0].line, 1);
+        assert!(toks[0].kind.is_ident("fn"));
+        assert_eq!(toks[0].line, 5);
     }
 
     #[test]

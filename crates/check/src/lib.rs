@@ -17,12 +17,11 @@
 //!    framework. A token-level Rust lexer ([`lexer`]) feeds a lightweight
 //!    item parser ([`items`]) and a conservative intra-workspace call
 //!    graph ([`callgraph`]); rule passes ([`passes`]) run on top of the
-//!    shared token streams: the four line-rules ported from v1
-//!    (`no-unwrap`, `pub-fn-doc`, `no-lock-unwrap`, `pub-fn-doc`'s scope)
-//!    plus panic-reachability with call-chain witnesses, lock-discipline
-//!    (no I/O under a `sync.rs` guard, global lock order), index-overflow
-//!    checking in the tensor crate's block arithmetic, and atomic
-//!    publication of persisted files.
+//!    shared token streams: panic-reachability with call-chain witnesses,
+//!    lock-discipline (no I/O under a `sync.rs` guard, global lock
+//!    order), and index-overflow checking in the tensor crate's block
+//!    arithmetic. Rules a single line can decide (unwraps, docs, raw
+//!    locks, in-place file writes) are rustc and clippy lints instead.
 //!
 //! The crate has no dependencies (not even on `tenblock-tensor`), so
 //! `tenblock-core` can depend on it without a cycle: kernels translate

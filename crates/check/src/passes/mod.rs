@@ -6,21 +6,16 @@
 //! once. Each pass is a function `fn run(&Workspace) -> Vec<Finding>`;
 //! the driver in [`crate::lint`] concatenates them and applies waivers.
 //!
-//! Passes:
-//! - [`line_rules`] — the v1 rules ported onto the token stream
-//!   (`no-unwrap`, `pub-fn-doc`, `no-lock-unwrap`).
+//! Passes (each one a check rustc and clippy cannot express, because it
+//! follows calls across functions or reads the domain's vocabulary):
 //! - [`panic_reach`] — transitive can-panic analysis from declared
 //!   boundary roots, with call-chain witnesses.
 //! - [`lock_discipline`] — no I/O while a `sync.rs` guard is live, and
 //!   the global lock-acquisition order.
 //! - [`index_overflow`] — unchecked multiplies in block-coordinate and
 //!   tile-extent arithmetic in `crates/tensor`.
-//! - [`atomic_persist`] — durable files in persistence modules are
-//!   published via temp-file + rename, never written in place.
 
-pub mod atomic_persist;
 pub mod index_overflow;
-pub mod line_rules;
 pub mod lock_discipline;
 pub mod panic_reach;
 
@@ -561,8 +556,8 @@ mod tests {
     #[test]
     fn waiver_parsing_multi_rule() {
         assert_eq!(
-            waiver_rules("x.unwrap() // lint: allow(no-unwrap, panic-reach)"),
-            vec!["no-unwrap", "panic-reach"]
+            waiver_rules("x[i * n] // lint: allow(index-overflow, panic-reach)"),
+            vec!["index-overflow", "panic-reach"]
         );
         assert!(waiver_rules("plain line").is_empty());
     }
@@ -582,7 +577,7 @@ mod tests {
         // same-line coverage still works
         assert!(w.is_waived(0, 2, "panic-reach"));
         // an unrelated rule is not waived
-        assert!(!w.is_waived(0, 3, "no-unwrap"));
+        assert!(!w.is_waived(0, 3, "index-overflow"));
         // g's site (line 5) has no waiver anywhere near it
         assert!(!w.is_waived(0, 5, "panic-reach"));
     }

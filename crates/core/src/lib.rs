@@ -51,6 +51,10 @@
 #![allow(clippy::needless_range_loop)]
 // One `unsafe` block in the crate: `mttkrp::prefetch_row`, the only `allow`.
 #![deny(unsafe_code)]
+// Production paths return typed errors; waivers are `#[expect]`s with a
+// reason (`clippy.toml` exempts tests).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(missing_docs)]
 
 pub mod block;
 mod checked;

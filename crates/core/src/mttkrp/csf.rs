@@ -75,7 +75,10 @@ impl CsfKernel {
 
     /// Processes a contiguous range of root nodes, writing into `out_buf`
     /// whose first row is global row `row0`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one task's root range, factors and output window"
+    )]
     fn process_roots(
         &self,
         roots: std::ops::Range<usize>,
@@ -113,7 +116,10 @@ impl CsfKernel {
 
     /// Adds `subtree_sum(node at level l)` into `into`. `rest` holds the
     /// scratch buffers for levels `l+1..order`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the recursion carries its level, node, column window and scratch"
+    )]
     fn subtree(
         &self,
         l: usize,

@@ -93,7 +93,10 @@ fn gather_rows(buf: &mut Vec<f64>, m: &DenseMatrix, base: usize, len: usize) {
 /// `(a, k, j)`), factor matrices `b`/`c` (kernel modes 2 and 3), block
 /// `origin` and bounds `spans` per kernel axis, and the owning task's
 /// output rows starting at global row `row0`.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one block's slabs, factors, geometry and output window, unbundled for the hot loop"
+)]
 pub(crate) fn process_block_bcoo<T: LocalOff>(
     offs: &[[T; NMODES]],
     vals: &[f64],
@@ -157,7 +160,10 @@ pub(crate) fn process_block_bcoo<T: LocalOff>(
 /// run that reuses a single register accumulator per [`REG_BLOCK`] chunk —
 /// the same structure as [`super::process_block_rankb`], but driven by the
 /// local-offset slab instead of a compressed fiber index.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a strip's entries, factor windows and output window, passed through from process_block_bcoo"
+)]
 fn bcoo_strip<T: LocalOff, B: RowWindow, C: RowWindow>(
     offs: &[[T; NMODES]],
     vals: &[f64],

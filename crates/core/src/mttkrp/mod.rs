@@ -2,14 +2,12 @@
 //! (Algorithm 1's accumulator loop and Algorithm 2's register-blocked one),
 //! the COO, CSF and BCOO kernels, and a dense reference implementation.
 
-mod allmode;
 mod bcoo;
 mod coo;
 mod csf;
 mod dense_ref;
 pub(crate) mod micro;
 
-pub use allmode::AllModeKernel;
 pub use bcoo::BcooKernel;
 pub use coo::CooKernel;
 pub use csf::{nd_mttkrp_reference, CsfKernel};
@@ -24,15 +22,19 @@ pub const REG_BLOCK: usize = 16;
 /// The full [`REG_BLOCK`]-wide chunk of `row` starting at `col`.
 ///
 /// Shared by every register loop so the one infallible slice-to-array
-/// conversion (and its lint waiver) lives in a single place. Callers
+/// conversion (and its waivers) lives in a single place. Callers
 /// guarantee `col + REG_BLOCK <= row.len()`.
 #[inline(always)]
+#[expect(
+    clippy::unwrap_used,
+    reason = "the slice is exactly REG_BLOCK long and the hot loops stay branch-free"
+)]
 pub(crate) fn reg_chunk(row: &[f64], col: usize) -> &[f64; REG_BLOCK] {
     // Infallible: the slice is exactly REG_BLOCK long, and the hot loops
     // must stay branch-free. Re-audited by the panic-reach pass: every
     // witnessed chain (launch → … → reg_chunk) reaches this site through a
     // `while col + REG_BLOCK <= width` guard over a width-long window.
-    row[col..col + REG_BLOCK].try_into().unwrap() // lint: allow(no-unwrap, panic-reach)
+    row[col..col + REG_BLOCK].try_into().unwrap() // lint: allow(panic-reach)
 }
 
 /// A read-only view of one column window of a factor matrix, by row.
@@ -86,6 +88,8 @@ const AHEAD_F: usize = 4;
 /// (measured: touching `row[0]` keeps under half of the gain, touching
 /// every line none of it). No-op off `x86_64`.
 #[inline(always)]
+// `allow`, not `expect`: the `unsafe` block exists only on `x86_64`, so an
+// expectation would go unfulfilled on every other target.
 #[allow(unsafe_code)]
 pub(crate) fn prefetch_row(row: &[f64]) {
     #[cfg(target_arch = "x86_64")]
@@ -187,7 +191,10 @@ pub(crate) fn process_block_plain(
 /// `out_col0` is the column in `out_rows` where the window starts (equal to
 /// the window's first rank column); `rank` is the full width of `out_rows`
 /// rows.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "Algorithm 2's inner loop over one block, window and output slab"
+)]
 pub(crate) fn process_block_rankb<B: RowWindow, C: RowWindow>(
     t: &SplattTensor,
     b: &B,

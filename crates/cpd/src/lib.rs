@@ -32,12 +32,10 @@
 pub mod als;
 pub mod als_stream;
 pub mod apr;
-pub mod gcp;
 pub mod kruskal;
 pub mod linalg;
 
 pub use als::{CpAls, CpAlsOptions, CpAlsResult};
 pub use als_stream::CpAlsStream;
 pub use apr::{cp_apr, CpAprOptions, CpAprResult};
-pub use gcp::{cp_gradient, cp_gradient_descent, GcpOptions, GcpResult};
 pub use kruskal::KruskalTensor;

@@ -53,29 +53,6 @@ fn for_row_chunks(a: &mut DenseMatrix, threads: Threads, f: impl Fn(&mut [f64]) 
     }
 }
 
-/// `A * B` for `m x k` times `k x n`.
-///
-/// # Panics
-/// Panics on inner-dimension mismatch.
-pub fn matmul(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = DenseMatrix::zeros(m, n);
-    for i in 0..m {
-        let arow = a.row(i);
-        let orow = out.row_mut(i);
-        for (p, &av) in arow.iter().enumerate().take(k) {
-            if av != 0.0 {
-                let brow = b.row(p);
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
-            }
-        }
-    }
-    out
-}
-
 /// The gram matrix `Aᵀ A` (`R x R`, symmetric) of an `n x R` factor.
 pub fn gram(a: &DenseMatrix) -> DenseMatrix {
     gram_with(a, Threads::Serial)
@@ -341,6 +318,21 @@ mod tests {
     fn random(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
         let mut rng = StdRng::seed_from_u64(seed);
         DenseMatrix::from_fn(rows, cols, |_, _| rng.random::<f64>() + 0.05)
+    }
+
+    /// `A * B` for `m x k` times `k x n`: the plain product the solve and
+    /// the gram are checked against.
+    fn matmul(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
+        assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
+        let mut out = DenseMatrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for (p, &av) in a.row(i).iter().enumerate() {
+                for (o, &bv) in out.row_mut(i).iter_mut().zip(b.row(p)) {
+                    *o += av * bv;
+                }
+            }
+        }
+        out
     }
 
     /// The solve as it was before the axpy sweeps: scalar dot-form

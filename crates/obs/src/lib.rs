@@ -28,6 +28,10 @@ use std::time::Instant;
 
 /// Locks the trace state, recovering the guard if a panicking traced thread
 /// poisoned it — a half-recorded span is still worth reporting.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the poison-recovering wrapper itself"
+)]
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }

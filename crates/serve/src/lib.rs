@@ -19,6 +19,8 @@
 //!   above (the build is offline; no serde).
 
 #![forbid(unsafe_code)]
+// Production paths return typed errors (`clippy.toml` exempts tests).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod json;
 pub mod metrics;

@@ -283,6 +283,10 @@ impl PlanCache {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests plant corrupt and partial files on purpose"
+)]
 mod tests {
     use super::*;
 

@@ -755,6 +755,10 @@ impl Service {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests plant corrupt and partial files on purpose"
+)]
 mod tests {
     use super::*;
     use crate::json::Json;

@@ -744,6 +744,10 @@ impl Registry {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests plant corrupt and partial files on purpose"
+)]
 mod tests {
     use super::*;
     use tenblock_core::{build_kernel, ExecPolicy};

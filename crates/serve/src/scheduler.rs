@@ -380,7 +380,7 @@ mod tests {
         let g = Arc::clone(&gate);
         let (s, _m) = sched(1, 1, move |_| {
             let (lock, cv) = &*g;
-            let mut open = lock.lock().unwrap();
+            let mut open = crate::sync::lock(lock);
             while !*open {
                 open = cv.wait(open).unwrap();
             }
@@ -398,7 +398,7 @@ mod tests {
 
         // Open the gate; everything drains.
         let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
+        *crate::sync::lock(lock) = true;
         cv.notify_all();
         assert!(matches!(
             s.wait(queued, Duration::from_secs(5)),
@@ -412,7 +412,7 @@ mod tests {
         let g = Arc::clone(&gate);
         let (s, _m) = sched(1, 4, move |x| {
             let (lock, cv) = &*g;
-            let mut open = lock.lock().unwrap();
+            let mut open = crate::sync::lock(lock);
             while !*open {
                 open = cv.wait(open).unwrap();
             }
@@ -429,7 +429,7 @@ mod tests {
         assert_eq!(s.cancel(JobId(999)), Err(CancelError::NotFound));
 
         let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
+        *crate::sync::lock(lock) = true;
         cv.notify_all();
         assert!(matches!(
             s.wait(first, Duration::from_secs(5)),
@@ -446,7 +446,7 @@ mod tests {
         let g = Arc::clone(&gate);
         let (s, m) = sched(1, 4, move |x| {
             let (lock, cv) = &*g;
-            let mut open = lock.lock().unwrap();
+            let mut open = crate::sync::lock(lock);
             while !*open {
                 open = cv.wait(open).unwrap();
             }
@@ -459,7 +459,7 @@ mod tests {
         let doomed = s.submit(2, Some(Duration::from_millis(1))).unwrap();
         std::thread::sleep(Duration::from_millis(20));
         let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
+        *crate::sync::lock(lock) = true;
         cv.notify_all();
         match s.wait(doomed, Duration::from_secs(5)) {
             Some(JobState::Failed(msg)) => assert!(msg.contains("deadline")),

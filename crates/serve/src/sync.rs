@@ -11,16 +11,28 @@ use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWrite
 use std::time::Duration;
 
 /// Locks a mutex, recovering the guard if a panicking thread poisoned it.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the poison-recovering wrapper itself"
+)]
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Read-locks an `RwLock`, recovering from poisoning.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the poison-recovering wrapper itself"
+)]
 pub(crate) fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     l.read().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Write-locks an `RwLock`, recovering from poisoning.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the poison-recovering wrapper itself"
+)]
 pub(crate) fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -39,6 +51,10 @@ pub(crate) fn wait_timeout<'a, T>(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "poisons a mutex through the raw API"
+)]
 mod tests {
     use super::*;
     use std::collections::VecDeque;

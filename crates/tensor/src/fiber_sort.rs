@@ -247,7 +247,10 @@ impl FiberSorter {
     /// # Panics
     /// Panics when a run index or key component is out of its range — a
     /// caller bug; the records come from validated in-memory tensors.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the record, run and key callbacks of one generic sort"
+    )]
     pub fn sort_runs<T: Copy, const N: usize>(
         &mut self,
         n: usize,

@@ -8,9 +8,11 @@
 //! unless given explicitly.
 
 use crate::coo::{CooTensor, Entry};
+use crate::persist::AtomicFile;
 use crate::{Idx, NMODES};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
+use tenblock_faults::FaultPolicy;
 
 /// Errors produced by the `.tns` reader.
 #[derive(Debug)]
@@ -148,9 +150,12 @@ pub fn write_tns<W: Write>(tensor: &CooTensor, writer: W) -> std::io::Result<()>
     w.flush()
 }
 
-/// Writes a `.tns` file to disk.
+/// Writes a `.tns` file to disk, atomically: a crash mid-write never
+/// leaves a partial file under the final name (see [`crate::persist`]).
 pub fn write_tns_file<P: AsRef<Path>>(tensor: &CooTensor, path: P) -> std::io::Result<()> {
-    write_tns(tensor, std::fs::File::create(path)?)
+    let mut out = AtomicFile::create(path, FaultPolicy::none())?;
+    write_tns(tensor, &mut out)?;
+    out.commit()
 }
 
 #[cfg(test)]
@@ -254,5 +259,10 @@ mod tests {
         write_tns_file(&t, &path).unwrap();
         let back = read_tns_file(&path).unwrap();
         assert_eq!(back.entries(), t.entries());
+        // An overwrite replaces the whole file and leaves no temp sibling.
+        let u = CooTensor::from_triples([3, 1, 1], &[2], &[0], &[0], &[-4.5]);
+        write_tns_file(&u, &path).unwrap();
+        assert_eq!(read_tns_file(&path).unwrap().entries(), u.entries());
+        assert!(!dir.join("t.tns.tmp").exists());
     }
 }

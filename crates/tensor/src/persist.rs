@@ -53,8 +53,10 @@ impl AtomicFile {
     pub fn create<P: AsRef<Path>>(path: P, faults: FaultPolicy) -> std::io::Result<AtomicFile> {
         let final_path = path.as_ref().to_path_buf();
         let tmp = tmp_path(&final_path);
-        // The only sanctioned direct create: it targets the temp name the
-        // rename below makes atomic. lint: allow(atomic-persist)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the only sanctioned direct create: it targets the temp name the rename makes atomic"
+        )]
         let file = std::fs::File::create(&tmp)?;
         Ok(AtomicFile {
             file: Some(file),

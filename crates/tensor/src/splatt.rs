@@ -299,7 +299,10 @@ impl SplattTensor {
 
     /// Raw structure access for kernels: `(i_ptr, fiber_kid, fiber_ptr,
     /// j_idx, vals)`.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "the five arrays are returned together so kernels borrow them once"
+    )]
     pub fn raw(&self) -> (&[usize], &[Idx], &[usize], &[Idx], &[f64]) {
         (
             &self.i_ptr,

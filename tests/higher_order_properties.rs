@@ -1,12 +1,9 @@
-//! Property tests for the higher-order (N-mode) path: CSF round-trips and
-//! kernel agreement with the brute-force reference, plus the fused
-//! all-mode MTTKRP against separate kernels.
+//! Property tests for the higher-order (N-mode) path: CSF round-trips,
+//! kernel agreement with the brute-force reference, and binary I/O.
 
 use proptest::prelude::*;
-use tenblock::core::block::BlockedKernel;
-use tenblock::core::mttkrp::{nd_mttkrp_reference, AllModeKernel, CsfKernel};
-use tenblock::core::MttkrpKernel;
-use tenblock::tensor::{CooTensor, CsfTensor, DenseMatrix, Entry, NdCooTensor};
+use tenblock::core::mttkrp::{nd_mttkrp_reference, CsfKernel};
+use tenblock::tensor::{CsfTensor, DenseMatrix, NdCooTensor};
 
 /// Strategy: a random N-mode tensor (order 2-5, small dims).
 fn arb_nd() -> impl Strategy<Value = NdCooTensor> {
@@ -76,41 +73,6 @@ proptest! {
             x.order(),
             expect.max_abs_diff(&out)
         );
-    }
-
-    #[test]
-    fn allmode_matches_separate_kernels(
-        dims0 in 2usize..10,
-        dims1 in 2usize..10,
-        dims2 in 2usize..10,
-        rank in 1usize..10,
-        seed in proptest::num::u64::ANY,
-        entries in proptest::collection::vec((0u32..10, 0u32..10, 0u32..10, -3.0f64..3.0), 0..60),
-    ) {
-        let dims = [dims0, dims1, dims2];
-        let es: Vec<Entry> = entries
-            .into_iter()
-            .map(|(i, j, k, v)| {
-                Entry::new(i % dims0 as u32, j % dims1 as u32, k % dims2 as u32, v)
-            })
-            .collect();
-        let x = CooTensor::from_entries(dims, es);
-        let factors = seeded_factors(&dims, rank, seed);
-        let fs: [&DenseMatrix; 3] = [&factors[0], &factors[1], &factors[2]];
-
-        let fused = AllModeKernel::new(&x);
-        let mut outs = [
-            DenseMatrix::zeros(dims0, rank),
-            DenseMatrix::zeros(dims1, rank),
-            DenseMatrix::zeros(dims2, rank),
-        ];
-        fused.mttkrp_all(&fs, &mut outs);
-        for mode in 0..3 {
-            let k = BlockedKernel::new(&x, mode, None, None);
-            let mut expect = DenseMatrix::zeros(dims[mode], rank);
-            k.mttkrp(&fs, &mut expect);
-            prop_assert!(expect.approx_eq(&outs[mode], 1e-9), "mode {mode} mismatch");
-        }
     }
 
     #[test]
