@@ -18,7 +18,7 @@
 //! differ only in what computes step 1.
 
 use crate::kruskal::{fit_from_norms, sq_norm_from_grams, KruskalTensor};
-use crate::linalg::{gram_with, hadamard_assign, scale_columns_with, solve_spd_rows_in_place};
+use crate::linalg::{gram_with, hadamard_assign, scale_columns_with, solve_spd_rows_into};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::convert::Infallible;
@@ -82,7 +82,7 @@ fn init_factors(dims: [usize; NMODES], rank: usize, seed: u64) -> Vec<DenseMatri
 }
 
 /// The dense half of mode `m`'s update, from that mode's MTTKRP output:
-/// `V = ∘` of the other modes' grams, `A_m = M V⁻¹` solved in place in
+/// `V = ∘` of the other modes' grams, `A_m = M V⁻¹` solved from `M` into
 /// `factors[m]`, then one gram of the *un-normalized* update gives both
 /// the column norms `λ = √diag` and, rescaled by `1 / (λ_p λ_q)`, the gram
 /// of the normalized factor. A column of zero norm is left as it is, with
@@ -99,10 +99,7 @@ fn update_mode(
     hadamard_assign(&mut v, &grams[others[1]]);
 
     let updated = &mut factors[m];
-    updated
-        .as_mut_slice()
-        .copy_from_slice(mttkrp_out.as_slice());
-    solve_spd_rows_in_place(&v, updated, threads);
+    solve_spd_rows_into(&v, mttkrp_out, updated, threads);
 
     let mut g = gram_with(updated, threads);
     let rank = g.rows();

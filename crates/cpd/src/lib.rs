@@ -27,7 +27,14 @@
 // Index-based loops are the clearer idiom for the numeric code in this
 // crate (triangular solves, coordinate walks); silence the style lint.
 #![allow(clippy::needless_range_loop)]
-#![forbid(unsafe_code)]
+// `unsafe` is the dense half's SIMD path in `linalg`, eleven items, each
+// with its own `allow` (not `expect`: they exist only on x86_64) and a
+// `// SAFETY:` comment: the two dispatch functions (`RowSolver::solve_rows`,
+// `gram_panel`), whose `unsafe` calls rest on an `is_x86_feature_detected!`
+// check, and in `linalg::lanes` the `Lanes` trait, its three impls, the
+// three generic `unsafe fn`s of the panel sweep and the two
+// `#[target_feature]` entry points. Anything else is an error.
+#![deny(unsafe_code)]
 
 pub mod als;
 pub mod als_stream;

@@ -5,6 +5,15 @@
 
 use std::fmt;
 
+/// `rows * cols`, checked: a wrapped product would give a buffer shorter
+/// than the shape every accessor trusts. No such matrix fits in memory, so
+/// overflow is a caller's bug and panics, like a length mismatch in
+/// [`DenseMatrix::from_vec`].
+fn element_count(rows: usize, cols: usize) -> usize {
+    rows.checked_mul(cols)
+        .unwrap_or_else(|| panic!("a {rows} x {cols} matrix has more elements than usize holds"))
+}
+
 /// A row-major dense matrix of `f64`, used for factor matrices.
 #[derive(Clone, PartialEq)]
 pub struct DenseMatrix {
@@ -15,26 +24,36 @@ pub struct DenseMatrix {
 
 impl DenseMatrix {
     /// A zero-filled `rows x cols` matrix.
+    ///
+    /// # Panics
+    /// Panics if `rows * cols` overflows `usize`.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         DenseMatrix {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
+            data: vec![0.0; element_count(rows, cols)],
         }
     }
 
     /// Builds a matrix from row-major data.
     ///
     /// # Panics
-    /// Panics if `data.len() != rows * cols`.
+    /// Panics if `data.len() != rows * cols`, or the product overflows.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "data length must equal rows*cols");
+        assert_eq!(
+            data.len(),
+            element_count(rows, cols),
+            "data length must equal rows*cols"
+        );
         DenseMatrix { rows, cols, data }
     }
 
     /// Builds a matrix by evaluating `f(row, col)`.
+    ///
+    /// # Panics
+    /// Panics if `rows * cols` overflows `usize`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
+        let mut data = Vec::with_capacity(element_count(rows, cols));
         for r in 0..rows {
             for c in 0..cols {
                 data.push(f(r, c));
@@ -169,6 +188,25 @@ mod tests {
         m.set(1, 2, 7.5);
         assert_eq!(m.get(1, 2), 7.5);
         assert_eq!(m.row(1), &[0.0, 0.0, 7.5, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "more elements than usize holds")]
+    fn zeros_refuses_an_overflowing_shape() {
+        // Wrapped, the product is 0: an empty buffer under a huge shape.
+        let _ = DenseMatrix::zeros(1 << (usize::BITS - 1), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "more elements than usize holds")]
+    fn from_fn_refuses_an_overflowing_shape() {
+        let _ = DenseMatrix::from_fn(usize::MAX, 3, |_, _| 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "more elements than usize holds")]
+    fn from_vec_refuses_an_overflowing_shape() {
+        let _ = DenseMatrix::from_vec(1 << (usize::BITS - 1), 2, Vec::new());
     }
 
     #[test]
