@@ -6,8 +6,7 @@
 //! raw-string hashes `r##"..."##`, *nested* block comments — were handled
 //! slightly differently in each place. This module lexes a whole file
 //! once into a [`Token`] stream with line numbers, and every pass
-//! (panic-reachability, lock-discipline, index-overflow) consumes the same
-//! stream.
+//! (panic-reachability, lock-discipline) consumes the same stream.
 //!
 //! The lexer is deliberately smaller than rustc's: it does not
 //! distinguish keywords from identifiers (passes match on the ident

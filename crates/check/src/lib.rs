@@ -18,10 +18,10 @@
 //!    item parser ([`items`]) and a conservative intra-workspace call
 //!    graph ([`callgraph`]); rule passes ([`passes`]) run on top of the
 //!    shared token streams: panic-reachability with call-chain witnesses,
-//!    lock-discipline (no I/O under a `sync.rs` guard, global lock
-//!    order), and index-overflow checking in the tensor crate's block
-//!    arithmetic. Rules a single line can decide (unwraps, docs, raw
-//!    locks, in-place file writes) are rustc and clippy lints instead.
+//!    and lock-discipline (no I/O under a `sync.rs` guard, global lock
+//!    order). Rules a single line can decide (unwraps, docs, raw locks,
+//!    in-place file writes, narrowing casts) are rustc and clippy lints
+//!    instead.
 //!
 //! The crate has no dependencies (not even on `tenblock-tensor`), so
 //! `tenblock-core` can depend on it without a cycle: kernels translate

@@ -17,13 +17,12 @@
 //! * `lock-discipline` — no file/socket I/O (direct or transitive)
 //!   while a `sync.rs` guard is live; lock order is registry →
 //!   scheduler → plan-cache.
-//! * `index-overflow` — block-coordinate/tile-extent multiplies in
-//!   `crates/tensor` use `checked_mul` or carry a waiver.
 //!
 //! The line rules live in the compiler: `#![deny(clippy::unwrap_used,
 //! clippy::expect_used)]` (core, serve), `#![deny(missing_docs)]` (core),
-//! and `clippy.toml`'s `disallowed-methods` for raw lock calls
-//! (workspace) and in-place file writes (tensor, serve).
+//! `#![deny(clippy::cast_possible_truncation)]` (tensor), and
+//! `clippy.toml`'s `disallowed-methods` for raw lock calls (workspace)
+//! and in-place file writes (tensor, serve).
 //!
 //! A finding can be waived in place with a trailing
 //! `// lint: allow(<rule>[, <rule>…])` comment; waived findings are
@@ -44,13 +43,11 @@ pub enum Rule {
     PanicReach,
     /// No I/O under a `sync.rs` guard; global lock order.
     LockDiscipline,
-    /// Coordinate/extent multiplies in `crates/tensor` are checked.
-    IndexOverflow,
 }
 
 impl Rule {
     /// All rules, in reporting order.
-    pub const ALL: [Rule; 3] = [Rule::PanicReach, Rule::LockDiscipline, Rule::IndexOverflow];
+    pub const ALL: [Rule; 2] = [Rule::PanicReach, Rule::LockDiscipline];
 
     /// Stable rule name, as used in `lint: allow(...)` waivers and the
     /// JSON schema.
@@ -58,7 +55,6 @@ impl Rule {
         match self {
             Rule::PanicReach => "panic-reach",
             Rule::LockDiscipline => "lock-discipline",
-            Rule::IndexOverflow => "index-overflow",
         }
     }
 }
@@ -210,7 +206,6 @@ pub fn lint_sources(sources: &[(String, String)]) -> LintReport {
     let mut findings = Vec::new();
     findings.extend(passes::panic_reach::run(&ws));
     findings.extend(passes::lock_discipline::run(&ws));
-    findings.extend(passes::index_overflow::run(&ws));
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule.name()).cmp(&(b.file.as_str(), b.line, b.rule.name()))
     });
@@ -424,20 +419,20 @@ mod tests {
             .collect()
     }
 
+    /// A registry save that writes a file under the entries lock.
+    const IO_UNDER_LOCK: &str = "impl Registry { fn save(&self) {\n    let map = crate::sync::write(&self.entries);\n    std::fs::write(\"p\", b\"x\").ok();\n    drop(map);\n} }\n";
+
     #[test]
     fn report_aggregates_across_passes_in_order() {
         let report = lint_sources(&sources(&[
-            (
-                "crates/tensor/src/bcoo.rs",
-                "fn block_id(a: usize, nb: usize) -> usize { a * nb }\n",
-            ),
+            ("crates/serve/src/registry.rs", IO_UNDER_LOCK),
             (
                 "crates/core/src/kernel.rs",
                 "pub fn launch(o: Option<u32>) -> u32 { o.unwrap() }\n",
             ),
         ]));
         let rules: Vec<&str> = report.findings.iter().map(|f| f.rule.name()).collect();
-        assert_eq!(rules, vec!["panic-reach", "index-overflow"]);
+        assert_eq!(rules, vec!["panic-reach", "lock-discipline"]);
         assert_eq!(report.files_scanned, 2);
         assert!(!report.is_clean());
     }
@@ -445,18 +440,17 @@ mod tests {
     #[test]
     fn json_schema_is_stable() {
         let report = lint_sources(&sources(&[(
-            "crates/tensor/src/bcoo.rs",
-            "// D.\nfn block_id(a: usize, nb: usize) -> usize { a * nb }\n",
+            "crates/core/src/kernel.rs",
+            "// D.\npub fn launch(o: Option<u32>) -> u32 { o.unwrap() }\n",
         )]));
         let json = to_json(&report);
         assert!(json.starts_with("{\"version\":1,"));
-        assert!(json.contains("\"rule\":\"index-overflow\""));
-        assert!(json.contains("\"path\":\"crates/tensor/src/bcoo.rs\""));
+        assert!(json.contains("\"rule\":\"panic-reach\""));
+        assert!(json.contains("\"path\":\"crates/core/src/kernel.rs\""));
         assert!(json.contains("\"line\":2"));
-        assert!(json.contains("\"func\":\"block_id\""));
+        assert!(json.contains("\"func\":\"launch\""));
         assert!(json.contains("\"waived\":false"));
-        assert!(json.contains("\"chain\":[]"));
-        assert!(json.contains("\"key\":\"index-overflow|crates/tensor/src/bcoo.rs|block_id|"));
+        assert!(json.contains("\"key\":\"panic-reach|crates/core/src/kernel.rs|launch|"));
     }
 
     #[test]
@@ -472,10 +466,7 @@ mod tests {
 
     #[test]
     fn baseline_roundtrip_and_diff() {
-        let report = lint_sources(&sources(&[(
-            "crates/tensor/src/bcoo.rs",
-            "fn block_id(a: usize, nb: usize) -> usize { a * nb }\n",
-        )]));
+        let report = lint_sources(&sources(&[("crates/serve/src/registry.rs", IO_UNDER_LOCK)]));
         let baseline = parse_baseline_keys(&baseline_json(&report));
         assert_eq!(baseline.len(), 1);
         // Same findings → nothing new, nothing fixed.
@@ -483,8 +474,8 @@ mod tests {
         assert!(d.new.is_empty() && d.fixed.is_empty());
         // Empty report → baseline entry is newly fixed.
         let clean = lint_sources(&sources(&[(
-            "crates/tensor/src/bcoo.rs",
-            "fn block_id(a: usize, nb: usize) -> Option<usize> { a.checked_mul(nb) }\n",
+            "crates/serve/src/registry.rs",
+            "impl Registry { fn save(&self) { std::fs::write(\"p\", b\"x\").ok(); } }\n",
         )]));
         let d = diff_baseline(&clean, &baseline);
         assert!(d.new.is_empty());
@@ -496,10 +487,10 @@ mod tests {
 
     #[test]
     fn baseline_key_survives_line_drift() {
-        let src = "fn block_id(a: usize, nb: usize) -> usize { a * nb }\n";
-        let before = lint_sources(&sources(&[("crates/tensor/src/bcoo.rs", src)]));
-        let drifted = format!("// a new comment shifting everything down\n\n{src}");
-        let after = lint_sources(&sources(&[("crates/tensor/src/bcoo.rs", &drifted)]));
+        let path = "crates/serve/src/registry.rs";
+        let before = lint_sources(&sources(&[(path, IO_UNDER_LOCK)]));
+        let drifted = format!("// a new comment shifting everything down\n\n{IO_UNDER_LOCK}");
+        let after = lint_sources(&sources(&[(path, &drifted)]));
         assert_eq!(before.findings[0].key(), after.findings[0].key());
         assert_ne!(before.findings[0].line, after.findings[0].line);
     }

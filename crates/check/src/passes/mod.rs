@@ -12,10 +12,7 @@
 //!   boundary roots, with call-chain witnesses.
 //! - [`lock_discipline`] — no I/O while a `sync.rs` guard is live, and
 //!   the global lock-acquisition order.
-//! - [`index_overflow`] — unchecked multiplies in block-coordinate and
-//!   tile-extent arithmetic in `crates/tensor`.
 
-pub mod index_overflow;
 pub mod lock_discipline;
 pub mod panic_reach;
 
@@ -296,161 +293,6 @@ pub fn io_sites(tokens: &[Token], item: &FnItem) -> Vec<(usize, String)> {
     out
 }
 
-/// A binary multiplication site: `a * b` in expression position.
-#[derive(Debug, Clone)]
-pub struct MulSite {
-    /// 1-based source line.
-    pub line: usize,
-    /// Identifiers in the ±4-token window around the `*` (operand
-    /// vocabulary for the index-overflow pass).
-    pub window_idents: Vec<String>,
-}
-
-/// Scans a fn body for binary `*` operators (excluding derefs, raw
-/// pointers, and `*=`'s read side — `*=` still counts as a multiply).
-pub fn mul_sites(tokens: &[Token], item: &FnItem) -> Vec<MulSite> {
-    let (open, close) = item.body;
-    if open == usize::MAX || close >= tokens.len() {
-        return Vec::new();
-    }
-    let body = &tokens[open..=close];
-    let mut out = Vec::new();
-    for (i, tok) in body.iter().enumerate() {
-        if !tok.kind.is_punct("*") || i == 0 {
-            continue;
-        }
-        // Binary `*`: an expression ends right before it.
-        let prev_ends_expr = matches!(
-            &body[i - 1].kind,
-            TokenKind::Ident(_) | TokenKind::Num(_) | TokenKind::Punct(")") | TokenKind::Punct("]")
-        ) && !body[i - 1]
-            .kind
-            .ident()
-            .is_some_and(|w| matches!(w, "in" | "return" | "as" | "else" | "mut" | "const"));
-        if !prev_ends_expr {
-            continue;
-        }
-        let lo = i.saturating_sub(4);
-        let hi = (i + 5).min(body.len());
-        let window_idents = body[lo..hi]
-            .iter()
-            .filter_map(|t| t.kind.ident())
-            .map(|s| s.to_string())
-            .collect();
-        out.push(MulSite {
-            line: tok.line,
-            window_idents,
-        });
-    }
-    out
-}
-
-/// A `(expr) as u32/u16/u8` cast whose parenthesized operand performs
-/// top-level `*`/`+` arithmetic — the shape that silently truncates a
-/// freshly linearized id (the BCOO block-tag bug class).
-#[derive(Debug, Clone)]
-pub struct CastSite {
-    /// 1-based source line (of the `as`).
-    pub line: usize,
-    /// The narrow target type name (`u32`, `u16`, `u8`).
-    pub target: String,
-    /// Every identifier inside the parenthesized operand.
-    pub operand_idents: Vec<String>,
-}
-
-/// Target types narrow enough to truncate a linearized coordinate.
-const NARROW_TARGETS: &[&str] = &["u32", "u16", "u8"];
-
-/// Scans a fn body for narrowing casts of parenthesized arithmetic:
-/// `(a * nb + b) as u32`. Only group parens count — `f(...) as u32` is
-/// a call (the callee owns its arithmetic), and a bare `x as u32` casts
-/// a finished value. Arithmetic must appear at the group's top level, so
-/// decodes like `(id % nc) as u32` or `(id / (nb * nc)) as u32` — whose
-/// results are bounded by the divisor/modulus — stay clean.
-pub fn narrowing_cast_sites(tokens: &[Token], item: &FnItem) -> Vec<CastSite> {
-    let (open, close) = item.body;
-    if open == usize::MAX || close >= tokens.len() {
-        return Vec::new();
-    }
-    let body = &tokens[open..=close];
-    let mut out = Vec::new();
-    for (i, tok) in body.iter().enumerate() {
-        if !tok.kind.is_ident("as") {
-            continue;
-        }
-        let Some(target) = body.get(i + 1).and_then(|t| t.kind.ident()) else {
-            continue;
-        };
-        if !NARROW_TARGETS.contains(&target) {
-            continue;
-        }
-        if i == 0 || !body[i - 1].kind.is_punct(")") {
-            continue;
-        }
-        // Match the operand's opening paren.
-        let mut depth = 0usize;
-        let mut start = None;
-        for j in (0..i).rev() {
-            if body[j].kind.is_punct(")") {
-                depth += 1;
-            } else if body[j].kind.is_punct("(") {
-                depth -= 1;
-                if depth == 0 {
-                    start = Some(j);
-                    break;
-                }
-            }
-        }
-        let Some(start) = start else { continue };
-        // An identifier right before `(` makes it a call or tuple-struct
-        // argument list, not a grouping paren.
-        if start > 0 && matches!(body[start - 1].kind, TokenKind::Ident(_)) {
-            continue;
-        }
-        let inner = &body[start + 1..i - 1];
-        let mut level = 0usize;
-        let mut arith = false;
-        for (j, t) in inner.iter().enumerate() {
-            match &t.kind {
-                TokenKind::Punct("(") | TokenKind::Punct("[") | TokenKind::Punct("{") => level += 1,
-                TokenKind::Punct(")") | TokenKind::Punct("]") | TokenKind::Punct("}") => {
-                    level = level.saturating_sub(1)
-                }
-                TokenKind::Punct("*") | TokenKind::Punct("+") if level == 0 && j > 0 => {
-                    // Binary only: an expression must end right before
-                    // (excludes derefs like `*e`).
-                    let prev_ends_expr = matches!(
-                        &inner[j - 1].kind,
-                        TokenKind::Ident(_)
-                            | TokenKind::Num(_)
-                            | TokenKind::Punct(")")
-                            | TokenKind::Punct("]")
-                    ) && !inner[j - 1].kind.ident().is_some_and(|w| {
-                        matches!(w, "in" | "return" | "as" | "else" | "mut" | "const")
-                    });
-                    if prev_ends_expr {
-                        arith = true;
-                    }
-                }
-                _ => {}
-            }
-        }
-        if !arith {
-            continue;
-        }
-        out.push(CastSite {
-            line: tok.line,
-            target: target.to_string(),
-            operand_idents: inner
-                .iter()
-                .filter_map(|t| t.kind.ident())
-                .map(|s| s.to_string())
-                .collect(),
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,26 +380,10 @@ mod tests {
     }
 
     #[test]
-    fn mul_sites_exclude_derefs() {
-        let w = ws(&[(
-            "a.rs",
-            "fn f(p: &u32, nb: usize, nc: usize) -> usize {
-                let x = *p as usize;
-                let id = nb * nc + x;
-                id * 2
-            }",
-        )]);
-        let f = &w.files[0];
-        let sites = mul_sites(&f.tokens, &f.items[0]);
-        assert_eq!(sites.len(), 2);
-        assert!(sites[0].window_idents.iter().any(|i| i == "nb"));
-    }
-
-    #[test]
     fn waiver_parsing_multi_rule() {
         assert_eq!(
-            waiver_rules("x[i * n] // lint: allow(index-overflow, panic-reach)"),
-            vec!["index-overflow", "panic-reach"]
+            waiver_rules("x[i * n] // lint: allow(lock-discipline, panic-reach)"),
+            vec!["lock-discipline", "panic-reach"]
         );
         assert!(waiver_rules("plain line").is_empty());
     }
@@ -577,7 +403,7 @@ mod tests {
         // same-line coverage still works
         assert!(w.is_waived(0, 2, "panic-reach"));
         // an unrelated rule is not waived
-        assert!(!w.is_waived(0, 3, "index-overflow"));
+        assert!(!w.is_waived(0, 3, "lock-discipline"));
         // g's site (line 5) has no waiver anywhere near it
         assert!(!w.is_waived(0, 5, "panic-reach"));
     }

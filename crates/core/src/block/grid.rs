@@ -8,10 +8,9 @@
 //! to fit in cache. The data reorganization cost is a single sort, "
 //! negligible compared to the reordering methods" (Section V-A).
 
-use tenblock_tensor::bcoo::uniform_bounds;
 use tenblock_tensor::coo::perm_for_mode;
 use tenblock_tensor::fiber_sort::sort_into_cells;
-use tenblock_tensor::{CooTensor, SplattTensor, NMODES};
+use tenblock_tensor::{CellGrid, CooTensor, SplattTensor, NMODES};
 
 /// A tensor partitioned into a 3-D grid of SPLATT blocks.
 ///
@@ -22,9 +21,8 @@ use tenblock_tensor::{CooTensor, SplattTensor, NMODES};
 pub struct BlockGrid {
     dims: [usize; NMODES],
     perm: [usize; NMODES],
-    grid: [usize; NMODES],
-    /// Per kernel axis, `grid[ax] + 1` uniform block boundaries.
-    bounds: [Vec<usize>; NMODES],
+    /// The grid over the kernel axes.
+    cells: CellGrid,
     /// Blocks in `(a, b, c)` row-major order; empty blocks are `None`.
     blocks: Vec<Option<SplattTensor>>,
     nnz: usize,
@@ -37,25 +35,24 @@ thread_local! {
     pub(crate) static BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// Buckets `coo`'s entries by linear block id `(a * N_B + b) * N_C + c`
-/// and builds each non-empty block as a slice-compressed SPLATT tensor.
+/// Buckets `coo`'s entries by linear block id and builds each non-empty
+/// block as a slice-compressed SPLATT tensor.
 fn bucket_blocks(
     coo: &CooTensor,
     perm: [usize; NMODES],
-    grid: [usize; NMODES],
-    bounds: &[Vec<usize>; NMODES],
+    cells: &CellGrid,
 ) -> Vec<Option<SplattTensor>> {
     let entries = coo.entries();
     let sorted = sort_into_cells(
         entries.len(),
         |n| entries[n],
         |e| [e.idx[perm[0]], e.idx[perm[1]], e.idx[perm[2]]],
-        bounds,
+        cells,
     );
-    let mut blocks = vec![None; grid[0] * grid[1] * grid[2]];
+    let mut blocks = vec![None; cells.n_cells()];
     let mut start = 0;
-    for &([a, b, c], end) in &sorted.cells {
-        blocks[(a * grid[1] + b) * grid[2] + c] = Some(SplattTensor::from_sorted_compressed(
+    for &(cell, end) in &sorted.cells {
+        blocks[cells.id(cell)] = Some(SplattTensor::from_sorted_compressed(
             coo.dims(),
             perm,
             &sorted.records[start..end],
@@ -71,25 +68,16 @@ impl BlockGrid {
     /// unblocked tensor, at the cost of [`SplattTensor::for_mode`].
     ///
     /// # Panics
-    /// Panics if any grid count is zero or exceeds the axis length
-    /// (when the axis is non-empty).
+    /// Panics with the [`tenblock_tensor::GridError`] if `grid` is not a
+    /// valid grid over the kernel axes; [`crate::try_build_kernel`] checks
+    /// the same precondition and returns it instead.
     pub fn new(coo: &CooTensor, mode: usize, grid: [usize; NMODES]) -> Self {
         let perm = perm_for_mode(mode);
         let dims = coo.dims();
-        for ax in 0..NMODES {
-            assert!(grid[ax] > 0, "grid counts must be positive");
-            assert!(
-                grid[ax] <= dims[perm[ax]].max(1),
-                "grid count {} exceeds axis length {}",
-                grid[ax],
-                dims[perm[ax]]
-            );
-        }
-        let bounds = [
-            uniform_bounds(dims[perm[0]], grid[0]),
-            uniform_bounds(dims[perm[1]], grid[1]),
-            uniform_bounds(dims[perm[2]], grid[2]),
-        ];
+        let cells = match CellGrid::new(perm.map(|m| dims[m]), grid) {
+            Ok(cells) => cells,
+            Err(e) => panic!("{e}"), // documented panic; try_build_kernel checks first — lint: allow(panic-reach)
+        };
 
         let blocks = if grid == [1, 1, 1] {
             // One block is the whole tensor: build it as plain SPLATT does
@@ -97,7 +85,7 @@ impl BlockGrid {
             // kernel's row lookup is arithmetic).
             vec![(coo.nnz() > 0).then(|| SplattTensor::for_mode(coo, mode))]
         } else {
-            bucket_blocks(coo, perm, grid, &bounds)
+            bucket_blocks(coo, perm, &cells)
         };
         #[cfg(test)]
         BUILDS.with(|n| n.set(n.get() + 1));
@@ -105,8 +93,7 @@ impl BlockGrid {
         BlockGrid {
             dims,
             perm,
-            grid,
-            bounds,
+            cells,
             blocks,
             nnz: coo.nnz(),
         }
@@ -124,7 +111,7 @@ impl BlockGrid {
 
     /// Block counts per kernel axis.
     pub fn grid(&self) -> [usize; NMODES] {
-        self.grid
+        self.cells.counts()
     }
 
     /// Total nonzeros across all blocks.
@@ -134,20 +121,21 @@ impl BlockGrid {
 
     /// Block boundaries along kernel axis `ax`.
     pub fn bounds(&self, ax: usize) -> &[usize] {
-        &self.bounds[ax]
+        self.cells.bounds(ax)
     }
 
     /// The block at grid coordinates `(a, b, c)`, or `None` if empty.
     pub fn block(&self, a: usize, b: usize, c: usize) -> Option<&SplattTensor> {
-        self.blocks[(a * self.grid[1] + b) * self.grid[2] + c].as_ref()
+        self.blocks[self.cells.id([a, b, c])].as_ref()
     }
 
     /// Iterates the non-empty blocks of slice-axis row `a`, in `(b, c)`
     /// row-major order — `b` outermost so the expensive mode-2 factor block
     /// stays hot across the inner `c` sweep (Section IV conclusion 2).
     pub fn row_blocks(&self, a: usize) -> impl Iterator<Item = &SplattTensor> {
-        let (nb, nc) = (self.grid[1], self.grid[2]);
-        self.blocks[a * nb * nc..(a + 1) * nb * nc]
+        let [_, nb, nc] = self.cells.counts();
+        let start = self.cells.id([a, 0, 0]);
+        self.blocks[start..start + nb * nc]
             .iter()
             .filter_map(|b| b.as_ref())
     }
@@ -168,11 +156,8 @@ impl BlockGrid {
     /// each factor matrix is traversed, `[A: N_B*N_C, B: N_A*N_C,
     /// C: N_A*N_B]` in kernel-axis order.
     pub fn redundant_accesses(&self) -> [usize; NMODES] {
-        [
-            self.grid[1] * self.grid[2],
-            self.grid[0] * self.grid[2],
-            self.grid[0] * self.grid[1],
-        ]
+        let [na, nb, nc] = self.cells.counts();
+        [nb * nc, na * nc, na * nb]
     }
 
     /// Total bytes of all block representations.
@@ -190,37 +175,21 @@ impl BlockGrid {
     /// nonzeros. Independent of the construction code — it re-derives
     /// everything from the stored blocks.
     pub fn validate(&self) -> Result<(), tenblock_check::OracleError> {
-        let dims = [
-            self.dims[self.perm[0]],
-            self.dims[self.perm[1]],
-            self.dims[self.perm[2]],
-        ];
-        let mut blocks = Vec::new();
-        for a in 0..self.grid[0] {
-            for b in 0..self.grid[1] {
-                for c in 0..self.grid[2] {
-                    if let Some(t) = self.block(a, b, c) {
-                        blocks.push(tenblock_check::GridBlock {
-                            coords: [a, b, c],
-                            entries: t
-                                .to_entries()
-                                .iter()
-                                .map(|e| {
-                                    [
-                                        e.idx[self.perm[0]] as usize,
-                                        e.idx[self.perm[1]] as usize,
-                                        e.idx[self.perm[2]] as usize,
-                                    ]
-                                })
-                                .collect(),
-                        });
-                    }
-                }
-            }
-        }
+        let dims = self.perm.map(|m| self.dims[m]);
+        let blocks: Vec<tenblock_check::GridBlock> = (self.blocks.iter().enumerate())
+            .filter_map(|(id, b)| Some((self.cells.cell(id), b.as_ref()?)))
+            .map(|(coords, t)| tenblock_check::GridBlock {
+                coords,
+                entries: t
+                    .to_entries()
+                    .iter()
+                    .map(|e| self.perm.map(|m| e.idx[m] as usize))
+                    .collect(),
+            })
+            .collect();
         tenblock_check::check_grid_blocks(
             dims,
-            [&self.bounds[0], &self.bounds[1], &self.bounds[2]],
+            [self.bounds(0), self.bounds(1), self.bounds(2)],
             self.nnz,
             &blocks,
         )
@@ -231,8 +200,7 @@ impl BlockGrid {
     /// for exercising checked execution (an off-by-one block boundary whose
     /// blocks still contain the rows of the old partition).
     pub fn shift_bound_for_test(&mut self, ax: usize, idx: usize, delta: isize) {
-        let b = &mut self.bounds[ax][idx];
-        *b = b.checked_add_signed(delta).unwrap_or(0);
+        self.cells.shift_bound_for_test(ax, idx, delta);
     }
 }
 
@@ -240,13 +208,6 @@ impl BlockGrid {
 mod tests {
     use super::*;
     use tenblock_tensor::gen::uniform_tensor;
-
-    #[test]
-    fn uniform_bounds_cover_exactly() {
-        let b = uniform_bounds(10, 3);
-        assert_eq!(b, vec![0, 3, 6, 10]);
-        assert!(b.windows(2).all(|w| w[0] < w[1]));
-    }
 
     #[test]
     fn partition_is_exact_and_disjoint() {

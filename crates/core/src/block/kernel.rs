@@ -241,7 +241,7 @@ impl crate::kernel::RowKernel for BlockedKernel {
 
     /// The grid oracle (bounds tile the axes, every stored nonzero inside
     /// its block's box), when there is a partition into blocks to check.
-    fn oracle(&self) -> Result<(), OracleError> {
+    fn oracle(&self, _rank: usize) -> Result<(), OracleError> {
         if self.grid.grid() == [1, 1, 1] {
             return Ok(());
         }
@@ -275,11 +275,7 @@ impl crate::kernel::RowKernel for BlockedKernel {
         factors: &[&DenseMatrix],
         rows: &mut [f64],
         rank: usize,
-        cols: Range<usize>,
     ) {
-        // `strip()` is `None`: the launch hands every task the full rank,
-        // and the strips are walked here, per block.
-        debug_assert_eq!(cols, 0..rank);
         let perm = self.grid.perm();
         let (b, c) = (factors[perm[1]], factors[perm[2]]);
         let row0 = task.rows.start;

@@ -11,25 +11,24 @@
 //! violation before any task runs.
 
 use crate::kernel::{RowKernel, RowTask};
-use crate::mttkrp::REG_BLOCK;
-use tenblock_check::{check_strip_plan, write_set_violations, RaceReport, Violation, WriteSet};
+use tenblock_check::{write_set_violations, RaceReport, Violation, WriteSet};
 
-/// Verifies a launch of `tasks` into `out_rows` rows at `rank` columns in
-/// `strips`: the kernel's oracle and the strip plan (as
-/// [`Violation::Invariant`]s, first), then the tasks' write sets.
+/// Verifies a launch of `tasks` into `out_rows` rows at `rank` columns:
+/// the kernel's oracle (as a [`Violation::Invariant`], first), then the
+/// tasks' write sets.
 pub(crate) fn verify<K: RowKernel>(
     k: &K,
     tasks: &[RowTask<K::Payload>],
     out_rows: usize,
     rank: usize,
-    strips: &[(usize, usize)],
 ) -> Result<(), RaceReport> {
-    let mut violations: Vec<Violation> = [k.oracle(), check_strip_plan(rank, strips, REG_BLOCK)]
-        .into_iter()
-        .filter_map(Result::err)
+    let mut violations: Vec<Violation> = k
+        .oracle(rank)
+        .err()
         .map(|e| Violation::Invariant {
             detail: e.to_string(),
         })
+        .into_iter()
         .collect();
     violations.extend(write_set_violations(out_rows, &write_sets(k, tasks)));
     RaceReport::check(k.name(), violations)
@@ -63,9 +62,9 @@ mod tests {
     use super::*;
     use crate::block::{BlockGrid, BlockedKernel};
     use crate::exec::ExecPolicy;
-    use crate::mttkrp::CsfKernel;
+    use crate::mttkrp::{CsfKernel, REG_BLOCK};
     use std::sync::Arc;
-    use tenblock_check::check_write_sets;
+    use tenblock_check::{check_strip_plan, check_write_sets};
     use tenblock_tensor::gen::uniform_tensor;
     use tenblock_tensor::{CooTensor, NdCooTensor};
 

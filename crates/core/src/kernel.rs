@@ -5,12 +5,12 @@
 //! its layout oracle, its counters, its name and a per-task body — written
 //! as a [`RowKernel`]. Everything else a launch does is [`launch`], once:
 //! check the factor shapes, verify under checked execution, open the
-//! `mttkrp/<name>` span, zero the output, and run every task once per rank
-//! strip, serially or in parallel over disjoint row pieces. Every
+//! `mttkrp/<name>` span, zero the output, and run every task once,
+//! serially or in parallel over disjoint row pieces. Every
 //! [`RowKernel`] is an [`MttkrpKernel`] through that routine.
 
 use crate::block::{build_layout, BlockGrid, BlockedKernel};
-use crate::checked::{effective_strip_plan, verify};
+use crate::checked::verify;
 use crate::exec::ExecPolicy;
 use crate::mttkrp::{BcooKernel, CooKernel, CsfKernel};
 use rayon::prelude::*;
@@ -18,7 +18,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use tenblock_check::{OracleError, RaceReport};
 use tenblock_obs::KernelCounters;
-use tenblock_tensor::{CooTensor, DenseMatrix, NdCooTensor, NMODES};
+use tenblock_tensor::{CellGrid, CooTensor, DenseMatrix, GridError, NdCooTensor, NMODES};
 
 /// A prepared MTTKRP kernel for one mode of one tensor.
 ///
@@ -87,33 +87,26 @@ pub(crate) trait RowKernel: Send + Sync {
     fn exec(&self) -> &ExecPolicy;
     /// Bytes of the kernel's tensor representation.
     fn tensor_bytes(&self) -> usize;
-    /// Rank-strip width: every task runs once per strip of this many
-    /// columns, strips in order (`None`: one full-rank pass). CSF and BCOO
-    /// stripe here; the blocked kernel answers `None` and walks strips
-    /// inside its task, only in the blocks whose fibers pay for them.
-    fn strip(&self) -> Option<usize> {
-        None
-    }
     /// The tasks of a launch into `out_rows` output rows.
     fn row_tasks(&self, out_rows: usize) -> Vec<RowTask<Self::Payload>>;
     /// The global output rows `task`'s body writes, read from the tensor
     /// data rather than from the partition arithmetic behind `task.rows`.
     fn touched_rows(&self, task: &RowTask<Self::Payload>) -> impl Iterator<Item = usize>;
-    /// The layout invariant a checked launch verifies first.
-    fn oracle(&self) -> Result<(), OracleError> {
+    /// The layout invariant a checked launch at `rank` columns verifies
+    /// first.
+    fn oracle(&self, _rank: usize) -> Result<(), OracleError> {
         Ok(())
     }
     /// Section IV counters of one launch at `rank` columns.
     fn counters(&self, rank: usize) -> KernelCounters;
-    /// Adds `task`'s contribution to columns `cols` of `rows`: the task's
-    /// output rows, `rank` wide.
+    /// Adds `task`'s contribution to `rows`: the task's output rows, `rank`
+    /// wide. A kernel with rank strips walks them here.
     fn run_task(
         &self,
         task: &RowTask<Self::Payload>,
         factors: &[&DenseMatrix],
         rows: &mut [f64],
         rank: usize,
-        cols: Range<usize>,
     );
 }
 
@@ -174,9 +167,8 @@ fn try_launch<K: RowKernel>(
         );
     }
     let tasks = k.row_tasks(out.rows());
-    let strips = effective_strip_plan(rank, k.strip().unwrap_or(usize::MAX));
     if checked {
-        verify(k, &tasks, out.rows(), rank, &strips)?;
+        verify(k, &tasks, out.rows(), rank)?;
     }
     let rec = &k.exec().recorder;
     let _span = rec.enabled().then(|| {
@@ -187,17 +179,13 @@ fn try_launch<K: RowKernel>(
     });
     out.fill_zero();
 
-    let parallel = k.exec().is_parallel() && tasks.len() > 1;
-    for (col0, width) in strips {
-        let pieces = pieces(out.as_mut_slice(), &tasks, rank);
-        let body = |(task, rows): (&RowTask<K::Payload>, &mut [f64])| {
-            k.run_task(task, factors, rows, rank, col0..col0 + width)
-        };
-        if parallel {
-            pieces.into_par_iter().for_each(body);
-        } else {
-            pieces.into_iter().for_each(body);
-        }
+    let pieces = pieces(out.as_mut_slice(), &tasks, rank);
+    let body =
+        |(task, rows): (&RowTask<K::Payload>, &mut [f64])| k.run_task(task, factors, rows, rank);
+    if k.exec().is_parallel() && tasks.len() > 1 {
+        pieces.into_par_iter().for_each(body);
+    } else {
+        pieces.into_iter().for_each(body);
     }
     Ok(())
 }
@@ -337,6 +325,25 @@ pub enum KernelError {
         /// The axis length (tensor dimension along that kernel axis).
         len: usize,
     },
+    /// The MB grid has more blocks than `usize` can count.
+    GridTooLarge {
+        /// The requested grid, in kernel axes.
+        grid: [usize; NMODES],
+    },
+}
+
+impl From<GridError> for KernelError {
+    fn from(e: GridError) -> Self {
+        match e {
+            GridError::AxisZero { axis } => KernelError::GridAxisZero { axis },
+            GridError::ExceedsAxis { axis, count, len } => KernelError::GridExceedsAxis {
+                axis,
+                blocks: count,
+                len,
+            },
+            GridError::TooManyCells { counts } => KernelError::GridTooLarge { grid: counts },
+        }
+    }
 }
 
 impl std::fmt::Display for KernelError {
@@ -352,6 +359,9 @@ impl std::fmt::Display for KernelError {
                 f,
                 "MB grid requests {blocks} blocks along kernel axis {axis} of length {len}"
             ),
+            KernelError::GridTooLarge { grid: [a, b, c] } => {
+                write!(f, "MB grid {a}x{b}x{c} has more blocks than usize holds")
+            }
         }
     }
 }
@@ -360,8 +370,9 @@ impl std::error::Error for KernelError {}
 
 /// Validates a `(mode, grid)` request against the tensor's dimensions.
 ///
-/// This is the exact precondition `BlockGrid::new` asserts; checking it
-/// here turns a would-be panic on hostile input into a [`KernelError`].
+/// This is the exact precondition `BlockGrid::new` asserts (a valid
+/// [`CellGrid`] over the kernel axes); checking it here turns a would-be
+/// panic on hostile input into a [`KernelError`].
 fn validate_request(
     coo: &CooTensor,
     mode: usize,
@@ -370,21 +381,11 @@ fn validate_request(
     if mode >= NMODES {
         return Err(KernelError::ModeOutOfRange { mode });
     }
-    let perm = tenblock_tensor::coo::perm_for_mode(mode);
     let dims = coo.dims();
-    for ax in 0..NMODES {
-        if grid[ax] == 0 {
-            return Err(KernelError::GridAxisZero { axis: ax });
-        }
-        let len = dims[perm[ax]].max(1);
-        if grid[ax] > len {
-            return Err(KernelError::GridExceedsAxis {
-                axis: ax,
-                blocks: grid[ax],
-                len,
-            });
-        }
-    }
+    CellGrid::new(
+        tenblock_tensor::coo::perm_for_mode(mode).map(|m| dims[m]),
+        grid,
+    )?;
     Ok(())
 }
 

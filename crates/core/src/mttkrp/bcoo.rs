@@ -12,7 +12,6 @@
 use super::micro::{process_block_bcoo, GatherBuf};
 use crate::exec::ExecPolicy;
 use crate::kernel::RowTask;
-use std::ops::Range;
 use tenblock_check::{GridBlock, OracleError};
 use tenblock_obs::KernelCounters;
 use tenblock_tensor::bcoo::BcooOffsets;
@@ -110,7 +109,7 @@ impl crate::kernel::RowKernel for BcooKernel {
     /// The grid-blocks oracle over the decoded block table: every decoded
     /// entry inside its block's bounds box, blocks correctly placed,
     /// nonzeros conserved.
-    fn oracle(&self) -> Result<(), OracleError> {
+    fn oracle(&self, _rank: usize) -> Result<(), OracleError> {
         let perm = self.t.perm();
         let dims_kernel = perm.map(|m| self.dims[m]);
         let blocks: Vec<GridBlock> = (0..self.t.n_blocks())
@@ -155,7 +154,6 @@ impl crate::kernel::RowKernel for BcooKernel {
         factors: &[&DenseMatrix],
         rows: &mut [f64],
         rank: usize,
-        _cols: Range<usize>,
     ) {
         let perm = self.t.perm();
         let (b, c) = (factors[perm[1]], factors[perm[2]]);

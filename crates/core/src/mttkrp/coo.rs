@@ -9,7 +9,6 @@
 use crate::exec::ExecPolicy;
 use crate::kernel::RowTask;
 use crate::mttkrp::{prefetch_row, AHEAD};
-use std::ops::Range;
 use tenblock_obs::KernelCounters;
 use tenblock_tensor::coo::perm_for_mode;
 use tenblock_tensor::fiber_sort::{fiber_key, FiberSorter};
@@ -108,7 +107,6 @@ impl crate::kernel::RowKernel for CooKernel {
         factors: &[&DenseMatrix],
         rows: &mut [f64],
         rank: usize,
-        _cols: Range<usize>,
     ) {
         let (b, c) = (factors[self.perm[1]], factors[self.perm[2]]);
         for (n, &(i, j, k, v)) in self.entries.iter().enumerate() {

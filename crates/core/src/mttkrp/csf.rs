@@ -8,9 +8,12 @@
 //! root row of the output accumulates the sums of its level-1 children —
 //! the order-N generalization of Algorithm 1's per-fiber factoring.
 
+use crate::checked::effective_strip_plan;
 use crate::exec::ExecPolicy;
 use crate::kernel::{launch, RowTask};
+use crate::mttkrp::REG_BLOCK;
 use std::ops::Range;
+use tenblock_check::{check_strip_plan, OracleError};
 use tenblock_obs::KernelCounters;
 use tenblock_tensor::{CsfTensor, DenseMatrix, NdCooTensor};
 
@@ -64,6 +67,11 @@ impl CsfKernel {
     /// The underlying CSF tensor.
     pub fn tensor(&self) -> &CsfTensor {
         &self.t
+    }
+
+    /// The `(col0, width)` strips a launch at `rank` columns walks.
+    fn strip_plan(&self, rank: usize) -> Vec<(usize, usize)> {
+        effective_strip_plan(rank, self.strip.unwrap_or(usize::MAX))
     }
 
     /// Computes the root-mode MTTKRP. `factors` are indexed by original
@@ -173,10 +181,6 @@ impl crate::kernel::RowKernel for CsfKernel {
         self.t.actual_bytes()
     }
 
-    fn strip(&self) -> Option<usize> {
-        self.strip
-    }
-
     /// Chunks of root nodes: all of them when serial, the policy's chunk
     /// size when parallel. Root fids ascend, so each chunk's claim runs to
     /// the next chunk's first row (the first from row 0): rows with no root
@@ -216,6 +220,11 @@ impl crate::kernel::RowKernel for CsfKernel {
         task.payload.clone().map(|r| self.t.fid(0, r) as usize)
     }
 
+    /// The rank strips each task walks tile `[0, rank)`.
+    fn oracle(&self, rank: usize) -> Result<(), OracleError> {
+        check_strip_plan(rank, &self.strip_plan(rank), REG_BLOCK)
+    }
+
     /// Parent-of-leaf nodes are the CSF generalization of SPLATT's fibers;
     /// root mode aside, 3-mode trees make this `n_nodes(1)`.
     fn counters(&self, rank: usize) -> KernelCounters {
@@ -225,22 +234,22 @@ impl crate::kernel::RowKernel for CsfKernel {
         } else {
             self.t.nnz()
         };
-        let width = self.strip.unwrap_or(usize::MAX);
-        let strips = rank.div_ceil(width.min(rank).max(1));
         KernelCounters::fibered_model(self.t.nnz() as u64, fibers as u64, rank as u64)
-            .with_strips(strips as u64)
+            .with_strips(self.strip_plan(rank).len() as u64)
     }
 
+    /// The task's roots once per rank strip, strips in order.
     fn run_task(
         &self,
         task: &RowTask<Range<usize>>,
         factors: &[&DenseMatrix],
         rows: &mut [f64],
         rank: usize,
-        cols: Range<usize>,
     ) {
-        let (roots, row0) = (task.payload.clone(), task.rows.start);
-        self.process_roots(roots, factors, rows, row0, rank, cols.start, cols.len());
+        let row0 = task.rows.start;
+        for (col0, width) in self.strip_plan(rank) {
+            self.process_roots(task.payload.clone(), factors, rows, row0, rank, col0, width);
+        }
     }
 }
 

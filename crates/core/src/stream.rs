@@ -23,7 +23,7 @@
 //!    [`tenblock_tensor::fiber_sort`] — the one `BcooTensor::from_coo`
 //!    builds with; the sort is stable, so a source that repeats a
 //!    coordinate streams the repeats in the order it served them;
-//! 3. tile extents come from the same `uniform_bounds` arithmetic, so
+//! 3. tile extents come from the same [`CellGrid`] geometry, so
 //!    per-column accumulation order matches term for term.
 //!
 //! Checked mode keeps PR 3's write-set discipline without a second pass:
@@ -42,7 +42,9 @@ use tenblock_faults::{is_transient, Backoff, FaultOp, FaultPolicy, IoOutcome};
 use tenblock_obs::{KernelCounters, StreamStats};
 use tenblock_tensor::coo::perm_for_mode;
 use tenblock_tensor::io_bin::BinError;
-use tenblock_tensor::{DenseMatrix, FiberCols, FiberSorter, SourceTile, TensorSource, NMODES};
+use tenblock_tensor::{
+    CellGrid, DenseMatrix, FiberCols, FiberSorter, SourceTile, TensorSource, NMODES,
+};
 
 /// Why a streaming pass stopped.
 #[derive(Debug)]
@@ -183,6 +185,11 @@ impl<'a> StreamingMttkrp<'a> {
         assert_eq!(out.rows(), dims[self.mode], "output rows != mode length");
         assert_eq!(b.cols(), rank, "factor rank mismatch");
         assert_eq!(c.cols(), rank, "factor rank mismatch");
+        // The grid over the original axes every source obeys. Spans fed to
+        // the micro-kernel come from here (invariant 3), not from the
+        // decoded offsets, so the per-block gather heuristic sees exactly
+        // what `BcooKernel` sees.
+        let cells = CellGrid::new(dims, grid).map_err(|e| StreamError::Load(e.into()))?;
 
         let span = self.exec.recorder.span("mttkrp/STREAM");
         if span.active() {
@@ -202,20 +209,10 @@ impl<'a> StreamingMttkrp<'a> {
             [cell[perm[0]], cell[perm[1]], cell[perm[2]]]
         });
 
-        // Grid bounds per original axis — the shared `uniform_bounds`
-        // contract every source obeys. Spans fed to the micro-kernel come
-        // from here (invariant 3), not from the decoded offsets, so the
-        // per-block gather heuristic sees exactly what `BcooKernel` sees.
-        let bounds: [Vec<usize>; NMODES] = [
-            tenblock_tensor::bcoo::uniform_bounds(dims[0], grid[0]),
-            tenblock_tensor::bcoo::uniform_bounds(dims[1], grid[1]),
-            tenblock_tensor::bcoo::uniform_bounds(dims[2], grid[2]),
-        ];
-
         // Checked mode: decoded slice rows per slice-axis band,
         // accumulated during the single pass.
         let n_bands = grid[perm[0]];
-        let bounds0 = &bounds[perm[0]];
+        let bounds0 = cells.bounds(perm[0]);
         let mut touched: Vec<Vec<usize>> = vec![Vec::new(); n_bands];
 
         let src = self.src;
@@ -249,7 +246,7 @@ impl<'a> StreamingMttkrp<'a> {
             // sort's histogram.
             let mut loaded = SourceTile::with_capacity(max_nnz);
             let mut sorter = FiberSorter::new();
-            let bounds = &bounds;
+            let cells = &cells;
             let prefetch_stats = Arc::clone(&stats);
             scope.spawn(move || {
                 for &i in &order {
@@ -265,8 +262,7 @@ impl<'a> StreamingMttkrp<'a> {
                         load_tile_retrying(src, i, &faults, &prefetch_stats, &mut loaded)?;
                         let t1 = Instant::now();
                         let bytes = src.tile_bytes(i);
-                        let tile =
-                            prepare_tile(&mut loaded, &mut sorter, cols, perm, bytes, bounds);
+                        let tile = prepare_tile(&mut loaded, &mut sorter, cols, perm, bytes, cells);
                         prefetch_stats.add_prefetch_ns(
                             (t1 - t0).as_nanos() as u64,
                             t1.elapsed().as_nanos() as u64,
@@ -354,8 +350,8 @@ impl<'a> StreamingMttkrp<'a> {
 
 /// Turns the tile just loaded into `tile` into kernel form in `cols`:
 /// invariant 2 through the fiber sort's counting passes, on the prefetch
-/// thread so they overlap compute. `bounds` are the grid boundaries per
-/// *original* axis; spans are bounds-derived so the micro-kernel's gather
+/// thread so they overlap compute. `cells` is the grid over the
+/// *original* axes; spans are bounds-derived so the micro-kernel's gather
 /// heuristic matches the in-memory layout exactly. A cell outside the
 /// grid, or a local offset outside its span, is a typed
 /// [`StreamError::Load`] whichever source produced it.
@@ -365,23 +361,17 @@ fn prepare_tile(
     mut cols: FiberCols,
     perm: [usize; NMODES],
     bytes: u64,
-    bounds: &[Vec<usize>; NMODES],
+    cells: &CellGrid,
 ) -> Result<KernelTile, StreamError> {
-    let mut origin = [0usize; NMODES];
-    let mut spans = [0usize; NMODES];
-    for ax in 0..NMODES {
-        let orig_ax = perm[ax];
-        let cell = tile.cell[orig_ax];
-        let (Some(lo), Some(hi)) = (bounds[orig_ax].get(cell), bounds[orig_ax].get(cell + 1))
-        else {
-            return Err(StreamError::Load(BinError::Format(format!(
-                "tile cell {:?} outside the grid on axis {orig_ax}",
-                tile.cell
-            ))));
-        };
-        origin[ax] = tile.origin[orig_ax];
-        spans[ax] = hi - lo;
+    let counts = cells.counts();
+    if let Some(ax) = perm.into_iter().find(|&m| tile.cell[m] >= counts[m]) {
+        return Err(StreamError::Load(BinError::Format(format!(
+            "tile cell {:?} outside the grid on axis {ax}",
+            tile.cell
+        ))));
     }
+    let origin = perm.map(|m| tile.origin[m]);
+    let spans = perm.map(|m| cells.span(tile.cell, m));
     sorter.sort_tile(&mut tile.locals, &mut tile.vals, perm, spans, &mut cols)?;
     Ok(KernelTile {
         slice_cell: tile.cell[perm[0]],

@@ -13,7 +13,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use tenblock_tensor::{CooTensor, Entry, Idx, NMODES};
+use tenblock_tensor::{CellGrid, CooTensor, Entry, Idx, NMODES};
 
 /// A medium-grained 3D partition of a tensor.
 ///
@@ -83,18 +83,12 @@ impl Partition3D {
     /// grid, deterministically from `seed`.
     ///
     /// # Panics
-    /// Panics if a grid count is zero or exceeds its mode length.
+    /// Panics with the [`GridError`](tenblock_tensor::GridError) if `grid`
+    /// is not a valid grid over the tensor's modes.
     pub fn new(coo: &CooTensor, grid: [usize; NMODES], seed: u64) -> Self {
         let dims = coo.dims();
-        for m in 0..NMODES {
-            assert!(grid[m] > 0, "grid counts must be positive");
-            assert!(
-                grid[m] <= dims[m].max(1),
-                "grid count {} exceeds mode length {}",
-                grid[m],
-                dims[m]
-            );
-        }
+        // Ranks are numbered as the grid's cells; only the bounds differ.
+        let ranks = CellGrid::new(dims, grid).unwrap_or_else(|e| panic!("{e}"));
         let mut rng = StdRng::seed_from_u64(seed);
 
         // Step 1: random relabeling per mode.
@@ -124,14 +118,10 @@ impl Partition3D {
         });
 
         // Bucket entries by rank.
-        let (r, s) = (grid[1], grid[2]);
-        let n_ranks = grid[0] * r * s;
-        let mut buckets: Vec<Vec<Entry>> = vec![Vec::new(); n_ranks];
+        let mut buckets: Vec<Vec<Entry>> = vec![Vec::new(); ranks.n_cells()];
         for e in &relabeled {
-            let a = find_chunk(&bounds[0], e.idx[0] as usize);
-            let b = find_chunk(&bounds[1], e.idx[1] as usize);
-            let c = find_chunk(&bounds[2], e.idx[2] as usize);
-            buckets[(a * r + b) * s + c].push(*e);
+            let chunk = [0, 1, 2].map(|m| find_chunk(&bounds[m], e.idx[m] as usize));
+            buckets[ranks.id(chunk)].push(*e);
         }
         let locals = buckets
             .into_iter()

@@ -15,10 +15,11 @@ use tenblock_core::{
     TuneError, TuneOptions,
 };
 use tenblock_dist::exec::{run_3d, run_4d, DistConfig};
-use tenblock_tensor::bcoo::uniform_bounds;
 use tenblock_tensor::coo::perm_for_mode;
 use tenblock_tensor::io_bin::BinError;
-use tenblock_tensor::{CooSource, CooTensor, DenseMatrix, SourceTile, TensorSource, NMODES};
+use tenblock_tensor::{
+    CellGrid, CooSource, CooTensor, DenseMatrix, SourceTile, TensorSource, NMODES,
+};
 
 /// Numeric agreement tolerance. Generated values are in `[-1, 1)` and case
 /// sizes are bounded, so anything past reassociation noise is a real
@@ -423,10 +424,7 @@ pub(crate) fn check_source(case: &FuzzCase, rng: &mut FuzzRng) -> Vec<Finding> {
     let inner = CooSource::new(coo, grid);
     let tile = rng.below(inner.n_tiles());
     let axis = rng.below(NMODES);
-    let span = uniform_bounds(dims[axis], grid[axis])
-        .windows(2)
-        .nth(inner.tile_cell(tile)[axis])
-        .map_or(0, |w| (w[1] - w[0]) as u32);
+    let span = CellGrid::new(dims, grid).map_or(0, |g| g.span(inner.tile_cell(tile), axis) as u32);
     let far = u32::MAX - rng.below(3) as u32;
     let lie = *rng.pick(&[
         SourceLie::Reversed,

@@ -134,13 +134,20 @@ pub struct Service {
     scheduler: Scheduler<JobPayload, Json>,
 }
 
-/// Rejects a rank no computation can use (0 means no factor columns).
-/// Checked at parse time so the job queue never sees the request.
+/// The largest rank a request may ask for: twice the largest rank of the
+/// paper's Figure 4. Factor matrices are `dims[m] x rank`, so an
+/// unbounded rank lets one request ask a worker for more memory than the
+/// machine has.
+pub const MAX_RANK: usize = 1024;
+
+/// Rejects a rank no computation can use (0 means no factor columns) or
+/// above [`MAX_RANK`]. Checked at parse time so the job queue never sees
+/// the request.
 fn require_rank(cmd: &str, rank: usize) -> Result<usize, Json> {
-    if rank == 0 {
+    if rank == 0 || rank > MAX_RANK {
         return Err(err(
             ErrorCode::InvalidConfig,
-            format!("{cmd}: rank must be >= 1"),
+            format!("{cmd}: rank must be in 1..={MAX_RANK}, got {rank}"),
         ));
     }
     Ok(rank)
@@ -1126,6 +1133,29 @@ mod tests {
         let m = s.handle(&req(r#"{"cmd":"metrics"}"#));
         let jobs = m.get("metrics").unwrap().get("jobs").unwrap();
         assert_eq!(jobs.get_usize("submitted"), Some(0));
+    }
+
+    #[test]
+    fn a_rank_past_the_cap_is_refused_and_the_service_keeps_serving() {
+        let s = svc();
+        gen_small(&s, "t");
+        for cmd in ["tune", "mttkrp", "decompose"] {
+            for rank in [MAX_RANK + 1, 1 << 40] {
+                let r = s.handle(&req(&format!(
+                    r#"{{"cmd":"{cmd}","tensor":"t","rank":{rank},"wait":true}}"#
+                )));
+                assert_eq!(
+                    r.get_str("code"),
+                    Some("invalid-config"),
+                    "{cmd} {rank}: {r:?}"
+                );
+            }
+        }
+        // The cap itself is a rank like any other.
+        let r = s.handle(&req(&format!(
+            r#"{{"cmd":"mttkrp","tensor":"t","mode":0,"kernel":"splatt","rank":{MAX_RANK},"reps":1,"wait":true}}"#
+        )));
+        assert_eq!(r.get_str("state"), Some("done"), "{r:?}");
     }
 
     #[test]

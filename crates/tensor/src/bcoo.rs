@@ -23,20 +23,11 @@
 //! claims derived from `bounds`, not the rows the data actually touches,
 //! which is what lets checked execution catch a drifted boundary.
 
+use crate::cell_grid::CellGrid;
 use crate::coo::{perm_for_mode, CooTensor};
 use crate::fiber_sort::sort_into_cells;
 use crate::{Entry, Idx, NMODES};
 use std::ops::Range;
-
-/// Uniform boundaries splitting `dim` indices into `n` blocks:
-/// block `t` covers `[t*dim/n, (t+1)*dim/n)` (the MB grid convention).
-/// Shared by the MB/BCOO layouts and the out-of-core tile store, which
-/// must agree on cell extents for streamed results to match in-memory
-/// kernels bit-for-bit.
-pub fn uniform_bounds(dim: usize, n: usize) -> Vec<usize> {
-    // t ≤ n ≤ dim and dim is an in-memory mode length; t·dim fits usize — lint: allow(index-overflow)
-    (0..=n).map(|t| t * dim / n).collect()
-}
 
 /// One nonempty block's table entry: where the block sits in the grid and
 /// where its rows start in the global index space.
@@ -92,8 +83,8 @@ pub enum BcooOffsets<'a> {
 pub struct BcooTensor {
     dims: [usize; NMODES],
     perm: [usize; NMODES],
-    grid: [usize; NMODES],
-    bounds: [Vec<usize>; NMODES],
+    /// The grid over the kernel axes.
+    cells: CellGrid,
     /// Nonempty blocks, sorted by linear block id (slice-axis major).
     blocks: Vec<BcooBlock>,
     /// Entry ranges per block: block `i` owns `ptr[i]..ptr[i+1]`.
@@ -113,41 +104,18 @@ impl BcooTensor {
     /// kernel axis and packs each nonempty block into local-offset form.
     ///
     /// # Panics
-    /// Panics if any grid count is zero or exceeds the axis length (when
-    /// the axis is non-empty) — the same precondition as `BlockGrid::new`.
+    /// Panics with the [`crate::cell_grid::GridError`] if `grid` is not a
+    /// valid grid over the kernel axes — the same precondition as
+    /// `BlockGrid::new`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "offsets narrow only to a width the longest block side fits, and a \
+                  nonempty block's cell and origin are at most one of its u32 indices"
+    )]
     pub fn from_coo(coo: &CooTensor, mode: usize, grid: [usize; NMODES]) -> Self {
         let perm = perm_for_mode(mode);
         let dims = coo.dims();
-        for ax in 0..NMODES {
-            assert!(grid[ax] > 0, "grid counts must be positive");
-            assert!(
-                grid[ax] <= dims[perm[ax]].max(1),
-                "grid count {} exceeds axis length {}",
-                grid[ax],
-                dims[perm[ax]]
-            );
-        }
-        let bounds = [
-            uniform_bounds(dims[perm[0]], grid[0]),
-            uniform_bounds(dims[perm[1]], grid[1]),
-            uniform_bounds(dims[perm[2]], grid[2]),
-        ];
-
-        // The linear cell id is u64 arithmetic over na·nb·nc cells (a u32
-        // tag once truncated ids on grids with ≥ 2^32 cells, scattering
-        // entries into the wrong blocks); check the cell count up front so
-        // it cannot wrap.
-        let (nb, nc) = (grid[1], grid[2]);
-        assert!(
-            (grid[0] as u64)
-                .checked_mul(nb as u64)
-                .and_then(|x| x.checked_mul(nc as u64))
-                .is_some(),
-            "block grid {}x{}x{} has more than u64::MAX cells",
-            grid[0],
-            nb,
-            nc
-        );
+        let cells = CellGrid::new(perm.map(|m| dims[m]), grid).unwrap_or_else(|e| panic!("{e}"));
         // Blocks contiguous in id order, each block's entries in the
         // (a, k, j) fiber order the micro-kernel consumes.
         let entries = coo.entries();
@@ -155,31 +123,17 @@ impl BcooTensor {
             entries.len(),
             |n| entries[n],
             |e| [e.idx[perm[0]], e.idx[perm[1]], e.idx[perm[2]]],
-            &bounds,
+            &cells,
         );
-
-        let max_side = (0..NMODES)
-            .map(|ax| {
-                bounds[ax]
-                    .windows(2)
-                    .map(|w| w[1] - w[0])
-                    .max()
-                    .unwrap_or(0)
-            })
-            .max()
-            .unwrap_or(0);
+        let max_side = cells.max_span();
 
         let mut blocks = Vec::with_capacity(sorted.cells.len());
         let mut ptr = vec![0usize];
         let mut locals: Vec<[u32; NMODES]> = Vec::with_capacity(entries.len());
         let mut vals = Vec::with_capacity(entries.len());
         let mut fibers = 0usize;
-        for &([a, b, c], end) in &sorted.cells {
-            let origin = [
-                bounds[0][a] as Idx,
-                bounds[1][b] as Idx,
-                bounds[2][c] as Idx,
-            ];
+        for &(cell, end) in &sorted.cells {
+            let origin = cells.origin(cell).map(|o| o as Idx);
             let mut prev_fiber = None;
             for e in &sorted.records[locals.len()..end] {
                 let la = e.idx[perm[0]] - origin[0];
@@ -193,7 +147,7 @@ impl BcooTensor {
                 }
             }
             blocks.push(BcooBlock {
-                coords: [a as u32, b as u32, c as u32],
+                coords: cell.map(|c| c as u32),
                 origin,
             });
             ptr.push(end);
@@ -218,8 +172,7 @@ impl BcooTensor {
         BcooTensor {
             dims,
             perm,
-            grid,
-            bounds,
+            cells,
             blocks,
             ptr,
             row_ptr,
@@ -241,7 +194,7 @@ impl BcooTensor {
 
     /// Block counts per kernel axis.
     pub fn grid(&self) -> [usize; NMODES] {
-        self.grid
+        self.cells.counts()
     }
 
     /// Total nonzeros across all blocks.
@@ -251,7 +204,7 @@ impl BcooTensor {
 
     /// Block boundaries along kernel axis `ax` (length `grid[ax] + 1`).
     pub fn bounds(&self, ax: usize) -> &[usize] {
-        &self.bounds[ax]
+        self.cells.bounds(ax)
     }
 
     /// Number of nonempty blocks in the table.
@@ -277,8 +230,8 @@ impl BcooTensor {
 
     /// Length of block `i` along kernel axis `ax`, from the bounds.
     pub fn block_span(&self, i: usize, ax: usize) -> usize {
-        let c = self.blocks[i].coords[ax] as usize;
-        self.bounds[ax][c + 1] - self.bounds[ax][c]
+        self.cells
+            .span(self.blocks[i].coords.map(|c| c as usize), ax)
     }
 
     /// The local-offset slab at its stored width.
@@ -403,10 +356,8 @@ impl BcooTensor {
     pub fn actual_bytes(&self) -> usize {
         self.blocks.len() * std::mem::size_of::<BcooBlock>()
             + (self.ptr.len() + self.row_ptr.len()) * std::mem::size_of::<usize>()
-            + self
-                .bounds
-                .iter()
-                .map(|b| b.len() * std::mem::size_of::<usize>())
+            + (0..NMODES)
+                .map(|ax| std::mem::size_of_val(self.cells.bounds(ax)))
                 .sum::<usize>()
             + self.vals.len() * (NMODES * self.offset_bytes() + std::mem::size_of::<f64>())
     }
@@ -416,14 +367,14 @@ impl BcooTensor {
     /// corrupted plan. Checked execution must catch the resulting
     /// claim/touch mismatch.
     pub fn shift_bound_for_test(&mut self, ax: usize, idx: usize, delta: isize) {
-        let b = &mut self.bounds[ax][idx];
-        *b = b.wrapping_add_signed(delta);
+        self.cells.shift_bound_for_test(ax, idx, delta);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell_grid::uniform_bounds;
     use crate::gen::uniform_tensor;
 
     #[test]

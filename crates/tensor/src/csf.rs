@@ -162,7 +162,7 @@ impl CsfTensor {
     /// original mode order.
     pub fn to_nd(&self) -> NdCooTensor {
         let order = self.order();
-        // nnz·order coordinates were already materialized to build self — lint: allow(index-overflow)
+        // nnz·order coordinates were already materialized to build self.
         let mut coords: Vec<Idx> = Vec::with_capacity(self.nnz() * order);
         let mut vals = Vec::with_capacity(self.nnz());
         let mut path = vec![0 as Idx; order];

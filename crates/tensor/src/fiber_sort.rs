@@ -29,6 +29,7 @@
 //! run is then sorted while it is cache resident. A streamed tile is
 //! usually one such run ([`FiberSorter::sort_tile`]).
 
+use crate::cell_grid::CellGrid;
 use crate::io_bin::BinError;
 use crate::{Entry, NMODES};
 
@@ -70,6 +71,10 @@ struct Plane {
 
 impl Plane {
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a digit is masked to at most MAX_DIGIT_BITS bits"
+    )]
     fn digit(&self, v: u64) -> usize {
         ((v >> self.shift) & self.mask) as usize
     }
@@ -77,6 +82,10 @@ impl Plane {
 
 /// The passes sorting keys below `extents` (most significant component
 /// first), least significant digit first.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a bucket count is at most the mask, below 2^MAX_DIGIT_BITS"
+)]
 fn planes<const N: usize>(extents: [u64; N], width: u32) -> impl Iterator<Item = Plane> {
     let mask = (1u64 << width) - 1;
     (0..N).rev().flat_map(move |comp| {
@@ -313,6 +322,10 @@ impl FiberSorter {
     /// Sorts the `n` records `load(i)` by their fiber `key` (components
     /// below `extents`) through [`Self::sort_runs`], the runs being equal
     /// power-of-two ranges of the slice component.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a run index is a key's top bits, at most MAX_RUNS of them"
+    )]
     pub fn sort_by_ranges<T: Copy>(
         &mut self,
         n: usize,
@@ -488,50 +501,38 @@ pub struct CellSorted<T> {
 }
 
 /// Groups the `n` records `load(i)` — `coords(record)` being a record's
-/// kernel-axis `[slice, j, k]` coordinate — by the cells of a grid
-/// (`bounds[ax]` are the boundaries of kernel axis `ax`; cells are ordered
-/// row-major over `(a, b, c)`) and puts each cell's records into the
+/// kernel-axis `[slice, j, k]` coordinate — by the cells of `grid` (cells
+/// are ordered by [`CellGrid::id`]) and puts each cell's records into the
 /// `(slice, k, j)` fiber order: the two-level sort with one run per cell
 /// and keys relative to the cell's origin. Grids of more than
 /// [`MAX_RUNS`] cells share a run between neighbouring cells and sort the
 /// cell id with the key.
 ///
 /// # Panics
-/// Panics if a coordinate lies outside the bounds. The caller has checked
-/// that the cell count fits `u64`.
+/// Panics if a coordinate lies outside the grid.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a run index is an id over per_run, below MAX_RUNS = 2^16"
+)]
 pub fn sort_into_cells<T: Copy>(
     n: usize,
     load: impl Fn(usize) -> T,
     coords: impl Fn(&T) -> [u32; NMODES],
-    bounds: &[Vec<usize>; NMODES],
+    grid: &CellGrid,
 ) -> CellSorted<T> {
-    let (nb, nc) = (bounds[1].len() as u64 - 1, bounds[2].len() as u64 - 1);
-    // the caller bounds the cell count to u64 (see Panics) — lint: allow(index-overflow)
-    let cells = (bounds[0].len() as u64 - 1) * nb * nc;
-    let per_run = cells.div_ceil(MAX_RUNS as u64).max(1);
+    let per_run = grid.n_cells().div_ceil(MAX_RUNS).max(1);
     let one_cell_runs = per_run == 1;
-    let cell_of = |t: &T| {
-        let at = coords(t);
-        [0, 1, 2].map(|ax| bounds[ax].partition_point(|&b| b <= at[ax] as usize) - 1)
-    };
-    // an id is below the cell count — lint: allow(index-overflow)
-    let id_of = |[a, b, c]: [usize; NMODES]| (a as u64 * nb + b as u64) * nc + c as u64;
-    let cell_at = |id: u64| {
-        [
-            (id / nc / nb) as usize,
-            (id / nc % nb) as usize,
-            (id % nc) as usize,
-        ]
-    };
+    let cell_of = |t: &T| grid.cell_of(coords(t).map(|x| x as usize));
     let runs: Vec<u16> = (0..n)
-        .map(|i| (id_of(cell_of(&load(i))) / per_run) as u16)
+        .map(|i| (grid.id(cell_of(&load(i))) / per_run) as u16)
         .collect();
     let extent = |ax: usize| {
-        let widths = bounds[ax].windows(2).map(|w| w[1] - w[0]);
+        let bounds = grid.bounds(ax);
+        let widths = bounds.windows(2).map(|w| w[1] - w[0]);
         let extent = if one_cell_runs {
             widths.max()
         } else {
-            bounds[ax].last().copied()
+            bounds.last().copied()
         };
         extent.unwrap_or(0) as u64
     };
@@ -539,33 +540,33 @@ pub fn sort_into_cells<T: Copy>(
     let (records, ends) = sorter.sort_runs(
         n,
         &load,
-        cells.div_ceil(per_run) as usize,
+        grid.n_cells().div_ceil(per_run),
         |i| runs[i] as usize,
         |run| {
             if one_cell_runs {
-                let [a, b, c] = cell_at(run as u64);
-                [
-                    0,
-                    bounds[0][a] as u64,
-                    bounds[2][c] as u64,
-                    bounds[1][b] as u64,
-                ]
+                let [a, j, k] = grid.origin(grid.cell(run)).map(|o| o as u64);
+                [0, a, k, j]
             } else {
-                [run as u64 * per_run, 0, 0, 0]
+                [(run * per_run) as u64, 0, 0, 0]
             }
         },
-        [per_run, extent(0), extent(2), extent(1)],
+        [per_run as u64, extent(0), extent(2), extent(1)],
         |t| {
             let [s, k, j] = fiber_key(coords(t));
-            [if one_cell_runs { 0 } else { id_of(cell_of(t)) }, s, k, j]
+            let id = if one_cell_runs {
+                0
+            } else {
+                grid.id(cell_of(t))
+            };
+            [id as u64, s, k, j]
         },
     );
     let cells = if one_cell_runs {
         let starts = std::iter::once(&0).chain(ends);
-        (0u64..)
+        (0..)
             .zip(starts.zip(ends))
             .filter(|(_, (start, end))| start < end)
-            .map(|(id, (_, &end))| (cell_at(id), end))
+            .map(|(id, (_, &end))| (grid.cell(id), end))
             .collect()
     } else {
         let mut cells: Vec<([usize; NMODES], usize)> = Vec::new();

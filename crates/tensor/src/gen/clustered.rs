@@ -44,6 +44,10 @@ impl ClusteredConfig {
 
 /// Generates a clustered sparse tensor, deterministically from `seed`.
 /// Values are positive counts (1 + extra hits), like rating/count data.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "generated coordinates are below dims, which fit Idx, and each float is a fraction in (0, 1] of the integer it scales"
+)]
 pub fn clustered_tensor(cfg: &ClusteredConfig, seed: u64) -> CooTensor {
     assert!(cfg.n_clusters > 0, "need at least one cluster");
     assert!(

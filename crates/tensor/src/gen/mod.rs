@@ -44,6 +44,10 @@ pub(crate) struct SparseDist {
 impl SparseDist {
     /// Builds a distribution supported on `support_size` uniformly chosen
     /// indices with Exp(1)-like weights.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a sampled index is below dim, a generator axis length that fits Idx"
+    )]
     pub fn random<R: Rng>(rng: &mut R, dim: usize, support_size: usize) -> Self {
         let support_size = support_size.clamp(1, dim);
         let mut ids: Vec<Idx> = rand::seq::index::sample(rng, dim, support_size)

@@ -59,6 +59,10 @@ impl PoissonConfig {
 
 /// Generates a Poisson count tensor (values are positive integers stored as
 /// `f64`), deterministically from `seed`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a support is a fraction in (0, 1] of an axis length"
+)]
 pub fn poisson_tensor(cfg: &PoissonConfig, seed: u64) -> CooTensor {
     assert!(cfg.gen_rank > 0, "generator rank must be positive");
     for m in 0..NMODES {

@@ -36,6 +36,10 @@ impl PowerLawConfig {
 
 /// Cumulative Zipf weights over `0..dim` with the ranks randomly permuted
 /// (so hot indices are scattered, as in collected data).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a generator axis length fits Idx"
+)]
 fn zipf_cdf(rng: &mut StdRng, dim: usize, s: f64) -> (Vec<f64>, Vec<Idx>) {
     let mut ids: Vec<Idx> = (0..dim as Idx).collect();
     // Fisher-Yates

@@ -16,6 +16,10 @@ use rand::{Rng, SeedableRng};
 ///
 /// # Panics
 /// Panics if `nnz` exceeds the number of cells in the tensor.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a generator axis length fits Idx"
+)]
 pub fn uniform_tensor(dims: [usize; NMODES], nnz: usize, seed: u64) -> CooTensor {
     let cells: u128 = dims.iter().map(|&d| d as u128).product();
     assert!(

@@ -83,18 +83,15 @@ pub fn read_tns<R: Read>(reader: R) -> Result<CooTensor, TnsError> {
             }
             // A plain `as Idx` cast here would silently truncate huge
             // coordinates (wrapping them onto valid slices); reject instead.
-            if c - 1 > Idx::MAX as u64 {
-                return Err(TnsError::Parse {
-                    line: line_no,
-                    msg: format!(
-                        "coordinate {c} exceeds the index limit {}",
-                        Idx::MAX as u64 + 1
-                    ),
-                });
-            }
-            *slot = (c - 1) as Idx;
+            *slot = Idx::try_from(c - 1).map_err(|_| TnsError::Parse {
+                line: line_no,
+                msg: format!(
+                    "coordinate {c} exceeds the index limit {}",
+                    Idx::MAX as u64 + 1
+                ),
+            })?;
             if let Some(d) = dims.get_mut(m) {
-                *d = (*d).max(c as usize);
+                *d = (*d).max(*slot as usize + 1);
             }
         }
         let vtok = it.next().ok_or_else(|| TnsError::Parse {

@@ -66,6 +66,11 @@ pub(crate) fn write_u64<W: Write>(w: &mut W, v: u64) -> std::io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
 
+/// A count or length read from a file, as a `usize`.
+pub(crate) fn to_usize(v: u64, what: &str) -> Result<usize, BinError> {
+    usize::try_from(v).map_err(|_| BinError::Format(format!("{what} {v} does not fit usize")))
+}
+
 pub(crate) fn read_u32<R: Read>(r: &mut R) -> Result<u32, BinError> {
     let mut b = [0u8; 4];
     r.read_exact(&mut b)?;
@@ -101,7 +106,13 @@ impl BinHeader {
 pub fn write_header<W: Write>(w: &mut W, h: &BinHeader) -> std::io::Result<()> {
     w.write_all(MAGIC)?;
     write_u32(w, h.version)?;
-    write_u32(w, h.dims.len() as u32)?;
+    let order = u32::try_from(h.dims.len()).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "tensor order overflows u32",
+        )
+    })?;
+    write_u32(w, order)?;
     for &d in &h.dims {
         write_u64(w, d as u64)?;
     }
@@ -124,7 +135,7 @@ pub fn read_header<R: Read>(r: &mut R) -> Result<BinHeader, BinError> {
     }
     let mut dims = Vec::with_capacity(order);
     for _ in 0..order {
-        dims.push(read_u64(r)? as usize);
+        dims.push(to_usize(read_u64(r)?, "dimension")?);
     }
     let nnz = read_u64(r)?;
     let cells: u128 = dims.iter().map(|&d| d as u128).product();
@@ -180,7 +191,7 @@ impl BinCodec for NdCooTensor {
                 h.version
             )));
         }
-        let (order, nnz) = (h.dims.len(), h.nnz as usize);
+        let (order, nnz) = (h.dims.len(), to_usize(h.nnz, "nnz")?);
         // The header is untrusted: a wrapped nnz·order would make the
         // coordinate count disagree with the value count silently.
         let n_coords = nnz.checked_mul(order).ok_or_else(|| {
@@ -336,7 +347,7 @@ mod tests {
         write_bin_file(&t, &path).unwrap();
         let back = read_bin_file(&path).unwrap();
         assert_eq!(back.entries(), t.entries());
-        let size = std::fs::metadata(&path).unwrap().len() as usize;
+        let size = usize::try_from(std::fs::metadata(&path).unwrap().len()).unwrap();
         // header + 12 bytes coords + 8 bytes value per entry
         assert_eq!(size, 4 + 4 + 4 + 3 * 8 + 8 + 1_000 * (12 + 8));
     }

@@ -24,8 +24,14 @@
 // crate (triangular solves, coordinate walks); silence the style lint.
 #![allow(clippy::needless_range_loop)]
 #![forbid(unsafe_code)]
+// Index and offset arithmetic narrows only where the value is proved to
+// fit: a value read from a file goes through `try_from` into a typed
+// error, and a bound that holds by construction is a function-level
+// `#[expect]` with its reason. Grid geometry lives in `cell_grid`.
+#![deny(clippy::cast_possible_truncation)]
 
 pub mod bcoo;
+pub mod cell_grid;
 pub mod coo;
 pub mod csf;
 pub mod dense;
@@ -43,6 +49,7 @@ pub mod tile_store;
 pub mod validate;
 
 pub use bcoo::BcooTensor;
+pub use cell_grid::{CellGrid, GridError};
 pub use coo::{CooTensor, Entry, TensorError};
 pub use csf::CsfTensor;
 pub use dense::DenseMatrix;

@@ -146,7 +146,7 @@ impl NdCooTensor {
     /// Converts a 3-mode [`crate::CooTensor`].
     pub fn from_coo3(t: &crate::CooTensor) -> Self {
         // nnz entries (≥ 12 bytes each) already fit in memory, so nnz·3
-        // cannot overflow usize — lint: allow(index-overflow)
+        // cannot overflow usize.
         let mut coords = Vec::with_capacity(t.nnz() * 3);
         let mut vals = Vec::with_capacity(t.nnz());
         for e in t.entries() {
@@ -246,6 +246,10 @@ impl NdCooTensor {
 
 /// Uniform random N-mode tensor with `nnz` distinct positions (values in
 /// `[0.5, 1.5)`), deterministic in `seed`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a generator axis length fits Idx"
+)]
 pub fn uniform_nd(dims: &[usize], nnz: usize, seed: u64) -> NdCooTensor {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -261,7 +265,7 @@ pub fn uniform_nd(dims: &[usize], nnz: usize, seed: u64) -> NdCooTensor {
             .collect();
         seen.insert(c);
     }
-    // nnz·order coordinates already exist in `seen` — lint: allow(index-overflow)
+    // nnz·order coordinates already exist in `seen`.
     let mut coords = Vec::with_capacity(nnz * order);
     let mut vals = Vec::with_capacity(nnz);
     for c in seen {

@@ -20,6 +20,10 @@ pub struct Reordering {
 
 impl Reordering {
     /// The identity reordering.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a relabeled tensor's axis lengths fit its Idx coordinates"
+    )]
     pub fn identity(dims: [usize; NMODES]) -> Self {
         Reordering {
             maps: std::array::from_fn(|m| (0..dims[m] as Idx).collect()),
@@ -28,6 +32,10 @@ impl Reordering {
 
     /// Sorts each mode's indices by decreasing nonzero count (degree), so
     /// hot factor rows become adjacent — the cheap locality heuristic.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a relabeled tensor's axis lengths fit its Idx coordinates"
+    )]
     pub fn by_degree(t: &CooTensor) -> Self {
         let dims = t.dims();
         let maps = std::array::from_fn(|m| {
@@ -48,6 +56,10 @@ impl Reordering {
     }
 
     /// Random relabeling of each mode (the worst case for locality).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a relabeled tensor's axis lengths fit its Idx coordinates"
+    )]
     pub fn random(dims: [usize; NMODES], seed: u64) -> Self {
         use rand::seq::SliceRandom;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -161,7 +173,7 @@ mod tests {
             for m in 0..NMODES {
                 let mut seen = r.map(m).to_vec();
                 seen.sort_unstable();
-                let expect: Vec<Idx> = (0..t.dims()[m] as Idx).collect();
+                let expect: Vec<Idx> = (0..Idx::try_from(t.dims()[m]).unwrap()).collect();
                 assert_eq!(seen, expect, "mode {m} map not a bijection");
             }
             let applied = r.apply(&t);

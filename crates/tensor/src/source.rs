@@ -9,8 +9,7 @@
 //!
 //! All sources speak *original* mode axes: a tile's `cell`, `origin`,
 //! and `locals` index modes `0, 1, 2` in tensor order, and the grid uses
-//! the same [`uniform_bounds`](crate::bcoo::uniform_bounds) arithmetic as
-//! the MB/BCOO layouts. A mode-`m` kernel permutes per tile (cheap —
+//! the same [`CellGrid`] geometry as the MB/BCOO layouts. A mode-`m` kernel permutes per tile (cheap —
 //! three-element arrays) rather than the source per mode (a full
 //! re-shard). Tiles may be served in any order, and so may a tile's
 //! entries; drivers that need a deterministic traversal sort tile indices
@@ -18,10 +17,11 @@
 //! source is not trusted to.
 
 use crate::bcoo::{BcooOffsets, BcooTensor};
+use crate::cell_grid::CellGrid;
 use crate::coo::CooTensor;
 use crate::fiber_sort::sort_into_cells;
 use crate::io_bin::BinError;
-use crate::tile_store::{TileStore, TILE_ENTRY_BYTES};
+use crate::tile_store::{TileStore, TILE_ENTRY_BYTES, TILE_ENTRY_LEN};
 use crate::NMODES;
 
 /// One loaded tile: a block-local COO fragment in original mode axes.
@@ -49,7 +49,7 @@ impl SourceTile {
         SourceTile {
             locals: Vec::with_capacity(nnz),
             vals: Vec::with_capacity(nnz),
-            payload: Vec::with_capacity(nnz.saturating_mul(TILE_ENTRY_BYTES as usize)),
+            payload: Vec::with_capacity(nnz.saturating_mul(TILE_ENTRY_LEN)),
             ..Default::default()
         }
     }
@@ -128,8 +128,7 @@ pub trait TensorSource: Send + Sync {
 #[derive(Debug, Clone)]
 pub struct CooSource {
     dims: [usize; NMODES],
-    grid: [usize; NMODES],
-    bounds: [Vec<usize>; NMODES],
+    grid: CellGrid,
     /// `(cell, entry range start)` per nonempty tile, plus one sentinel
     /// start so tile `i` owns `starts[i]..starts[i+1]`.
     cells: Vec<[usize; NMODES]>,
@@ -142,48 +141,37 @@ impl CooSource {
     /// Shards `coo` over `grid` tiles per original axis.
     ///
     /// # Panics
-    /// Panics if any grid count is zero or exceeds the axis length (when
-    /// the axis is non-empty) — the same precondition as `BcooTensor`.
+    /// Panics with the [`crate::cell_grid::GridError`] if `grid` is not a
+    /// valid grid over the tensor's axes — the same precondition as
+    /// `BcooTensor`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a nonempty tile's origin is at most one of its entries' u32 indices"
+    )]
     pub fn new(coo: &CooTensor, grid: [usize; NMODES]) -> Self {
         let dims = coo.dims();
-        for ax in 0..NMODES {
-            assert!(
-                grid[ax] >= 1 && grid[ax] <= dims[ax].max(1),
-                "grid count {} invalid for axis {ax} of length {}",
-                grid[ax],
-                dims[ax]
-            );
-        }
-        let bounds = [
-            crate::bcoo::uniform_bounds(dims[0], grid[0]),
-            crate::bcoo::uniform_bounds(dims[1], grid[1]),
-            crate::bcoo::uniform_bounds(dims[2], grid[2]),
-        ];
+        let cells = CellGrid::new(dims, grid).unwrap_or_else(|e| panic!("{e}"));
         // Same cell order and in-tile entry order as a written tile store.
         let entries = coo.entries();
-        let sorted = sort_into_cells(entries.len(), |n| &entries[n], |e| e.idx, &bounds);
-        let mut cells = Vec::with_capacity(sorted.cells.len());
+        let sorted = sort_into_cells(entries.len(), |n| &entries[n], |e| e.idx, &cells);
+        let mut tiles = Vec::with_capacity(sorted.cells.len());
         let mut starts = Vec::with_capacity(sorted.cells.len() + 1);
         let mut locals = Vec::with_capacity(entries.len());
         let mut vals = Vec::with_capacity(entries.len());
         for &(cell, end) in &sorted.cells {
-            cells.push(cell);
+            tiles.push(cell);
             starts.push(locals.len());
+            let origin = cells.origin(cell);
             for e in &sorted.records[locals.len()..end] {
-                locals.push([
-                    e.idx[0] - bounds[0][cell[0]] as u32,
-                    e.idx[1] - bounds[1][cell[1]] as u32,
-                    e.idx[2] - bounds[2][cell[2]] as u32,
-                ]);
+                locals.push([0, 1, 2].map(|ax| e.idx[ax] - origin[ax] as u32));
                 vals.push(e.val);
             }
         }
         starts.push(locals.len());
         CooSource {
             dims,
-            grid,
-            bounds,
-            cells,
+            grid: cells,
+            cells: tiles,
             starts,
             locals,
             vals,
@@ -199,7 +187,7 @@ impl TensorSource for CooSource {
         self.vals.len()
     }
     fn grid(&self) -> [usize; NMODES] {
-        self.grid
+        self.grid.counts()
     }
     fn n_tiles(&self) -> usize {
         self.cells.len()
@@ -214,11 +202,7 @@ impl TensorSource for CooSource {
         let cell = self.cells[i];
         let range = self.starts[i]..self.starts[i + 1];
         tile.cell = cell;
-        tile.origin = [
-            self.bounds[0][cell[0]],
-            self.bounds[1][cell[1]],
-            self.bounds[2][cell[2]],
-        ];
+        tile.origin = self.grid.origin(cell);
         tile.locals.clear();
         tile.locals.extend_from_slice(&self.locals[range.clone()]);
         tile.vals.clear();
@@ -327,6 +311,10 @@ impl TensorSource for TileStore {
     fn tile_cell(&self, i: usize) -> [usize; NMODES] {
         self.tile(i).cell.map(|c| c as usize)
     }
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "open proved the tiles' nnz sum to the header nnz, which fits usize"
+    )]
     fn tile_nnz(&self, i: usize) -> usize {
         self.tile(i).nnz as usize
     }
@@ -362,12 +350,9 @@ mod tests {
             assert_ne!(prev_cell, Some(tile.cell), "tile cells are distinct");
             prev_cell = Some(tile.cell);
             for (l, &v) in tile.locals.iter().zip(&tile.vals) {
+                let at = |ax: usize| u32::try_from(tile.origin[ax] + l[ax] as usize).unwrap();
                 entries.push(Entry {
-                    idx: [
-                        (tile.origin[0] + l[0] as usize) as u32,
-                        (tile.origin[1] + l[1] as usize) as u32,
-                        (tile.origin[2] + l[2] as usize) as u32,
-                    ],
+                    idx: [at(0), at(1), at(2)],
                     val: v,
                 });
             }

@@ -75,6 +75,10 @@ impl SplattTensor {
     /// # Panics
     /// Panics if `perm` is not a permutation or an entry's coordinate
     /// falls outside `dims` or its slice outside the covered range.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a slice range lies inside mode perm[0], whose coordinates are Idx"
+    )]
     pub fn from_entries_ranged(
         dims: [usize; NMODES],
         perm: [usize; NMODES],
@@ -315,6 +319,10 @@ impl SplattTensor {
 
     /// Reconstructs the entries in **original** mode order. Used by tests
     /// and format round-trips.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a stored slice is the Idx coordinate of its entries"
+    )]
     pub fn to_entries(&self) -> Vec<Entry> {
         let mut out = Vec::with_capacity(self.nnz());
         for s in 0..self.n_slices() {

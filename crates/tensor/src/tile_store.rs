@@ -1,8 +1,8 @@
 //! The on-disk tile store: a `.tnsb` v2 payload holding a tensor as a
 //! grid of MB-aligned COO tiles, loadable one tile at a time.
 //!
-//! The grid partitions the *original* axes with the same
-//! [`uniform_bounds`] arithmetic the MB/BCOO layouts use, so one store
+//! The grid partitions the *original* axes with the same [`CellGrid`]
+//! geometry the MB/BCOO layouts use, so one store
 //! serves all three MTTKRP orientations: mode `m`'s kernel grid is just
 //! the original grid read through `perm_for_mode(m)`. Entries inside a
 //! tile are stored block-local (`u32` offset per axis + `f64` value, 20
@@ -29,12 +29,12 @@
 //! inside its tile's span. Anything else is a typed [`BinError`], never
 //! a panic — the fuzzer's tile-framing mutants hold it to that.
 
-use crate::bcoo::uniform_bounds;
+use crate::cell_grid::{CellGrid, GridError};
 use crate::coo::CooTensor;
 use crate::fiber_sort::sort_into_cells;
 use crate::io_bin::{
-    read_header, read_u32, read_u64, write_header, write_u32, write_u64, BinError, BinHeader,
-    VERSION_COO, VERSION_TILES,
+    read_header, read_u32, read_u64, to_usize, write_header, write_u32, write_u64, BinError,
+    BinHeader, VERSION_COO, VERSION_TILES,
 };
 use crate::persist::{AtomicFile, FaultRead};
 use crate::source::SourceTile;
@@ -44,7 +44,10 @@ use std::path::{Path, PathBuf};
 use tenblock_faults::FaultPolicy;
 
 /// Bytes per stored tile entry: three `u32` locals plus the `f64` value.
-pub const TILE_ENTRY_BYTES: u64 = 20;
+pub const TILE_ENTRY_BYTES: u64 = TILE_ENTRY_LEN as u64;
+
+/// [`TILE_ENTRY_BYTES`] as a buffer length.
+pub(crate) const TILE_ENTRY_LEN: usize = 3 * 4 + 8;
 
 /// Bytes per tile-table record: cell, nnz, offset, length.
 const TABLE_RECORD_BYTES: u64 = 12 + 8 + 8 + 8;
@@ -66,10 +69,9 @@ pub struct TileMeta {
 #[derive(Debug, Clone)]
 struct StoreMeta {
     dims: [usize; NMODES],
-    grid: [usize; NMODES],
-    nnz: u64,
+    cells: CellGrid,
+    nnz: usize,
     tiles: Vec<TileMeta>,
-    bounds: [Vec<usize>; NMODES],
 }
 
 /// A spillable on-disk tensor: the table lives in memory (36 bytes per
@@ -81,36 +83,20 @@ pub struct TileStore {
     faults: FaultPolicy,
 }
 
-/// The linear cell id ordering tiles in the file: original-axes
-/// row-major.
-fn cell_id(cell: [u32; NMODES], grid: [usize; NMODES]) -> u64 {
-    // id < cell count, which check_grid bounds to u64 — lint: allow(index-overflow, panic-reach)
-    (cell[0] as u64 * grid[1] as u64 + cell[1] as u64) * grid[2] as u64 + cell[2] as u64
+impl From<GridError> for BinError {
+    fn from(e: GridError) -> Self {
+        BinError::Format(format!("tile {e}"))
+    }
 }
 
-/// The grid cell containing `idx` under uniform bounds (the inverse of
-/// [`uniform_bounds`], via partition point).
-fn cell_of(bounds: &[usize], idx: usize) -> usize {
-    bounds.partition_point(|&b| b <= idx) - 1
-}
-
-fn check_grid(dims: [usize; NMODES], grid: [usize; NMODES]) -> Result<(), BinError> {
-    for (ax, (&g, &d)) in grid.iter().zip(dims.iter()).enumerate() {
-        if g == 0 || g > d.max(1) {
-            return Err(BinError::Format(format!(
-                "tile grid count {g} invalid for axis {ax} of length {d}"
-            )));
-        }
+/// The grid counts as the file stores them, `u32` each.
+fn stored_counts(cells: &CellGrid) -> Result<[u32; NMODES], BinError> {
+    let mut out = [0u32; NMODES];
+    for (o, g) in out.iter_mut().zip(cells.counts()) {
+        *o = u32::try_from(g)
+            .map_err(|_| BinError::Format(format!("tile grid count {g} does not fit u32")))?;
     }
-    // Linear cell ids are formed by u64 multiply-accumulate over the
-    // grid axes; bound the cell count so those products cannot wrap.
-    let cells = grid.iter().map(|&g| g as u128).product::<u128>();
-    if cells > u64::MAX as u128 {
-        return Err(BinError::Format(format!(
-            "tile grid of {cells} cells exceeds the supported maximum"
-        )));
-    }
-    Ok(())
+    Ok(out)
 }
 
 /// Parses and validates the header + grid + tile table of a v2 store.
@@ -134,23 +120,17 @@ fn parse_meta<R: Read>(r: &mut R, total_len: u64) -> Result<StoreMeta, BinError>
     for g in grid.iter_mut() {
         *g = read_u32(r)? as usize;
     }
-    check_grid(dims, grid)?;
-    // dims and grid are fixed [_; NMODES] arrays — lint: allow(panic-reach)
-    let bounds = [
-        uniform_bounds(dims[0], grid[0]), // lint: allow(panic-reach)
-        uniform_bounds(dims[1], grid[1]), // lint: allow(panic-reach)
-        uniform_bounds(dims[2], grid[2]), // lint: allow(panic-reach)
-    ];
-    let n_tiles = read_u64(r)?;
-    let cells = grid.iter().map(|&g| g as u128).product::<u128>();
-    if n_tiles as u128 > cells {
+    let cells = CellGrid::new(dims, grid)?;
+    let n_tiles = to_usize(read_u64(r)?, "tile count")?;
+    if n_tiles > cells.n_cells() {
         return Err(BinError::Format(format!(
-            "tile table lists {n_tiles} tiles but the grid has {cells} cells"
+            "tile table lists {n_tiles} tiles but the grid has {} cells",
+            cells.n_cells()
         )));
     }
     // n_tiles is untrusted; a wrapped table size would defeat the
     // truncation check below.
-    let table_end = n_tiles
+    let table_end = (n_tiles as u64)
         .checked_mul(TABLE_RECORD_BYTES)
         .and_then(|t| t.checked_add(h.encoded_len() as u64 + 12 + 8))
         .ok_or_else(|| BinError::Format("tile table size overflows".into()))?;
@@ -158,7 +138,7 @@ fn parse_meta<R: Read>(r: &mut R, total_len: u64) -> Result<StoreMeta, BinError>
         return Err(BinError::Format("truncated tile table".into()));
     }
 
-    let mut tiles = Vec::with_capacity(n_tiles as usize);
+    let mut tiles = Vec::with_capacity(n_tiles);
     let mut prev_id = None;
     let mut expected_off = table_end;
     let mut total_nnz: u64 = 0;
@@ -167,14 +147,15 @@ fn parse_meta<R: Read>(r: &mut R, total_len: u64) -> Result<StoreMeta, BinError>
         for c in cell.iter_mut() {
             *c = read_u32(r)?;
         }
-        for (ax, (&c, &g)) in cell.iter().zip(grid.iter()).enumerate() {
+        for (ax, (&c, &g)) in cell.iter().zip(&grid).enumerate() {
             if c as usize >= g {
                 return Err(BinError::Format(format!(
                     "tile {t}: cell {c} out of grid range on axis {ax}"
                 )));
             }
         }
-        let id = cell_id(cell, grid);
+        let at = cell.map(|c| c as usize);
+        let id = cells.id(at);
         if prev_id.is_some_and(|p| id <= p) {
             return Err(BinError::Format(format!(
                 "tile {t}: cell {cell:?} duplicates or reorders an earlier tile extent"
@@ -189,14 +170,7 @@ fn parse_meta<R: Read>(r: &mut R, total_len: u64) -> Result<StoreMeta, BinError>
                 "tile {t}: length {len} disagrees with nnz {nnz}"
             )));
         }
-        let volume: u128 = (0..NMODES)
-            .map(|ax| {
-                // ax < NMODES; c < grid[ax] (checked above) and
-                // bounds[ax].len() == grid[ax] + 1
-                let c = cell[ax] as usize; // lint: allow(panic-reach)
-                (bounds[ax][c + 1] - bounds[ax][c]) as u128 // lint: allow(panic-reach)
-            })
-            .product();
+        let volume: u128 = (0..NMODES).map(|ax| cells.span(at, ax) as u128).product();
         if nnz as u128 > volume {
             return Err(BinError::Format(format!(
                 "tile {t}: nnz {nnz} exceeds the cell volume {volume}"
@@ -229,17 +203,16 @@ fn parse_meta<R: Read>(r: &mut R, total_len: u64) -> Result<StoreMeta, BinError>
     }
     Ok(StoreMeta {
         dims,
-        grid,
-        nnz: h.nnz,
+        cells,
+        nnz: to_usize(h.nnz, "nnz")?,
         tiles,
-        bounds,
     })
 }
 
 /// Decodes `tile.payload` — tile `t`'s bytes — into `tile`, holding every
 /// local offset against the tile's span.
 fn decode_tile(
-    bounds: &[Vec<usize>; NMODES],
+    cells: &CellGrid,
     t: usize,
     tm: &TileMeta,
     tile: &mut SourceTile,
@@ -258,23 +231,10 @@ fn decode_tile(
             tm.len
         )));
     }
+    // parse_meta put every cell inside the grid.
     *cell = tm.cell.map(|c| c as usize);
-    let mut span = [0usize; NMODES];
-    for (((o, s), b), &c) in origin
-        .iter_mut()
-        .zip(&mut span)
-        .zip(bounds)
-        .zip(cell.iter())
-    {
-        // parse_meta put every cell inside the grid, so both bounds exist.
-        let (Some(&lo), Some(&hi)) = (b.get(c), b.get(c + 1)) else {
-            return Err(BinError::Format(format!(
-                "tile {t}: cell {c} outside the grid"
-            )));
-        };
-        *o = lo;
-        *s = hi - lo;
-    }
+    *origin = cells.origin(*cell);
+    let span = [0, 1, 2].map(|ax| cells.span(*cell, ax));
     let decode = |rec: &[u8]| {
         let [a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, v0, v1, v2, v3, v4, v5, v6, v7] = *rec
         else {
@@ -288,7 +248,7 @@ fn decode_tile(
         (local, f64::from_le_bytes([v0, v1, v2, v3, v4, v5, v6, v7]))
     };
     let inside = |l: &[u32; NMODES]| l.iter().zip(&span).all(|(&o, &s)| (o as usize) < s);
-    let records = payload.chunks_exact(TILE_ENTRY_BYTES as usize);
+    let records = payload.chunks_exact(TILE_ENTRY_LEN);
     locals.clear();
     locals.extend(records.clone().map(|rec| decode(rec).0));
     vals.clear();
@@ -333,12 +293,13 @@ impl TileStore {
         let mut tile = SourceTile::default();
         for (t, tm) in meta.tiles.iter().enumerate() {
             // parse_meta proved the payloads tile [table_end, total_len).
+            let (off, len) = (to_usize(tm.off, "offset")?, to_usize(tm.len, "length")?);
             let payload = bytes
-                .get(tm.off as usize..(tm.off + tm.len) as usize)
+                .get(off..off + len)
                 .ok_or_else(|| BinError::Format(format!("tile {t}: payload past the end")))?;
             tile.payload.clear();
             tile.payload.extend_from_slice(payload);
-            decode_tile(&meta.bounds, t, tm, &mut tile)?;
+            decode_tile(&meta.cells, t, tm, &mut tile)?;
         }
         Ok(())
     }
@@ -346,32 +307,32 @@ impl TileStore {
     /// Serializes `coo` as a tile store over `grid` (original axes) into
     /// any writer. Sequential — no seeking — so it also targets sockets
     /// and in-memory buffers.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a cell is below its count, which fits u32, and a tile's origin is at \
+                  most one of its entries' u32 indices"
+    )]
     pub fn write_tiles<W: Write>(
         coo: &CooTensor,
         grid: [usize; NMODES],
         writer: W,
     ) -> Result<(), BinError> {
-        let dims = coo.dims();
-        check_grid(dims, grid)?;
-        let bounds = [
-            uniform_bounds(dims[0], grid[0]),
-            uniform_bounds(dims[1], grid[1]),
-            uniform_bounds(dims[2], grid[2]),
-        ];
+        let cells = CellGrid::new(coo.dims(), grid)?;
+        let counts = stored_counts(&cells)?;
         // Tile table: one record per nonempty cell, payloads contiguous.
         // Within a tile the entries are in the fiber order of mode 0, so
         // a mode-0 pass streams them without reordering.
         let entries = coo.entries();
-        let sorted = sort_into_cells(entries.len(), |n| &entries[n], |e| e.idx, &bounds);
+        let sorted = sort_into_cells(entries.len(), |n| &entries[n], |e| e.idx, &cells);
         let header = BinHeader {
             version: VERSION_TILES,
-            dims: dims.to_vec(),
+            dims: coo.dims().to_vec(),
             nnz: coo.nnz() as u64,
         };
         let mut w = BufWriter::new(writer);
         write_header(&mut w, &header)?;
-        for &g in &grid {
-            write_u32(&mut w, g as u32)?;
+        for g in counts {
+            write_u32(&mut w, g)?;
         }
         write_u64(&mut w, sorted.cells.len() as u64)?;
         let mut off =
@@ -383,7 +344,6 @@ impl TileStore {
             for &c in &cell {
                 write_u32(&mut w, c as u32)?;
             }
-            // nnz ≤ the in-memory entry count, so nnz·20 fits u64 — lint: allow(index-overflow)
             let len = nnz * TILE_ENTRY_BYTES;
             write_u64(&mut w, nnz)?;
             write_u64(&mut w, off)?;
@@ -392,9 +352,10 @@ impl TileStore {
         }
         let mut start = 0;
         for &(cell, end) in &sorted.cells {
+            let origin = cells.origin(cell);
             for e in &sorted.records[start..end] {
                 for ax in 0..NMODES {
-                    write_u32(&mut w, e.idx[ax] - bounds[ax][cell[ax]] as Idx)?;
+                    write_u32(&mut w, e.idx[ax] - origin[ax] as Idx)?;
                 }
                 w.write_all(&e.val.to_le_bytes())?;
             }
@@ -446,6 +407,11 @@ impl TileStore {
     /// [`TileStore::build_from_tnsb`] with fault injection. Like
     /// [`TileStore::create_from_coo_with`], the scatter writes target a
     /// temp file and only a post-sync rename publishes `dst`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a cell is below its count, which fits u32, and a local offset is below \
+                  a u32 coordinate read from the source"
+    )]
     pub fn build_from_tnsb_with<P: AsRef<Path>, Q: AsRef<Path>>(
         src: P,
         grid: [usize; NMODES],
@@ -455,34 +421,19 @@ impl TileStore {
         let src = src.as_ref();
         let (header, coords_at) = read_v1_prelude(src)?;
         let dims = [header.dims[0], header.dims[1], header.dims[2]];
-        check_grid(dims, grid)?;
-        let bounds = [
-            uniform_bounds(dims[0], grid[0]),
-            uniform_bounds(dims[1], grid[1]),
-            uniform_bounds(dims[2], grid[2]),
-        ];
-        let nnz = header.nnz as usize;
-        // The per-cell count/cursor vectors are allocated at this size;
-        // refuse grids whose cell count cannot even be addressed.
-        let cells = grid[0]
-            .checked_mul(grid[1])
-            .and_then(|x| x.checked_mul(grid[2]))
-            .ok_or_else(|| BinError::Format("tile grid cell count overflows usize".into()))?;
+        let cells = CellGrid::new(dims, grid)?;
+        let stored = stored_counts(&cells)?;
+        let nnz = to_usize(header.nnz, "nnz")?;
 
         // Pass 1: per-cell nonzero counts, O(cells) memory.
-        let mut counts = vec![0u64; cells];
+        let mut counts = vec![0u64; cells.n_cells()];
         {
             let mut f = std::fs::File::open(src)?;
             f.seek(SeekFrom::Start(coords_at))?;
             let mut coords = BufReader::new(f);
             for n in 0..nnz {
                 let idx = read_coord3(&mut coords, dims, n)?;
-                let cell = [
-                    cell_of(&bounds[0], idx[0]) as u32,
-                    cell_of(&bounds[1], idx[1]) as u32,
-                    cell_of(&bounds[2], idx[2]) as u32,
-                ];
-                counts[cell_id(cell, grid) as usize] += 1;
+                counts[cells.id(cells.cell_of(idx))] += 1;
             }
         }
 
@@ -492,7 +443,7 @@ impl TileStore {
             .checked_mul(TABLE_RECORD_BYTES)
             .and_then(|t| t.checked_add(header.encoded_len() as u64 + 12 + 8))
             .ok_or_else(|| BinError::Format("tile table size overflows".into()))?;
-        let mut cursor = vec![0u64; cells]; // per-cell write position
+        let mut cursor = vec![0u64; cells.n_cells()]; // per-cell write position
         let mut out = AtomicFile::create(dst.as_ref(), faults.clone())?;
         {
             let mut w = BufWriter::new(&mut out);
@@ -504,8 +455,8 @@ impl TileStore {
                     nnz: header.nnz,
                 },
             )?;
-            for &g in &grid {
-                write_u32(&mut w, g as u32)?;
+            for g in stored {
+                write_u32(&mut w, g)?;
             }
             write_u64(&mut w, n_tiles)?;
             let mut off = table_end;
@@ -513,21 +464,14 @@ impl TileStore {
                 if count == 0 {
                     continue;
                 }
-                let id = id as u64;
-                let cell = [
-                    // grid products ≤ cell count ≤ u64 (check_grid) — lint: allow(index-overflow)
-                    (id / (grid[1] as u64 * grid[2] as u64)) as u32,
-                    ((id / grid[2] as u64) % grid[1] as u64) as u32,
-                    (id % grid[2] as u64) as u32,
-                ];
-                for &c in &cell {
-                    write_u32(&mut w, c)?;
+                for c in cells.cell(id) {
+                    write_u32(&mut w, c as u32)?;
                 }
                 let len = count * TILE_ENTRY_BYTES;
                 write_u64(&mut w, count)?;
                 write_u64(&mut w, off)?;
                 write_u64(&mut w, len)?;
-                cursor[id as usize] = off;
+                cursor[id] = off;
                 off += len;
             }
             w.flush()?;
@@ -536,7 +480,7 @@ impl TileStore {
         // Pass 2: scatter entries to their tiles through small flush
         // buffers — bounded by FLUSH_AT bytes per nonempty tile.
         const FLUSH_AT: usize = 4096;
-        let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); cells];
+        let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); cells.n_cells()];
         let mut coords = {
             let mut f = std::fs::File::open(src)?;
             f.seek(SeekFrom::Start(coords_at))?;
@@ -545,7 +489,7 @@ impl TileStore {
         let mut vals = {
             let mut f = std::fs::File::open(src)?;
             // nnz coordinates (12 B each) were just streamed in pass 1,
-            // so 12·nnz is within the source file length — lint: allow(index-overflow)
+            // so 12·nnz is within the source file length.
             f.seek(SeekFrom::Start(coords_at + 12 * nnz as u64))?;
             BufReader::new(f)
         };
@@ -564,15 +508,12 @@ impl TileStore {
             let idx = read_coord3(&mut coords, dims, n)?;
             let mut v = [0u8; 8];
             vals.read_exact(&mut v)?;
-            let cell = [
-                cell_of(&bounds[0], idx[0]),
-                cell_of(&bounds[1], idx[1]),
-                cell_of(&bounds[2], idx[2]),
-            ];
-            let id = cell_id([cell[0] as u32, cell[1] as u32, cell[2] as u32], grid) as usize;
+            let cell = cells.cell_of(idx);
+            let id = cells.id(cell);
+            let origin = cells.origin(cell);
             let buf = &mut bufs[id];
             for ax in 0..NMODES {
-                buf.extend_from_slice(&((idx[ax] - bounds[ax][cell[ax]]) as u32).to_le_bytes());
+                buf.extend_from_slice(&((idx[ax] - origin[ax]) as u32).to_le_bytes());
             }
             buf.extend_from_slice(&v);
             if buf.len() >= FLUSH_AT {
@@ -596,12 +537,12 @@ impl TileStore {
 
     /// Tile counts per original axis.
     pub fn grid(&self) -> [usize; NMODES] {
-        self.meta.grid
+        self.meta.cells.counts()
     }
 
     /// Total nonzeros across all tiles.
     pub fn nnz(&self) -> usize {
-        self.meta.nnz as usize
+        self.meta.nnz
     }
 
     /// Number of nonempty tiles.
@@ -616,7 +557,7 @@ impl TileStore {
 
     /// Tile boundaries along original axis `ax` (length `grid[ax] + 1`).
     pub fn bounds(&self, ax: usize) -> &[usize] {
-        &self.meta.bounds[ax]
+        self.meta.cells.bounds(ax)
     }
 
     /// Payload bytes of the largest tile — what a double-buffered reader
@@ -648,9 +589,9 @@ impl TileStore {
         })?;
         let mut f = std::fs::File::open(&self.path)?;
         f.seek(SeekFrom::Start(tm.off))?;
-        tile.payload.resize(tm.len as usize, 0);
+        tile.payload.resize(to_usize(tm.len, "tile length")?, 0);
         FaultRead::new(f, self.faults.clone()).read_exact(&mut tile.payload)?;
-        decode_tile(&self.meta.bounds, i, &tm, tile)
+        decode_tile(&self.meta.cells, i, &tm, tile)
     }
 
     /// Reassembles the whole tensor (one tile at a time). This is the
@@ -663,14 +604,13 @@ impl TileStore {
         for i in 0..self.n_tiles() {
             self.load_tile_reusing(i, &mut tile)?;
             for (l, &v) in tile.locals.iter().zip(&tile.vals) {
-                entries.push(Entry {
-                    idx: [
-                        (tile.origin[0] + l[0] as usize) as Idx,
-                        (tile.origin[1] + l[1] as usize) as Idx,
-                        (tile.origin[2] + l[2] as usize) as Idx,
-                    ],
-                    val: v,
-                });
+                let mut idx = [0; NMODES];
+                for ((x, &o), &l) in idx.iter_mut().zip(&tile.origin).zip(l) {
+                    *x = Idx::try_from(o + l as usize).map_err(|_| {
+                        BinError::Format(format!("tile {i}: a coordinate exceeds the index type"))
+                    })?;
+                }
+                entries.push(Entry { idx, val: v });
             }
         }
         // The bytes came from disk: a store that passes tile-framing

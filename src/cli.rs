@@ -159,14 +159,12 @@ with a typed error; panics, hangs (60s watchdog), and half-written
 stores visible to `open` are failures. --seeds N draws N scenario
 instances round-robin over the matrix (N >= 90 covers every cell).
 Exits nonzero on any violation.
-`lint` runs the static-analysis passes over `root` (default `.`): the
-line rules (unwrap in serve/core, undocumented core pub fns,
-lock().unwrap() outside shims) plus panic-reachability from the declared
-ingest, kernel-launch and serve roots (with call-chain witnesses),
-lock-discipline (no file/socket I/O under a sync.rs guard; lock order
-registry → scheduler → plan-cache), index-overflow in the tensor crate's
-block arithmetic, and atomic publication in the persistence modules.
-Exits nonzero on unwaived findings. --json emits the stable
+`lint` runs the static-analysis passes over `root` (default `.`):
+panic-reachability from the declared ingest, kernel-launch and serve
+roots (with call-chain witnesses) and lock-discipline (no file/socket
+I/O under a sync.rs guard; lock order registry → scheduler →
+plan-cache). One-line rules (unwraps, docs, raw locks, in-place writes,
+narrowing casts) are clippy lints. Exits nonzero on unwaived findings. --json emits the stable
 machine-readable report;
 --baseline compares against a checked-in baseline (new findings fail,
 newly-fixed ones warn); --write-baseline regenerates it.

@@ -5,7 +5,7 @@
 //! and then the repeats must stream in the order they were stored.
 
 use proptest::prelude::*;
-use tenblock::tensor::bcoo::uniform_bounds;
+use tenblock::tensor::cell_grid::{uniform_bounds, CellGrid};
 use tenblock::tensor::fiber_sort::{fiber_key, sort_into_cells, FiberCols, FiberSorter};
 use tenblock::tensor::io_bin::BinError;
 
@@ -125,7 +125,8 @@ proptest! {
         let cell_of = |r: &Rec| {
             [0, 1, 2].map(|ax| bounds[ax].partition_point(|&b| b <= r.0[ax] as usize) - 1)
         };
-        let sorted = sort_into_cells(recs.len(), |i| recs[i], |r| r.0, &bounds);
+        let cells = CellGrid::new(extents.map(|e| e as usize), grid).unwrap();
+        let sorted = sort_into_cells(recs.len(), |i| recs[i], |r| r.0, &cells);
         let mut expect = recs.clone();
         expect.sort_by_key(|r| (cell_of(r), key(r)));
         prop_assert_eq!(&sorted.records, &expect);

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Proves that clippy rejects what `tenblock lint`'s former line rules
-# caught. Runs `cargo clippy` over the fixture package once per workspace
+# and its former `index-overflow` pass caught. Runs `cargo clippy` over the fixture package once per workspace
 # `clippy.toml` (via CLIPPY_CONF_DIR) and fails unless every expected lint
 # fires, and the in-place-write lints fire only under the tensor and serve
 # configurations. Run from anywhere: `tests/lint-fixtures/check.sh`.
@@ -24,7 +24,8 @@ for conf in . crates/tensor crates/serve; do
     out=$(cd "$root" && CLIPPY_CONF_DIR="$root/$conf" cargo clippy -q \
         --manifest-path tests/lint-fixtures/Cargo.toml \
         --target-dir target/lint-fixtures --message-format=json 2>/dev/null || true)
-    for lint in clippy::unwrap_used clippy::expect_used missing_docs unfulfilled_lint_expectations; do
+    for lint in clippy::unwrap_used clippy::expect_used missing_docs \
+        clippy::cast_possible_truncation unfulfilled_lint_expectations; do
         require present "\"code\":{\"code\":\"$lint\"" "$lint"
     done
     require present 'disallowed method `std::sync::Mutex::lock`' "clippy::disallowed_methods (lock)"

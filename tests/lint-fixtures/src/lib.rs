@@ -6,6 +6,8 @@
 // The lint attributes at the `tenblock-core` root.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![deny(missing_docs)]
+// The lint attribute at the `tenblock-tensor` root.
+#![deny(clippy::cast_possible_truncation)]
 
 use std::fs::{File, OpenOptions};
 use std::sync::Mutex;
@@ -36,6 +38,13 @@ pub fn fixture_in_place_writes(path: &str) -> std::io::Result<()> {
     File::create(path)?;
     OpenOptions::new().append(true).open(path)?;
     Ok(())
+}
+
+/// `clippy::cast_possible_truncation`: a linearized block id narrowed
+/// unchecked, the shape of a bug that once aliased BCOO blocks on grids
+/// of 2^32 cells or more.
+pub fn fixture_narrowed_block_id(a: usize, nb: usize, b: usize) -> u32 {
+    (a * nb + b) as u32
 }
 
 /// `unfulfilled_lint_expectations`: a waiver whose lint no longer fires.
