@@ -122,26 +122,6 @@ impl CallGraph {
         &self.edges[f]
     }
 
-    /// Looks up functions by qualified name (`Owner::name` or bare
-    /// `name` for free fns), optionally restricted to a path substring.
-    pub fn find(&self, qualified: &str, path_contains: Option<&str>) -> Vec<FnId> {
-        let (owner, name) = match qualified.split_once("::") {
-            Some((o, n)) => (Some(o), n),
-            None => (None, qualified),
-        };
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.item.name == name)
-            .filter(|(_, f)| match owner {
-                Some(o) => f.item.owner.as_deref() == Some(o),
-                None => f.item.owner.is_none(),
-            })
-            .filter(|(_, f)| path_contains.is_none_or(|p| f.path.contains(p)))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     fn resolve(&self, call: &CallSite, caller: &FnItem) -> Vec<FnId> {
         match &call.kind {
             CallKind::Bare => self
@@ -480,15 +460,5 @@ mod tests {
             "fn parse_num<T>() -> T { todo!() } fn top() { let _x = parse_num::<u32>(); }",
         )]);
         assert_eq!(callee_names(&g, "top"), vec!["parse_num"]);
-    }
-
-    #[test]
-    fn find_locates_by_qualified_name_and_path() {
-        let g = graph_of(&[
-            ("crates/tensor/src/io.rs", "pub fn read_tns() {}"),
-            ("crates/serve/src/proto.rs", "pub fn read_tns() {}"),
-        ]);
-        assert_eq!(g.find("read_tns", None).len(), 2);
-        assert_eq!(g.find("read_tns", Some("tensor")).len(), 1);
     }
 }

@@ -5,8 +5,8 @@
 //! cross-line corner cases — a lifetime `'a` vs a char literal `'}'`,
 //! raw-string hashes `r##"..."##`, *nested* block comments — were handled
 //! slightly differently in each place. This module lexes a whole file
-//! once into a [`Token`] stream with line numbers, and every pass
-//! (panic-reachability, lock-discipline) consumes the same stream.
+//! once into a [`Token`] stream with line numbers, which the item
+//! parser, the call graph and the panic-reachability pass all consume.
 //!
 //! The lexer is deliberately smaller than rustc's: it does not
 //! distinguish keywords from identifiers (passes match on the ident

@@ -16,12 +16,10 @@
 //! 3. **Workspace lint** ([`lint`]): a zero-dependency static-analysis
 //!    framework. A token-level Rust lexer ([`lexer`]) feeds a lightweight
 //!    item parser ([`items`]) and a conservative intra-workspace call
-//!    graph ([`callgraph`]); rule passes ([`passes`]) run on top of the
-//!    shared token streams: panic-reachability with call-chain witnesses,
-//!    and lock-discipline (no I/O under a `sync.rs` guard, global lock
-//!    order). Rules a single line can decide (unwraps, docs, raw locks,
-//!    in-place file writes, narrowing casts) are rustc and clippy lints
-//!    instead.
+//!    graph ([`callgraph`]); the rule pass ([`passes`]) runs on top of the
+//!    shared token streams: panic-reachability with call-chain witnesses.
+//!    Rules a single line can decide (unwraps, docs, raw locks, in-place
+//!    file writes, narrowing casts) are rustc and clippy lints instead.
 //!
 //! The crate has no dependencies (not even on `tenblock-tensor`), so
 //! `tenblock-core` can depend on it without a cycle: kernels translate

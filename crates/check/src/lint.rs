@@ -7,22 +7,20 @@
 //! ([`crate::passes`]) run over that shared model. Still zero
 //! dependencies — no `syn`, in the spirit of the `shims/` philosophy.
 //!
-//! Enforced rules — the ones that follow calls across functions or read
-//! the domain's vocabulary, which rustc and clippy cannot:
+//! The one enforced rule follows calls across functions, which rustc and
+//! clippy cannot:
 //!
 //! * `panic-reach` — declared boundary roots (ingest parsing, tile
 //!   store validation, the kernel launch, the serve request loop) must not
 //!   transitively reach a panic site; findings carry the witness chain.
 //!   Replaces v1's file-scoped `no-panic-ingest`.
-//! * `lock-discipline` — no file/socket I/O (direct or transitive)
-//!   while a `sync.rs` guard is live; lock order is registry →
-//!   scheduler → plan-cache.
 //!
 //! The line rules live in the compiler: `#![deny(clippy::unwrap_used,
 //! clippy::expect_used)]` (core, serve), `#![deny(missing_docs)]` (core),
 //! `#![deny(clippy::cast_possible_truncation)]` (tensor), and
 //! `clippy.toml`'s `disallowed-methods` for raw lock calls (workspace)
-//! and in-place file writes (tensor, serve).
+//! and in-place file writes (tensor, serve). Serve's lock order and its
+//! no-I/O-under-a-lock rule are debug assertions in its `sync.rs`.
 //!
 //! A finding can be waived in place with a trailing
 //! `// lint: allow(<rule>[, <rule>…])` comment; waived findings are
@@ -41,26 +39,22 @@ use std::path::{Path, PathBuf};
 pub enum Rule {
     /// Boundary roots must not transitively reach a panic site.
     PanicReach,
-    /// No I/O under a `sync.rs` guard; global lock order.
-    LockDiscipline,
 }
 
 impl Rule {
     /// All rules, in reporting order.
-    pub const ALL: [Rule; 2] = [Rule::PanicReach, Rule::LockDiscipline];
+    pub const ALL: [Rule; 1] = [Rule::PanicReach];
 
     /// Stable rule name, as used in `lint: allow(...)` waivers and the
     /// JSON schema.
     pub fn name(self) -> &'static str {
         match self {
             Rule::PanicReach => "panic-reach",
-            Rule::LockDiscipline => "lock-discipline",
         }
     }
 }
 
-/// One hop of a call-chain witness (panic-reachability, transitive
-/// I/O-under-lock).
+/// One hop of a panic-reachability call-chain witness.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainHop {
     /// Qualified function name (`Owner::fn` or free `fn`).
@@ -203,9 +197,7 @@ fn rust_files(root: &Path) -> io::Result<Vec<PathBuf>> {
 /// [`lint_workspace`]. Paths should be workspace-relative.
 pub fn lint_sources(sources: &[(String, String)]) -> LintReport {
     let ws = Workspace::from_sources(sources);
-    let mut findings = Vec::new();
-    findings.extend(passes::panic_reach::run(&ws));
-    findings.extend(passes::lock_discipline::run(&ws));
+    let mut findings = passes::panic_reach::run(&ws);
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule.name()).cmp(&(b.file.as_str(), b.line, b.rule.name()))
     });
@@ -419,20 +411,21 @@ mod tests {
             .collect()
     }
 
-    /// A registry save that writes a file under the entries lock.
-    const IO_UNDER_LOCK: &str = "impl Registry { fn save(&self) {\n    let map = crate::sync::write(&self.entries);\n    std::fs::write(\"p\", b\"x\").ok();\n    drop(map);\n} }\n";
+    const KERNEL: &str = "crates/core/src/kernel.rs";
+    /// A kernel launch (a boundary root) that unwraps.
+    const PANIC_AT_ROOT: &str = "pub fn launch(o: Option<u32>) -> u32 {\n    o.unwrap()\n}\n";
 
     #[test]
-    fn report_aggregates_across_passes_in_order() {
+    fn report_lists_findings_and_counts_files() {
         let report = lint_sources(&sources(&[
-            ("crates/serve/src/registry.rs", IO_UNDER_LOCK),
             (
-                "crates/core/src/kernel.rs",
-                "pub fn launch(o: Option<u32>) -> u32 { o.unwrap() }\n",
+                "crates/serve/src/registry.rs",
+                "impl Registry { fn len(&self) -> usize { self.n.unwrap_or(0) } }\n",
             ),
+            (KERNEL, PANIC_AT_ROOT),
         ]));
         let rules: Vec<&str> = report.findings.iter().map(|f| f.rule.name()).collect();
-        assert_eq!(rules, vec!["panic-reach", "lock-discipline"]);
+        assert_eq!(rules, vec!["panic-reach"]);
         assert_eq!(report.files_scanned, 2);
         assert!(!report.is_clean());
     }
@@ -466,7 +459,7 @@ mod tests {
 
     #[test]
     fn baseline_roundtrip_and_diff() {
-        let report = lint_sources(&sources(&[("crates/serve/src/registry.rs", IO_UNDER_LOCK)]));
+        let report = lint_sources(&sources(&[(KERNEL, PANIC_AT_ROOT)]));
         let baseline = parse_baseline_keys(&baseline_json(&report));
         assert_eq!(baseline.len(), 1);
         // Same findings → nothing new, nothing fixed.
@@ -474,8 +467,8 @@ mod tests {
         assert!(d.new.is_empty() && d.fixed.is_empty());
         // Empty report → baseline entry is newly fixed.
         let clean = lint_sources(&sources(&[(
-            "crates/serve/src/registry.rs",
-            "impl Registry { fn save(&self) { std::fs::write(\"p\", b\"x\").ok(); } }\n",
+            KERNEL,
+            "pub fn launch(o: Option<u32>) -> u32 { o.unwrap_or(0) }\n",
         )]));
         let d = diff_baseline(&clean, &baseline);
         assert!(d.new.is_empty());
@@ -487,10 +480,9 @@ mod tests {
 
     #[test]
     fn baseline_key_survives_line_drift() {
-        let path = "crates/serve/src/registry.rs";
-        let before = lint_sources(&sources(&[(path, IO_UNDER_LOCK)]));
-        let drifted = format!("// a new comment shifting everything down\n\n{IO_UNDER_LOCK}");
-        let after = lint_sources(&sources(&[(path, &drifted)]));
+        let before = lint_sources(&sources(&[(KERNEL, PANIC_AT_ROOT)]));
+        let drifted = format!("// a new comment shifting everything down\n\n{PANIC_AT_ROOT}");
+        let after = lint_sources(&sources(&[(KERNEL, &drifted)]));
         assert_eq!(before.findings[0].key(), after.findings[0].key());
         assert_ne!(before.findings[0].line, after.findings[0].line);
     }

@@ -1,19 +1,14 @@
-//! Rule passes over the shared token streams, item lists, and call graph.
+//! The rule pass over the shared token streams, item lists, and call graph.
 //!
-//! [`Workspace`] is the one analysis input: every file lexed once
+//! [`Workspace`] is the analysis input: every file lexed once
 //! ([`crate::lexer`]), items parsed once ([`crate::items`]), the call
 //! graph built once ([`crate::callgraph`]), waiver comments collected
-//! once. Each pass is a function `fn run(&Workspace) -> Vec<Finding>`;
-//! the driver in [`crate::lint`] concatenates them and applies waivers.
-//!
-//! Passes (each one a check rustc and clippy cannot express, because it
-//! follows calls across functions or reads the domain's vocabulary):
-//! - [`panic_reach`] — transitive can-panic analysis from declared
-//!   boundary roots, with call-chain witnesses.
-//! - [`lock_discipline`] — no I/O while a `sync.rs` guard is live, and
-//!   the global lock-acquisition order.
+//! once. The one pass, [`panic_reach`], follows calls across functions,
+//! which rustc and clippy cannot: transitive can-panic analysis from
+//! declared boundary roots, with call-chain witnesses. Its
+//! `run(&Workspace) -> Vec<Finding>` is what the driver in
+//! [`crate::lint`] sorts and reports.
 
-pub mod lock_discipline;
 pub mod panic_reach;
 
 use crate::callgraph::CallGraph;
@@ -244,67 +239,10 @@ pub fn panic_sites(tokens: &[Token], item: &FnItem) -> Vec<PanicSite> {
     out
 }
 
-/// Qualifier types/modules whose associated calls perform file or
-/// socket I/O.
-const IO_QUALIFIERS: &[&str] = &[
-    "fs",
-    "File",
-    "OpenOptions",
-    "TcpStream",
-    "TcpListener",
-    "UnixStream",
-    "UnixListener",
-];
-/// Method names that perform I/O on readers/writers/sockets.
-const IO_METHODS: &[&str] = &[
-    "write_all",
-    "read_exact",
-    "read_to_end",
-    "read_to_string",
-    "read_line",
-    "flush",
-    "sync_all",
-    "sync_data",
-    "set_len",
-    "accept",
-    "shutdown",
-];
-
-/// Scans a fn body for direct file/socket I/O call sites: `fs::…`,
-/// `File::…`, socket constructors, and reader/writer methods.
-pub fn io_sites(tokens: &[Token], item: &FnItem) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for call in crate::callgraph::extract_calls(tokens, item) {
-        let is_io = match &call.kind {
-            crate::callgraph::CallKind::Qualified(owner) => IO_QUALIFIERS.contains(&owner.as_str()),
-            crate::callgraph::CallKind::Method { .. } => IO_METHODS.contains(&call.name.as_str()),
-            crate::callgraph::CallKind::Bare => false,
-        };
-        if is_io {
-            let label = match &call.kind {
-                crate::callgraph::CallKind::Qualified(owner) => {
-                    format!("{owner}::{}", call.name)
-                }
-                _ => format!(".{}()", call.name),
-            };
-            out.push((call.line, label));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ws(files: &[(&str, &str)]) -> Workspace {
-        Workspace::from_sources(
-            &files
-                .iter()
-                .map(|(p, s)| (p.to_string(), s.to_string()))
-                .collect::<Vec<_>>(),
-        )
-    }
+    use crate::lint::test_util::ws;
 
     #[test]
     fn panic_sites_by_tier() {
@@ -356,34 +294,10 @@ mod tests {
     }
 
     #[test]
-    fn io_sites_found() {
-        let w = ws(&[(
-            "a.rs",
-            "fn f(mut s: TcpStream) {
-                std::fs::write(\"p\", b\"x\").ok();
-                let _f = File::open(\"p\");
-                s.write_all(b\"hi\").ok();
-                s.flush().ok();
-                compute();
-            }
-            fn compute() {}",
-        )]);
-        let f = &w.files[0];
-        let labels: Vec<String> = io_sites(&f.tokens, &f.items[0])
-            .into_iter()
-            .map(|(_, l)| l)
-            .collect();
-        assert_eq!(
-            labels,
-            vec!["fs::write", "File::open", ".write_all()", ".flush()"]
-        );
-    }
-
-    #[test]
     fn waiver_parsing_multi_rule() {
         assert_eq!(
-            waiver_rules("x[i * n] // lint: allow(lock-discipline, panic-reach)"),
-            vec!["lock-discipline", "panic-reach"]
+            waiver_rules("x[i * n] // lint: allow(other-rule, panic-reach)"),
+            vec!["other-rule", "panic-reach"]
         );
         assert!(waiver_rules("plain line").is_empty());
     }
@@ -403,7 +317,7 @@ mod tests {
         // same-line coverage still works
         assert!(w.is_waived(0, 2, "panic-reach"));
         // an unrelated rule is not waived
-        assert!(!w.is_waived(0, 3, "lock-discipline"));
+        assert!(!w.is_waived(0, 3, "other-rule"));
         // g's site (line 5) has no waiver anywhere near it
         assert!(!w.is_waived(0, 5, "panic-reach"));
     }

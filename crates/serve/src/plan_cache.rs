@@ -13,8 +13,15 @@
 //! hit. The lock is global across keys — deliberate, because plan timing
 //! measures wall-clock MTTKRP runs, and concurrent tuning jobs would
 //! perturb each other's measurements.
+//!
+//! The compute lock also spans the save that publishes a computed plan,
+//! which makes it the one serve lock held across I/O (see `sync.rs`). A
+//! concurrent tuner for the same key must find the saved plan, and two
+//! saves must not run at once: `AtomicFile` writes through one fixed temp
+//! name per target (`<file>.tmp`), so concurrent saves would share it.
 
 use crate::json::Json;
+use crate::sync::{Leveled, COMPUTE, PLANS};
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -106,9 +113,9 @@ impl TunedPlan {
 /// Thread-safe plan cache with optional JSON persistence.
 #[derive(Debug)]
 pub struct PlanCache {
-    plans: Mutex<HashMap<PlanKey, TunedPlan>>,
-    /// Serializes plan computation (see module docs).
-    compute: Mutex<()>,
+    plans: Leveled<Mutex<HashMap<PlanKey, TunedPlan>>, PLANS>,
+    /// Serializes plan computation and its save (see module docs).
+    compute: Leveled<Mutex<()>, COMPUTE>,
     path: Option<PathBuf>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -120,8 +127,8 @@ impl PlanCache {
     /// In-memory cache (no persistence).
     pub fn in_memory() -> PlanCache {
         PlanCache {
-            plans: Mutex::new(HashMap::new()),
-            compute: Mutex::new(()),
+            plans: Leveled::new(Mutex::new(HashMap::new())),
+            compute: Leveled::new(Mutex::new(())),
             path: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -234,9 +241,7 @@ impl PlanCache {
             Ok(plan) => plan,
             Err(e) => return Ok(Err(e)),
         };
-        // Persisting inside the compute lock is the single-flight
-        // design: concurrent tuners for the same key must observe the
-        // saved plan — lint: allow(lock-discipline)
+        // Saved under the compute lock (see the module doc).
         self.insert(key, plan.clone())?;
         Ok(Ok((plan, false)))
     }
@@ -278,6 +283,7 @@ impl PlanCache {
                 ),
             ])
         };
+        crate::sync::assert_unlocked();
         tenblock_tensor::atomic_write(path, (doc.to_string_compact() + "\n").as_bytes())
     }
 }

@@ -17,6 +17,7 @@ use crate::metrics::Metrics;
 use crate::plan_cache::{PlanCache, PlanKey, TunedPlan};
 use crate::registry::{Registry, RegistryError};
 use crate::scheduler::{CancelError, JobId, JobState, Scheduler, SubmitError};
+use crate::sync::{Leveled, LAST_TRACE};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -125,7 +126,7 @@ pub struct ServiceCore {
     /// Span tree of the most recently finished job, served by the `trace`
     /// command. One job's worth is kept: the trace is a debugging aid, not
     /// a log.
-    pub last_trace: Mutex<Option<(JobId, Json)>>,
+    pub(crate) last_trace: Leveled<Mutex<Option<(JobId, Json)>>, LAST_TRACE>,
 }
 
 /// The in-process service: core state plus the job scheduler.
@@ -415,7 +416,7 @@ impl Service {
             registry,
             plans,
             metrics: Arc::clone(&metrics),
-            last_trace: Mutex::new(None),
+            last_trace: Leveled::new(Mutex::new(None)),
         });
         let runner_core = Arc::clone(&core);
         let scheduler = Scheduler::start(workers, queue_capacity, metrics, move |id, payload| {

@@ -42,7 +42,7 @@
 //! serialized to an on-disk [`TileStore`] (the `.tnsb` v2 tile framing)
 //! and its in-memory entry dropped; a later [`Registry::get`] streams the
 //! tiles back and rebuilds the entry transparently, charging the I/O to
-//! the registry's [`StreamStats`]. Two invariants hold regardless of
+//! the registry's [`StreamStats`]. Three invariants hold regardless of
 //! residency:
 //!
 //! * **Names never shrink.** A spilled tensor still counts for
@@ -52,6 +52,12 @@
 //! * **Spilling is lossless.** The tile store round-trips exact `f64`
 //!   bits and coordinates, so a reloaded entry has the same fingerprint
 //!   and statistics as the original.
+//! * **No lookup waits for a spill write.** The `register`/`get` call
+//!   whose insert breaches the cap marks the victim as spilling under the
+//!   `entries` lock: it counts as evicted for the cap, so the cap holds
+//!   atomically with the insert, and `get` still returns its `Arc`. The
+//!   store is written after the guard drops; a second short acquisition
+//!   then publishes it, or restores residency if the write failed.
 //!
 //! # Fault tolerance
 //!
@@ -71,6 +77,7 @@
 //!   litter from a crashed writer is removed.
 
 use crate::metrics::{FaultCounters, LayoutCounters};
+use crate::sync::{Leveled, BLOCKED, ENTRIES};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,7 +113,7 @@ struct BlockedLayout {
 struct ModeLayouts {
     unblocked: Arc<BlockGrid>,
     /// The most recently requested blocked grid.
-    blocked: Mutex<Option<Arc<BlockedLayout>>>,
+    blocked: Leveled<Mutex<Option<Arc<BlockedLayout>>>, BLOCKED>,
 }
 
 /// One resident tensor with everything derived from it.
@@ -128,7 +135,7 @@ impl TensorEntry {
     fn build(name: &str, coo: CooTensor, counters: Arc<LayoutCounters>) -> TensorEntry {
         let layouts = [0, 1, 2].map(|mode| ModeLayouts {
             unblocked: build_layout(&coo, mode, UNBLOCKED),
-            blocked: Mutex::new(None),
+            blocked: Leveled::new(Mutex::new(None)),
         });
         counters.builds.fetch_add(NMODES as u64, Ordering::Relaxed);
         // The unblocked layout of a mode has counted that mode's fibers.
@@ -266,6 +273,9 @@ struct Slot {
     /// reload so a second eviction can drop the entry without rewriting
     /// the (immutable) file.
     spill_path: Option<PathBuf>,
+    /// Set while an eviction writes this entry's store outside the lock:
+    /// the entry counts as evicted for the cap but is still served.
+    spilling: bool,
     /// Logical timestamp of the last `get`/registration (LRU ordering).
     last_used: AtomicU64,
 }
@@ -273,7 +283,7 @@ struct Slot {
 /// Thread-safe name → tensor map with optional LRU spill-to-disk.
 #[derive(Debug, Default)]
 pub struct Registry {
-    entries: RwLock<HashMap<String, Slot>>,
+    entries: Leveled<RwLock<HashMap<String, Slot>>, ENTRIES>,
     spill: Option<SpillConfig>,
     clock: AtomicU64,
     stream_stats: Arc<StreamStats>,
@@ -284,6 +294,15 @@ pub struct Registry {
     counters: Arc<FaultCounters>,
     /// Layout-cache counters, shared with every entry and the metrics.
     layout_counters: Arc<LayoutCounters>,
+}
+
+/// A resident marked as spilling under the `entries` lock, written after
+/// it drops.
+struct Victim {
+    name: String,
+    entry: Arc<TensorEntry>,
+    /// The store a past eviction wrote, if any.
+    spill_path: Option<PathBuf>,
 }
 
 /// `name`, reduced to filesystem-safe characters for the spill filename.
@@ -373,6 +392,7 @@ impl Registry {
             return;
         };
         for entry in rd.filter_map(|e| e.ok()) {
+            crate::sync::assert_unlocked();
             let path = entry.path();
             if !path.is_file() {
                 continue;
@@ -392,6 +412,7 @@ impl Registry {
                         map.entry(name).or_insert_with(|| Slot {
                             resident: None,
                             spill_path: Some(path.clone()),
+                            spilling: false,
                             last_used: AtomicU64::new(self.tick()),
                         });
                     }
@@ -406,6 +427,7 @@ impl Registry {
     /// `<file>.quarantine/` directory so it can never be adopted again but
     /// stays available for offline inspection.
     fn quarantine(&self, path: &Path) {
+        crate::sync::assert_unlocked();
         self.counters
             .quarantined_stores
             .fetch_add(1, Ordering::Relaxed);
@@ -431,87 +453,106 @@ impl Registry {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Evicts least-recently-used residents (never `exempt`) until the
-    /// resident count fits the cap. Called with the write lock held; the
-    /// spill write happens under the lock, which is acceptable for a
-    /// registry whose churn is operator-driven, not per-request.
-    fn enforce_residency(&self, map: &mut HashMap<String, Slot>, exempt: &str) {
-        let Some(cfg) = &self.spill else { return };
-        loop {
-            let resident = map.values().filter(|s| s.resident.is_some()).count();
-            if resident <= cfg.max_resident {
-                return;
-            }
-            let victim = map
-                .iter()
-                .filter(|(n, s)| s.resident.is_some() && n.as_str() != exempt)
-                .min_by_key(|(_, s)| s.last_used.load(Ordering::Relaxed))
-                .map(|(n, _)| n.clone());
-            let Some(name) = victim else { return };
-            let Some(slot) = map.get_mut(&name) else {
-                return;
+    /// Marks least-recently-used residents (never `exempt`) as spilling
+    /// until the resident count fits the cap. Called with the write lock
+    /// held; [`Registry::spill`] writes them after it drops.
+    fn mark_victims(&self, map: &mut HashMap<String, Slot>, exempt: &str) -> Vec<Victim> {
+        let Some(cfg) = &self.spill else {
+            return Vec::new();
+        };
+        let mut lru: Vec<_> = map
+            .iter_mut()
+            .filter(|(_, s)| s.resident.is_some() && !s.spilling)
+            .collect();
+        let over = lru.len().saturating_sub(cfg.max_resident);
+        lru.retain(|(n, _)| n.as_str() != exempt);
+        lru.sort_by_key(|(_, s)| s.last_used.load(Ordering::Relaxed));
+        lru.into_iter()
+            .take(over)
+            .filter_map(|(name, slot)| {
+                slot.spilling = true;
+                Some(Victim {
+                    name: name.clone(),
+                    entry: Arc::clone(slot.resident.as_ref()?),
+                    spill_path: slot.spill_path.clone(),
+                })
+            })
+            .collect()
+    }
+
+    /// Writes each victim's store outside the `entries` lock, then, under
+    /// a short acquisition, publishes it and drops the entry. After a
+    /// write fails permanently, it and every later victim stay resident.
+    fn spill(&self, victims: Vec<Victim>) {
+        let mut failed = false;
+        for victim in victims {
+            let written = if failed {
+                None
+            } else {
+                self.write_spill(&victim)
             };
-            let Some(entry) = slot.resident.clone() else {
-                return;
-            };
-            // A past eviction already wrote the file; the tensor is
-            // immutable, so dropping the entry suffices.
-            if let Some(p) = &slot.spill_path {
-                if p.exists() {
+            failed = written.is_none();
+            let mut map = crate::sync::write(&self.entries);
+            if let Some(slot) = map.get_mut(&victim.name) {
+                slot.spilling = false;
+                if written.is_some() {
+                    slot.spill_path = written;
                     slot.resident = None;
-                    continue;
                 }
             }
-            let path = cfg.dir.join(format!(
-                "{}-{:016x}.tnsb",
-                sanitize(&name),
-                entry.fingerprint
-            ));
-            let grid = grid_for_tile_budget(entry.coo.dims(), entry.coo.nnz(), SPILL_TILE_BUDGET);
-            // Transient write errors retry with seeded capped backoff;
-            // permanent ones skip the eviction (counted, logged): the
-            // victim stays resident rather than being lost.
-            let mut backoff = Backoff::for_io(entry.fingerprint);
-            let written = loop {
-                let attempt = std::fs::create_dir_all(&cfg.dir)
-                    .map_err(io_bin::BinError::from)
-                    .and_then(|()| {
-                        TileStore::create_from_coo_with(
-                            &entry.coo,
-                            grid,
-                            &path,
-                            self.faults.clone(),
-                        )
-                    });
-                match attempt {
-                    Err(io_bin::BinError::Io(e)) if is_transient(&e) => {
-                        match backoff.next_delay() {
-                            Some(delay) => {
-                                self.counters.io_retries.fetch_add(1, Ordering::Relaxed);
-                                std::thread::sleep(delay);
-                            }
-                            None => break Err(io_bin::BinError::Io(e)),
-                        }
+        }
+    }
+
+    /// Writes `victim`'s tile store, or reuses the one a past eviction
+    /// wrote (the tensor is immutable), and returns its path. Transient
+    /// write errors retry with seeded capped backoff; a permanent one is
+    /// counted and logged, and returns `None`.
+    fn write_spill(&self, victim: &Victim) -> Option<PathBuf> {
+        crate::sync::assert_unlocked();
+        if let Some(p) = &victim.spill_path {
+            if p.exists() {
+                return Some(p.clone());
+            }
+        }
+        let cfg = self.spill.as_ref()?;
+        let entry = &victim.entry;
+        let path = cfg.dir.join(format!(
+            "{}-{:016x}.tnsb",
+            sanitize(&victim.name),
+            entry.fingerprint
+        ));
+        let grid = grid_for_tile_budget(entry.coo.dims(), entry.coo.nnz(), SPILL_TILE_BUDGET);
+        let mut backoff = Backoff::for_io(entry.fingerprint);
+        let written = loop {
+            let attempt = std::fs::create_dir_all(&cfg.dir)
+                .map_err(io_bin::BinError::from)
+                .and_then(|()| {
+                    TileStore::create_from_coo_with(&entry.coo, grid, &path, self.faults.clone())
+                });
+            match attempt {
+                Err(io_bin::BinError::Io(e)) if is_transient(&e) => match backoff.next_delay() {
+                    Some(delay) => {
+                        self.counters.io_retries.fetch_add(1, Ordering::Relaxed);
+                        std::thread::sleep(delay);
                     }
-                    other => break other,
-                }
-            };
-            match written {
-                Ok(_) => {
-                    slot.spill_path = Some(path);
-                    slot.resident = None;
-                }
-                Err(e) => {
-                    self.counters.spill_failures.fetch_add(1, Ordering::Relaxed);
-                    self.counters
-                        .evictions_skipped
-                        .fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
-                        "tenblock-serve: spill of {name:?} failed ({e}); \
-                         tensor stays resident over the cap"
-                    );
-                    return;
-                }
+                    None => break Err(io_bin::BinError::Io(e)),
+                },
+                other => break other,
+            }
+        };
+        match written {
+            Ok(_) => Some(path),
+            Err(e) => {
+                self.counters.spill_failures.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .evictions_skipped
+                    .fetch_add(1, Ordering::Relaxed);
+                eprintln!(
+                    "tenblock-serve: spill of {:?} failed ({e}); \
+                     tensor stays resident over the cap",
+                    victim.name
+                );
+                None
             }
         }
     }
@@ -526,22 +567,23 @@ impl Registry {
             coo,
             Arc::clone(&self.layout_counters),
         ));
-        let mut map = crate::sync::write(&self.entries);
-        if map.contains_key(name) {
-            return Err(RegistryError::Exists(name.to_string()));
-        }
-        map.insert(
-            name.to_string(),
-            Slot {
-                resident: Some(Arc::clone(&entry)),
-                spill_path: None,
-                last_used: AtomicU64::new(self.tick()),
-            },
-        );
-        // Spilling evictees to disk under the entries lock is the
-        // residency-cap design: the cap must hold atomically with the
-        // insert that can breach it — lint: allow(lock-discipline)
-        self.enforce_residency(&mut map, name);
+        let victims = {
+            let mut map = crate::sync::write(&self.entries);
+            if map.contains_key(name) {
+                return Err(RegistryError::Exists(name.to_string()));
+            }
+            map.insert(
+                name.to_string(),
+                Slot {
+                    resident: Some(Arc::clone(&entry)),
+                    spill_path: None,
+                    spilling: false,
+                    last_used: AtomicU64::new(self.tick()),
+                },
+            );
+            self.mark_victims(&mut map, name)
+        };
+        self.spill(victims);
         Ok(entry)
     }
 
@@ -621,6 +663,7 @@ impl Registry {
         // typed error instead of panicking a worker.
         let mut backoff = Backoff::for_io(self.clock.load(Ordering::Relaxed));
         let coo = loop {
+            crate::sync::assert_unlocked();
             let attempt =
                 TileStore::open_with(&spill_path, self.faults.clone()).and_then(|store| {
                     let lens: Vec<u64> = (0..store.n_tiles()).map(|i| store.tile(i).len).collect();
@@ -670,20 +713,20 @@ impl Registry {
             coo,
             Arc::clone(&self.layout_counters),
         ));
-        let mut map = crate::sync::write(&self.entries);
-        let Some(slot) = map.get_mut(name) else {
-            return Err(RegistryError::NotFound(name.to_string()));
+        let victims = {
+            let mut map = crate::sync::write(&self.entries);
+            let Some(slot) = map.get_mut(name) else {
+                return Err(RegistryError::NotFound(name.to_string()));
+            };
+            // First reload wins; a racing thread's entry is as good as ours.
+            if let Some(existing) = &slot.resident {
+                return Ok(Arc::clone(existing));
+            }
+            slot.resident = Some(Arc::clone(&entry));
+            slot.last_used.store(self.tick(), Ordering::Relaxed);
+            self.mark_victims(&mut map, name)
         };
-        // First reload wins; a racing thread's entry is as good as ours.
-        if let Some(existing) = &slot.resident {
-            return Ok(Arc::clone(existing));
-        }
-        slot.resident = Some(Arc::clone(&entry));
-        slot.last_used.store(self.tick(), Ordering::Relaxed);
-        // Spilling evictees to disk under the entries lock is the
-        // residency-cap design: the cap must hold atomically with the
-        // insert that can breach it — lint: allow(lock-discipline)
-        self.enforce_residency(&mut map, name);
+        self.spill(victims);
         Ok(entry)
     }
 
@@ -1078,6 +1121,68 @@ mod tests {
             .map(|rd| rd.filter_map(|e| e.ok().map(|e| e.path())).collect())
             .unwrap_or_default();
         assert!(stray.is_empty(), "stray files: {stray:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A spill write stalled on disk does not hold up lookups: `get` of
+    /// the new tensor and of the victim itself completes while the
+    /// victim's store is being written, and a write that then fails
+    /// leaves the victim resident.
+    #[cfg(unix)]
+    #[test]
+    fn lookups_complete_while_a_spill_write_is_stalled() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let dir = spill_dir("stall");
+        std::fs::create_dir_all(&dir).unwrap();
+        let reg = &Registry::with_spill(&dir, 1);
+        // Its store is far larger than a pipe buffer (64 KiB).
+        let b = reg
+            .register("b", uniform_tensor([60, 50, 40], 20_000, 8))
+            .unwrap();
+        // The store is written through `<store>.tmp`: a FIFO there stalls
+        // the write in `open` until this test opens the read end.
+        let tmp = dir.join(format!("b-{:016x}.tnsb.tmp", b.fingerprint));
+        let mkfifo = std::process::Command::new("mkfifo").arg(&tmp).status();
+        assert!(mkfifo.unwrap().success());
+        let skipped = reg.fault_counters().snapshot().evictions_skipped;
+        let (registered_tx, registered) = mpsc::channel();
+        let (served_tx, served) = mpsc::channel();
+        std::thread::scope(|s| {
+            // Registering "a" evicts "b": the spill stalls on the FIFO.
+            s.spawn(move || {
+                registered_tx.send(reg.register("a", uniform_tensor([9, 9, 9], 90, 9)))
+            });
+            s.spawn(move || {
+                while !reg.contains("a") {
+                    std::thread::yield_now();
+                }
+                let a = reg.get("a").map(|e| e.name.clone());
+                let b = reg.get("b").map(|e| e.name.clone());
+                served_tx.send((a, b))
+            });
+            let lookups = served.recv_timeout(Duration::from_secs(20));
+            // Release the write: open the read end and close it, so the
+            // writer's next write fails with EPIPE, a permanent error. The
+            // open waits for the writer, so it runs outside the scope: a
+            // writer that never comes fails the `recv_timeout` below
+            // instead of hanging the test.
+            let fifo = tmp.clone();
+            let opener = std::thread::spawn(move || std::fs::File::open(fifo).map(drop));
+            assert_eq!(
+                lookups,
+                Ok((Ok("a".to_string()), Ok("b".to_string()))),
+                "lookups waited for the spill write"
+            );
+            let a = registered.recv_timeout(Duration::from_secs(20)).unwrap();
+            assert_eq!(a.unwrap().name, "a");
+            opener.join().unwrap().unwrap();
+        });
+        assert_eq!(reg.resident_names(), ["a", "b"]);
+        assert!(reg.spilled_names().is_empty());
+        let snap = reg.fault_counters().snapshot();
+        assert_eq!(snap.evictions_skipped, skipped + 1);
+        assert!(!tmp.exists(), "the failed write removed its temp file");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

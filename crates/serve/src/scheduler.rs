@@ -16,16 +16,24 @@
 //! * **Cancellation is queue-only.** `cancel` flips a queued job to
 //!   `Cancelled`; the worker observes the flag at dequeue and skips it.
 //!   Cancelling a running, finished, or unknown job is an error.
+//! * **Finished jobs are forgotten.** The table keeps the
+//!   [`RETAINED_JOBS`] most recently finished records; an older id reads
+//!   as unknown, so no client can grow the table without bound.
 //!
 //! The scheduler is generic over the payload and runner so its queueing
 //! logic unit-tests without tensors.
 
 use crate::metrics::Metrics;
-use std::collections::HashMap;
+use crate::sync::{Leveled, JOBS};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How many finished (done, failed or cancelled) job records the table
+/// keeps for `job-status` and `wait`; the oldest is forgotten first.
+pub const RETAINED_JOBS: usize = 1024;
 
 /// Opaque job handle, rendered as `j-<n>` on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -124,8 +132,33 @@ struct JobRecord<R> {
     submitted: Instant,
 }
 
+/// Every queued or running job, plus the [`RETAINED_JOBS`] most recently
+/// finished.
+struct Jobs<R> {
+    records: HashMap<JobId, JobRecord<R>>,
+    /// Finished ids, oldest first.
+    finished: VecDeque<JobId>,
+}
+
+impl<R> Jobs<R> {
+    /// Moves `id` to the terminal `state`, forgetting the oldest finished
+    /// record past [`RETAINED_JOBS`].
+    fn finish(&mut self, id: JobId, state: JobState<R>) {
+        let Some(rec) = self.records.get_mut(&id) else {
+            return;
+        };
+        rec.state = state;
+        self.finished.push_back(id);
+        if self.finished.len() > RETAINED_JOBS {
+            if let Some(old) = self.finished.pop_front() {
+                self.records.remove(&old);
+            }
+        }
+    }
+}
+
 struct Table<P, R> {
-    jobs: Mutex<HashMap<JobId, JobRecord<R>>>,
+    jobs: Leveled<Mutex<Jobs<R>>, JOBS>,
     /// Notified on every state transition; `wait` parks on it.
     changed: Condvar,
     _payload: std::marker::PhantomData<fn(P)>,
@@ -152,7 +185,10 @@ impl<P: Send + 'static, R: Clone + Send + 'static> Scheduler<P, R> {
     {
         let (tx, rx) = crossbeam::channel::bounded(capacity.max(1));
         let table: Arc<Table<P, R>> = Arc::new(Table {
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Leveled::new(Mutex::new(Jobs {
+                records: HashMap::new(),
+                finished: VecDeque::new(),
+            })),
             changed: Condvar::new(),
             _payload: std::marker::PhantomData,
         });
@@ -168,16 +204,17 @@ impl<P: Send + 'static, R: Clone + Send + 'static> Scheduler<P, R> {
                         let submitted = {
                             let mut jobs = crate::sync::lock(&table.jobs);
                             // A missing record means the submitter's insert
-                            // was rolled back; drop the stale queue entry.
-                            let Some(rec) = jobs.get_mut(&id) else {
+                            // was rolled back, or the job was cancelled and
+                            // then forgotten; drop the stale queue entry.
+                            let Some(rec) = jobs.records.get_mut(&id) else {
                                 continue;
                             };
                             if matches!(rec.state, JobState::Cancelled) {
                                 continue;
                             }
                             if rec.deadline.is_some_and(|d| Instant::now() > d) {
-                                rec.state =
-                                    JobState::Failed("deadline exceeded while queued".into());
+                                let late = "deadline exceeded while queued".into();
+                                jobs.finish(id, JobState::Failed(late));
                                 metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
                                 table.changed.notify_all();
                                 continue;
@@ -195,11 +232,7 @@ impl<P: Send + 'static, R: Clone + Send + 'static> Scheduler<P, R> {
                         metrics
                             .job_latency
                             .observe(submitted.elapsed().as_secs_f64());
-                        let mut jobs = crate::sync::lock(&table.jobs);
-                        let Some(rec) = jobs.get_mut(&id) else {
-                            continue;
-                        };
-                        rec.state = match outcome {
+                        let state = match outcome {
                             Ok(r) => {
                                 metrics.jobs_done.fetch_add(1, Ordering::Relaxed);
                                 JobState::Done(r)
@@ -209,6 +242,7 @@ impl<P: Send + 'static, R: Clone + Send + 'static> Scheduler<P, R> {
                                 JobState::Failed(e)
                             }
                         };
+                        crate::sync::lock(&table.jobs).finish(id, state);
                         table.changed.notify_all();
                     }
                 })
@@ -234,7 +268,7 @@ impl<P: Send + 'static, R: Clone + Send + 'static> Scheduler<P, R> {
         let now = Instant::now();
         {
             let mut jobs = crate::sync::lock(&self.table.jobs);
-            jobs.insert(
+            jobs.records.insert(
                 id,
                 JobRecord {
                     state: JobState::Queued,
@@ -251,7 +285,7 @@ impl<P: Send + 'static, R: Clone + Send + 'static> Scheduler<P, R> {
             Err(e) => {
                 // Remove the provisional record; the job never existed as
                 // far as clients are concerned.
-                crate::sync::lock(&self.table.jobs).remove(&id);
+                crate::sync::lock(&self.table.jobs).records.remove(&id);
                 match e {
                     crossbeam::channel::TrySendError::Full(_) => {
                         self.metrics.jobs_rejected.fetch_add(1, Ordering::Relaxed);
@@ -266,6 +300,7 @@ impl<P: Send + 'static, R: Clone + Send + 'static> Scheduler<P, R> {
     /// Current state of `id` (cloned), or `None` for unknown jobs.
     pub fn status(&self, id: JobId) -> Option<JobState<R>> {
         crate::sync::lock(&self.table.jobs)
+            .records
             .get(&id)
             .map(|r| r.state.clone())
     }
@@ -276,7 +311,7 @@ impl<P: Send + 'static, R: Clone + Send + 'static> Scheduler<P, R> {
         let deadline = Instant::now() + timeout;
         let mut jobs = crate::sync::lock(&self.table.jobs);
         loop {
-            match jobs.get(&id) {
+            match jobs.records.get(&id) {
                 None => return None,
                 Some(rec) if rec.state.is_terminal() => return Some(rec.state.clone()),
                 Some(_) => {}
@@ -292,10 +327,10 @@ impl<P: Send + 'static, R: Clone + Send + 'static> Scheduler<P, R> {
     /// Cancels a queued job.
     pub fn cancel(&self, id: JobId) -> Result<(), CancelError> {
         let mut jobs = crate::sync::lock(&self.table.jobs);
-        let rec = jobs.get_mut(&id).ok_or(CancelError::NotFound)?;
+        let rec = jobs.records.get(&id).ok_or(CancelError::NotFound)?;
         match rec.state {
             JobState::Queued => {
-                rec.state = JobState::Cancelled;
+                jobs.finish(id, JobState::Cancelled);
                 self.metrics.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
                 self.table.changed.notify_all();
                 Ok(())
@@ -345,6 +380,30 @@ mod tests {
         )
     }
 
+    /// One worker, parked inside job 1 until `open` is called, and an
+    /// empty queue of `cap` slots.
+    fn parked(cap: usize) -> (Scheduler<u64, u64>, Arc<Metrics>, JobId, impl Fn()) {
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let g = Arc::clone(&gate);
+        let (s, m) = sched(1, cap, move |x| {
+            let (lock, cv) = &*g;
+            let mut open = crate::sync::lock(lock);
+            while !*open {
+                open = crate::sync::wait_timeout(cv, open, Duration::from_secs(1));
+            }
+            Ok(x)
+        });
+        let first = s.submit(1, None).unwrap();
+        while s.status(first) != Some(JobState::Running) {
+            std::thread::yield_now();
+        }
+        let open = move || {
+            *crate::sync::lock(&gate.0) = true;
+            gate.1.notify_all();
+        };
+        (s, m, first, open)
+    }
+
     #[test]
     fn runs_jobs_to_done() {
         let (s, m) = sched(2, 8, |x| Ok(x * 2));
@@ -375,31 +434,12 @@ mod tests {
 
     #[test]
     fn full_queue_rejects_typed() {
-        // One worker parked on a gate; queue of 1.
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let g = Arc::clone(&gate);
-        let (s, _m) = sched(1, 1, move |_| {
-            let (lock, cv) = &*g;
-            let mut open = crate::sync::lock(lock);
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-            Ok(0)
-        });
-        let running = s.submit(1, None).unwrap();
-        // Wait until the worker picked job 1 up, so job 2 surely occupies
-        // the single queue slot.
-        while s.status(running) != Some(JobState::Running) {
-            std::thread::yield_now();
-        }
+        let (s, _m, _running, open) = parked(1);
         let queued = s.submit(2, None).unwrap();
         assert_eq!(s.submit(3, None), Err(SubmitError::QueueFull));
         assert_eq!(s.queue_depth(), 1);
 
-        // Open the gate; everything drains.
-        let (lock, cv) = &*gate;
-        *crate::sync::lock(lock) = true;
-        cv.notify_all();
+        open();
         assert!(matches!(
             s.wait(queued, Duration::from_secs(5)),
             Some(JobState::Done(_))
@@ -408,29 +448,13 @@ mod tests {
 
     #[test]
     fn cancel_only_hits_queued_jobs() {
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let g = Arc::clone(&gate);
-        let (s, _m) = sched(1, 4, move |x| {
-            let (lock, cv) = &*g;
-            let mut open = crate::sync::lock(lock);
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-            Ok(x)
-        });
-        let first = s.submit(1, None).unwrap();
-        while s.status(first) != Some(JobState::Running) {
-            std::thread::yield_now();
-        }
+        let (s, _m, first, open) = parked(4);
         let second = s.submit(2, None).unwrap();
         assert_eq!(s.cancel(second), Ok(()));
         assert_eq!(s.status(second), Some(JobState::Cancelled));
         assert_eq!(s.cancel(first), Err(CancelError::Running));
         assert_eq!(s.cancel(JobId(999)), Err(CancelError::NotFound));
-
-        let (lock, cv) = &*gate;
-        *crate::sync::lock(lock) = true;
-        cv.notify_all();
+        open();
         assert!(matches!(
             s.wait(first, Duration::from_secs(5)),
             Some(JobState::Done(_))
@@ -442,30 +466,38 @@ mod tests {
 
     #[test]
     fn queued_deadline_expires_without_running() {
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let g = Arc::clone(&gate);
-        let (s, m) = sched(1, 4, move |x| {
-            let (lock, cv) = &*g;
-            let mut open = crate::sync::lock(lock);
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-            Ok(x)
-        });
-        let first = s.submit(1, None).unwrap();
-        while s.status(first) != Some(JobState::Running) {
-            std::thread::yield_now();
-        }
+        let (s, m, _first, open) = parked(4);
         let doomed = s.submit(2, Some(Duration::from_millis(1))).unwrap();
         std::thread::sleep(Duration::from_millis(20));
-        let (lock, cv) = &*gate;
-        *crate::sync::lock(lock) = true;
-        cv.notify_all();
+        open();
         match s.wait(doomed, Duration::from_secs(5)) {
             Some(JobState::Failed(msg)) => assert!(msg.contains("deadline")),
             other => panic!("expected deadline failure, got {other:?}"),
         }
         assert!(m.jobs_failed.load(Ordering::Relaxed) >= 1);
+    }
+
+    #[test]
+    fn finished_records_past_the_retention_cap_are_forgotten() {
+        const JOBS: usize = RETAINED_JOBS + 37;
+        let (mut s, m) = sched(1, JOBS, Ok);
+        let ids: Vec<_> = (0..JOBS as u64)
+            .map(|x| s.submit(x, None).unwrap())
+            .collect();
+        s.shutdown();
+        assert_eq!(m.jobs_done.load(Ordering::Relaxed), JOBS as u64);
+        let jobs = crate::sync::lock(&s.table.jobs);
+        assert_eq!(jobs.records.len(), RETAINED_JOBS);
+        assert_eq!(jobs.finished.len(), RETAINED_JOBS);
+        drop(jobs);
+        // The oldest are unknown now; the most recent still answer.
+        assert_eq!(s.status(ids[0]), None);
+        assert_eq!(s.status(ids[JOBS - RETAINED_JOBS - 1]), None);
+        assert_eq!(
+            s.status(ids[JOBS - RETAINED_JOBS]),
+            Some(JobState::Done(ids[JOBS - RETAINED_JOBS].0 - 1))
+        );
+        assert_eq!(s.cancel(ids[0]), Err(CancelError::NotFound));
     }
 
     #[test]

@@ -71,6 +71,7 @@ fn handle_connection(stream: TcpStream, service: &Service) {
         };
         let mut out = response.to_string_compact();
         out.push('\n');
+        crate::sync::assert_unlocked();
         if writer.write_all(out.as_bytes()).is_err() {
             break;
         }

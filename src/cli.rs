@@ -159,12 +159,12 @@ with a typed error; panics, hangs (60s watchdog), and half-written
 stores visible to `open` are failures. --seeds N draws N scenario
 instances round-robin over the matrix (N >= 90 covers every cell).
 Exits nonzero on any violation.
-`lint` runs the static-analysis passes over `root` (default `.`):
+`lint` runs the static-analysis pass over `root` (default `.`):
 panic-reachability from the declared ingest, kernel-launch and serve
-roots (with call-chain witnesses) and lock-discipline (no file/socket
-I/O under a sync.rs guard; lock order registry → scheduler →
-plan-cache). One-line rules (unwraps, docs, raw locks, in-place writes,
-narrowing casts) are clippy lints. Exits nonzero on unwaived findings. --json emits the stable
+roots (with call-chain witnesses). One-line rules (unwraps, docs, raw
+locks, in-place writes, narrowing casts) are clippy lints; serve's lock
+order and no-I/O-under-a-lock rule are debug assertions in its sync.rs.
+Exits nonzero on unwaived findings. --json emits the stable
 machine-readable report;
 --baseline compares against a checked-in baseline (new findings fail,
 newly-fixed ones warn); --write-baseline regenerates it.
