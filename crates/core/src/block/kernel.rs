@@ -67,7 +67,7 @@ const WALK_WORK: usize = 160;
 /// nonzeros times the strip's width. At one register block or less the
 /// register loop walks every fiber once, and in the sweep it won, or tied
 /// within 3 % at nnz/F 1.1, at every density.
-fn walks_strips(t: &SplattTensor, rank: usize, strip: usize) -> bool {
+pub(crate) fn walks_strips(t: &SplattTensor, rank: usize, strip: usize) -> bool {
     rank <= REG_BLOCK || t.nnz() * strip.min(rank) >= WALK_WORK * t.n_fibers()
 }
 
@@ -266,9 +266,7 @@ impl crate::kernel::RowKernel for BlockedKernel {
             .with_strips(strips.max(1) as u64)
     }
 
-    /// Every block of the task's block row, through Algorithm 1's
-    /// accumulator loop once, or — when [`walks_strips`] says the block's
-    /// fibers pay for it — through the register loop once per strip.
+    /// Every block of the task's block row, through [`BlockBody`].
     fn run_task(
         &self,
         task: &RowTask<Piece>,
@@ -278,33 +276,58 @@ impl crate::kernel::RowKernel for BlockedKernel {
     ) {
         let perm = self.grid.perm();
         let (b, c) = (factors[perm[1]], factors[perm[2]]);
-        let row0 = task.rows.start;
-        let strips = self.strip.map(|w| (w, effective_strip_plan(rank, w)));
-        let mut accum = vec![0.0; rank];
+        let mut body = BlockBody::new(rank, self.strip);
         for t in self.grid.row_blocks(task.payload.band) {
-            let slices = task.slices(t);
-            match &strips {
-                Some((strip, plan)) if walks_strips(t, rank, *strip) => {
-                    for &(col0, width) in plan {
-                        let (bw, cw) = (
-                            DenseWindow::new(b, col0, width),
-                            DenseWindow::new(c, col0, width),
-                        );
-                        process_block_rankb(
-                            t,
-                            &bw,
-                            &cw,
-                            slices.clone(),
-                            rows,
-                            row0,
-                            rank,
-                            col0,
-                            width,
-                        );
-                    }
+            body.add_block(t, b, c, task.slices(t), rows, task.rows.start);
+        }
+    }
+}
+
+/// The per-block body of the blocked kernel at one rank, shared by the
+/// in-memory launch and the streaming driver: the strip plan, chosen once,
+/// and the accumulator the plain loop reuses from block to block.
+pub(crate) struct BlockBody {
+    /// The strip width and its `(col0, width)` plan, for a strip kernel.
+    strips: Option<(usize, Vec<(usize, usize)>)>,
+    accum: Vec<f64>,
+}
+
+impl BlockBody {
+    /// The body of a launch at `rank` columns with strips of `strip`
+    /// columns (`None`: the accumulator loop in every block).
+    pub(crate) fn new(rank: usize, strip: Option<usize>) -> Self {
+        BlockBody {
+            strips: strip.map(|w| (w, effective_strip_plan(rank, w))),
+            accum: vec![0.0; rank],
+        }
+    }
+
+    /// Adds local slices `slices` of block `t` into `rows`, the output
+    /// rows from global row `row0` on: through Algorithm 1's accumulator
+    /// loop once, or — when [`walks_strips`] says the block's fibers pay
+    /// for it — through the register loop once per strip. `b` and `c` are
+    /// the factors of the block's `j` and `k` axes.
+    pub(crate) fn add_block(
+        &mut self,
+        t: &SplattTensor,
+        b: &DenseMatrix,
+        c: &DenseMatrix,
+        slices: Range<usize>,
+        rows: &mut [f64],
+        row0: usize,
+    ) {
+        let rank = self.accum.len();
+        match &self.strips {
+            Some((strip, plan)) if walks_strips(t, rank, *strip) => {
+                for &(col0, width) in plan {
+                    let (bw, cw) = (
+                        DenseWindow::new(b, col0, width),
+                        DenseWindow::new(c, col0, width),
+                    );
+                    process_block_rankb(t, &bw, &cw, slices.clone(), rows, row0, rank, col0, width);
                 }
-                _ => process_block_plain(t, b, c, slices, rows, row0, &mut accum),
             }
+            _ => process_block_plain(t, b, c, slices, rows, row0, &mut self.accum),
         }
     }
 }

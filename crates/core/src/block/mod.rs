@@ -6,6 +6,7 @@ pub(crate) mod grid;
 pub(crate) mod kernel;
 
 pub use grid::BlockGrid;
+pub(crate) use kernel::BlockBody;
 pub use kernel::BlockedKernel;
 
 use std::sync::Arc;

@@ -12,7 +12,7 @@
 use crate::block::{build_layout, BlockGrid, BlockedKernel};
 use crate::checked::verify;
 use crate::exec::ExecPolicy;
-use crate::mttkrp::{BcooKernel, CooKernel, CsfKernel};
+use crate::mttkrp::{CooKernel, CsfKernel};
 use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::Arc;
@@ -225,8 +225,12 @@ pub enum KernelKind {
     /// Compressed sparse fiber (the higher-order format of ref. [12]),
     /// with rank blocking.
     Csf,
-    /// Block-native coordinate storage with the register-tiled dense
-    /// micro-kernel (Section V-A as a data layout).
+    /// Another name for `MbRankB`: the same kernel over the same layout,
+    /// reporting `MB+RankB`. Block-native coordinates (Section V-A as a
+    /// data layout) are how the tile store keeps a tensor on disk; in
+    /// memory the blocked kernel runs them as slice-compressed blocks. The
+    /// name stays so that requests, CLI flags and saved plans naming
+    /// `bcoo` keep working.
     Bcoo,
 }
 
@@ -273,10 +277,11 @@ pub struct KernelConfig {
     /// MB grid in kernel axes `[slice, j, k]`; `[1, 1, 1]` disables MB.
     pub grid: [usize; NMODES],
     /// Strip width in columns for the kinds with rank strips (`RankB`,
-    /// `MbRankB`, `Csf`, `Bcoo`); `0` means the default, 16 columns. The
-    /// other kinds ignore it, and `RankB`/`MbRankB` use it only in blocks
-    /// whose fibers are dense enough to pay for one walk per strip (the
-    /// rest run `Splatt`/`Mb`'s loop once over the full rank).
+    /// `MbRankB` and its alias `Bcoo`, `Csf`); `0` means the default, 16
+    /// columns. The other kinds ignore it, and the blocked strip kinds use
+    /// it only in blocks whose fibers are dense enough to pay for one walk
+    /// per strip (the rest run `Splatt`/`Mb`'s loop once over the full
+    /// rank).
     pub strip_width: usize,
     /// Threading policy and observability recorder.
     pub exec: ExecPolicy,
@@ -406,13 +411,13 @@ pub fn try_build_kernel(
     try_build_kernel_with(kind, coo, mode, cfg, |grid| build_layout(coo, mode, grid))
 }
 
-/// [`try_build_kernel`], with the caller supplying the layout: the four
-/// fibered kinds call `layout(grid)` for the [`BlockGrid`] of `(coo, mode,
-/// grid)` — `[1, 1, 1]` for `Splatt`/`RankB`, `cfg.grid` for
-/// `Mb`/`MbRankB` — and wrap what it returns, so a caller that keeps
-/// layouts (built with [`build_layout`]) pays for each once however many
-/// kernels it asks for. `layout` runs only after validation and at most
-/// once; `Coo`, `Csf` and `Bcoo` have their own layouts and never call it.
+/// [`try_build_kernel`], with the caller supplying the layout: the fibered
+/// kinds call `layout(grid)` for the [`BlockGrid`] of `(coo, mode, grid)`
+/// — `[1, 1, 1]` for `Splatt`/`RankB`, `cfg.grid` for `Mb`/`MbRankB`/`Bcoo`
+/// — and wrap what it returns, so a caller that keeps layouts (built with
+/// [`build_layout`]) pays for each once however many kernels it asks for.
+/// `layout` runs only after validation and at most once; `Coo` and `Csf`
+/// have their own layouts and never call it.
 pub fn try_build_kernel_with(
     kind: KernelKind,
     coo: &CooTensor,
@@ -461,10 +466,18 @@ fn build_validated(
     match kind {
         KernelKind::Coo => Box::new(CooKernel::new(coo, mode).with_exec(exec)),
         // One kernel, four corners: the kind says which blockings are on.
-        KernelKind::Splatt | KernelKind::Mb | KernelKind::RankB | KernelKind::MbRankB => {
-            let mb = matches!(kind, KernelKind::Mb | KernelKind::MbRankB);
+        KernelKind::Splatt
+        | KernelKind::Mb
+        | KernelKind::RankB
+        | KernelKind::MbRankB
+        | KernelKind::Bcoo => {
+            let mb = matches!(
+                kind,
+                KernelKind::Mb | KernelKind::MbRankB | KernelKind::Bcoo
+            );
             let grid = if mb { cfg.grid } else { [1, 1, 1] };
-            let strip = matches!(kind, KernelKind::RankB | KernelKind::MbRankB).then_some(strip);
+            let strips = !matches!(kind, KernelKind::Splatt | KernelKind::Mb);
+            let strip = strips.then_some(strip);
             Box::new(BlockedKernel::over(layout(grid), mb, strip).with_exec(exec))
         }
         KernelKind::Csf => Box::new(
@@ -472,7 +485,6 @@ fn build_validated(
                 .with_strip_width(strip)
                 .with_exec(exec),
         ),
-        KernelKind::Bcoo => Box::new(BcooKernel::new(coo, mode, cfg.grid, strip).with_exec(exec)),
     }
 }
 

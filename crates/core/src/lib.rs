@@ -16,12 +16,15 @@
 //! | `RankB` | V-B / Algorithm 2 | [`block::BlockedKernel`] with rank strips + register blocking in its fiber-dense blocks |
 //! | `MbRankB` | V-B, Fig. 3b | [`block::BlockedKernel`] with both |
 //! | `Csf` | ref. [12] | [`mttkrp::CsfKernel`], compressed sparse fiber |
-//! | `Bcoo` | V-A as a layout | [`mttkrp::BcooKernel`], block-native coordinates |
+//! | `Bcoo` | V-A as a layout | another name for `MbRankB` |
 //!
 //! The paper's Algorithm 2 is one loop nest — grid blocks ⊃ rank strips ⊃
 //! fibers — and SPLATT, MB and RankB are its parameter settings, so one
 //! kernel type runs all four. Whether a block is walked once per strip is
-//! decided per block, from its nonzeros per fiber.
+//! decided per block, from its nonzeros per fiber. Block-native
+//! coordinates (BCOO) are how the tile store keeps a tensor on disk; the
+//! streaming driver ([`StreamingMttkrp`]) builds each tile into its block
+//! and runs the same per-block loop, so `Bcoo` names no kernel of its own.
 //!
 //! ## Quick example
 //!

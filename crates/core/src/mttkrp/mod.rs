@@ -1,14 +1,11 @@
 //! MTTKRP kernels: the inner loops [`crate::block::BlockedKernel`] runs
 //! (Algorithm 1's accumulator loop and Algorithm 2's register-blocked one),
-//! the COO, CSF and BCOO kernels, and a dense reference implementation.
+//! the COO and CSF kernels, and a dense reference implementation.
 
-mod bcoo;
 mod coo;
 mod csf;
 mod dense_ref;
-pub(crate) mod micro;
 
-pub use bcoo::BcooKernel;
 pub use coo::CooKernel;
 pub use csf::{nd_mttkrp_reference, CsfKernel};
 pub use dense_ref::dense_mttkrp;
@@ -37,19 +34,9 @@ pub(crate) fn reg_chunk(row: &[f64], col: usize) -> &[f64; REG_BLOCK] {
     row[col..col + REG_BLOCK].try_into().unwrap() // lint: allow(panic-reach)
 }
 
-/// A read-only view of one column window of a factor matrix, by row.
-///
-/// Implementations exist for a column slice of a [`DenseMatrix`] and, in
-/// the BCOO micro-kernel, for gathered and origin-shifted sub-matrices, so
-/// the register-blocked inner loop is monomorphized for each.
-pub trait RowWindow: Sync {
-    /// The window of row `r`; length is the window width for every row.
-    fn window(&self, r: usize) -> &[f64];
-}
-
-/// Column window `[col0, col0 + width)` of a dense matrix.
+/// Column window `[col0, col0 + width)` of a dense matrix, by row.
 #[derive(Clone, Copy)]
-pub struct DenseWindow<'m> {
+pub(crate) struct DenseWindow<'m> {
     m: &'m DenseMatrix,
     col0: usize,
     width: usize,
@@ -57,15 +44,14 @@ pub struct DenseWindow<'m> {
 
 impl<'m> DenseWindow<'m> {
     /// Creates a window; `col0 + width` must not exceed the column count.
-    pub fn new(m: &'m DenseMatrix, col0: usize, width: usize) -> Self {
+    pub(crate) fn new(m: &'m DenseMatrix, col0: usize, width: usize) -> Self {
         assert!(col0 + width <= m.cols(), "window out of range");
         DenseWindow { m, col0, width }
     }
-}
 
-impl RowWindow for DenseWindow<'_> {
+    /// The window of row `r`; its length is the window width.
     #[inline]
-    fn window(&self, r: usize) -> &[f64] {
+    pub(crate) fn window(&self, r: usize) -> &[f64] {
         &self.m.row(r)[self.col0..self.col0 + self.width]
     }
 }
@@ -195,10 +181,10 @@ pub(crate) fn process_block_plain(
     clippy::too_many_arguments,
     reason = "Algorithm 2's inner loop over one block, window and output slab"
 )]
-pub(crate) fn process_block_rankb<B: RowWindow, C: RowWindow>(
+pub(crate) fn process_block_rankb(
     t: &SplattTensor,
-    b: &B,
-    c: &C,
+    b: &DenseWindow,
+    c: &DenseWindow,
     slices: std::ops::Range<usize>,
     out_rows: &mut [f64],
     row0: usize,

@@ -1,38 +1,46 @@
 //! Out-of-core streaming MTTKRP over a [`TensorSource`].
 //!
-//! [`StreamingMttkrp`] runs one mode's MTTKRP by iterating grid tiles
-//! instead of holding a layout. A prefetch thread loads the next tile and
-//! puts it into fiber order while the compute thread runs the BCOO
-//! micro-kernel on the current one; the handoff is a rendezvous channel,
-//! so two prepared tiles are resident at most (one computing, one
-//! waiting), and a spent tile's column buffers travel back to the prefetch
-//! thread on a return channel: a pass allocates its buffers before the
-//! first tile and none after. Preparation is O(tile nnz): the source
-//! decodes into one reused [`SourceTile`], and the counting passes of
+//! [`StreamingMttkrp`] is the blocked kernel over a paged block table: it
+//! runs one mode's MTTKRP by iterating grid tiles instead of holding a
+//! layout. A prefetch thread loads the next tile, puts it into fiber order
+//! and builds it into that block's slice-compressed [`SplattTensor`], while
+//! the compute thread runs the blocked kernel's per-block body
+//! (`BlockBody`) on the current one. The handoff is a rendezvous channel,
+//! so two built blocks are resident at most (one computing, one waiting),
+//! and a spent block's buffers travel back to the prefetch thread on a
+//! return channel: a pass allocates its buffers before the first tile and
+//! none after. Preparation is O(tile nnz): the source decodes into one
+//! reused [`SourceTile`]; the counting passes of
 //! [`FiberSorter::sort_tile`] move the records into kernel axes and fiber
-//! order between a column buffer and the spent decoded columns — no
-//! comparison sort, no index vector.
+//! order between reused [`FiberCols`] and the spent decoded columns (no
+//! comparison sort, no index vector); and
+//! [`SplattTensor::refill_from_tile`] runs the fiber-pointer pass every
+//! in-memory block is built with.
 //!
-//! The result is **bit-for-bit identical** to the in-memory MB and BCOO
-//! kernels in serial mode, which pins down three invariants this module
-//! must never break:
+//! The result is **bit-for-bit identical** to the in-memory blocked
+//! kernels at the source's grid (`Mb`, `MbRankB` and its alias `Bcoo`) in
+//! serial mode, which pins down three invariants this module must never
+//! break:
 //!
-//! 1. tiles execute sorted by kernel-axis cell id — the order the BCOO
-//!    block table stores and the MB kernel's block-major loop visits;
+//! 1. tiles execute sorted by kernel-axis cell id — the order the blocked
+//!    kernel's block-row loop visits;
 //! 2. entries within a tile execute in the `(slice, k, j)` order of
-//!    [`tenblock_tensor::fiber_sort`] — the one `BcooTensor::from_coo`
-//!    builds with; the sort is stable, so a source that repeats a
+//!    [`tenblock_tensor::fiber_sort`] — the one every in-memory block is
+//!    sorted into; the sort is stable, so a source that repeats a
 //!    coordinate streams the repeats in the order it served them;
-//! 3. tile extents come from the same [`CellGrid`] geometry, so
-//!    per-column accumulation order matches term for term.
+//! 3. tile extents come from the same [`CellGrid`] geometry, so each tile
+//!    is exactly the nonzeros of its in-memory block.
 //!
-//! Checked mode keeps PR 3's write-set discipline without a second pass:
+//! Which loop the body runs in a block never changes a bit, so neither
+//! does the strip width.
+//!
+//! Checked mode keeps the write-set discipline without a second pass:
 //! each slice-axis band owns its bounds-derived row range, the rows each
-//! tile actually decodes are accumulated *during* the stream, and the
+//! block's slice ids name are accumulated *during* the stream, and the
 //! usual disjointness/coverage verdict runs once at the end.
 
+use crate::block::BlockBody;
 use crate::exec::ExecPolicy;
-use crate::mttkrp::micro::{process_block_bcoo, GatherBuf};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, sync_channel};
 use std::sync::Arc;
@@ -43,7 +51,8 @@ use tenblock_obs::{KernelCounters, StreamStats};
 use tenblock_tensor::coo::perm_for_mode;
 use tenblock_tensor::io_bin::BinError;
 use tenblock_tensor::{
-    CellGrid, DenseMatrix, FiberCols, FiberSorter, SourceTile, TensorSource, NMODES,
+    CellGrid, DenseMatrix, FiberCols, FiberSorter, Idx, SourceTile, SplattTensor, TensorSource,
+    NMODES,
 };
 
 /// Why a streaming pass stopped.
@@ -98,13 +107,11 @@ impl From<BinError> for StreamError {
     }
 }
 
-/// One prefetched tile, in kernel axes and fiber order.
+/// One prefetched tile, built into its block.
 struct KernelTile {
     /// Slice-axis grid cell (for checked-mode band accounting).
     slice_cell: usize,
-    origin: [usize; NMODES],
-    spans: [usize; NMODES],
-    cols: FiberCols,
+    block: SplattTensor,
     bytes: u64,
 }
 
@@ -115,14 +122,15 @@ pub struct StreamingMttkrp<'a> {
     strip_width: usize,
     exec: ExecPolicy,
     stats: Arc<StreamStats>,
-    /// Column buffers created, over all passes of this driver.
+    /// Block buffers created, over all passes of this driver.
     #[cfg(test)]
     col_buffers_created: std::sync::atomic::AtomicUsize,
 }
 
 impl<'a> StreamingMttkrp<'a> {
     /// A driver for the mode-`mode` MTTKRP with `strip_width`-column rank
-    /// strips (0 means whole-rank), matching `BcooKernel`'s convention.
+    /// strips (0 means one strip of the full rank) in the blocks whose
+    /// fibers pay for the register loop; the rest run the accumulator loop.
     pub fn new(src: &'a dyn TensorSource, mode: usize, strip_width: usize) -> Self {
         StreamingMttkrp {
             src,
@@ -185,10 +193,8 @@ impl<'a> StreamingMttkrp<'a> {
         assert_eq!(out.rows(), dims[self.mode], "output rows != mode length");
         assert_eq!(b.cols(), rank, "factor rank mismatch");
         assert_eq!(c.cols(), rank, "factor rank mismatch");
-        // The grid over the original axes every source obeys. Spans fed to
-        // the micro-kernel come from here (invariant 3), not from the
-        // decoded offsets, so the per-block gather heuristic sees exactly
-        // what `BcooKernel` sees.
+        // The grid over the original axes every source obeys: tile spans
+        // come from here (invariant 3), not from the decoded offsets.
         let cells = CellGrid::new(dims, grid).map_err(|e| StreamError::Load(e.into()))?;
 
         let span = self.exec.recorder.span("mttkrp/STREAM");
@@ -202,7 +208,7 @@ impl<'a> StreamingMttkrp<'a> {
         }
         out.fill_zero();
 
-        // Invariant 1: kernel-axis cell order — the BCOO block-id order.
+        // Invariant 1: kernel-axis cell order — the block-row loop's order.
         let mut order: Vec<usize> = (0..self.src.n_tiles()).collect();
         order.sort_unstable_by_key(|&i| {
             let cell = self.src.tile_cell(i);
@@ -219,38 +225,40 @@ impl<'a> StreamingMttkrp<'a> {
         let stats = Arc::clone(&self.stats);
         let faults = self.exec.faults.clone();
         let n_expected = order.len();
-        let mut scratch = GatherBuf::default();
+        let mut body = BlockBody::new(rank, Some(self.strip_width));
         let out_rows = out.as_mut_slice();
 
         std::thread::scope(|scope| -> Result<(), StreamError> {
             // Rendezvous channel: the handoff blocks until the compute
-            // thread takes the tile, so at most two prepared tiles are
-            // ever resident (one computing, one prefetched). Their column
-            // buffers are the two made here, which go round: the compute
-            // side puts a spent one back on `spent_tx` before it asks for
-            // the next tile, so the prefetch side always finds one there.
-            // Every buffer is allocated on this thread, for the largest
-            // tile, once — nothing grows mid-pass, and passes run from
-            // one thread reuse one another's memory.
+            // thread takes the tile, so at most two built blocks are ever
+            // resident (one computing, one prefetched). Their buffers are
+            // the two made here, which go round: the compute side puts a
+            // spent one back on `spent_tx` before it asks for the next
+            // tile, so the prefetch side always finds one there. Every
+            // buffer is allocated on this thread, for the largest tile,
+            // once — nothing grows mid-pass, and passes run from one
+            // thread reuse one another's memory.
             let (tx, rx) = sync_channel::<Result<KernelTile, StreamError>>(0);
-            let (spent_tx, spent_rx) = channel::<FiberCols>();
+            let (spent_tx, spent_rx) = channel::<SplattTensor>();
             let max_nnz = src.max_tile_nnz();
             for _ in 0..2 {
                 #[cfg(test)]
                 self.col_buffers_created
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let _ = spent_tx.send(FiberCols::with_capacity(max_nnz));
+                let block = SplattTensor::compressed_with_capacity(dims, perm, max_nnz);
+                let _ = spent_tx.send(block);
             }
             // What the prefetch thread keeps from tile to tile: the decode
-            // target (the sort's second buffer once decoded) and the
-            // sort's histogram.
+            // target, the sorted columns (each the other's second buffer
+            // in the sort) and the sort's histogram.
             let mut loaded = SourceTile::with_capacity(max_nnz);
+            let mut sorted = FiberCols::with_capacity(max_nnz);
             let mut sorter = FiberSorter::new();
             let cells = &cells;
             let prefetch_stats = Arc::clone(&stats);
             scope.spawn(move || {
                 for &i in &order {
-                    let Ok(cols) = spent_rx.recv() else {
+                    let Ok(block) = spent_rx.recv() else {
                         return; // compute side hung up
                     };
                     // catch_unwind: a panicking `TensorSource` impl (or a
@@ -262,7 +270,15 @@ impl<'a> StreamingMttkrp<'a> {
                         load_tile_retrying(src, i, &faults, &prefetch_stats, &mut loaded)?;
                         let t1 = Instant::now();
                         let bytes = src.tile_bytes(i);
-                        let tile = prepare_tile(&mut loaded, &mut sorter, cols, perm, bytes, cells);
+                        let tile = prepare_tile(
+                            &mut loaded,
+                            &mut sorter,
+                            &mut sorted,
+                            block,
+                            perm,
+                            bytes,
+                            cells,
+                        );
                         prefetch_stats.add_prefetch_ns(
                             (t1 - t0).as_nanos() as u64,
                             t1.elapsed().as_nanos() as u64,
@@ -305,32 +321,15 @@ impl<'a> StreamingMttkrp<'a> {
                 let tile = msg?;
                 received += 1;
                 stats.add_tile(tile.bytes);
+                let block = &tile.block;
+                let slices = 0..block.n_slices();
                 if self.exec.is_checked() {
-                    let band = &mut touched[tile.slice_cell];
-                    let mut prev = usize::MAX;
-                    for o in &tile.cols.offs {
-                        let row = tile.origin[0] + o[0] as usize;
-                        if row != prev {
-                            band.push(row);
-                            prev = row;
-                        }
-                    }
+                    let rows = slices.clone().map(|s| block.slice_global(s));
+                    touched[tile.slice_cell].extend(rows);
                 }
-                process_block_bcoo(
-                    &tile.cols.offs,
-                    &tile.cols.vals,
-                    b,
-                    c,
-                    tile.origin,
-                    tile.spans,
-                    out_rows,
-                    0,
-                    rank,
-                    self.strip_width,
-                    &mut scratch,
-                );
+                body.add_block(block, b, c, slices, out_rows, 0);
                 // The prefetch thread may already be gone (last tile).
-                let _ = spent_tx.send(tile.cols);
+                let _ = spent_tx.send(tile.block);
             }
             Ok(())
         })?;
@@ -348,17 +347,18 @@ impl<'a> StreamingMttkrp<'a> {
     }
 }
 
-/// Turns the tile just loaded into `tile` into kernel form in `cols`:
-/// invariant 2 through the fiber sort's counting passes, on the prefetch
-/// thread so they overlap compute. `cells` is the grid over the
-/// *original* axes; spans are bounds-derived so the micro-kernel's gather
-/// heuristic matches the in-memory layout exactly. A cell outside the
-/// grid, or a local offset outside its span, is a typed
+/// Turns the tile just loaded into `tile` into its block: invariant 2
+/// through the fiber sort's counting passes into `sorted`, then the
+/// fiber-pointer pass into `block`, on the prefetch thread so both
+/// overlap compute. `cells` is the grid over the *original* axes. A cell
+/// outside the grid, a local offset outside its span, or a tile reaching
+/// past the tensor's axes or past [`Idx`] coordinates is a typed
 /// [`StreamError::Load`] whichever source produced it.
 fn prepare_tile(
     tile: &mut SourceTile,
     sorter: &mut FiberSorter,
-    mut cols: FiberCols,
+    sorted: &mut FiberCols,
+    mut block: SplattTensor,
     perm: [usize; NMODES],
     bytes: u64,
     cells: &CellGrid,
@@ -370,16 +370,39 @@ fn prepare_tile(
             tile.cell
         ))));
     }
-    let origin = perm.map(|m| tile.origin[m]);
     let spans = perm.map(|m| cells.span(tile.cell, m));
-    sorter.sort_tile(&mut tile.locals, &mut tile.vals, perm, spans, &mut cols)?;
+    let lens = perm.map(|m| cells.bounds(m).last().copied().unwrap_or(0));
+    let Some(origin) = idx_origin(perm.map(|m| tile.origin[m]), spans, lens) else {
+        return Err(StreamError::Load(BinError::Format(format!(
+            "tile at {:?} reaches past the tensor's axes or u32 coordinates",
+            tile.origin
+        ))));
+    };
+    sorter.sort_tile(&mut tile.locals, &mut tile.vals, perm, spans, sorted)?;
+    block.refill_from_tile(origin, sorted);
     Ok(KernelTile {
         slice_cell: tile.cell[perm[0]],
-        origin,
-        spans,
-        cols,
+        block,
         bytes,
     })
+}
+
+/// `origin` as [`Idx`] coordinates, when a block spanning `spans` from it
+/// lies inside axes of `lens` indices and its last index along every axis
+/// fits [`Idx`] — what lets the block build add a local offset below its
+/// span to the origin without a check.
+fn idx_origin(
+    origin: [usize; NMODES],
+    spans: [usize; NMODES],
+    lens: [usize; NMODES],
+) -> Option<[Idx; NMODES]> {
+    let mut out = [0; NMODES];
+    for (o, ((&at, &span), &len)) in out.iter_mut().zip(origin.iter().zip(&spans).zip(&lens)) {
+        let end = at.checked_add(span).filter(|&end| end <= len)?;
+        Idx::try_from(end.saturating_sub(1)).ok()?;
+        *o = Idx::try_from(at).ok()?;
+    }
+    Some(out)
 }
 
 /// `‖X‖²` of a source in one pass over its tiles, in index order, through
@@ -487,11 +510,25 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BlockedKernel;
-    use crate::kernel::MttkrpKernel;
-    use crate::mttkrp::BcooKernel;
+    use crate::block::{build_layout, kernel::walks_strips, BlockedKernel};
+    use crate::kernel::{build_kernel, KernelConfig, KernelKind, MttkrpKernel};
     use tenblock_tensor::gen::{clustered_tensor, uniform_tensor, ClusteredConfig};
-    use tenblock_tensor::{BcooSource, BcooTensor, CooSource, CooTensor};
+    use tenblock_tensor::{CooSource, CooTensor, Entry, TileStore};
+
+    /// The in-memory `bcoo` kernel (MB+RankB) at `grid` and `strip`.
+    fn bcoo(
+        x: &CooTensor,
+        mode: usize,
+        grid: [usize; NMODES],
+        strip: usize,
+    ) -> Box<dyn MttkrpKernel> {
+        let cfg = KernelConfig {
+            grid,
+            strip_width: strip,
+            ..KernelConfig::default()
+        };
+        build_kernel(KernelKind::Bcoo, x, mode, &cfg)
+    }
 
     fn factors_for(x: &CooTensor, rank: usize) -> Vec<DenseMatrix> {
         x.dims()
@@ -530,7 +567,7 @@ mod tests {
             let perm = perm_for_mode(mode);
             let grid_kernel = [grid_orig[perm[0]], grid_orig[perm[1]], grid_orig[perm[2]]];
             for strip in [0, 8, 16] {
-                let k = BcooKernel::new(&x, mode, grid_kernel, strip);
+                let k = bcoo(&x, mode, grid_kernel, strip);
                 let mut expect = DenseMatrix::zeros(x.dims()[mode], rank);
                 k.mttkrp(&fs, &mut expect);
                 let mut got = DenseMatrix::zeros(x.dims()[mode], rank);
@@ -566,17 +603,17 @@ mod tests {
     }
 
     #[test]
-    fn bcoo_source_streams_identically_to_coo_source() {
+    fn a_tile_store_streams_identically_to_coo_source() {
         let cfg = ClusteredConfig::new([40, 40, 40], 1_500);
         let x = clustered_tensor(&cfg, 9);
         let grid_orig = [2, 4, 2];
         let rank = 9;
         let factors = factors_for(&x, rank);
         let fs: [&DenseMatrix; NMODES] = [&factors[0], &factors[1], &factors[2]];
-        // BCOO layout built for mode 1 — the source must still serve
-        // modes 0 and 2 correctly through the perm translation.
-        let bcoo_grid = [grid_orig[1], grid_orig[2], grid_orig[0]];
-        let bsrc = BcooSource::new(BcooTensor::from_coo(&x, 1, bcoo_grid));
+        // The on-disk store of the same tensor and grid.
+        let dir = std::env::temp_dir().join(format!("tenblock_stream_src_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let bsrc = TileStore::create_from_coo(&x, grid_orig, dir.join("s.tnsb")).unwrap();
         let csrc = CooSource::new(&x, grid_orig);
         assert_eq!(TensorSource::grid(&bsrc), grid_orig);
         for mode in 0..NMODES {
@@ -589,6 +626,58 @@ mod tests {
                 .run(&fs, &mut b)
                 .unwrap();
             assert_bits_equal(&a, &b, &format!("source kind, mode {mode}"));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A fully populated `[0,16)³` corner in a box of uniform nonzeros at
+    /// about one a fiber: at rank 64 the `[4,3,2]` grid has blocks on both
+    /// sides of the per-block loop choice at strips of 16 and of 64, and a
+    /// streamed pass runs each block through the loop its in-memory twin
+    /// runs.
+    #[test]
+    fn a_streamed_pass_takes_both_loops_and_keeps_the_bits() {
+        let dims = [60, 48, 40];
+        let mut entries = uniform_tensor(dims, 1_500, 5).entries().to_vec();
+        for n in 0..16 * 16 * 16u32 {
+            let val = 1.0 + (n % 7) as f64 * 0.25;
+            entries.push(Entry::new(n / 256, n / 16 % 16, n % 16, val));
+        }
+        let x = CooTensor::from_entries(dims, entries);
+        let grid_orig = [4, 3, 2];
+        let src = CooSource::new(&x, grid_orig);
+        let rank = 64;
+        let factors = factors_for(&x, rank);
+        let fs: [&DenseMatrix; NMODES] = [&factors[0], &factors[1], &factors[2]];
+        for mode in 0..NMODES {
+            let grid = perm_for_mode(mode).map(|m| grid_orig[m]);
+            let layout = build_layout(&x, mode, grid);
+            for strip in [16, 64] {
+                let walks: Vec<bool> = (0..grid[0])
+                    .flat_map(|a| layout.row_blocks(a))
+                    .map(|t| walks_strips(t, rank, strip))
+                    .collect();
+                assert!(
+                    walks.contains(&true) && walks.contains(&false),
+                    "mode {mode} strip {strip}: {walks:?}"
+                );
+                let cfg = KernelConfig {
+                    grid,
+                    strip_width: strip,
+                    ..KernelConfig::default()
+                };
+                let mut expect = DenseMatrix::zeros(dims[mode], rank);
+                build_kernel(KernelKind::MbRankB, &x, mode, &cfg).mttkrp(&fs, &mut expect);
+                for exec in [ExecPolicy::serial(), ExecPolicy::checked()] {
+                    let what = format!("mode {mode} strip {strip} {:?}", exec.threads);
+                    let mut got = DenseMatrix::from_fn(dims[mode], rank, |_, _| 1234.5);
+                    StreamingMttkrp::new(&src, mode, strip)
+                        .with_exec(exec)
+                        .run(&fs, &mut got)
+                        .unwrap();
+                    assert_bits_equal(&expect, &got, &what);
+                }
+            }
         }
     }
 
@@ -713,7 +802,7 @@ mod tests {
             let perm = perm_for_mode(mode);
             let grid_kernel = [grid_orig[perm[0]], grid_orig[perm[1]], grid_orig[perm[2]]];
             let mut expect = DenseMatrix::zeros(x.dims()[mode], rank);
-            BcooKernel::new(&x, mode, grid_kernel, 16).mttkrp(&fs, &mut expect);
+            bcoo(&x, mode, grid_kernel, 16).mttkrp(&fs, &mut expect);
             let mut got = DenseMatrix::zeros(x.dims()[mode], rank);
             StreamingMttkrp::new(&src, mode, 16)
                 .run(&fs, &mut got)
@@ -761,6 +850,37 @@ mod tests {
         assert!(
             matches!(err, StreamError::Load(BinError::Format(_))),
             "got {err}"
+        );
+    }
+
+    /// A tile whose origin puts it past an axis would make the block build
+    /// name rows and factor rows the tensor does not have.
+    #[test]
+    fn a_tile_reaching_past_the_axes_is_a_typed_load_error() {
+        let x = uniform_tensor([20, 12, 12], 400, 11);
+        for ax in 0..NMODES {
+            let src = EditedSource {
+                inner: CooSource::new(&x, [2, 2, 2]),
+                edit: move |tile: &mut SourceTile| tile.origin[ax] += 7,
+            };
+            let (res, _) = small_run(&src, ExecPolicy::serial());
+            let err = res.unwrap_err();
+            assert!(
+                matches!(err, StreamError::Load(BinError::Format(_))),
+                "axis {ax}: got {err}"
+            );
+        }
+        assert_eq!(
+            idx_origin([1 << 32, 0, 0], [0; NMODES], [usize::MAX; NMODES]),
+            None
+        );
+        assert_eq!(
+            idx_origin([(1 << 32) - 1, 0, 0], [1, 1, 1], [usize::MAX; NMODES]),
+            Some([u32::MAX, 0, 0])
+        );
+        assert_eq!(
+            idx_origin([(1 << 32) - 1, 0, 0], [2, 1, 1], [usize::MAX; NMODES]),
+            None
         );
     }
 

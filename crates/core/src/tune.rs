@@ -12,11 +12,8 @@
 //!   particular mode" is always a candidate (the search starts from one
 //!   block).
 //!
-//! * **Storage layout**: once the grid and strip are settled, the winner
-//!   competes against the BCOO kernel at the same configuration — the
-//!   block-native layout wins when the blocks are dense enough to amortize
-//!   its per-block factor gather, and the selected [`KernelKind`] is part
-//!   of the result.
+//! Every candidate is the MB+RankB kernel ([`KernelKind::MbRankB`]), so a
+//! result is a grid and a strip width.
 //!
 //! The search cost is `O(log2 I_n)` per mode, "relatively inexpensive
 //! compared to the 10–1000s of iterations required for decomposition".
@@ -24,7 +21,7 @@
 use crate::block::{build_layout, BlockGrid, BlockedKernel};
 use crate::exec::ExecPolicy;
 use crate::kernel::{KernelKind, MttkrpKernel};
-use crate::mttkrp::{BcooKernel, REG_BLOCK};
+use crate::mttkrp::REG_BLOCK;
 use crate::timing::time_reps;
 use std::sync::Arc;
 use tenblock_tensor::coo::perm_for_mode;
@@ -106,8 +103,6 @@ impl TuneOptions {
 /// One timed candidate configuration.
 #[derive(Debug, Clone)]
 pub struct TuneSample {
-    /// Kernel family of the candidate.
-    pub kind: KernelKind,
     /// MB grid (kernel axes) of the candidate.
     pub grid: [usize; NMODES],
     /// RankB strip width of the candidate.
@@ -123,9 +118,6 @@ pub struct TuneSample {
 /// Result of the heuristic search.
 #[derive(Debug, Clone)]
 pub struct TuneResult {
-    /// Selected kernel family ([`KernelKind::MbRankB`] or
-    /// [`KernelKind::Bcoo`]).
-    pub kind: KernelKind,
     /// Selected MB grid (kernel axes: slice, `j`, `k`).
     pub grid: [usize; NMODES],
     /// Selected RankB strip width in columns.
@@ -297,21 +289,19 @@ fn tune_validated(coo: &CooTensor, mode: usize, opts: &TuneOptions) -> TuneResul
     // paper amortizes it over the CPD iterations). The warmup absorbs
     // first-touch page faults in `out`, which otherwise skew min-of-1
     // candidate comparisons on small tensors.
-    let mut eval = |kind: KernelKind,
-                    kernel: &dyn MttkrpKernel,
-                    grid: [usize; NMODES],
-                    strip: usize,
-                    history: &mut Vec<TuneSample>| {
+    let mut eval = |layout: &Arc<BlockGrid>, strip: usize, history: &mut Vec<TuneSample>| {
         let span = opts.exec.recorder.span("tune/candidate");
+        let kernel =
+            BlockedKernel::over(Arc::clone(layout), true, Some(strip)).with_exec(exec.clone());
+        let grid = layout.grid();
         let stats = time_reps(1, opts.reps, || kernel.mttkrp(&fs, &mut out));
         if span.active() {
-            span.annotate_str("kernel", kind.as_str());
+            span.annotate_str("kernel", KernelKind::MbRankB.as_str());
             span.annotate_str("grid", &format!("{}x{}x{}", grid[0], grid[1], grid[2]));
             span.annotate_num("strip_width", strip as f64);
             span.annotate_num("secs", stats.min_secs);
         }
         history.push(TuneSample {
-            kind,
             grid,
             strip_width: strip,
             secs: stats.min_secs,
@@ -319,9 +309,6 @@ fn tune_validated(coo: &CooTensor, mode: usize, opts: &TuneOptions) -> TuneResul
             stddev_secs: stats.stddev_secs,
         });
         stats.min_secs
-    };
-    let mb_rankb = |layout: &Arc<BlockGrid>, strip: usize| {
-        BlockedKernel::over(Arc::clone(layout), true, Some(strip)).with_exec(exec.clone())
     };
 
     // --- Phase 1: rank strip width, 16-column increments, stop when the
@@ -332,18 +319,10 @@ fn tune_validated(coo: &CooTensor, mode: usize, opts: &TuneOptions) -> TuneResul
     // phase 2 builds its grids.
     let unblocked = build_layout(coo, mode, [1, 1, 1]);
     let mut best_strip = opts.rank.max(1);
-    let kernel = mb_rankb(&unblocked, best_strip);
-    let mut best_secs = eval(
-        KernelKind::MbRankB,
-        &kernel,
-        [1, 1, 1],
-        best_strip,
-        &mut history,
-    );
+    let mut best_secs = eval(&unblocked, best_strip, &mut history);
     let mut width = REG_BLOCK;
     while width < opts.rank {
-        let kernel = mb_rankb(&unblocked, width);
-        let secs = eval(KernelKind::MbRankB, &kernel, [1, 1, 1], width, &mut history);
+        let secs = eval(&unblocked, width, &mut history);
         if secs < best_secs {
             best_secs = secs;
             best_strip = width;
@@ -371,8 +350,7 @@ fn tune_validated(coo: &CooTensor, mode: usize, opts: &TuneOptions) -> TuneResul
             }
             let mut cand = grid;
             cand[ax] = next;
-            let kernel = mb_rankb(&build_layout(coo, mode, cand), best_strip);
-            let secs = eval(KernelKind::MbRankB, &kernel, cand, best_strip, &mut history);
+            let secs = eval(&build_layout(coo, mode, cand), best_strip, &mut history);
             if secs < best_secs {
                 best_secs = secs;
                 grid = cand;
@@ -383,18 +361,7 @@ fn tune_validated(coo: &CooTensor, mode: usize, opts: &TuneOptions) -> TuneResul
         }
     }
 
-    // --- Phase 3: storage layout. The MB+RankB winner competes against the
-    // block-native BCOO kernel at the same grid and strip width.
-    let mut kind = KernelKind::MbRankB;
-    let bcoo = BcooKernel::new(coo, mode, grid, best_strip).with_exec(exec.clone());
-    let secs = eval(KernelKind::Bcoo, &bcoo, grid, best_strip, &mut history);
-    if secs < best_secs {
-        best_secs = secs;
-        kind = KernelKind::Bcoo;
-    }
-
     TuneResult {
-        kind,
         grid,
         strip_width: best_strip,
         best_secs,
@@ -425,12 +392,12 @@ mod tests {
         }
         assert!(!r.history.is_empty());
         assert!(r.best_secs.is_finite());
-        // best time must appear in history
-        assert!(r.history.iter().any(|s| s.secs <= r.best_secs + 1e-12));
-        // the layout phase always runs, so a BCOO candidate is in history
-        // and the selected kind is one of the two finalists
-        assert!(r.history.iter().any(|s| s.kind == KernelKind::Bcoo));
-        assert!(matches!(r.kind, KernelKind::MbRankB | KernelKind::Bcoo));
+        // best time must appear in history, at the selected configuration
+        assert!(r
+            .history
+            .iter()
+            .any(|s| s.secs <= r.best_secs + 1e-12
+                && (s.grid, s.strip_width) == (r.grid, r.strip_width)));
     }
 
     /// Phase 1 times every strip width over one unblocked layout: a `tune`
@@ -447,8 +414,7 @@ mod tests {
         let before = BUILDS.with(|n| n.get());
         let r = tune(&x, 0, &opts);
         let builds = BUILDS.with(|n| n.get()) - before;
-        let fibered = r.history.iter().filter(|s| s.kind == KernelKind::MbRankB);
-        let (strips, grids): (Vec<_>, Vec<_>) = fibered.partition(|s| s.grid == [1, 1, 1]);
+        let (strips, grids): (Vec<_>, Vec<_>) = r.history.iter().partition(|s| s.grid == [1, 1, 1]);
         assert!(
             strips.len() >= 2,
             "rank 48 has a full-rank and a 16-wide candidate"

@@ -1,6 +1,6 @@
 //! The differential runner: every generated case goes through every
-//! MTTKRP kernel in the registry (all seven kinds), the BCOO storage
-//! round-trip, the tuner, and (sampled) the distributed executors,
+//! MTTKRP kernel in the registry (all seven kinds), the tuner, and
+//! (sampled) the distributed executors,
 //! cross-checked against the dense reference and the `tenblock-check`
 //! oracles. Any panic, typed-error mismatch, or numeric disagreement
 //! becomes a [`Finding`] with a minimized `.tns` repro.
@@ -68,8 +68,7 @@ fn valid_config(coo: &CooTensor, mode: usize, rank: usize, rng: &mut FuzzRng) ->
 }
 
 /// One full differential pass over a case: every kernel kind against the
-/// dense reference (and each other), plus the race/invariant oracle run
-/// and the BCOO storage round-trip.
+/// dense reference (and each other), plus the race/invariant oracle run.
 /// Returns findings; pushes nothing when everything agrees.
 pub(crate) fn check_kernels(case: &FuzzCase, rng: &mut FuzzRng) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -77,7 +76,6 @@ pub(crate) fn check_kernels(case: &FuzzCase, rng: &mut FuzzRng) -> Vec<Finding> 
     let rank = case.rank;
     let mode = rng.below(NMODES);
     let cfg = valid_config(coo, mode, rank, rng);
-    findings.extend(check_bcoo_round_trip(case, mode, &cfg));
     let factors = factors_for(coo, rank, rng.next_u64());
     let fs: [&DenseMatrix; NMODES] = [&factors[0], &factors[1], &factors[2]];
 
@@ -136,43 +134,6 @@ pub(crate) fn check_kernels(case: &FuzzCase, rng: &mut FuzzRng) -> Vec<Finding> 
         }
     }
     findings
-}
-
-/// The BCOO layout must round-trip losslessly (COO → BCOO → COO) for the
-/// differential grid — the storage invariant every block-native kernel
-/// result rests on.
-fn check_bcoo_round_trip(case: &FuzzCase, mode: usize, cfg: &KernelConfig) -> Vec<Finding> {
-    let coo = &case.coo;
-    let failure = match catch(|| {
-        let t = tenblock_tensor::BcooTensor::from_coo(coo, mode, cfg.grid);
-        t.to_coo()
-    }) {
-        Err(p) => Some(format!("BCOO round-trip panicked: {p}")),
-        Ok(back) if back != *coo => Some(format!(
-            "BCOO round-trip lost data: {} entries in, {} out",
-            coo.nnz(),
-            back.nnz()
-        )),
-        Ok(_) => None,
-    };
-    failure
-        .map(|detail| {
-            let small = minimize_entries(coo, &|cand| {
-                catch(|| {
-                    tenblock_tensor::BcooTensor::from_coo(cand, mode, cfg.grid).to_coo() != *cand
-                })
-                .unwrap_or(true)
-            });
-            Finding {
-                seed: 0,
-                case: format!("{}/bcoo-round-trip", case.label),
-                detail,
-                repro: Some(repro_text(&small, mode, case.rank, cfg)),
-                repro_bin: None,
-            }
-        })
-        .into_iter()
-        .collect()
 }
 
 /// The minimization predicate: does `kind` still fail (panic, rejection,

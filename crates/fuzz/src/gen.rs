@@ -5,9 +5,9 @@
 //! historically mishandled elsewhere: empty tensors, degenerate (length-0
 //! or length-1) modes, all-duplicate coordinates, hyper-sparse long-tail
 //! dimensions, ranks straddling the register-block width, and clustered
-//! dense blocks (the BCOO micro-kernel's target profile). The `.tns`
-//! mutator starts from a well-formed file and injects the malformations
-//! the parser must reject (or survive) without panicking.
+//! dense blocks (blocks on both sides of the per-block loop choice). The
+//! `.tns` mutator starts from a well-formed file and injects the
+//! malformations the parser must reject (or survive) without panicking.
 
 use crate::rng::FuzzRng;
 use tenblock_tensor::{CooTensor, Entry, Idx, NMODES};
@@ -117,9 +117,8 @@ pub fn arb_case(rng: &mut FuzzRng) -> FuzzCase {
         }
         _ => {
             // Clustered blocks: a few dense boxes on a sparse background —
-            // the occupancy profile the BCOO dense micro-kernel targets
-            // (its gather path runs on the boxes, the direct path on the
-            // background).
+            // blocks whose fibers pay for the register loop next to blocks
+            // that run the accumulator loop.
             let dims: [usize; NMODES] = std::array::from_fn(|_| 8 + rng.below(57));
             let background = rng.below(25);
             let mut entries = entries_in(rng, dims, background);

@@ -7,10 +7,9 @@
 //!    tensors, single-slice/single-fiber shapes, all-duplicate
 //!    coordinates, hyper-sparse long-tail dimensions, clustered dense
 //!    blocks, ranks straddling the register block) runs through all
-//!    seven MTTKRP kernels, the BCOO storage round-trip, the
-//!    block-size tuner, the streaming driver over a source that serves
-//!    one tile in another order or lies about its spans, and (sampled)
-//!    the distributed executors. Results
+//!    seven MTTKRP kernel kinds, the block-size tuner, the streaming
+//!    driver over a source that serves one tile in another order or lies
+//!    about its spans, and (sampled) the distributed executors. Results
 //!    are cross-checked against the dense reference and the
 //!    `tenblock-check` oracles; invalid requests must come back as typed
 //!    errors ([`tenblock_core::KernelError`], [`tenblock_core::TuneError`]).

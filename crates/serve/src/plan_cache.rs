@@ -14,11 +14,15 @@
 //! measures wall-clock MTTKRP runs, and concurrent tuning jobs would
 //! perturb each other's measurements.
 //!
-//! The compute lock also spans the save that publishes a computed plan,
-//! which makes it the one serve lock held across I/O (see `sync.rs`). A
-//! concurrent tuner for the same key must find the saved plan, and two
-//! saves must not run at once: `AtomicFile` writes through one fixed temp
-//! name per target (`<file>.tmp`), so concurrent saves would share it.
+//! The compute lock also spans every save — of a computed plan and of an
+//! [`PlanCache::insert`]ed one — which makes it the one serve lock held
+//! across I/O (see `sync.rs`). A concurrent tuner for the same key must
+//! find the saved plan, and two saves must not run at once: `AtomicFile`
+//! writes through one fixed temp name per target (`<file>.tmp`), so
+//! concurrent saves would share it, and one could rename the file the
+//! other is still writing. The lock orders saves within one process only:
+//! two *processes* sharing one plan file are still last-writer-wins, each
+//! rewriting the whole file from its own plans.
 
 use crate::json::Json;
 use crate::sync::{Leveled, COMPUTE, PLANS};
@@ -51,9 +55,10 @@ impl PlanKey {
 /// A memoized tuning decision.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TunedPlan {
-    /// Kernel kind the tuner selected (e.g. `"mbrankb"`, `"bcoo"`).
-    /// Files written before this field existed load as `"mbrankb"`, which
-    /// was the only kernel the tuner could pick back then.
+    /// Kernel kind the plan runs. The tuner writes `"mbrankb"`; older
+    /// plans may say `"bcoo"`, another name for the same kernel. Files
+    /// written before this field existed load as `"mbrankb"`, which was
+    /// the only kernel the tuner could pick back then.
     pub kernel: String,
     /// Selected MB grid (kernel axes).
     pub grid: [usize; NMODES],
@@ -195,8 +200,15 @@ impl PlanCache {
         crate::sync::lock(&self.plans).get(&key).cloned()
     }
 
-    /// Inserts (or replaces) a plan and persists if file-backed.
+    /// Inserts (or replaces) a plan and persists if file-backed, under
+    /// the compute lock (see the module doc).
     pub fn insert(&self, key: PlanKey, plan: TunedPlan) -> io::Result<()> {
+        let _guard = crate::sync::lock(&self.compute);
+        self.store(key, plan)
+    }
+
+    /// Inserts a plan and saves; the caller holds the compute lock.
+    fn store(&self, key: PlanKey, plan: TunedPlan) -> io::Result<()> {
         crate::sync::lock(&self.plans).insert(key, plan);
         self.save()
     }
@@ -241,8 +253,8 @@ impl PlanCache {
             Ok(plan) => plan,
             Err(e) => return Ok(Err(e)),
         };
-        // Saved under the compute lock (see the module doc).
-        self.insert(key, plan.clone())?;
+        // Saved under the compute lock this call already holds.
+        self.store(key, plan.clone())?;
         Ok(Ok((plan, false)))
     }
 
@@ -264,9 +276,10 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// Writes the cache to its backing file (no-op when in-memory).
-    /// Write-then-rename so a crash never leaves a half-written cache.
-    pub fn save(&self) -> io::Result<()> {
+    /// Writes the cache to its backing file (no-op when in-memory), with
+    /// the compute lock held by the caller. Write-then-rename so a crash
+    /// never leaves a half-written cache.
+    fn save(&self) -> io::Result<()> {
         let Some(path) = &self.path else {
             return Ok(());
         };
@@ -456,6 +469,33 @@ mod tests {
         assert!(PlanCache::open(&path).is_err());
         std::fs::write(&path, r#"{"version":1}"#).unwrap();
         assert!(PlanCache::open(&path).is_err(), "missing plans array");
+    }
+
+    /// Concurrent inserts each save the whole cache through the one
+    /// `<file>.tmp`: every save must finish before the next starts.
+    #[test]
+    fn concurrent_inserts_all_save_and_all_load() {
+        let path = tmpdir().join("plans_concurrent_inserts.json");
+        let _ = std::fs::remove_file(&path);
+        let cache = PlanCache::open(&path).unwrap();
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let cache = &cache;
+                s.spawn(move || {
+                    for n in 0..25 {
+                        let key = PlanKey {
+                            fingerprint: t,
+                            rank: n,
+                        };
+                        cache.insert(key, plan(1 + n)).unwrap();
+                    }
+                });
+            }
+        });
+        let reopened = PlanCache::open(&path).unwrap();
+        assert_eq!(reopened.len(), 200);
+        assert_eq!(reopened.skipped(), 0);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

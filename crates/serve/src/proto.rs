@@ -141,6 +141,14 @@ pub struct Service {
 /// machine has.
 pub const MAX_RANK: usize = 1024;
 
+/// The largest `nnz` a served `gen` may ask for: 2^26, over 50 times the
+/// largest data-set analogue's default (1.2M nonzeros). A generator
+/// reserves room for every entry before it draws one (24 bytes each,
+/// 1.5 GiB at the cap), and a failed allocation aborts the whole server
+/// rather than failing the request, so an unbounded `nnz` from the socket
+/// could take the service down.
+pub const MAX_GEN_NNZ: usize = 1 << 26;
+
 /// Rejects a rank no computation can use (0 means no factor columns) or
 /// above [`MAX_RANK`]. Checked at parse time so the job queue never sees
 /// the request.
@@ -240,7 +248,7 @@ fn run_traced(core: &ServiceCore, rec: &Rec, payload: JobPayload) -> Result<Json
                     // job with a typed message instead of panicking a worker.
                     let r = try_tune(&entry.coo, 0, &opts).map_err(|e| format!("tune: {e}"))?;
                     Ok(TunedPlan {
-                        kernel: r.kind.as_str().to_string(),
+                        kernel: KernelKind::MbRankB.as_str().to_string(),
                         grid: r.grid,
                         strip_width: r.strip_width,
                         best_secs: r.best_secs,
@@ -548,6 +556,12 @@ impl Service {
             return err(ErrorCode::BadRequest, "gen: missing \"dataset\"");
         };
         let nnz = req.get_usize("nnz");
+        if let Some(n) = nnz.filter(|&n| n > MAX_GEN_NNZ) {
+            return err(
+                ErrorCode::InvalidConfig,
+                format!("gen: nnz must be at most {MAX_GEN_NNZ}, got {n}"),
+            );
+        }
         let seed = req.get_u64("seed").unwrap_or(42);
         match self.core.registry.generate(name, dataset, nnz, seed) {
             Ok(entry) => {
@@ -949,12 +963,12 @@ mod tests {
         }
         assert_eq!(layout_counts(&s), (3, 100));
         assert_eq!(last_trace_children(&s), ["mttkrp/MB+RankB"]);
-        // `coo`, `csf` and `bcoo` have layouts of their own: not counted.
+        // `bcoo` is `mbrankb` by another name: a hit on the same layout.
         let r = s.handle(&req(
             r#"{"cmd":"mttkrp","tensor":"t","kernel":"bcoo","rank":8,"reps":1,"wait":true}"#,
         ));
         assert_eq!(r.get_str("state"), Some("done"), "{r:?}");
-        assert_eq!(layout_counts(&s), (3, 100));
+        assert_eq!(layout_counts(&s), (3, 101));
     }
 
     #[test]
@@ -1156,6 +1170,25 @@ mod tests {
         let r = s.handle(&req(&format!(
             r#"{{"cmd":"mttkrp","tensor":"t","mode":0,"kernel":"splatt","rank":{MAX_RANK},"reps":1,"wait":true}}"#
         )));
+        assert_eq!(r.get_str("state"), Some("done"), "{r:?}");
+    }
+
+    #[test]
+    fn a_gen_past_the_cap_is_refused_and_the_service_keeps_serving() {
+        let s = svc();
+        for nnz in [MAX_GEN_NNZ + 1, 1 << 40] {
+            let r = s.handle(&req(&format!(
+                r#"{{"cmd":"gen","name":"big","dataset":"poisson1","nnz":{nnz}}}"#
+            )));
+            assert_eq!(r.get_str("code"), Some("invalid-config"), "{nnz}: {r:?}");
+            assert_eq!(r.get_usize("v"), Some(PROTOCOL_VERSION), "{nnz}: {r:?}");
+        }
+        // Nothing was registered, and the handle is still free.
+        assert!(!s.core().registry.contains("big"));
+        gen_small(&s, "big");
+        let r = s.handle(&req(
+            r#"{"cmd":"mttkrp","tensor":"big","rank":4,"reps":1,"wait":true}"#,
+        ));
         assert_eq!(r.get_str("state"), Some("done"), "{r:?}");
     }
 

@@ -19,9 +19,10 @@
 //!
 //! * **At registration** (and at each reload from the spill tier) the three
 //!   unblocked `[1, 1, 1]` layouts are built, one per mode. `splatt` and
-//!   `rankb` always run over them, `mb`/`mbrankb` do whenever no tuned plan
-//!   pins a grid, and the per-mode fiber counts of [`TensorStats`] are read
-//!   off them instead of from three more sorts.
+//!   `rankb` always run over them, `mb`/`mbrankb` (and `bcoo`, another
+//!   name for `mbrankb`) do whenever no tuned plan pins a grid, and the
+//!   per-mode fiber counts of [`TensorStats`] are read off them instead
+//!   of from three more sorts.
 //! * **On first use** a blocked grid — a tuned plan's, or `decompose`'s
 //!   default — is built into the mode's one blocked slot. A plan pins one
 //!   grid per tensor × rank, so one slot is the working set; a request for
@@ -31,8 +32,8 @@
 //!   their own.
 //!
 //! Memory per resident entry is therefore the COO tensor plus at most two
-//! layouts per mode. `coo`, `csf` and `bcoo` kernels have layouts of their
-//! own and still build per request. Evicting an entry to the spill tier
+//! layouts per mode. `coo` and `csf` kernels have layouts of their own and
+//! still build per request. Evicting an entry to the spill tier
 //! drops its layouts with it.
 //!
 //! # Spill tier
@@ -152,7 +153,7 @@ impl TensorEntry {
     }
 
     /// A kernel of `kind` for mode `mode` at `cfg`, rejecting an invalid
-    /// mode or grid as [`tenblock_core::try_build_kernel`] does. The four
+    /// mode or grid as [`tenblock_core::try_build_kernel`] does. The
     /// fibered kinds run over the entry's shared layouts, so only the first
     /// request for a blocked grid sorts the tensor (under a `job/layout`
     /// span of `cfg.exec`'s recorder); the others build per request.

@@ -2,9 +2,9 @@
 //!
 //! MB (Section V-A) splits each of three axes into uniform blocks and
 //! visits the `N_A x N_B x N_C` cells in row-major order. The MB grid, the
-//! BCOO block table, the in-memory and on-disk tile sources and the
-//! streaming driver all use that geometry, and streamed results match
-//! in-memory kernels bit for bit only because they agree on it. So it is
+//! in-memory and on-disk tile sources and the streaming driver all use
+//! that geometry, and streamed results match in-memory kernels bit for
+//! bit only because they agree on it. So it is
 //! computed here and nowhere else: [`CellGrid::new`] checks a grid request
 //! once, and every later bound, cell id and cell lookup is plain `usize`
 //! arithmetic that the check has proved cannot overflow.
@@ -164,15 +164,6 @@ impl CellGrid {
     pub fn span(&self, cell: [usize; NMODES], ax: usize) -> usize {
         // in-grid cell (see Panics) — lint: allow(panic-reach)
         self.bounds[ax][cell[ax] + 1] - self.bounds[ax][cell[ax]]
-    }
-
-    /// The longest cell side over all axes.
-    pub fn max_span(&self) -> usize {
-        self.bounds
-            .iter()
-            .flat_map(|b| b.windows(2).map(|w| w[1] - w[0]))
-            .max()
-            .unwrap_or(0)
     }
 
     /// Test hook: moves boundary `idx` of axis `ax` by `delta`, the seeded

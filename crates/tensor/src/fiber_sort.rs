@@ -357,9 +357,10 @@ impl FiberSorter {
     /// counting pass permutes the records into kernel axes as it moves
     /// them into `out`, later passes move them back and forth, and the
     /// sorted `[slice, j, k]` offsets and values end in `out` (by a trade
-    /// of the columns when the last pass went the other way). What is left
-    /// in `locals`/`vals` is scratch; everything keeps its capacity for
-    /// the next tile.
+    /// of the columns when the last pass went the other way, or when the
+    /// tile is already in kernel axes and fiber order). What is left in
+    /// `locals`/`vals` is scratch; everything keeps its capacity for the
+    /// next tile.
     ///
     /// This is an input boundary: the passes index histograms by offset,
     /// so every local offset is first held against its span and anything
@@ -436,7 +437,11 @@ impl FiberSorter {
             }
             passes += 1;
         }
-        if passes == 0 {
+        if passes == 0 && perm == [0, 1, 2] {
+            // Sorted already, and in kernel axes: trade the columns.
+            std::mem::swap(locals, &mut out.offs);
+            std::mem::swap(vals, &mut out.vals);
+        } else if passes == 0 {
             for (dst, &l) in out.offs.iter_mut().zip(locals.iter()) {
                 *dst = to_kernel(l);
             }
@@ -455,8 +460,8 @@ fn run_lens(ends: &[usize]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
-/// A tile's entries in kernel axes and fiber order, as the two columns the
-/// BCOO micro-kernel reads.
+/// A tile's entries in kernel axes and fiber order: the two columns a
+/// streamed block is built from ([`crate::SplattTensor::refill_from_tile`]).
 #[derive(Debug, Default)]
 pub struct FiberCols {
     /// Block-local `[slice, j, k]` offsets.

@@ -7,9 +7,6 @@
 //!
 //! * [`CooTensor`] — the coordinate format of Figure 1a of the paper,
 //! * [`SplattTensor`] — the fiber-compressed SPLATT format of Figure 1b,
-//! * [`BcooTensor`] — block-native coordinate storage: a table of nonempty
-//!   blocks, each a mini-tensor of byte-wide local offsets (Section V-A as
-//!   a data layout rather than an iteration order),
 //! * [`DenseMatrix`] — row-major factor matrices,
 //! * [`io`] — FROSTT `.tns` reading/writing,
 //! * [`gen`] — the synthetic Poisson / clustered / uniform generators used to
@@ -30,7 +27,6 @@
 // `#[expect]` with its reason. Grid geometry lives in `cell_grid`.
 #![deny(clippy::cast_possible_truncation)]
 
-pub mod bcoo;
 pub mod cell_grid;
 pub mod coo;
 pub mod csf;
@@ -48,7 +44,6 @@ pub mod stats;
 pub mod tile_store;
 pub mod validate;
 
-pub use bcoo::BcooTensor;
 pub use cell_grid::{CellGrid, GridError};
 pub use coo::{CooTensor, Entry, TensorError};
 pub use csf::CsfTensor;
@@ -56,7 +51,7 @@ pub use dense::DenseMatrix;
 pub use fiber_sort::{FiberCols, FiberSorter};
 pub use nd::NdCooTensor;
 pub use persist::{atomic_write, atomic_write_with, AtomicFile};
-pub use source::{BcooSource, CooSource, SourceTile, TensorSource};
+pub use source::{CooSource, SourceTile, TensorSource};
 pub use splatt::SplattTensor;
 pub use stats::TensorStats;
 pub use tile_store::{TileMeta, TileStore};

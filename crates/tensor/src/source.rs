@@ -2,21 +2,20 @@
 //!
 //! The streaming MTTKRP driver in `tenblock-core` iterates tiles instead
 //! of entries, so the same execution path runs over an in-memory COO
-//! tensor, an already-blocked [`BcooTensor`], or the on-disk
-//! [`TileStore`](crate::tile_store::TileStore) — only the last one ever
-//! touches disk, and none of them require the full tensor to be decoded
-//! at once on the consumer side.
+//! tensor or the on-disk [`TileStore`](crate::tile_store::TileStore) —
+//! only the second touches disk, and neither requires the full tensor to
+//! be decoded at once on the consumer side.
 //!
 //! All sources speak *original* mode axes: a tile's `cell`, `origin`,
 //! and `locals` index modes `0, 1, 2` in tensor order, and the grid uses
-//! the same [`CellGrid`] geometry as the MB/BCOO layouts. A mode-`m` kernel permutes per tile (cheap —
+//! the same [`CellGrid`] geometry as the blocked layouts. A mode-`m`
+//! kernel permutes per tile (cheap —
 //! three-element arrays) rather than the source per mode (a full
 //! re-shard). Tiles may be served in any order, and so may a tile's
 //! entries; drivers that need a deterministic traversal sort tile indices
 //! and entries themselves, and hold every offset against its span — a
 //! source is not trusted to.
 
-use crate::bcoo::{BcooOffsets, BcooTensor};
 use crate::cell_grid::CellGrid;
 use crate::coo::CooTensor;
 use crate::fiber_sort::sort_into_cells;
@@ -142,8 +141,7 @@ impl CooSource {
     ///
     /// # Panics
     /// Panics with the [`crate::cell_grid::GridError`] if `grid` is not a
-    /// valid grid over the tensor's axes — the same precondition as
-    /// `BcooTensor`.
+    /// valid grid over the tensor's axes.
     #[expect(
         clippy::cast_possible_truncation,
         reason = "a nonempty tile's origin is at most one of its entries' u32 indices"
@@ -211,90 +209,6 @@ impl TensorSource for CooSource {
     }
 }
 
-/// A [`BcooTensor`] served as tiles. The BCOO layout is kernel-axis
-/// ordered for one mode; this adapter translates block coordinates and
-/// local offsets back to original axes through the layout's `perm`, so
-/// the streaming driver can reuse a block-native tensor for all three
-/// modes without rebuilding it.
-#[derive(Debug, Clone)]
-pub struct BcooSource {
-    t: BcooTensor,
-}
-
-impl BcooSource {
-    /// Wraps an existing block-native tensor.
-    pub fn new(t: BcooTensor) -> Self {
-        BcooSource { t }
-    }
-
-    /// The wrapped layout.
-    pub fn inner(&self) -> &BcooTensor {
-        &self.t
-    }
-}
-
-impl TensorSource for BcooSource {
-    fn dims(&self) -> [usize; NMODES] {
-        self.t.dims()
-    }
-    fn nnz(&self) -> usize {
-        self.t.nnz()
-    }
-    fn grid(&self) -> [usize; NMODES] {
-        let perm = self.t.perm();
-        let mut g = [0usize; NMODES];
-        for ax in 0..NMODES {
-            g[perm[ax]] = self.t.grid()[ax];
-        }
-        g
-    }
-    fn n_tiles(&self) -> usize {
-        self.t.n_blocks()
-    }
-    fn tile_cell(&self, i: usize) -> [usize; NMODES] {
-        let perm = self.t.perm();
-        let b = self.t.block(i);
-        let mut c = [0usize; NMODES];
-        for ax in 0..NMODES {
-            c[perm[ax]] = b.coords[ax] as usize;
-        }
-        c
-    }
-    fn tile_nnz(&self, i: usize) -> usize {
-        self.t.block_range(i).len()
-    }
-    fn load_tile_into(&self, i: usize, tile: &mut SourceTile) -> Result<(), BinError> {
-        let perm = self.t.perm();
-        let b = self.t.block(i);
-        let range = self.t.block_range(i);
-        for ax in 0..NMODES {
-            tile.cell[perm[ax]] = b.coords[ax] as usize;
-            tile.origin[perm[ax]] = b.origin[ax] as usize;
-        }
-        let locals = &mut tile.locals;
-        locals.clear();
-        let to_orig = |l: [u32; NMODES]| {
-            let mut o = [0u32; NMODES];
-            for ax in 0..NMODES {
-                o[perm[ax]] = l[ax];
-            }
-            o
-        };
-        match self.t.offsets() {
-            BcooOffsets::U8(o) => {
-                locals.extend(o[range.clone()].iter().map(|l| to_orig(l.map(u32::from))))
-            }
-            BcooOffsets::U16(o) => {
-                locals.extend(o[range.clone()].iter().map(|l| to_orig(l.map(u32::from))))
-            }
-            BcooOffsets::U32(o) => locals.extend(o[range.clone()].iter().map(|&l| to_orig(l))),
-        }
-        tile.vals.clear();
-        tile.vals.extend_from_slice(&self.t.vals()[range]);
-        Ok(())
-    }
-}
-
 impl TensorSource for TileStore {
     fn dims(&self) -> [usize; NMODES] {
         TileStore::dims(self)
@@ -332,7 +246,7 @@ impl TensorSource for TileStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{clustered_tensor, uniform_tensor, ClusteredConfig};
+    use crate::gen::uniform_tensor;
     use crate::Entry;
 
     /// Streams every tile back to entries and compares against the COO.
@@ -367,16 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn bcoo_source_round_trips_for_every_mode() {
-        let cfg = ClusteredConfig::new([48, 36, 24], 1_000);
-        let t = clustered_tensor(&cfg, 3);
-        for mode in 0..NMODES {
-            let b = BcooTensor::from_coo(&t, mode, [3, 3, 2]);
-            assert_source_matches(&BcooSource::new(b), &t);
-        }
-    }
-
-    #[test]
     fn tile_store_source_round_trips() {
         let t = uniform_tensor([32, 32, 32], 600, 9);
         let dir = std::env::temp_dir().join(format!("tenblock_source_{}", std::process::id()));
@@ -384,20 +288,5 @@ mod tests {
         let store = TileStore::create_from_coo(&t, [2, 4, 2], dir.join("s.tnsb")).unwrap();
         assert_source_matches(&store, &t);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn coo_and_bcoo_sources_agree_on_tile_extents() {
-        // For mode 0 the BCOO perm is the identity, so cells and tiles
-        // line up one-to-one with the COO sharding of the same grid.
-        let t = uniform_tensor([20, 20, 20], 500, 21);
-        let coo_src = CooSource::new(&t, [2, 2, 2]);
-        let bcoo_src = BcooSource::new(BcooTensor::from_coo(&t, 0, [2, 2, 2]));
-        assert_eq!(coo_src.n_tiles(), bcoo_src.n_tiles());
-        for i in 0..coo_src.n_tiles() {
-            assert_eq!(coo_src.tile_cell(i), bcoo_src.tile_cell(i));
-            assert_eq!(coo_src.tile_nnz(i), bcoo_src.tile_nnz(i));
-        }
-        assert_eq!(coo_src.total_tile_bytes(), bcoo_src.total_tile_bytes());
     }
 }

@@ -8,7 +8,7 @@
 //! are mode-2 fibers.
 
 use crate::coo::{is_permutation, CooTensor, Entry};
-use crate::fiber_sort::fiber_sorted;
+use crate::fiber_sort::{fiber_sorted, FiberCols};
 use crate::{Idx, NMODES};
 
 /// A 3-mode sparse tensor in the SPLATT format, oriented for the MTTKRP of
@@ -173,56 +173,103 @@ impl SplattTensor {
         perm: [usize; NMODES],
         entries: &[Entry],
     ) -> Self {
-        let nnz = entries.len();
-        let mut slice_ids: Vec<Idx> = Vec::new();
-        let mut i_ptr: Vec<usize> = vec![0];
-        let mut fiber_kid: Vec<Idx> = Vec::new();
-        let mut fiber_ptr: Vec<usize> = vec![0];
-        let mut j_idx = Vec::with_capacity(nnz);
-        let mut vals = Vec::with_capacity(nnz);
-
-        let mut last_fiber: Option<(Idx, Idx)> = None;
-        for e in entries {
+        let mut t = Self::compressed_with_capacity(dims, perm, entries.len());
+        t.fill_fibers(entries.iter().map(|e| {
             let s = e.idx[perm[0]];
             assert!((s as usize) < dims[perm[0]], "slice {s} out of range");
-            let kid = e.idx[perm[2]];
-            if last_fiber != Some((s, kid)) {
-                if !fiber_kid.is_empty() {
-                    fiber_ptr.push(j_idx.len());
-                }
-                if slice_ids.last() != Some(&s) {
-                    if !slice_ids.is_empty() {
-                        i_ptr.push(fiber_kid.len());
-                    }
-                    slice_ids.push(s);
-                }
-                fiber_kid.push(kid);
-                last_fiber = Some((s, kid));
-            }
-            j_idx.push(e.idx[perm[1]]);
-            vals.push(e.val);
+            [s, e.idx[perm[1]], e.idx[perm[2]]]
+        }));
+        t.vals.extend(entries.iter().map(|e| e.val));
+        // A layout is kept for many MTTKRPs: give back the room the pass
+        // reserved for a slice and a fiber per nonzero.
+        if let Some(ids) = &mut t.slice_ids {
+            ids.shrink_to_fit();
         }
-        if !fiber_kid.is_empty() {
-            fiber_ptr.push(j_idx.len());
-        }
-        i_ptr.push(fiber_kid.len());
-        if slice_ids.is_empty() {
-            // no nonzeros: single empty sentinel range already in i_ptr
-            i_ptr = vec![0];
-        }
-        debug_assert_eq!(i_ptr.len(), slice_ids.len() + 1);
+        t.i_ptr.shrink_to_fit();
+        t.fiber_kid.shrink_to_fit();
+        t.fiber_ptr.shrink_to_fit();
+        t
+    }
 
+    /// An empty slice-compressed tensor whose nonzero arrays — and fiber
+    /// and slice arrays, which are never longer — have room for `nnz`
+    /// entries, to be filled by [`Self::refill_from_tile`].
+    pub fn compressed_with_capacity(
+        dims: [usize; NMODES],
+        perm: [usize; NMODES],
+        nnz: usize,
+    ) -> Self {
+        assert!(is_permutation(perm), "invalid mode permutation {perm:?}");
         SplattTensor {
             dims,
             perm,
             slice_begin: 0,
-            slice_ids: Some(slice_ids),
-            i_ptr,
-            fiber_kid,
-            fiber_ptr,
-            j_idx,
-            vals,
+            slice_ids: Some(Vec::with_capacity(nnz)),
+            i_ptr: Vec::with_capacity(nnz + 1),
+            fiber_kid: Vec::with_capacity(nnz),
+            fiber_ptr: Vec::with_capacity(nnz + 1),
+            j_idx: Vec::with_capacity(nnz),
+            vals: Vec::with_capacity(nnz),
         }
+    }
+
+    /// Replaces the contents of a slice-compressed tensor with one
+    /// streamed block: `cols` holds its block-local `[slice, j, k]`
+    /// offsets in fiber order, and `origin` is the block's first global
+    /// index per kernel axis, which the caller has checked leaves every
+    /// `origin + offset` inside [`Idx`]. The values are not copied: the
+    /// block's and `cols`' value buffers trade places. The arrays keep
+    /// their capacity, so buffers cycled through a stream of blocks no
+    /// larger than the first allocate nothing.
+    pub fn refill_from_tile(&mut self, origin: [Idx; NMODES], cols: &mut FiberCols) {
+        let [a, j, k] = origin;
+        self.fill_fibers(cols.offs.iter().map(|o| [a + o[0], j + o[1], k + o[2]]));
+        std::mem::swap(&mut self.vals, &mut cols.vals);
+    }
+
+    /// The fiber-pointer pass of every slice-compressed build: refills the
+    /// slice, fiber and `j` arrays from the global kernel-axis
+    /// `[slice, j, k]` coordinates of the nonzeros, in `(slice, k, j)`
+    /// fiber order, storing only the slices that hold a nonzero. The
+    /// caller fills `vals`.
+    fn fill_fibers(&mut self, coords: impl ExactSizeIterator<Item = [Idx; NMODES]>) {
+        let nnz = coords.len();
+        let slice_ids = self.slice_ids.get_or_insert_with(Vec::new);
+        self.slice_begin = 0;
+        // Any nonzero may open a slice and a fiber. Each one writes the
+        // next free slot of every array and moves past it only if it opens
+        // one, so the loop has no branch on the data: at about one nonzero
+        // a fiber, a branch would mispredict on most of them.
+        slice_ids.resize(nnz, 0);
+        self.i_ptr.resize(nnz + 1, 0);
+        self.fiber_kid.resize(nnz, 0);
+        self.fiber_ptr.resize(nnz + 1, 0);
+        self.j_idx.resize(nnz, 0);
+        let (ids, i_ptr) = (slice_ids.as_mut_slice(), self.i_ptr.as_mut_slice());
+        let (kids, fiber_ptr) = (self.fiber_kid.as_mut_slice(), self.fiber_ptr.as_mut_slice());
+        let (mut slices, mut fibers) = (0, 0);
+        let (mut prev_s, mut prev_kid) = (0, 0);
+        for ((n, [s, j, kid]), j_out) in coords.enumerate().zip(self.j_idx.iter_mut()) {
+            let new_slice = (n == 0) | (s != prev_s);
+            let new_fiber = new_slice | (kid != prev_kid);
+            ids[slices] = s;
+            i_ptr[slices] = fibers;
+            slices += usize::from(new_slice);
+            kids[fibers] = kid;
+            fiber_ptr[fibers] = n;
+            fibers += usize::from(new_fiber);
+            *j_out = j;
+            (prev_s, prev_kid) = (s, kid);
+        }
+        // Close the last slice and fiber; with no nonzeros these are the
+        // single empty ranges.
+        self.i_ptr[slices] = fibers;
+        self.fiber_ptr[fibers] = nnz;
+        slice_ids.truncate(slices);
+        self.i_ptr.truncate(slices + 1);
+        self.fiber_kid.truncate(fibers);
+        self.fiber_ptr.truncate(fibers + 1);
+        debug_assert_eq!(self.i_ptr.len(), slice_ids.len() + 1);
     }
 
     /// Global dimensions in original mode order.

@@ -1,5 +1,6 @@
 //! Data-set statistics (the columns of Table II plus fiber counts).
 
+use crate::cell_grid::CellGrid;
 use crate::coo::{perm_for_mode, CooTensor};
 use crate::NMODES;
 
@@ -78,12 +79,24 @@ impl TensorStats {
 }
 
 /// Nonzeros per nonempty block of the mode-`mode` kernel grid, sorted
-/// descending — the occupancy profile that predicts when the BCOO layout
-/// pays off (a few hot, dense blocks amortize the per-block factor gather;
-/// a uniform scatter of near-empty blocks does not).
+/// descending — the occupancy profile of a blocked layout (a few hot,
+/// dense blocks walk their fibers once per strip; a uniform scatter of
+/// near-empty blocks runs the accumulator loop).
+///
+/// # Panics
+/// Panics with the [`crate::cell_grid::GridError`] if `grid` is not a
+/// valid grid over the kernel axes.
 pub fn block_occupancy(t: &CooTensor, mode: usize, grid: [usize; NMODES]) -> Vec<usize> {
-    let b = crate::bcoo::BcooTensor::from_coo(t, mode, grid);
-    let mut counts: Vec<usize> = (0..b.n_blocks()).map(|i| b.block_range(i).len()).collect();
+    let perm = perm_for_mode(mode);
+    let dims = t.dims();
+    let cells = CellGrid::new(perm.map(|m| dims[m]), grid).unwrap_or_else(|e| panic!("{e}"));
+    let mut ids: Vec<usize> = t
+        .entries()
+        .iter()
+        .map(|e| cells.id(cells.cell_of(perm.map(|m| e.idx[m] as usize))))
+        .collect();
+    ids.sort_unstable();
+    let mut counts: Vec<usize> = ids.chunk_by(|a, b| a == b).map(<[usize]>::len).collect();
     counts.sort_unstable_by(|x, y| y.cmp(x));
     counts
 }

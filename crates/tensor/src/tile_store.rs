@@ -2,12 +2,12 @@
 //! grid of MB-aligned COO tiles, loadable one tile at a time.
 //!
 //! The grid partitions the *original* axes with the same [`CellGrid`]
-//! geometry the MB/BCOO layouts use, so one store
+//! geometry the blocked layouts use, so one store
 //! serves all three MTTKRP orientations: mode `m`'s kernel grid is just
 //! the original grid read through `perm_for_mode(m)`. Entries inside a
 //! tile are stored block-local (`u32` offset per axis + `f64` value, 20
 //! bytes an entry), which is what lets a streaming driver hand a loaded
-//! tile to the BCOO micro-kernel after a per-mode fiber sort. A tile's
+//! tile to the blocked kernel after a per-mode fiber sort. A tile's
 //! entries may be stored in any order; [`TileStore::write_tiles`] writes
 //! them in the fiber order of mode 0, which that sort detects and then
 //! has nothing (mode 0), one pass (mode 1) or two (mode 2) left to do.

@@ -10,10 +10,10 @@
 
 use tenblock::core::block::{BlockGrid, BlockedKernel};
 use tenblock::core::check::Violation;
-use tenblock::core::mttkrp::{dense_mttkrp, BcooKernel};
+use tenblock::core::mttkrp::dense_mttkrp;
 use tenblock::core::{build_kernel, ExecPolicy, KernelConfig, KernelKind, MttkrpKernel};
 use tenblock::tensor::gen::uniform_tensor;
-use tenblock::tensor::{BcooTensor, DenseMatrix};
+use tenblock::tensor::DenseMatrix;
 
 /// Deterministic factors for a tensor's dims.
 fn factors(dims: [usize; 3], rank: usize) -> Vec<DenseMatrix> {
@@ -83,47 +83,6 @@ fn shifted_block_boundary_is_caught_with_the_overlapping_row() {
         "report must name the boundary row {boundary}: {report}"
     );
     // The grid oracle independently notices entries escaping their box.
-    assert!(
-        report
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::Invariant { .. })),
-        "grid oracle should also fire: {report}"
-    );
-}
-
-#[test]
-fn shifted_bcoo_boundary_is_caught_with_the_overlapping_row() {
-    let x = uniform_tensor([12, 8, 8], 500, 7);
-    let fs_owned = factors(x.dims(), 8);
-    let fs: [&DenseMatrix; 3] = [&fs_owned[0], &fs_owned[1], &fs_owned[2]];
-
-    // The healthy layout passes checked mode.
-    let healthy = BcooTensor::from_coo(&x, 0, [3, 2, 2]);
-    let boundary = healthy.bounds(0)[1];
-    let k = BcooKernel::from_tensor(healthy, 8).with_exec(ExecPolicy::checked());
-    let mut out = DenseMatrix::zeros(12, 8);
-    k.mttkrp_checked(&fs, &mut out)
-        .expect("healthy BCOO layout passes");
-
-    // Shift one slice-axis boundary without touching the blocks' origins:
-    // block row 1 still decodes entries at slice `boundary`, which now
-    // belongs to block row 0's claim.
-    let mut t = BcooTensor::from_coo(&x, 0, [3, 2, 2]);
-    t.shift_bound_for_test(0, 1, 1);
-    let bad = BcooKernel::from_tensor(t, 8).with_exec(ExecPolicy::checked());
-    let mut out = DenseMatrix::zeros(12, 8);
-    let report = bad
-        .mttkrp_checked(&fs, &mut out)
-        .expect_err("shifted boundary must be refused");
-
-    assert_eq!(report.kernel, "BCOO");
-    assert!(
-        report.overlapping_rows().contains(&boundary),
-        "report must name the boundary row {boundary}: {report}"
-    );
-    // The grid oracle independently notices decoded entries escaping
-    // their (shifted) box.
     assert!(
         report
             .violations

@@ -1,17 +1,16 @@
 //! Property tests for the out-of-core path: a [`StreamingMttkrp`] fed
 //! from an on-disk (spilled) tile store must match the in-memory MB and
-//! BCOO kernels **bit for bit** — same values, same bits — on clustered
-//! and hyper-sparse tensors, including tile budgets small enough to force
-//! multi-tile streaming. Streamed CP-ALS must track the in-memory solver
+//! MB+RankB (`bcoo`) kernels **bit for bit** — same values, same bits —
+//! on clustered and hyper-sparse tensors, including tile budgets small
+//! enough to force multi-tile streaming. Streamed CP-ALS must track the in-memory solver
 //! to roundoff.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tenblock::core::block::BlockedKernel;
-use tenblock::core::mttkrp::BcooKernel;
 use tenblock::core::tune::grid_for_tile_budget;
-use tenblock::core::{KernelKind, MttkrpKernel, StreamingMttkrp};
+use tenblock::core::{build_kernel, KernelConfig, KernelKind, MttkrpKernel, StreamingMttkrp};
 use tenblock::cpd::{CpAls, CpAlsOptions, CpAlsStream};
 use tenblock::tensor::coo::perm_for_mode;
 use tenblock::tensor::gen::{clustered_tensor, ClusteredConfig};
@@ -45,8 +44,8 @@ fn factors_for(x: &CooTensor, rank: usize, seed: u64) -> Vec<DenseMatrix> {
         .collect()
 }
 
-/// Strategy: a clustered tensor (dense boxes on a sparse background — the
-/// profile the BCOO micro-kernel targets).
+/// Strategy: a clustered tensor (dense boxes on a sparse background —
+/// blocks on both sides of the per-block loop choice).
 fn arb_clustered() -> impl Strategy<Value = CooTensor> {
     (
         12usize..40,
@@ -92,7 +91,7 @@ fn arb_hyper_sparse() -> impl Strategy<Value = CooTensor> {
 }
 
 /// Spills `x` to an on-disk tile store whose grid comes from `budget`,
-/// then checks the streamed MTTKRP against BCOO (strips 0 and 16) and MB
+/// then checks the streamed MTTKRP against `bcoo` (strips 0 and 16) and MB
 /// (whole-rank strips) for every mode, bit for bit. Returns the tile
 /// count so callers can assert the budget actually forced multiple tiles.
 fn assert_streamed_matches_in_memory(x: &CooTensor, budget: u64) -> usize {
@@ -107,7 +106,12 @@ fn assert_streamed_matches_in_memory(x: &CooTensor, budget: u64) -> usize {
         let perm = perm_for_mode(mode);
         let grid_kernel = [grid[perm[0]], grid[perm[1]], grid[perm[2]]];
         for strip in [0usize, 16] {
-            let k = BcooKernel::new(x, mode, grid_kernel, strip);
+            let cfg = KernelConfig {
+                grid: grid_kernel,
+                strip_width: strip,
+                ..KernelConfig::default()
+            };
+            let k = build_kernel(KernelKind::Bcoo, x, mode, &cfg);
             let mut expect = DenseMatrix::zeros(x.dims()[mode], rank);
             k.mttkrp(&fs, &mut expect);
             let mut got = DenseMatrix::zeros(x.dims()[mode], rank);
