@@ -4,24 +4,21 @@
 //! case): the tensor is partitioned, the *largest* rank's local mode-1
 //! MTTKRP is executed for real on this machine (per-rank compute is
 //! nnz-proportional, so the maximum rank bounds the compute phase), and the
-//! per-iteration communication of the medium-grained exchange is priced by
-//! the α–β model:
-//!
-//! * AllGather of the needed mode-2 factor rows within each `j`-layer,
-//! * AllGather of the needed mode-3 factor rows within each `k`-layer,
-//! * Reduce-Scatter of the partial output rows within each `i`-layer,
-//! * (4D only) AllGather of the column strips along the rank dimension.
+//! per-iteration communication is the mode-1 [`Exchange`], priced by the
+//! α–β model.
 //!
 //! [`best_3d`] / [`best_4d`] search the processor-grid factorizations (3D:
-//! restricted to `t = 1`) with the communication model and return the
-//! measured result for the winner — mirroring how distributed SPLATT picks
-//! its grid.
+//! restricted to `t = 1`), pricing each grid's exchange at ideal balance,
+//! and return the measured result for the winner — mirroring how
+//! distributed SPLATT picks its grid.
 
 use crate::comm::CommParams;
+use crate::exchange::Exchange;
 use crate::part4d::Partition4D;
 use tenblock_core::block::BlockedKernel;
 use tenblock_core::timing::time_reps;
 use tenblock_core::MttkrpKernel;
+use tenblock_tensor::cell_grid::uniform_bounds;
 use tenblock_tensor::{CooTensor, DenseMatrix, NMODES};
 
 /// Which kernel each rank runs locally.
@@ -29,28 +26,21 @@ use tenblock_tensor::{CooTensor, DenseMatrix, NMODES};
 pub enum LocalKernel {
     /// Baseline Algorithm 1 (distributed SPLATT's local kernel).
     Baseline,
-    /// This paper's MB+RankB kernel with the given grid and strip width.
-    Blocked {
-        /// MB grid (kernel axes), clamped to the local mode lengths.
-        grid: [usize; NMODES],
-        /// RankB strip width in columns.
-        strip: usize,
-    },
+    /// This paper's register-blocked kernel over the full rank: per-rank
+    /// sub-tensors are small enough that a single strip and no MB grid is
+    /// the right local configuration.
+    Blocked,
 }
 
 impl LocalKernel {
-    /// Builds this choice's mode-1 kernel for a rank's sub-tensor at factor
-    /// width `width`, with the grid clamped to the local mode lengths and
-    /// the strip to the width.
-    pub(crate) fn build(self, local: &CooTensor, width: usize) -> BlockedKernel {
-        match self {
-            LocalKernel::Baseline => BlockedKernel::new(local, 0, None, None),
-            LocalKernel::Blocked { grid, strip } => {
-                let dims = local.dims();
-                let clamped = std::array::from_fn(|ax| grid[ax].clamp(1, dims[ax].max(1)));
-                BlockedKernel::new(local, 0, Some(clamped), Some(strip.clamp(1, width.max(1))))
-            }
-        }
+    /// Builds this choice's mode-`mode` kernel for a rank's sub-tensor.
+    pub(crate) fn build(self, local: &CooTensor, mode: usize) -> BlockedKernel {
+        let strip = match self {
+            LocalKernel::Baseline => None,
+            // one strip as wide as whatever rank the kernel is called at
+            LocalKernel::Blocked => Some(usize::MAX),
+        };
+        BlockedKernel::new(local, mode, None, strip)
     }
 }
 
@@ -70,16 +60,11 @@ pub struct DistConfig {
 }
 
 impl DistConfig {
-    /// Defaults: blocked local kernel (register blocking over the full
-    /// rank; per-rank sub-tensors are small enough that a single strip and
-    /// no MB grid is the right local configuration), 2018-cluster network.
+    /// Defaults: blocked local kernel, 2018-cluster network.
     pub fn new(rank: usize) -> Self {
         DistConfig {
             rank,
-            local: LocalKernel::Blocked {
-                grid: [1, 1, 1],
-                strip: usize::MAX,
-            },
+            local: LocalKernel::Blocked,
             comm: CommParams::cluster_2018(),
             seed: 0x5eed,
             reps: 2,
@@ -104,11 +89,6 @@ pub struct DistResult {
     pub imbalance: f64,
 }
 
-/// Widest chunk of a bounds vector.
-fn max_chunk(bounds: &[usize]) -> usize {
-    bounds.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0)
-}
-
 /// Builds and times the local mode-1 MTTKRP of `local` at factor width
 /// `width`; returns seconds (min over `reps`).
 fn time_local(local: &CooTensor, kernel: LocalKernel, width: usize, reps: usize) -> f64 {
@@ -124,64 +104,19 @@ fn time_local(local: &CooTensor, kernel: LocalKernel, width: usize, reps: usize)
     let mut out = DenseMatrix::zeros(dims[0], width);
     let fs: [&DenseMatrix; NMODES] = [&a, &b, &c];
 
-    let kernel = kernel.build(local, width);
+    let kernel = kernel.build(local, 0);
     let best = time_reps(0, reps, || kernel.mttkrp(&fs, &mut out)).min_secs;
     std::hint::black_box(out.as_slice());
     best
 }
 
-/// Modeled per-iteration communication of the medium-grained exchange for
-/// the mode-1 MTTKRP on a `q x r x s` grid at factor width `width`.
-fn comm_3d(
-    comm: &CommParams,
-    grid: [usize; NMODES],
-    mode_chunks: [usize; NMODES],
-    width: usize,
-) -> f64 {
-    let (q, r, s) = (grid[0], grid[1], grid[2]);
-    let row_bytes = (width * 8) as f64;
-    // B rows gathered within each j-layer (q*s ranks share a j-chunk)
-    let b_gather = comm.allgather(q * s, mode_chunks[1] as f64 * row_bytes);
-    // C rows gathered within each k-layer
-    let c_gather = comm.allgather(q * r, mode_chunks[2] as f64 * row_bytes);
-    // partial A rows reduce-scattered within each i-layer (r*s ranks)
-    let a_reduce = comm.reduce_scatter(r * s, mode_chunks[0] as f64 * row_bytes);
-    b_gather + c_gather + a_reduce
-}
-
-/// Ideal-balance communication score used by the grid search (no
-/// partitioning required): assumes chunk widths `dim/g`.
-fn comm_score(
-    comm: &CommParams,
-    dims: [usize; NMODES],
-    grid: [usize; NMODES],
-    width: usize,
-) -> f64 {
-    let chunks = std::array::from_fn(|m| dims[m].div_ceil(grid[m]));
-    comm_3d(comm, grid, chunks, width)
-}
-
 /// All ordered factorizations `q*r*s = p` with each factor within the mode
-/// length.
+/// length, `q` then `r` ascending.
 fn factorizations(p: usize, dims: [usize; NMODES]) -> Vec<[usize; NMODES]> {
-    let mut out = Vec::new();
-    for q in 1..=p {
-        if !p.is_multiple_of(q) || q > dims[0].max(1) {
-            continue;
-        }
-        let rs = p / q;
-        for r in 1..=rs {
-            if !rs.is_multiple_of(r) || r > dims[1].max(1) {
-                continue;
-            }
-            let s = rs / r;
-            if s > dims[2].max(1) {
-                continue;
-            }
-            out.push([q, r, s]);
-        }
-    }
-    out
+    let divisors = |n: usize| (1..=n).filter(move |d| n.is_multiple_of(*d));
+    let grids = divisors(p).flat_map(|q| divisors(p / q).map(move |r| [q, r, p / q / r]));
+    let fits = |g: &[usize; NMODES]| (0..NMODES).all(|m| g[m] <= dims[m].max(1));
+    grids.filter(fits).collect()
 }
 
 /// Runs a 3D (medium-grained) distributed MTTKRP on `p = q*r*s` ranks:
@@ -200,13 +135,9 @@ pub fn run_4d(coo: &CooTensor, cfg: &DistConfig, grid3: [usize; NMODES], t: usiz
         .enumerate()
         .max_by_key(|&(_, &n)| n)
         .expect("at least one rank");
-    let width = part.max_strip_width();
-    let compute = time_local(p3.local(argmax), cfg.local, width, cfg.reps);
-    let chunks: [usize; NMODES] = std::array::from_fn(|m| max_chunk(p3.bounds(m)));
-    let mut comm = comm_3d(&cfg.comm, grid3, chunks, width);
-    // the extra AllGather along the rank dimension: full-width rows of the
-    // updated factor's chunk are reassembled from t strips (free at t = 1)
-    comm += cfg.comm.allgather(t, (chunks[0] * cfg.rank * 8) as f64);
+    // the widest strip sets the local kernel's width
+    let compute = time_local(p3.local(argmax), cfg.local, cfg.rank.div_ceil(t), cfg.reps);
+    let comm = Exchange::new(p3.bounds(), part.strip_bounds(), 0).secs(&cfg.comm);
     DistResult {
         grid: [grid3[0], grid3[1], grid3[2], t],
         total_secs: compute + comm,
@@ -234,27 +165,20 @@ pub fn best_4d(coo: &CooTensor, cfg: &DistConfig, p: usize) -> DistResult {
 /// communication wins.
 fn best_upto(coo: &CooTensor, cfg: &DistConfig, p: usize, max_t: usize) -> DistResult {
     let dims = coo.dims();
-    let mut best: Option<([usize; NMODES], usize, f64)> = None;
-    for t in 1..=max_t {
-        if !p.is_multiple_of(t) || t > cfg.rank {
-            continue;
-        }
-        let width = cfg.rank.div_ceil(t);
-        // strips narrower than one register block (16 doubles) destroy the
-        // local kernel's vectorization; don't consider them
-        if t > 1 && width < 16 {
-            continue;
-        }
-        for grid in factorizations(p / t, dims) {
-            let mut score = comm_score(&cfg.comm, dims, grid, width);
-            score += cfg
-                .comm
-                .allgather(t, (dims[0].div_ceil(grid[0]) * cfg.rank * 8) as f64);
-            if best.map(|(_, _, s)| score < s).unwrap_or(true) {
-                best = Some((grid, t, score));
-            }
-        }
-    }
+    // strips narrower than one register block (16 doubles) destroy the
+    // local kernel's vectorization; don't consider them
+    let ts = (1..=max_t.min(cfg.rank))
+        .filter(|&t| p.is_multiple_of(t) && (t == 1 || cfg.rank.div_ceil(t) >= 16));
+    let scored = ts.flat_map(|t| {
+        let strips = uniform_bounds(cfg.rank, t);
+        factorizations(p / t, dims).into_iter().map(move |grid| {
+            let bounds: [Vec<usize>; NMODES] =
+                std::array::from_fn(|n| uniform_bounds(dims[n], grid[n]));
+            let exchange = Exchange::new(bounds.each_ref().map(Vec::as_slice), &strips, 0);
+            (grid, t, exchange.secs(&cfg.comm))
+        })
+    });
+    let best = scored.min_by(|a, b| a.2.total_cmp(&b.2));
     let (grid, t, _) = best.expect("no valid grid factorization");
     run_4d(coo, cfg, grid, t)
 }
@@ -262,87 +186,7 @@ fn best_upto(coo: &CooTensor, cfg: &DistConfig, p: usize, max_t: usize) -> DistR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::part3d::Partition3D;
-    use tenblock_core::mttkrp::dense_mttkrp;
     use tenblock_tensor::gen::uniform_tensor;
-
-    /// Distributed correctness: the sum of all ranks' local mode-1 MTTKRPs
-    /// equals the sequential MTTKRP of the relabeled tensor.
-    #[test]
-    fn partial_sums_reassemble_3d() {
-        let x = uniform_tensor([16, 14, 12], 400, 8);
-        let part = Partition3D::new(&x, [2, 2, 2], 3);
-        let rel = part.relabeled();
-        let rank = 6;
-        let factors: Vec<DenseMatrix> = rel
-            .dims()
-            .iter()
-            .map(|&d| DenseMatrix::from_fn(d, rank, |r, c| ((r * 5 + c) % 9) as f64 * 0.2))
-            .collect();
-        let fs: [&DenseMatrix; NMODES] = [&factors[0], &factors[1], &factors[2]];
-        let expect = dense_mttkrp(&rel, &fs, 0);
-
-        let mut sum = DenseMatrix::zeros(16, rank);
-        for r in 0..part.n_ranks() {
-            let local = part.local(r);
-            if local.nnz() == 0 {
-                continue;
-            }
-            let k = BlockedKernel::new(local, 0, None, None);
-            let mut out = DenseMatrix::zeros(16, rank);
-            k.mttkrp(&fs, &mut out);
-            for (s, o) in sum.as_mut_slice().iter_mut().zip(out.as_slice()) {
-                *s += o;
-            }
-        }
-        assert!(expect.approx_eq(&sum, 1e-10));
-    }
-
-    /// 4D correctness: per-strip results assemble column-wise into the full
-    /// MTTKRP.
-    #[test]
-    fn strips_reassemble_4d() {
-        let x = uniform_tensor([12, 12, 12], 300, 9);
-        let rank = 10;
-        let part = Partition4D::new(&x, [2, 1, 2], 2, rank, 5);
-        let rel = part.part3().relabeled();
-        let factors: Vec<DenseMatrix> = rel
-            .dims()
-            .iter()
-            .map(|&d| DenseMatrix::from_fn(d, rank, |r, c| ((r + 3 * c) % 7) as f64 * 0.3))
-            .collect();
-        let fs: [&DenseMatrix; NMODES] = [&factors[0], &factors[1], &factors[2]];
-        let expect = dense_mttkrp(&rel, &fs, 0);
-
-        let mut assembled = DenseMatrix::zeros(12, rank);
-        for g in 0..part.t() {
-            let cols = part.strip_cols(g);
-            // strip factors: the column window of each factor
-            let strip_factors: Vec<DenseMatrix> = factors
-                .iter()
-                .map(|f| {
-                    DenseMatrix::from_fn(f.rows(), cols.len(), |r, c| f.get(r, cols.start + c))
-                })
-                .collect();
-            let sfs: [&DenseMatrix; NMODES] =
-                [&strip_factors[0], &strip_factors[1], &strip_factors[2]];
-            for r in 0..part.part3().n_ranks() {
-                let local = part.part3().local(r);
-                if local.nnz() == 0 {
-                    continue;
-                }
-                let k = BlockedKernel::new(local, 0, None, None);
-                let mut out = DenseMatrix::zeros(12, cols.len());
-                k.mttkrp(&sfs, &mut out);
-                for row in 0..12 {
-                    for (c, col) in cols.clone().enumerate() {
-                        assembled.set(row, col, assembled.get(row, col) + out.get(row, c));
-                    }
-                }
-            }
-        }
-        assert!(expect.approx_eq(&assembled, 1e-10));
-    }
 
     #[test]
     fn run_3d_produces_sane_result() {

@@ -16,32 +16,24 @@
 //!   `q x r x s` processor grid), as described in Section VI-D.
 //! * [`part4d`] — the paper's 4D partitioning: processors split into `t`
 //!   rank-strips x a 3D grid of `p/t`, with `t` tensor replicas and an
-//!   extra (cheap) AllGather along the rank dimension.
-//! * [`exec`] — runs every rank's local MTTKRP, validates that the
-//!   partition reassembles to the sequential result, and produces the
-//!   Table III rows (grid auto-search included).
+//!   extra AllGather along the rank dimension.
+//! * [`exchange`] — one MTTKRP's data movement as a list of collectives:
+//!   priced for Table III, and run on counted thread-ranks by
+//!   [`ExchangeKernel`], an `MttkrpKernel` that CP-ALS runs unchanged.
+//! * [`exec`] — Table III's rows: the largest rank's local MTTKRP timed
+//!   for real plus the priced exchange, with the grid auto-search.
 
-//! * [`msg`] / [`mpi_exec`] — a thread-backed message-passing world and an
-//!   *executed* (not modeled) distributed MTTKRP on top of it: factor
-//!   chunks are really exchanged, partials really reduced, and wire bytes
-//!   really counted — validating the α–β model's volume assumptions.
-
-// Index-based loops are the clearer idiom for the numeric code in this
-// crate (triangular solves, coordinate walks); silence the style lint.
-#![allow(clippy::needless_range_loop)]
 #![forbid(unsafe_code)]
 
-pub mod als_dist;
 pub mod comm;
+pub mod exchange;
 pub mod exec;
-pub mod mpi_exec;
-pub mod msg;
+mod msg;
 pub mod part3d;
 pub mod part4d;
 
-pub use als_dist::{distributed_als, sequential_als_reference, DistAlsOptions, DistAlsResult};
 pub use comm::CommParams;
+pub use exchange::{Exchange, ExchangeKernel};
 pub use exec::{best_3d, best_4d, run_3d, run_4d, DistConfig, DistResult, LocalKernel};
-pub use mpi_exec::{execute_3d, execute_4d, ExecOutcome};
 pub use part3d::Partition3D;
 pub use part4d::Partition4D;

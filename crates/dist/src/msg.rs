@@ -1,39 +1,42 @@
-//! A thread-backed message-passing world: the MPI-like substrate under the
-//! *executed* (as opposed to modeled) distributed MTTKRP.
+//! A thread-backed message-passing world, the MPI-like substrate the
+//! executed exchange runs on. Every rank is a thread; sends are tagged,
+//! buffered, and matched out of order, as in MPI point-to-point, and the
+//! collectives are built on them, so the byte counter measures real wire
+//! volume.
 //!
-//! Every rank is a thread; sends are tagged, buffered, and matched out of
-//! order, exactly like MPI point-to-point semantics. Collectives are
-//! implemented on top of point-to-point so the byte counters measure real
-//! wire volume, which the tests compare against the α–β model's volume
-//! assumptions.
+//! A rank whose body panics tells every peer: a waiting `recv` then panics
+//! naming it, and [`run_world`] re-raises the first panic. Without that
+//! word a blocked `recv` would wait forever, since every rank holds a
+//! sender to every channel, its own included.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::OnceLock;
 
-type Packet = (usize, u64, Vec<f64>);
+/// What travels between ranks.
+enum Packet {
+    /// A payload: sender, tag, data.
+    Data(usize, u64, Vec<f64>),
+    /// The sender's body panicked; it will send nothing more.
+    Died(usize),
+}
 
 /// Per-rank communication context handed to the rank body.
-pub struct RankCtx {
+pub struct RankCtx<'w> {
     rank: usize,
-    size: usize,
     senders: Vec<Sender<Packet>>,
     receiver: Receiver<Packet>,
     /// Out-of-order buffer: (from, tag) -> queued payloads.
     pending: HashMap<(usize, u64), Vec<Vec<f64>>>,
-    bytes_sent: Arc<AtomicU64>,
+    bytes_sent: &'w AtomicU64,
 }
 
-impl RankCtx {
+impl RankCtx<'_> {
     /// This rank's id.
     pub fn rank(&self) -> usize {
         self.rank
-    }
-
-    /// World size.
-    pub fn size(&self) -> usize {
-        self.size
     }
 
     /// Sends `data` to rank `to` under `tag` (non-blocking; unbounded
@@ -42,12 +45,15 @@ impl RankCtx {
         self.bytes_sent
             .fetch_add((data.len() * 8) as u64, Ordering::Relaxed);
         self.senders[to]
-            .send((self.rank, tag, data))
-            .expect("receiver alive");
+            .send(Packet::Data(self.rank, tag, data))
+            .expect("a rank outlives the messages it expects");
     }
 
     /// Receives the next message from `from` with `tag`, blocking until it
     /// arrives; other messages are buffered for later matching.
+    ///
+    /// # Panics
+    /// Panics, naming the rank, once any peer's body has panicked.
     pub fn recv(&mut self, from: usize, tag: u64) -> Vec<f64> {
         if let Some(q) = self.pending.get_mut(&(from, tag)) {
             if !q.is_empty() {
@@ -55,101 +61,112 @@ impl RankCtx {
             }
         }
         loop {
-            let (f, t, data) = self.receiver.recv().expect("sender alive");
-            if f == from && t == tag {
-                return data;
+            match self.receiver.recv().expect("a rank holds its own sender") {
+                Packet::Data(f, t, data) if (f, t) == (from, tag) => return data,
+                Packet::Data(f, t, data) => self.pending.entry((f, t)).or_default().push(data),
+                Packet::Died(dead) => panic!("rank {}: rank {dead} panicked", self.rank),
             }
-            self.pending.entry((f, t)).or_default().push(data);
         }
+    }
+
+    /// Sends `parts[i]` to member `group[i]` of a group containing this
+    /// rank, and returns what every member sent this rank, in `group`
+    /// order (this rank's own part in its place). Each part goes straight
+    /// to its member, so the byte count is the true total volume.
+    fn all_to_all(&mut self, group: &[usize], tag: u64, parts: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
+        let mut own = Vec::new();
+        for (&peer, part) in group.iter().zip(parts) {
+            if peer == self.rank {
+                own = part;
+            } else {
+                self.send(peer, tag, part);
+            }
+        }
+        let mut take = |peer: usize| {
+            if peer == self.rank {
+                std::mem::take(&mut own)
+            } else {
+                self.recv(peer, tag)
+            }
+        };
+        group.iter().map(|&peer| take(peer)).collect()
     }
 
     /// AllGather within `group` (must contain this rank): returns every
-    /// member's contribution, ordered as in `group`. Naive all-to-all
-    /// exchange — the byte count is the true total volume.
+    /// member's contribution, ordered as in `group`.
     pub fn allgather(&mut self, group: &[usize], tag: u64, mine: Vec<f64>) -> Vec<Vec<f64>> {
-        debug_assert!(group.contains(&self.rank));
-        for &peer in group {
-            if peer != self.rank {
-                self.send(peer, tag, mine.clone());
-            }
-        }
-        group
-            .iter()
-            .map(|&peer| {
-                if peer == self.rank {
-                    mine.clone()
-                } else {
-                    self.recv(peer, tag)
-                }
-            })
-            .collect()
+        self.all_to_all(group, tag, vec![mine; group.len()])
     }
 
-    /// AllReduce (sum) within `group`: every member returns the
-    /// element-wise sum of all contributions.
-    pub fn allreduce_sum(&mut self, group: &[usize], tag: u64, mine: Vec<f64>) -> Vec<f64> {
-        let parts = self.allgather(group, tag, mine);
-        let mut out = vec![0.0; parts[0].len()];
-        for p in parts {
-            debug_assert_eq!(p.len(), out.len());
-            for (o, v) in out.iter_mut().zip(p) {
-                *o += v;
-            }
-        }
-        out
-    }
-
-    /// Bytes sent by ALL ranks so far (shared counter).
-    pub fn world_bytes_sent(&self) -> u64 {
-        self.bytes_sent.load(Ordering::Relaxed)
+    /// Reduce-Scatter (sum) within `group` (must contain this rank):
+    /// `parts[i]` is this rank's contribution to member `group[i]`'s block.
+    /// Returns the sum of every member's contribution to this rank's block,
+    /// added in `group` order.
+    pub fn reduce_scatter(&mut self, group: &[usize], tag: u64, parts: Vec<Vec<f64>>) -> Vec<f64> {
+        let mut received = self.all_to_all(group, tag, parts).into_iter();
+        let first = received.next().expect("a group has a member");
+        received.fold(first, |mut sum, part| {
+            sum.iter_mut().zip(part).for_each(|(s, v)| *s += v);
+            sum
+        })
     }
 }
 
 /// Runs `body` on `p` rank-threads and returns their results in rank
 /// order, plus the total bytes sent on the (simulated) wire.
+///
+/// # Panics
+/// Re-raises the panic of the first rank whose body panicked.
 pub fn run_world<F, R>(p: usize, body: F) -> (Vec<R>, u64)
 where
     F: Fn(&mut RankCtx) -> R + Sync,
     R: Send,
 {
     assert!(p > 0, "world must have at least one rank");
-    let mut senders = Vec::with_capacity(p);
-    let mut receivers = Vec::with_capacity(p);
-    for _ in 0..p {
-        let (s, r) = unbounded();
-        senders.push(s);
-        receivers.push(r);
-    }
-    let bytes = Arc::new(AtomicU64::new(0));
-
-    let results: Vec<R> = std::thread::scope(|scope| {
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..p).map(|_| channel()).unzip();
+    let bytes = AtomicU64::new(0);
+    let first_dead = OnceLock::new();
+    let mut outcomes: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = receivers
             .into_iter()
             .enumerate()
             .map(|(rank, receiver)| {
                 let senders = senders.clone();
-                let bytes = Arc::clone(&bytes);
-                let body = &body;
+                let (body, bytes, first_dead) = (&body, &bytes, &first_dead);
                 scope.spawn(move || {
                     let mut ctx = RankCtx {
                         rank,
-                        size: p,
                         senders,
                         receiver,
                         pending: HashMap::new(),
                         bytes_sent: bytes,
                     };
-                    body(&mut ctx)
+                    let outcome = catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
+                    if outcome.is_err() {
+                        let _ = first_dead.set(rank);
+                        for s in &ctx.senders {
+                            // a peer that has returned needs no word
+                            let _ = s.send(Packet::Died(rank));
+                        }
+                    }
+                    outcome
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank panicked"))
+        let joined = handles.into_iter().map(|h| h.join());
+        joined
+            .map(|j| j.expect("a rank thread catches its body's panic"))
             .collect()
     });
-    let total = bytes.load(Ordering::Relaxed);
-    (results, total)
+    if let Some(&first) = first_dead.get() {
+        if let Err(payload) = outcomes.swap_remove(first) {
+            resume_unwind(payload);
+        }
+    }
+    let results = outcomes
+        .into_iter()
+        .map(|o| o.unwrap_or_else(|p| resume_unwind(p)));
+    (results.collect(), bytes.load(Ordering::Relaxed))
 }
 
 #[cfg(test)]
@@ -202,13 +219,19 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_sums() {
-        let (results, _) = run_world(3, |ctx| {
-            ctx.allreduce_sum(&[0, 1, 2], 9, vec![ctx.rank() as f64 + 1.0])
+    fn reduce_scatter_sums_each_block_and_moves_only_foreign_parts() {
+        let (results, bytes) = run_world(3, |ctx| {
+            // rank r contributes (r + 1) * (i + 1) to member i's block of
+            // i + 1 doubles
+            let r = ctx.rank() as f64;
+            let parts = (0..3)
+                .map(|i| vec![(r + 1.0) * (i as f64 + 1.0); i + 1])
+                .collect();
+            ctx.reduce_scatter(&[0, 1, 2], 9, parts)
         });
-        for r in results {
-            assert_eq!(r, vec![6.0]);
-        }
+        assert_eq!(results, [vec![6.0], vec![12.0; 2], vec![18.0; 3]]);
+        // each block arrives from the two other members
+        assert_eq!(bytes, 2 * (1 + 2 + 3) * 8);
     }
 
     #[test]
@@ -219,15 +242,41 @@ mod tests {
             } else {
                 vec![2, 3]
             };
-            ctx.allreduce_sum(&group, 3, vec![ctx.rank() as f64])[0]
+            let mine = vec![ctx.rank() as f64];
+            ctx.reduce_scatter(&group, 3, vec![mine.clone(), mine])[0]
         });
         assert_eq!(results, vec![1.0, 1.0, 5.0, 5.0]);
     }
 
     #[test]
     fn single_rank_world() {
-        let (results, bytes) = run_world(1, |ctx| ctx.allreduce_sum(&[0], 0, vec![42.0])[0]);
+        let (results, bytes) = run_world(1, |ctx| ctx.reduce_scatter(&[0], 0, vec![vec![42.0]])[0]);
         assert_eq!(results, vec![42.0]);
         assert_eq!(bytes, 0);
+    }
+
+    #[test]
+    fn a_panicking_rank_fails_the_world_instead_of_hanging() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let outcome = catch_unwind(|| {
+                run_world(2, |ctx| {
+                    if ctx.rank() == 0 {
+                        panic!("rank 0 fails before sending");
+                    }
+                    ctx.recv(0, 1);
+                })
+            });
+            let message = outcome
+                .err()
+                .and_then(|p| p.downcast_ref::<&str>().map(|s| s.to_string()));
+            let _ = tx.send(message);
+        });
+        let message = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("the world hung after a rank panicked");
+        // the re-raised panic is the failing rank's, not its peer's
+        assert_eq!(message.as_deref(), Some("rank 0 fails before sending"));
+        helper.join().expect("helper thread");
     }
 }

@@ -28,13 +28,10 @@ use tenblock_tensor::{CellGrid, CooTensor, Entry, Idx, NMODES};
 /// assert!(part.imbalance() < 2.0); // greedy nnz balancing
 /// ```
 pub struct Partition3D {
-    grid: [usize; NMODES],
     dims: [usize; NMODES],
     /// Greedy chunk boundaries per mode (in relabeled index space),
     /// `grid[m] + 1` entries each.
     bounds: [Vec<usize>; NMODES],
-    /// Relabeling maps: `new_index = perm_maps[m][old_index]`.
-    perm_maps: [Vec<Idx>; NMODES],
     /// Per-rank local tensors (relabeled coordinates, global dims), indexed
     /// `a*(r*s) + b*s + c`.
     locals: Vec<CooTensor>,
@@ -43,37 +40,25 @@ pub struct Partition3D {
 
 /// Greedy nnz-balanced boundaries: walk indices in order, cutting a chunk
 /// once it holds at least `nnz / n` nonzeros (the paper's step 2), while
-/// leaving enough indices for the remaining chunks.
+/// leaving at least one index for each remaining chunk.
 fn greedy_bounds(per_index_nnz: &[usize], n: usize) -> Vec<usize> {
     let dim = per_index_nnz.len();
-    let total: usize = per_index_nnz.iter().sum();
-    let mut bounds = Vec::with_capacity(n + 1);
-    bounds.push(0);
+    let target = per_index_nnz.iter().sum::<usize>().div_ceil(n);
+    let mut bounds = vec![0];
     let mut idx = 0;
-    for chunk in 0..n {
-        let remaining_chunks = n - chunk;
-        let target = total.div_ceil(n);
-        let mut acc = 0;
-        // leave at least one index per remaining chunk
-        let max_end = dim - (remaining_chunks - 1);
-        while idx < max_end && (acc < target || chunk == n - 1) {
+    for chunk in 1..n {
+        let (max_end, mut acc) = (dim - (n - chunk), 0);
+        while idx < max_end && acc < target {
             acc += per_index_nnz[idx];
             idx += 1;
-            if chunk == n - 1 && idx == dim {
-                break;
-            }
-        }
-        if chunk == n - 1 {
-            idx = dim;
         }
         bounds.push(idx);
     }
-    debug_assert_eq!(*bounds.last().unwrap(), dim);
+    bounds.push(dim);
     bounds
 }
 
 /// The chunk containing `idx`.
-#[inline]
 fn find_chunk(bounds: &[usize], idx: usize) -> usize {
     bounds.partition_point(|&b| b <= idx) - 1
 }
@@ -129,18 +114,11 @@ impl Partition3D {
             .collect();
 
         Partition3D {
-            grid,
             dims,
             bounds,
-            perm_maps,
             locals,
             nnz: coo.nnz(),
         }
-    }
-
-    /// The processor grid.
-    pub fn grid(&self) -> [usize; NMODES] {
-        self.grid
     }
 
     /// Tensor dimensions.
@@ -158,14 +136,9 @@ impl Partition3D {
         &self.locals[rank]
     }
 
-    /// Chunk boundaries of mode `m` (relabeled index space).
-    pub fn bounds(&self, m: usize) -> &[usize] {
-        &self.bounds[m]
-    }
-
-    /// The relabeling map of mode `m`.
-    pub fn perm_map(&self, m: usize) -> &[Idx] {
-        &self.perm_maps[m]
+    /// Chunk boundaries of every mode (relabeled index space).
+    pub fn bounds(&self) -> [&[usize]; NMODES] {
+        self.bounds.each_ref().map(Vec::as_slice)
     }
 
     /// Per-rank nonzero counts.
@@ -251,9 +224,9 @@ mod tests {
                 for c in 0..2 {
                     let rank = (a * 3 + b) * 2 + c;
                     for e in p.local(rank).entries() {
-                        assert!(find_chunk(p.bounds(0), e.idx[0] as usize) == a);
-                        assert!(find_chunk(p.bounds(1), e.idx[1] as usize) == b);
-                        assert!(find_chunk(p.bounds(2), e.idx[2] as usize) == c);
+                        assert!(find_chunk(p.bounds()[0], e.idx[0] as usize) == a);
+                        assert!(find_chunk(p.bounds()[1], e.idx[1] as usize) == b);
+                        assert!(find_chunk(p.bounds()[2], e.idx[2] as usize) == c);
                     }
                 }
             }
@@ -274,10 +247,15 @@ mod tests {
         let a = Partition3D::new(&x, [2, 2, 1], 42);
         let b = Partition3D::new(&x, [2, 2, 1], 42);
         assert_eq!(a.rank_nnz(), b.rank_nnz());
-        assert_ne!(
-            Partition3D::new(&x, [2, 2, 1], 43).perm_map(0),
-            a.perm_map(0)
-        );
+        let coords = |p: &Partition3D| {
+            p.relabeled()
+                .entries()
+                .iter()
+                .map(|e| e.idx)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(coords(&a), coords(&b));
+        assert_ne!(coords(&Partition3D::new(&x, [2, 2, 1], 43)), coords(&a));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! rank dimension to reassemble full factors.
 
 use crate::part3d::Partition3D;
+use tenblock_tensor::cell_grid::uniform_bounds;
 use tenblock_tensor::{CooTensor, NMODES};
 
 /// A 4D (`q' x r' x s' x t`) partition.
@@ -15,8 +16,6 @@ pub struct Partition4D {
     /// The shared 3D partition applied inside every rank-group (the tensor
     /// replica: every group holds the same distribution).
     part3: Partition3D,
-    /// Number of rank-strips `t`.
-    t: usize,
     /// Column boundaries of the rank strips: `t + 1` entries over `0..R`.
     col_bounds: Vec<usize>,
 }
@@ -30,17 +29,15 @@ impl Partition4D {
     pub fn new(coo: &CooTensor, grid3: [usize; NMODES], t: usize, rank: usize, seed: u64) -> Self {
         assert!(t > 0, "t must be positive");
         assert!(t <= rank, "cannot split rank {rank} into {t} strips");
-        let col_bounds = (0..=t).map(|g| g * rank / t).collect();
         Partition4D {
             part3: Partition3D::new(coo, grid3, seed),
-            t,
-            col_bounds,
+            col_bounds: uniform_bounds(rank, t),
         }
     }
 
     /// Number of rank-strips.
     pub fn t(&self) -> usize {
-        self.t
+        self.col_bounds.len() - 1
     }
 
     /// The 3D partition shared by every strip group.
@@ -48,27 +45,14 @@ impl Partition4D {
         &self.part3
     }
 
-    /// Total ranks: `t * q * r * s`.
-    pub fn n_ranks(&self) -> usize {
-        self.t * self.part3.n_ranks()
+    /// Column boundaries of the rank strips: `t + 1` entries over `0..R`.
+    pub fn strip_bounds(&self) -> &[usize] {
+        &self.col_bounds
     }
 
     /// Column range of strip group `g`.
     pub fn strip_cols(&self, g: usize) -> std::ops::Range<usize> {
         self.col_bounds[g]..self.col_bounds[g + 1]
-    }
-
-    /// Width of the widest strip (per-group local rank).
-    pub fn max_strip_width(&self) -> usize {
-        (0..self.t)
-            .map(|g| self.strip_cols(g).len())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Memory overhead factor of tensor replication: `t` copies.
-    pub fn replication_factor(&self) -> usize {
-        self.t
     }
 }
 
@@ -81,7 +65,7 @@ mod tests {
     fn strips_cover_rank_exactly() {
         let x = uniform_tensor([20, 20, 20], 400, 3);
         let p = Partition4D::new(&x, [2, 1, 2], 3, 32, 1);
-        assert_eq!(p.n_ranks(), 12);
+        assert_eq!(p.part3().n_ranks(), 4);
         let mut covered = 0;
         for g in 0..3 {
             let r = p.strip_cols(g);
@@ -90,15 +74,13 @@ mod tests {
             assert!(!r.is_empty());
         }
         assert_eq!(covered, 32);
-        assert_eq!(p.max_strip_width(), 11);
-        assert_eq!(p.replication_factor(), 3);
     }
 
     #[test]
     fn t_equals_one_degenerates_to_3d() {
         let x = uniform_tensor([10, 10, 10], 100, 5);
         let p = Partition4D::new(&x, [2, 2, 1], 1, 16, 2);
-        assert_eq!(p.n_ranks(), 4);
+        assert_eq!(p.part3().n_ranks(), 4);
         assert_eq!(p.strip_cols(0), 0..16);
     }
 

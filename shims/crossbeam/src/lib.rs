@@ -1,12 +1,11 @@
 //! Offline shim for the `crossbeam` crate: the [`channel`] module only,
-//! which is all this workspace uses (`tenblock-dist` message passing and
-//! the `tenblock-serve` job queue).
+//! which is all this workspace uses (the `tenblock-serve` job queue).
 //!
 //! Channels are multi-producer **multi-consumer**, like crossbeam's and
 //! unlike `std::sync::mpsc`. The implementation is a `Mutex<VecDeque>`
 //! with two condvars; throughput is far below the real crate's lock-free
 //! queues, but the payloads moved through these channels (tensors, MTTKRP
-//! jobs, rank messages) are large enough that channel overhead is noise.
+//! jobs) are large enough that channel overhead is noise.
 
 #![forbid(unsafe_code)]
 // A stand-in for an external crate: the workspace's lock rule is not its.
