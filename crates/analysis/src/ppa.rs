@@ -24,7 +24,10 @@
 //! `process_block_plain` has: numerically equal to the shipped kernel, not
 //! equal in time. Types 1–2 measure exactly the `B`-row latency that
 //! look-ahead hides, so Table I stays a reproduction of the paper's
-//! experiment, not a profile of the kernel that ships.
+//! experiment, not a profile of the kernel that ships. For the same reason
+//! every variant, baseline included, is compiled at the target's baseline
+//! width, not dispatched to AVX-512/AVX2 as the shipped loops are: the rows
+//! compare like with like.
 
 use std::hint::black_box;
 use std::time::Instant;

@@ -26,6 +26,15 @@
 //! the rows of the expensive mode-2 factor block are reused across the
 //! inner `k` sweep.
 //!
+//! Both loops run at the host's full vector width: [`BlockBody`] reads the
+//! widest [`Isa`] once and hands it to each loop, which runs a copy of
+//! itself compiled for that set (AVX-512, AVX2, or the baseline's SSE2).
+//! The bits cannot move with the width. Both loops are element-wise over
+//! the rank axis — one output column never meets another — so a wider
+//! register only does more columns' scalar operations at once, each
+//! element's terms are still added in the same order, and Rust never
+//! contracts a multiply and an add into an FMA.
+//!
 //! Parallelism is over output rows: every block row is cut into pieces no
 //! taller than [`ExecPolicy::chunk_size`] of the output, and pieces write
 //! disjoint rows, so no synchronization is needed. With one block row the
@@ -34,6 +43,7 @@
 use super::{build_layout, BlockGrid};
 use crate::checked::effective_strip_plan;
 use crate::exec::ExecPolicy;
+use crate::isa::Isa;
 use crate::kernel::RowTask;
 use crate::mttkrp::{process_block_plain, process_block_rankb, DenseWindow, REG_BLOCK};
 use std::ops::Range;
@@ -284,9 +294,11 @@ impl crate::kernel::RowKernel for BlockedKernel {
 }
 
 /// The per-block body of the blocked kernel at one rank, shared by the
-/// in-memory launch and the streaming driver: the strip plan, chosen once,
-/// and the accumulator the plain loop reuses from block to block.
+/// in-memory launch and the streaming driver: the instruction set and the
+/// strip plan, chosen once, and the accumulator the plain loop reuses from
+/// block to block.
 pub(crate) struct BlockBody {
+    isa: Isa,
     /// The strip width and its `(col0, width)` plan, for a strip kernel.
     strips: Option<(usize, Vec<(usize, usize)>)>,
     accum: Vec<f64>,
@@ -294,9 +306,11 @@ pub(crate) struct BlockBody {
 
 impl BlockBody {
     /// The body of a launch at `rank` columns with strips of `strip`
-    /// columns (`None`: the accumulator loop in every block).
+    /// columns (`None`: the accumulator loop in every block), on the
+    /// widest instruction set the host runs.
     pub(crate) fn new(rank: usize, strip: Option<usize>) -> Self {
         BlockBody {
+            isa: Isa::best(),
             strips: strip.map(|w| (w, effective_strip_plan(rank, w))),
             accum: vec![0.0; rank],
         }
@@ -324,10 +338,13 @@ impl BlockBody {
                         DenseWindow::new(b, col0, width),
                         DenseWindow::new(c, col0, width),
                     );
-                    process_block_rankb(t, &bw, &cw, slices.clone(), rows, row0, rank, col0, width);
+                    let slices = slices.clone();
+                    process_block_rankb(
+                        self.isa, t, &bw, &cw, slices, rows, row0, rank, col0, width,
+                    );
                 }
             }
-            _ => process_block_plain(t, b, c, slices, rows, row0, &mut self.accum),
+            _ => process_block_plain(self.isa, t, b, c, slices, rows, row0, &mut self.accum),
         }
     }
 }

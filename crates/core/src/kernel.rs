@@ -12,6 +12,7 @@
 use crate::block::{build_layout, BlockGrid, BlockedKernel};
 use crate::checked::verify;
 use crate::exec::ExecPolicy;
+use crate::isa::Isa;
 use crate::mttkrp::{CooKernel, CsfKernel};
 use rayon::prelude::*;
 use std::ops::Range;
@@ -99,6 +100,12 @@ pub(crate) trait RowKernel: Send + Sync {
     }
     /// Section IV counters of one launch at `rank` columns.
     fn counters(&self, rank: usize) -> KernelCounters;
+    /// The instruction set `run_task`'s loops run on, which the span
+    /// reports: the host's widest, unless the kernel stays at the
+    /// baseline.
+    fn isa(&self) -> Isa {
+        Isa::best()
+    }
     /// Adds `task`'s contribution to `rows`: the task's output rows, `rank`
     /// wide. A kernel with rank strips walks them here.
     fn run_task(
@@ -174,6 +181,7 @@ fn try_launch<K: RowKernel>(
     let _span = rec.enabled().then(|| {
         let span = rec.span(&format!("mttkrp/{}", k.name()));
         span.annotate_num("mode", mode as f64);
+        span.annotate_str("isa", k.isa().name());
         span.counters(&k.counters(rank));
         span
     });

@@ -52,7 +52,13 @@
 
 // Index loops are the clearer idiom for the numeric kernels here.
 #![allow(clippy::needless_range_loop)]
-// One `unsafe` block in the crate: `mttkrp::prefetch_row`, the only `allow`.
+// `unsafe` in the crate, four items, each with its own `allow` and a
+// `// SAFETY:` comment: `mttkrp::prefetch_row` (a prefetch hint, which
+// cannot fault), and the three dispatch functions of the sparse loops
+// (`mttkrp::process_block_plain`, `mttkrp::process_block_rankb`,
+// `mttkrp::coo::coo_rows`), whose `unsafe` calls to `#[target_feature]`
+// entry points rest on the `is_x86_feature_detected!` check behind every
+// [`isa::Isa`] above the baseline. Anything else is an error.
 #![deny(unsafe_code)]
 // Production paths return typed errors; waivers are `#[expect]`s with a
 // reason (`clippy.toml` exempts tests).
@@ -62,6 +68,7 @@
 pub mod block;
 mod checked;
 pub mod exec;
+pub mod isa;
 pub mod kernel;
 pub mod mttkrp;
 pub mod stream;

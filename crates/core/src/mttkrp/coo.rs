@@ -7,6 +7,7 @@
 //! extra work Algorithm 1 saves.
 
 use crate::exec::ExecPolicy;
+use crate::isa::{Isa, Kind};
 use crate::kernel::RowTask;
 use crate::mttkrp::{prefetch_row, AHEAD};
 use tenblock_obs::KernelCounters;
@@ -109,19 +110,80 @@ impl crate::kernel::RowKernel for CooKernel {
         rank: usize,
     ) {
         let (b, c) = (factors[self.perm[1]], factors[self.perm[2]]);
-        for (n, &(i, j, k, v)) in self.entries.iter().enumerate() {
-            // The same look-ahead as `process_block_plain`, so the kernel
-            // table compares like with like.
-            if let Some(&(_, ja, ka, _)) = self.entries.get(n + AHEAD) {
-                prefetch_row(b.row(ja as usize));
-                prefetch_row(c.row(ka as usize));
-            }
-            let brow = b.row(j as usize);
-            let crow = c.row(k as usize);
-            let orow = &mut rows[i as usize * rank..(i as usize + 1) * rank];
-            for ((o, &bv), &cv) in orow.iter_mut().zip(brow).zip(crow) {
-                *o += v * bv * cv;
-            }
+        coo_rows(Isa::best(), &self.entries, b, c, rows, rank);
+    }
+}
+
+/// Adds every entry's `v * B[j] * C[k]` into row `i` of `rows` (`rank`
+/// wide), in entry order, with the loop compiled for `isa`. It has
+/// `process_block_plain`'s look-ahead and dispatch, so the kernel table
+/// compares like with like.
+#[allow(unsafe_code)]
+pub(super) fn coo_rows(
+    isa: Isa,
+    entries: &[(Idx, Idx, Idx, f64)],
+    b: &DenseMatrix,
+    c: &DenseMatrix,
+    rows: &mut [f64],
+    rank: usize,
+) {
+    match isa.kind() {
+        // SAFETY: an `Isa` of kind `Avx512` is made only after
+        // `is_x86_feature_detected!("avx512f")` (`Isa::best`/`Isa::all`).
+        #[cfg(target_arch = "x86_64")]
+        Kind::Avx512 => unsafe { coo_avx512(entries, b, c, rows, rank) },
+        // SAFETY: likewise after `is_x86_feature_detected!("avx2")`.
+        #[cfg(target_arch = "x86_64")]
+        Kind::Avx2 => unsafe { coo_avx2(entries, b, c, rows, rank) },
+        Kind::Baseline => coo_body(entries, b, c, rows, rank),
+    }
+}
+
+/// [`coo_body`] compiled for AVX-512.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn coo_avx512(
+    entries: &[(Idx, Idx, Idx, f64)],
+    b: &DenseMatrix,
+    c: &DenseMatrix,
+    rows: &mut [f64],
+    rank: usize,
+) {
+    coo_body(entries, b, c, rows, rank)
+}
+
+/// [`coo_body`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn coo_avx2(
+    entries: &[(Idx, Idx, Idx, f64)],
+    b: &DenseMatrix,
+    c: &DenseMatrix,
+    rows: &mut [f64],
+    rank: usize,
+) {
+    coo_body(entries, b, c, rows, rank)
+}
+
+/// [`coo_rows`]'s loop, inlined into each of its entry points.
+#[inline(always)]
+fn coo_body(
+    entries: &[(Idx, Idx, Idx, f64)],
+    b: &DenseMatrix,
+    c: &DenseMatrix,
+    rows: &mut [f64],
+    rank: usize,
+) {
+    for (n, &(i, j, k, v)) in entries.iter().enumerate() {
+        if let Some(&(_, ja, ka, _)) = entries.get(n + AHEAD) {
+            prefetch_row(b.row(ja as usize));
+            prefetch_row(c.row(ka as usize));
+        }
+        let brow = b.row(j as usize);
+        let crow = c.row(k as usize);
+        let orow = &mut rows[i as usize * rank..(i as usize + 1) * rank];
+        for ((o, &bv), &cv) in orow.iter_mut().zip(brow).zip(crow) {
+            *o += v * bv * cv;
         }
     }
 }

@@ -7,9 +7,15 @@
 //! Hadamard product of its factor row with the sum of its children, and the
 //! root row of the output accumulates the sums of its level-1 children —
 //! the order-N generalization of Algorithm 1's per-fiber factoring.
+//!
+//! Unlike the three-mode loops, CSF's run at the baseline width: it is the
+//! order-N path, the slowest kernel in every kernel table, and no
+//! benchmark workload decomposes with it, so it is not compiled per
+//! instruction set, and its span says `isa: baseline`.
 
 use crate::checked::effective_strip_plan;
 use crate::exec::ExecPolicy;
+use crate::isa::Isa;
 use crate::kernel::{launch, RowTask};
 use crate::mttkrp::REG_BLOCK;
 use std::ops::Range;
@@ -236,6 +242,11 @@ impl crate::kernel::RowKernel for CsfKernel {
         };
         KernelCounters::fibered_model(self.t.nnz() as u64, fibers as u64, rank as u64)
             .with_strips(self.strip_plan(rank).len() as u64)
+    }
+
+    /// CSF stays at the baseline width (see the module doc).
+    fn isa(&self) -> Isa {
+        Isa::BASELINE
     }
 
     /// The task's roots once per rank strip, strips in order.

@@ -1,6 +1,18 @@
 //! MTTKRP kernels: the inner loops [`crate::block::BlockedKernel`] runs
 //! (Algorithm 1's accumulator loop and Algorithm 2's register-blocked one),
 //! the COO and CSF kernels, and a dense reference implementation.
+//!
+//! The two inner loops and the COO loop run at the host's full vector
+//! width. Each is written once, as an `#[inline(always)]` body, and
+//! compiled three times: into an `avx512f` and an `avx2`
+//! `#[target_feature]` entry point, and as the baseline (SSE2 on x86_64)
+//! that calls the body directly. The caller passes the
+//! [`crate::isa::Isa`] that detection chose, and the loop dispatches on it.
+//! A wider vector cannot move a bit: every loop is element-wise over the
+//! rank axis, so each output element still gets its terms added in the
+//! same order, each a separate multiply and add — Rust never contracts
+//! them into an FMA. At AVX-512 Algorithm 2's `N_RegB = 16` register block
+//! is two registers instead of eight.
 
 mod coo;
 mod csf;
@@ -10,6 +22,8 @@ pub use coo::CooKernel;
 pub use csf::{nd_mttkrp_reference, CsfKernel};
 pub use dense_ref::dense_mttkrp;
 
+use crate::isa::{Isa, Kind};
+use std::ops::Range;
 use tenblock_tensor::{DenseMatrix, SplattTensor};
 
 /// Register-block width: 16 doubles = 128 bytes = one POWER8 cache line,
@@ -112,11 +126,72 @@ pub(crate) fn prefetch_row(row: &[f64]) {
 /// slice boundaries and stops at the block's end — and a fiber of one
 /// nonzero skips the accumulator's store and reload. Neither changes a
 /// rounding: outputs are bit-identical to the loop without them.
+///
+/// The loop runs compiled for `isa` (see the module doc).
+#[expect(
+    clippy::too_many_arguments,
+    reason = "Algorithm 1's inner loop over one block and output slab, on one ISA"
+)]
+#[allow(unsafe_code)]
 pub(crate) fn process_block_plain(
+    isa: Isa,
     t: &SplattTensor,
     b: &DenseMatrix,
     c: &DenseMatrix,
-    slices: std::ops::Range<usize>,
+    slices: Range<usize>,
+    out_rows: &mut [f64],
+    row0: usize,
+    accum: &mut [f64],
+) {
+    match isa.kind() {
+        // SAFETY: an `Isa` of kind `Avx512` is made only after
+        // `is_x86_feature_detected!("avx512f")` (`Isa::best`/`Isa::all`).
+        #[cfg(target_arch = "x86_64")]
+        Kind::Avx512 => unsafe { plain_avx512(t, b, c, slices, out_rows, row0, accum) },
+        // SAFETY: likewise after `is_x86_feature_detected!("avx2")`.
+        #[cfg(target_arch = "x86_64")]
+        Kind::Avx2 => unsafe { plain_avx2(t, b, c, slices, out_rows, row0, accum) },
+        Kind::Baseline => plain_body(t, b, c, slices, out_rows, row0, accum),
+    }
+}
+
+/// [`plain_body`] compiled for AVX-512.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn plain_avx512(
+    t: &SplattTensor,
+    b: &DenseMatrix,
+    c: &DenseMatrix,
+    slices: Range<usize>,
+    out_rows: &mut [f64],
+    row0: usize,
+    accum: &mut [f64],
+) {
+    plain_body(t, b, c, slices, out_rows, row0, accum)
+}
+
+/// [`plain_body`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn plain_avx2(
+    t: &SplattTensor,
+    b: &DenseMatrix,
+    c: &DenseMatrix,
+    slices: Range<usize>,
+    out_rows: &mut [f64],
+    row0: usize,
+    accum: &mut [f64],
+) {
+    plain_body(t, b, c, slices, out_rows, row0, accum)
+}
+
+/// [`process_block_plain`]'s loop, inlined into each of its entry points.
+#[inline(always)]
+fn plain_body(
+    t: &SplattTensor,
+    b: &DenseMatrix,
+    c: &DenseMatrix,
+    slices: Range<usize>,
     out_rows: &mut [f64],
     row0: usize,
     accum: &mut [f64],
@@ -176,16 +251,83 @@ pub(crate) fn process_block_plain(
 ///
 /// `out_col0` is the column in `out_rows` where the window starts (equal to
 /// the window's first rank column); `rank` is the full width of `out_rows`
-/// rows.
+/// rows. The loop runs compiled for `isa` (see the module doc).
 #[expect(
     clippy::too_many_arguments,
-    reason = "Algorithm 2's inner loop over one block, window and output slab"
+    reason = "Algorithm 2's inner loop over one block, window and output slab, on one ISA"
 )]
+#[allow(unsafe_code)]
 pub(crate) fn process_block_rankb(
+    isa: Isa,
     t: &SplattTensor,
     b: &DenseWindow,
     c: &DenseWindow,
-    slices: std::ops::Range<usize>,
+    slices: Range<usize>,
+    out_rows: &mut [f64],
+    row0: usize,
+    rank: usize,
+    out_col0: usize,
+    width: usize,
+) {
+    match isa.kind() {
+        // SAFETY: an `Isa` of kind `Avx512` is made only after
+        // `is_x86_feature_detected!("avx512f")` (`Isa::best`/`Isa::all`).
+        #[cfg(target_arch = "x86_64")]
+        Kind::Avx512 => unsafe {
+            rankb_avx512(t, b, c, slices, out_rows, row0, rank, out_col0, width)
+        },
+        // SAFETY: likewise after `is_x86_feature_detected!("avx2")`.
+        #[cfg(target_arch = "x86_64")]
+        Kind::Avx2 => unsafe { rankb_avx2(t, b, c, slices, out_rows, row0, rank, out_col0, width) },
+        Kind::Baseline => rankb_body(t, b, c, slices, out_rows, row0, rank, out_col0, width),
+    }
+}
+
+/// [`rankb_body`] compiled for AVX-512: the 16-double register block is
+/// two registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[expect(clippy::too_many_arguments, reason = "process_block_rankb's")]
+fn rankb_avx512(
+    t: &SplattTensor,
+    b: &DenseWindow,
+    c: &DenseWindow,
+    slices: Range<usize>,
+    out_rows: &mut [f64],
+    row0: usize,
+    rank: usize,
+    out_col0: usize,
+    width: usize,
+) {
+    rankb_body(t, b, c, slices, out_rows, row0, rank, out_col0, width)
+}
+
+/// [`rankb_body`] compiled for AVX2: the register block is four registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[expect(clippy::too_many_arguments, reason = "process_block_rankb's")]
+fn rankb_avx2(
+    t: &SplattTensor,
+    b: &DenseWindow,
+    c: &DenseWindow,
+    slices: Range<usize>,
+    out_rows: &mut [f64],
+    row0: usize,
+    rank: usize,
+    out_col0: usize,
+    width: usize,
+) {
+    rankb_body(t, b, c, slices, out_rows, row0, rank, out_col0, width)
+}
+
+/// [`process_block_rankb`]'s loop, inlined into each of its entry points.
+#[inline(always)]
+#[expect(clippy::too_many_arguments, reason = "process_block_rankb's")]
+fn rankb_body(
+    t: &SplattTensor,
+    b: &DenseWindow,
+    c: &DenseWindow,
+    slices: Range<usize>,
     out_rows: &mut [f64],
     row0: usize,
     rank: usize,
@@ -263,12 +405,23 @@ mod tests {
         let rank = 4;
         let mut out_plain = vec![0.0; 3 * rank];
         let mut accum = vec![0.0; rank];
-        process_block_plain(&t, &b, &c, 0..3, &mut out_plain, 0, &mut accum);
+        process_block_plain(Isa::best(), &t, &b, &c, 0..3, &mut out_plain, 0, &mut accum);
 
         let mut out_rb = vec![0.0; 3 * rank];
         let bw = DenseWindow::new(&b, 0, rank);
         let cw = DenseWindow::new(&c, 0, rank);
-        process_block_rankb(&t, &bw, &cw, 0..3, &mut out_rb, 0, rank, 0, rank);
+        process_block_rankb(
+            Isa::best(),
+            &t,
+            &bw,
+            &cw,
+            0..3,
+            &mut out_rb,
+            0,
+            rank,
+            0,
+            rank,
+        );
 
         for (p, r) in out_plain.iter().zip(&out_rb) {
             assert!((p - r).abs() < 1e-12, "{p} vs {r}");
@@ -281,7 +434,7 @@ mod tests {
         t: &SplattTensor,
         b: &DenseMatrix,
         c: &DenseMatrix,
-        slices: std::ops::Range<usize>,
+        slices: Range<usize>,
         out_rows: &mut [f64],
         row0: usize,
         accum: &mut [f64],
@@ -340,7 +493,7 @@ mod tests {
     fn assert_plain_matches_reference(
         x: &CooTensor,
         factor: impl Fn(usize, usize, u64) -> DenseMatrix,
-        slices: impl Fn(usize) -> std::ops::Range<usize>,
+        slices: impl Fn(usize) -> Range<usize>,
         seed: impl Fn(usize) -> f64,
         what: &str,
     ) {
@@ -354,7 +507,16 @@ mod tests {
                 let mut got = want.clone();
                 let mut accum = vec![0.0; rank];
                 plain_reference(&t, &b, &c, slices(rows), &mut want, 0, &mut accum);
-                process_block_plain(&t, &b, &c, slices(rows), &mut got, 0, &mut accum);
+                process_block_plain(
+                    Isa::best(),
+                    &t,
+                    &b,
+                    &c,
+                    slices(rows),
+                    &mut got,
+                    0,
+                    &mut accum,
+                );
                 assert_same_bits(&got, &want, &format!("{what}, mode {mode}, rank {rank}"));
             }
         }
@@ -414,29 +576,34 @@ mod tests {
         assert_plain_matches_reference(&one_fiber, hashed_factor, all, seeded, "one long fiber");
     }
 
-    #[test]
-    fn single_nonzero_fibers_round_like_the_accumulator() {
-        // A tensor value is finite by construction; the factors carry the
-        // rest. Slice 0 opens with a two-nonzero fiber, so every later
-        // single-nonzero fiber folds into a row an earlier fiber wrote.
-        let tiny = f64::MIN_POSITIVE / 8.0;
-        let vals = [-0.0, 0.0, tiny, -tiny, 1.5, -2.5];
+    const TINY: f64 = f64::MIN_POSITIVE / 8.0;
+
+    /// [`hashed_factor`] with signed zeros, NaN, infinities and subnormals
+    /// spread among its entries.
+    fn special_factor(rows: usize, rank: usize, salt: u64) -> DenseMatrix {
         let specials = [
             -0.0,
             0.0,
             f64::NAN,
             f64::INFINITY,
             f64::NEG_INFINITY,
-            tiny,
-            -tiny,
+            TINY,
+            -TINY,
         ];
-        let special_factor = |rows: usize, rank: usize, salt: u64| {
-            let plain = hashed_factor(rows, rank, salt);
-            DenseMatrix::from_fn(rows, rank, |r, c| {
-                let pick = (r * rank + c) * 3 + salt as usize;
-                *specials.get(pick % 19).unwrap_or(&plain.get(r, c))
-            })
-        };
+        let plain = hashed_factor(rows, rank, salt);
+        DenseMatrix::from_fn(rows, rank, |r, c| {
+            let pick = (r * rank + c) * 3 + salt as usize;
+            *specials.get(pick % 19).unwrap_or(&plain.get(r, c))
+        })
+    }
+
+    /// Two slices of single-nonzero fibers whose values include both
+    /// zeros and subnormals. A tensor value is finite by construction; the
+    /// factors carry the rest. Slice 0 opens with a two-nonzero fiber, so
+    /// every later single-nonzero fiber folds into a row an earlier fiber
+    /// wrote.
+    fn single_nonzero_fibers() -> CooTensor {
+        let vals = [-0.0, 0.0, TINY, -TINY, 1.5, -2.5];
         let (mut i, mut j, mut k, mut v) = (vec![0, 0], vec![0, 1], vec![0, 0], vec![2.0, -3.0]);
         for (n, &val) in vals.iter().enumerate() {
             for slice in [0, 1] {
@@ -446,7 +613,12 @@ mod tests {
                 v.push(val);
             }
         }
-        let x = CooTensor::from_triples([2, 3, vals.len() + 1], &i, &j, &k, &v);
+        CooTensor::from_triples([2, 3, vals.len() + 1], &i, &j, &k, &v)
+    }
+
+    #[test]
+    fn single_nonzero_fibers_round_like_the_accumulator() {
+        let x = single_nonzero_fibers();
         let all = |rows: usize| 0..rows;
         for factor in [&hashed_factor as &dyn Fn(_, _, _) -> _, &special_factor] {
             assert_plain_matches_reference(&x, factor, all, |_| 0.0, "special values");
@@ -456,6 +628,91 @@ mod tests {
             // `(-0.0 * bv) * cv` leave zeros of different sign. This pins
             // the `0.0 +`.
             assert_plain_matches_reference(&x, factor, all, |_| -0.0, "special values, -0.0");
+        }
+    }
+
+    /// The plain, register and COO loops compiled for every instruction set
+    /// this host runs add the baseline's bits: ranks below, at and above the
+    /// register block and its multiples, strips of 16, 24 (a register chunk
+    /// and a remainder per strip) and the full rank, fibers of one nonzero
+    /// and of many, `-0.0` in the tensor, the factors and the output.
+    #[test]
+    fn every_isa_reproduces_the_baseline_bits() {
+        use super::coo::coo_rows;
+        use tenblock_tensor::coo::perm_for_mode;
+        use tenblock_tensor::gen::uniform_tensor;
+
+        /// A loop to run; `Strips(usize::MAX)` is one full-rank strip.
+        #[derive(Clone, Copy, Debug)]
+        enum Loop {
+            Plain,
+            Strips(usize),
+            Coo,
+        }
+        const LOOPS: [Loop; 5] = [
+            Loop::Plain,
+            Loop::Strips(16),
+            Loop::Strips(24),
+            Loop::Strips(usize::MAX),
+            Loop::Coo,
+        ];
+        let tensors = [
+            (uniform_tensor([6, 9, 7], 110, 3), "mixed fibers"),
+            (single_nonzero_fibers(), "single-nonzero fibers"),
+        ];
+        let factors = [&hashed_factor as &dyn Fn(_, _, _) -> _, &special_factor];
+        let seeds = [|n: usize| (n % 7) as f64 - 3.0, |_| -0.0];
+        for ((x, name), factor, seed) in tensors
+            .iter()
+            .flat_map(|x| factors.map(|f| (x, f)))
+            .flat_map(|(x, f)| seeds.map(|s| (x, f, s)))
+        {
+            for mode in 0..3 {
+                let t = SplattTensor::for_mode(x, mode);
+                let perm = perm_for_mode(mode);
+                let [rows, jlen, klen] = perm.map(|m| x.dims()[m]);
+                let entries: Vec<_> = (x.entries().iter())
+                    .map(|e| (e.idx[perm[0]], e.idx[perm[1]], e.idx[perm[2]], e.val))
+                    .collect();
+                for rank in [1, 5, 15, 16, 17, 37, 64, 128] {
+                    let (b, c) = (factor(jlen, rank, 0xb), factor(klen, rank, 0xc));
+                    let start: Vec<f64> = (0..rows * rank).map(seed).collect();
+                    let run = |isa: Isa, lp: Loop| {
+                        let mut out = start.clone();
+                        match lp {
+                            Loop::Plain => {
+                                let mut accum = vec![0.0; rank];
+                                let out = &mut out;
+                                process_block_plain(isa, &t, &b, &c, 0..rows, out, 0, &mut accum);
+                            }
+                            Loop::Coo => coo_rows(isa, &entries, &b, &c, &mut out, rank),
+                            Loop::Strips(strip) => {
+                                let strip = strip.min(rank);
+                                for col0 in (0..rank).step_by(strip) {
+                                    let width = strip.min(rank - col0);
+                                    let bw = DenseWindow::new(&b, col0, width);
+                                    let cw = DenseWindow::new(&c, col0, width);
+                                    let (out, slices) = (&mut out, 0..rows);
+                                    process_block_rankb(
+                                        isa, &t, &bw, &cw, slices, out, 0, rank, col0, width,
+                                    );
+                                }
+                            }
+                        }
+                        out
+                    };
+                    for lp in LOOPS {
+                        let want = run(Isa::BASELINE, lp);
+                        for isa in Isa::all() {
+                            assert_same_bits(
+                                &run(isa, lp),
+                                &want,
+                                &format!("{lp:?} on {isa:?}: {name}, mode {mode}, rank {rank}"),
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -507,12 +764,23 @@ mod tests {
 
         let mut out_plain = vec![0.0; 3 * rank];
         let mut accum = vec![0.0; rank];
-        process_block_plain(&t, &b, &c, 0..3, &mut out_plain, 0, &mut accum);
+        process_block_plain(Isa::best(), &t, &b, &c, 0..3, &mut out_plain, 0, &mut accum);
 
         let mut out_rb = vec![0.0; 3 * rank];
         let bw = DenseWindow::new(&b, 0, rank);
         let cw = DenseWindow::new(&c, 0, rank);
-        process_block_rankb(&t, &bw, &cw, 0..3, &mut out_rb, 0, rank, 0, rank);
+        process_block_rankb(
+            Isa::best(),
+            &t,
+            &bw,
+            &cw,
+            0..3,
+            &mut out_rb,
+            0,
+            rank,
+            0,
+            rank,
+        );
 
         for (p, r) in out_plain.iter().zip(&out_rb) {
             assert!((p - r).abs() < 1e-9, "{p} vs {r}");

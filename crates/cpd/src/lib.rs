@@ -30,10 +30,12 @@
 // `unsafe` is the dense half's SIMD path in `linalg`, eleven items, each
 // with its own `allow` (not `expect`: they exist only on x86_64) and a
 // `// SAFETY:` comment: the two dispatch functions (`RowSolver::solve_rows`,
-// `gram_panel`), whose `unsafe` calls rest on an `is_x86_feature_detected!`
-// check, and in `linalg::lanes` the `Lanes` trait, its three impls, the
-// three generic `unsafe fn`s of the panel sweep and the two
-// `#[target_feature]` entry points. Anything else is an error.
+// `gram_panel`), whose `unsafe` calls rest on the `is_x86_feature_detected!`
+// check behind every `tenblock_core::isa::Isa` above the baseline (the one
+// detection the sparse loops in core dispatch on too), and in
+// `linalg::lanes` the `Lanes` trait, its three impls, the three generic
+// `unsafe fn`s of the panel sweep and the two `#[target_feature]` entry
+// points. Anything else is an error.
 #![deny(unsafe_code)]
 
 pub mod als;

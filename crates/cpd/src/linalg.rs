@@ -34,9 +34,10 @@
 //!   4 x 8 entries) that each walk the panel's rows in order, which keeps
 //!   every entry's sum, and so its bits, unchanged.
 //!
-//! The instruction set is detected once per call with
-//! `is_x86_feature_detected!`, not configured: every host computes the same
-//! bits, and off x86_64 or on the SSE2 baseline the scalar loops run.
+//! The instruction set is detected once per call, as a
+//! [`tenblock_core::isa::Isa`] — the one detection the sparse MTTKRP loops
+//! use too — not configured: every host computes the same bits, and off
+//! x86_64 or on the SSE2 baseline the scalar loops run.
 //!
 //! The public functions are serial. The ALS loop calls the `pub(crate)`
 //! `*_with` forms, which take the caller's [`Threads`] and spread row
@@ -45,6 +46,7 @@
 //! bit-identical to the serial one.
 
 use rayon::prelude::*;
+use tenblock_core::isa::{Isa, Kind};
 use tenblock_core::Threads;
 use tenblock_tensor::DenseMatrix;
 
@@ -56,65 +58,6 @@ const GRAM_PANEL_ROWS: usize = 1024;
 /// multiplies the added diagonal by 100, so the last adds ~1e20 times the
 /// mean diagonal — past that only a non-finite matrix is still failing.
 const MAX_RIDGE_STEPS: usize = 16;
-
-/// The instruction sets the dense kernels are written for, detected at run
-/// time. Every `Isa` above `Baseline` was made by [`Isa::best`] or
-/// [`Isa::all`] after `is_x86_feature_detected!` found its extension — the
-/// field is private to this module — and the `unsafe` calls that dispatch on
-/// it rely on that.
-mod isa {
-    #[derive(Clone, Copy, Debug)]
-    pub(super) enum Kind {
-        /// The x86_64 baseline (SSE2), or any other target: the scalar loops.
-        Baseline,
-        #[cfg(target_arch = "x86_64")]
-        Avx2,
-        #[cfg(target_arch = "x86_64")]
-        Avx512,
-    }
-
-    #[derive(Clone, Copy, Debug)]
-    pub(super) struct Isa(Kind);
-
-    impl Isa {
-        /// The widest set this host runs.
-        pub(super) fn best() -> Isa {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if is_x86_feature_detected!("avx512f") {
-                    return Isa(Kind::Avx512);
-                }
-                if is_x86_feature_detected!("avx2") {
-                    return Isa(Kind::Avx2);
-                }
-            }
-            Isa(Kind::Baseline)
-        }
-
-        /// Every set this host runs, narrowest first (tests hold each one
-        /// to the baseline's bits).
-        #[cfg(test)]
-        pub(super) fn all() -> Vec<Isa> {
-            #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
-            let mut all = vec![Isa(Kind::Baseline)];
-            #[cfg(target_arch = "x86_64")]
-            {
-                if is_x86_feature_detected!("avx2") {
-                    all.push(Isa(Kind::Avx2));
-                }
-                if is_x86_feature_detected!("avx512f") {
-                    all.push(Isa(Kind::Avx512));
-                }
-            }
-            all
-        }
-
-        pub(super) fn kind(self) -> Kind {
-            self.0
-        }
-    }
-}
-use isa::{Isa, Kind};
 
 /// Runs `f(first row, rows)` over the rows of `a`: in one call when serial,
 /// else over disjoint chunks of whole rows (four per worker, like the

@@ -107,3 +107,48 @@ fn exec_policy_is_the_single_threading_entry_point() {
     assert!(!r.config_with(ExecPolicy::serial()).exec.is_parallel());
     assert_eq!(r.config_with(ExecPolicy::auto()).grid, r.grid);
 }
+
+#[test]
+fn traced_launches_say_which_instruction_set_ran() {
+    use tenblock::core::isa::Isa;
+    use tenblock::core::obs::Attr;
+
+    let t = Dataset::Poisson1.generate_with([30, 25, 20], 2_000, 5);
+    let rank = 24;
+    let factors: Vec<DenseMatrix> = t
+        .dims()
+        .iter()
+        .map(|&d| DenseMatrix::from_fn(d, rank, |r, c| ((r + c) % 5) as f64 * 0.5))
+        .collect();
+    let fs: [&DenseMatrix; 3] = [&factors[0], &factors[1], &factors[2]];
+    for kind in KernelKind::ALL {
+        let tracer = Arc::new(TraceRecorder::new());
+        let cfg = KernelConfig::default()
+            .with_exec(ExecPolicy::serial().with_recorder(Rec::new(Arc::clone(&tracer) as _)));
+        let k = build_kernel(kind, &t, 0, &cfg);
+        k.mttkrp(&fs, &mut DenseMatrix::zeros(t.dims()[0], rank));
+
+        let spans = tracer.snapshot();
+        let span = spans
+            .iter()
+            .find(|s| s.name.starts_with("mttkrp/"))
+            .expect("traced kernel emits a span");
+        let isa = span.attrs.iter().find_map(|(key, v)| match v {
+            Attr::Str(v) if key == "isa" => Some(v.as_str()),
+            _ => None,
+        });
+        let isa = isa.unwrap_or_else(|| panic!("{} span has no isa", span.name));
+        assert!(
+            ["avx512", "avx2", "baseline"].contains(&isa),
+            "{}: isa {isa:?}",
+            span.name
+        );
+        // CSF, the order-N path, stays at the baseline width; the three-mode
+        // loops run on the widest set the host has.
+        let want = match kind {
+            KernelKind::Csf => "baseline",
+            _ => Isa::best().name(),
+        };
+        assert_eq!(isa, want, "{}", span.name);
+    }
+}
