@@ -6,18 +6,21 @@
 //! [`SplattTensor`], so processing block `(a, b, c)` touches only the
 //! factor-matrix row ranges of that block — the working set the paper wants
 //! to fit in cache. The data reorganization cost is a single sort, "
-//! negligible compared to the reordering methods" (Section V-A).
+//! negligible compared to the reordering methods" (Section V-A). A grid
+//! is sorted from COO ([`BlockGrid::new`]) or derived from the unblocked
+//! layout ([`BlockGrid::refine`]); the `block` module doc says when each.
 
 use tenblock_tensor::coo::perm_for_mode;
 use tenblock_tensor::fiber_sort::sort_into_cells;
-use tenblock_tensor::{CellGrid, CooTensor, SplattTensor, NMODES};
+use tenblock_tensor::{CellGrid, CooTensor, Idx, SplattTensor, NMODES};
 
 /// A tensor partitioned into a 3-D grid of SPLATT blocks.
 ///
 /// A grid depends only on `(tensor, mode, grid)` and is immutable once
 /// built, so any number of [`super::BlockedKernel`]s — whatever their strip
 /// width, name or execution policy — run over one shared `Arc<BlockGrid>`.
-#[derive(Debug)]
+/// Two grids are equal when they hold the same blocks over the same cells.
+#[derive(Debug, PartialEq)]
 pub struct BlockGrid {
     dims: [usize; NMODES],
     perm: [usize; NMODES],
@@ -30,9 +33,23 @@ pub struct BlockGrid {
 
 #[cfg(test)]
 thread_local! {
-    /// Grids built on this thread, for tests that pin how often a caller
-    /// pays for a layout.
+    /// Grids sorted from COO on this thread, for tests that pin how often
+    /// a caller pays for a layout.
     pub(crate) static BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Grids derived from an unblocked layout on this thread.
+    pub(crate) static DERIVED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The cells of `grid` blocks per kernel axis over the orientation `perm`
+/// of a tensor with dimensions `dims`.
+///
+/// # Panics
+/// Panics with the [`tenblock_tensor::GridError`] if `grid` is invalid.
+fn cells_for(dims: [usize; NMODES], perm: [usize; NMODES], grid: [usize; NMODES]) -> CellGrid {
+    match CellGrid::new(perm.map(|m| dims[m]), grid) {
+        Ok(cells) => cells,
+        Err(e) => panic!("{e}"), // documented panic; try_build_kernel checks first — lint: allow(panic-reach)
+    }
 }
 
 /// Buckets `coo`'s entries by linear block id and builds each non-empty
@@ -62,6 +79,118 @@ fn bucket_blocks(
     blocks
 }
 
+/// Coordinate → one kernel axis's term of the linear cell id
+/// (cell index × stride).
+struct AxisTerms<'g> {
+    /// The cell index of every index of the axis, or empty for an axis
+    /// longer than the nonzero count (a hyper-sparse axis searches
+    /// `bounds` instead of holding an entry per index). A cell index is at
+    /// most an index, so it is an `Idx`.
+    table: Vec<Idx>,
+    bounds: &'g [usize],
+    stride: usize,
+}
+
+impl<'g> AxisTerms<'g> {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a cell index is below the axis length, at most Idx::MAX + 1"
+    )]
+    fn new(cells: &'g CellGrid, ax: usize, nnz: usize) -> Self {
+        let [_, nb, nc] = cells.counts();
+        let stride = [nb * nc, nc, 1][ax];
+        let bounds = cells.bounds(ax);
+        let len = bounds.last().copied().unwrap_or(0);
+        let mut table = Vec::new();
+        if len <= nnz {
+            table.reserve_exact(len);
+            for (c, w) in bounds.windows(2).enumerate() {
+                table.resize(w[1], c as Idx);
+            }
+        }
+        AxisTerms {
+            table,
+            bounds,
+            stride,
+        }
+    }
+
+    #[inline]
+    fn of(&self, x: Idx) -> usize {
+        let cell = match self.table.get(x as usize) {
+            Some(&c) => c as usize,
+            None => self.bounds.partition_point(|&b| b <= x as usize) - 1,
+        };
+        cell * self.stride
+    }
+}
+
+/// Visits every nonzero of the unblocked layout `t` in layout order with
+/// its cell id — the sum of its kernel-axis coordinate's `terms` — that
+/// coordinate, and its position in `t`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a stored slice is the Idx coordinate of its nonzeros"
+)]
+fn for_each_nonzero(
+    t: &SplattTensor,
+    [slice_terms, j_terms, k_terms]: &[AxisTerms<'_>; NMODES],
+    mut visit: impl FnMut(usize, [Idx; NMODES], usize),
+) {
+    let (i_ptr, kids, fiber_ptr, j_idx, _) = t.raw();
+    for (s, w) in i_ptr.windows(2).enumerate() {
+        let s = t.slice_global(s) as Idx;
+        let s_term = slice_terms.of(s);
+        for f in w[0]..w[1] {
+            let k = kids[f];
+            let sk = s_term + k_terms.of(k);
+            for n in fiber_ptr[f]..fiber_ptr[f + 1] {
+                let j = j_idx[n];
+                visit(sk + j_terms.of(j), [s, j, k], n);
+            }
+        }
+    }
+}
+
+/// Partitions the unblocked layout `t` into the cells of `cells`: a count
+/// of nonzeros per cell, a stable scatter of `(slice, j, k, value)` into
+/// cell order, and the fiber-pointer pass per cell. `t` is in
+/// `(slice, k, j)` fiber order and the scatter keeps that order within a
+/// cell, so each cell is built exactly as a sort into it would build it.
+fn partition_blocks(t: &SplattTensor, cells: &CellGrid) -> Vec<Option<SplattTensor>> {
+    let terms = [0, 1, 2].map(|ax| AxisTerms::new(cells, ax, t.nnz()));
+    let mut ends = vec![0usize; cells.n_cells()];
+    for_each_nonzero(t, &terms, |cell, _, _| ends[cell] += 1);
+    let mut start = 0;
+    for end in ends.iter_mut() {
+        start += std::mem::replace(end, start);
+    }
+    // `ends[cell]` is the cell's start; the scatter moves it to its end.
+    let vals = t.raw().4;
+    let mut coords = vec![[0; NMODES]; vals.len()];
+    let mut cell_vals = vec![0.0; vals.len()];
+    for_each_nonzero(t, &terms, |cell, c, n| {
+        let slot = &mut ends[cell];
+        coords[*slot] = c;
+        cell_vals[*slot] = vals[n];
+        *slot += 1;
+    });
+    let mut start = 0;
+    ends.iter()
+        .map(|&end| {
+            let range = std::mem::replace(&mut start, end)..end;
+            (!range.is_empty()).then(|| {
+                SplattTensor::from_sorted_coords(
+                    t.dims(),
+                    t.perm(),
+                    &coords[range.clone()],
+                    &cell_vals[range],
+                )
+            })
+        })
+        .collect()
+}
+
 impl BlockGrid {
     /// Partitions `coo` for the mode-`mode` MTTKRP into `grid` blocks per
     /// kernel axis. `grid = [1, 1, 1]` produces a single block equal to the
@@ -74,10 +203,7 @@ impl BlockGrid {
     pub fn new(coo: &CooTensor, mode: usize, grid: [usize; NMODES]) -> Self {
         let perm = perm_for_mode(mode);
         let dims = coo.dims();
-        let cells = match CellGrid::new(perm.map(|m| dims[m]), grid) {
-            Ok(cells) => cells,
-            Err(e) => panic!("{e}"), // documented panic; try_build_kernel checks first — lint: allow(panic-reach)
-        };
+        let cells = cells_for(dims, perm, grid);
 
         let blocks = if grid == [1, 1, 1] {
             // One block is the whole tensor: build it as plain SPLATT does
@@ -96,6 +222,39 @@ impl BlockGrid {
             cells,
             blocks,
             nnz: coo.nnz(),
+        }
+    }
+
+    /// The layout of the same tensor and mode at `grid`, derived from this
+    /// unblocked (`[1, 1, 1]`) layout without a sort: equal, block for
+    /// block, to [`BlockGrid::new`] at `grid`. Every cell is a product of
+    /// index ranges, so a stable partition of the fiber-ordered unblocked
+    /// layout leaves each cell in fiber order.
+    ///
+    /// # Panics
+    /// Panics if `self` is blocked, or as [`BlockGrid::new`] if `grid` is
+    /// invalid.
+    pub fn refine(&self, grid: [usize; NMODES]) -> BlockGrid {
+        assert_eq!(
+            self.grid(),
+            [1, 1, 1],
+            "a layout is refined from the unblocked one"
+        );
+        let cells = cells_for(self.dims, self.perm, grid);
+        let blocks = match &self.blocks[0] {
+            Some(t) if grid != [1, 1, 1] => partition_blocks(t, &cells),
+            Some(_) => self.blocks.clone(),
+            None => vec![None; cells.n_cells()],
+        };
+        #[cfg(test)]
+        DERIVED.with(|n| n.set(n.get() + 1));
+
+        BlockGrid {
+            dims: self.dims,
+            perm: self.perm,
+            cells,
+            blocks,
+            nnz: self.nnz,
         }
     }
 
@@ -278,6 +437,13 @@ mod tests {
     fn oversized_grid_panics() {
         let x = uniform_tensor([4, 4, 4], 10, 1);
         BlockGrid::new(&x, 0, [5, 1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "refined from the unblocked one")]
+    fn refining_a_blocked_layout_panics() {
+        let x = uniform_tensor([8, 8, 8], 100, 2);
+        BlockGrid::new(&x, 0, [2, 1, 1]).refine([2, 2, 1]);
     }
 
     #[test]

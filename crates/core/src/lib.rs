@@ -82,7 +82,7 @@ pub use kernel::{
     MttkrpKernel,
 };
 pub use stream::{stream_sq_norm, StreamError, StreamingMttkrp};
-pub use tune::{try_tune, tune, TuneError, TuneOptions, TuneResult};
+pub use tune::{try_tune, try_tune_unblocked, tune, TuneError, TuneOptions, TuneResult};
 
 // Re-export the observability vocabulary so downstream crates don't need a
 // direct tenblock-obs dependency to attach a recorder.

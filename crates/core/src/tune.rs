@@ -160,9 +160,8 @@ impl TuneResult {
 }
 
 /// Deterministic pseudo-random factor matrices for candidate timing.
-fn timing_factors(coo: &CooTensor, rank: usize, seed: u64) -> Vec<DenseMatrix> {
-    coo.dims()
-        .iter()
+fn timing_factors(dims: [usize; NMODES], rank: usize, seed: u64) -> Vec<DenseMatrix> {
+    dims.iter()
         .enumerate()
         .map(|(m, &d)| {
             DenseMatrix::from_fn(d, rank, |r, c| {
@@ -182,21 +181,40 @@ fn timing_factors(coo: &CooTensor, rank: usize, seed: u64) -> Vec<DenseMatrix> {
 
 /// Runs the Section V-C heuristic, rejecting degenerate inputs (empty
 /// tensor, rank 0, out-of-range mode, zero-length axis) with a typed
-/// [`TuneError`] instead of panicking mid-search.
+/// [`TuneError`] instead of panicking mid-search: the one sort of a tune,
+/// into the unblocked layout, then [`try_tune_unblocked`].
 pub fn try_tune(coo: &CooTensor, mode: usize, opts: &TuneOptions) -> Result<TuneResult, TuneError> {
     if mode >= NMODES {
         return Err(TuneError::ModeOutOfRange { mode });
     }
+    try_tune_unblocked(&build_layout(coo, mode, [1, 1, 1]), opts)
+}
+
+/// [`try_tune`] over a held unblocked layout, for callers that keep one
+/// (a served tensor): the mode is the layout's, and every grid candidate is
+/// derived from it ([`BlockGrid::refine`]), so the tune sorts nothing.
+///
+/// # Panics
+/// Panics if `unblocked` is not a `[1, 1, 1]` layout.
+pub fn try_tune_unblocked(
+    unblocked: &Arc<BlockGrid>,
+    opts: &TuneOptions,
+) -> Result<TuneResult, TuneError> {
+    assert_eq!(
+        unblocked.grid(),
+        [1, 1, 1],
+        "a tune starts from the unblocked layout"
+    );
     if opts.rank == 0 {
         return Err(TuneError::RankZero);
     }
-    if let Some(m) = coo.dims().iter().position(|&d| d == 0) {
+    if let Some(m) = unblocked.dims().iter().position(|&d| d == 0) {
         return Err(TuneError::ZeroAxis { mode: m });
     }
-    if coo.nnz() == 0 {
+    if unblocked.nnz() == 0 {
         return Err(TuneError::EmptyTensor);
     }
-    Ok(tune_validated(coo, mode, opts))
+    Ok(tune_validated(unblocked, opts))
 }
 
 /// Runs the Section V-C heuristic for the mode-`mode` MTTKRP of `coo`.
@@ -267,10 +285,11 @@ pub fn grid_for_tile_budget(
     }
 }
 
-fn tune_validated(coo: &CooTensor, mode: usize, opts: &TuneOptions) -> TuneResult {
-    let perm = perm_for_mode(mode);
-    let dims = coo.dims();
-    let factors = timing_factors(coo, opts.rank, opts.seed);
+fn tune_validated(unblocked: &Arc<BlockGrid>, opts: &TuneOptions) -> TuneResult {
+    let perm = unblocked.perm();
+    let mode = perm[0];
+    let dims = unblocked.dims();
+    let factors = timing_factors(dims, opts.rank, opts.seed);
     let mut out = DenseMatrix::zeros(dims[mode], opts.rank);
     let mut history = Vec::new();
 
@@ -315,14 +334,13 @@ fn tune_validated(coo: &CooTensor, mode: usize, opts: &TuneOptions) -> TuneResul
     // time stops improving. Width == rank means a single strip. A tensor
     // too fiber-sparse for a width runs the accumulator loop at it, so on
     // such tensors the widths time alike and the first, the full rank,
-    // stands. Every width runs over the one unblocked layout, freed before
-    // phase 2 builds its grids.
-    let unblocked = build_layout(coo, mode, [1, 1, 1]);
+    // stands. Every width runs over the one unblocked layout, which phase 2
+    // keeps to derive its grids from.
     let mut best_strip = opts.rank.max(1);
-    let mut best_secs = eval(&unblocked, best_strip, &mut history);
+    let mut best_secs = eval(unblocked, best_strip, &mut history);
     let mut width = REG_BLOCK;
     while width < opts.rank {
-        let secs = eval(&unblocked, width, &mut history);
+        let secs = eval(unblocked, width, &mut history);
         if secs < best_secs {
             best_secs = secs;
             best_strip = width;
@@ -331,7 +349,6 @@ fn tune_validated(coo: &CooTensor, mode: usize, opts: &TuneOptions) -> TuneResul
             break;
         }
     }
-    drop(unblocked);
 
     // --- Phase 2: MB grid, axes in descending length order (ties broken by
     // access volume: j axis, k axis, slice axis).
@@ -350,7 +367,8 @@ fn tune_validated(coo: &CooTensor, mode: usize, opts: &TuneOptions) -> TuneResul
             }
             let mut cand = grid;
             cand[ax] = next;
-            let secs = eval(&build_layout(coo, mode, cand), best_strip, &mut history);
+            let layout = Arc::new(unblocked.refine(cand));
+            let secs = eval(&layout, best_strip, &mut history);
             if secs < best_secs {
                 best_secs = secs;
                 grid = cand;
@@ -400,26 +418,39 @@ mod tests {
                 && (s.grid, s.strip_width) == (r.grid, r.strip_width)));
     }
 
-    /// Phase 1 times every strip width over one unblocked layout: a `tune`
-    /// call builds that grid once, plus one grid per phase-2 candidate.
+    /// Phase 1 times every strip width over one unblocked layout, and
+    /// phase 2 derives each grid candidate from it: a `tune` call sorts
+    /// once and derives one grid per phase-2 candidate.
     #[test]
     fn strip_candidates_share_one_unblocked_grid() {
-        use crate::block::grid::BUILDS;
+        use crate::block::grid::{BUILDS, DERIVED};
         let x = clustered_tensor(&ClusteredConfig::new([60, 80, 40], 4_000), 4);
         let opts = TuneOptions {
             reps: 1,
             max_blocks: 4,
             ..TuneOptions::new(48)
         };
-        let before = BUILDS.with(|n| n.get());
+        let count = || (BUILDS.with(|n| n.get()), DERIVED.with(|n| n.get()));
+        let before = count();
         let r = tune(&x, 0, &opts);
-        let builds = BUILDS.with(|n| n.get()) - before;
+        let after = count();
         let (strips, grids): (Vec<_>, Vec<_>) = r.history.iter().partition(|s| s.grid == [1, 1, 1]);
         assert!(
             strips.len() >= 2,
             "rank 48 has a full-rank and a 16-wide candidate"
         );
-        assert_eq!(builds, 1 + grids.len());
+        assert!(!grids.is_empty(), "phase 2 times at least one grid");
+        assert_eq!(after.0 - before.0, 1, "a tune sorts once");
+        assert_eq!(after.1 - before.1, grids.len(), "and derives every grid");
+
+        // Over a held layout it sorts nothing.
+        let unblocked = build_layout(&x, 0, [1, 1, 1]);
+        let before = count();
+        let held = try_tune_unblocked(&unblocked, &opts).unwrap();
+        let after = count();
+        assert_eq!(after.0 - before.0, 0);
+        let held_grids = held.history.iter().filter(|s| s.grid != [1, 1, 1]);
+        assert_eq!(after.1 - before.1, held_grids.count());
     }
 
     #[test]
@@ -472,7 +503,7 @@ mod tests {
         // 53-bit mantissas, 400 samples should all be distinct and the
         // mean should sit near 0.
         let x = CooTensor::from_triples([20, 20, 1], &[0], &[0], &[0], &[1.0]);
-        let fs = timing_factors(&x, 10, 0xfeed);
+        let fs = timing_factors(x.dims(), 10, 0xfeed);
         let mut vals: Vec<f64> = (0..20)
             .flat_map(|r| (0..10).map(move |c| (r, c)))
             .map(|(r, c)| fs[0].row(r)[c])

@@ -1,5 +1,6 @@
-//! The differential runner: every generated case goes through every
-//! MTTKRP kernel in the registry (all seven kinds), the tuner, and
+//! The differential runner: every generated case goes through the layout
+//! derivation (against a sort into the same grid), every MTTKRP kernel in
+//! the registry (all seven kinds), the tuner, and
 //! (sampled) the distributed executors,
 //! cross-checked against the dense reference and the `tenblock-check`
 //! oracles. Any panic, typed-error mismatch, or numeric disagreement
@@ -11,8 +12,8 @@ use crate::Finding;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use tenblock_core::mttkrp::dense_mttkrp;
 use tenblock_core::{
-    try_build_kernel, try_tune, ExecPolicy, KernelConfig, KernelKind, StreamError, StreamingMttkrp,
-    TuneError, TuneOptions,
+    build_layout, try_build_kernel, try_tune, ExecPolicy, KernelConfig, KernelKind, StreamError,
+    StreamingMttkrp, TuneError, TuneOptions,
 };
 use tenblock_dist::exec::{run_3d, run_4d, DistConfig};
 use tenblock_tensor::coo::perm_for_mode;
@@ -94,6 +95,22 @@ pub(crate) fn check_kernels(case: &FuzzCase, rng: &mut FuzzRng) -> Vec<Finding> 
         }
     };
 
+    // A layout derived from the unblocked one must equal the sort into the
+    // same grid, block for block.
+    let failure = derived_layout_check(coo, mode, cfg.grid);
+    if let Some(detail) = failure {
+        let small = minimize_entries(coo, &|cand| {
+            derived_layout_check(cand, mode, cfg.grid).is_some()
+        });
+        findings.push(Finding {
+            seed: 0,
+            case: format!("{}/derived-layout", case.label),
+            detail: format!("derived layout {detail}"),
+            repro: Some(repro_text(&small, mode, rank, &cfg)),
+            repro_bin: None,
+        });
+    }
+
     for kind in KernelKind::ALL {
         let outcome = catch(|| {
             let k = try_build_kernel(kind, coo, mode, &cfg)?;
@@ -158,6 +175,18 @@ fn kernel_check_fails(
     }) {
         Err(_) | Ok(Err(_)) => true,
         Ok(Ok(out)) => !out.approx_eq(&reference, TOL),
+    }
+}
+
+/// Why the layout of `coo` derived at `grid` is wrong — it panicked, or
+/// differs from the sort into the same grid — or `None` when it is right.
+fn derived_layout_check(coo: &CooTensor, mode: usize, grid: [usize; NMODES]) -> Option<String> {
+    match catch(|| {
+        build_layout(coo, mode, [1, 1, 1]).refine(grid) == *build_layout(coo, mode, grid)
+    }) {
+        Err(p) => Some(format!("panicked: {p}")),
+        Ok(false) => Some("differs from the sorted layout".to_string()),
+        Ok(true) => None,
     }
 }
 

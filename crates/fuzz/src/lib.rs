@@ -6,8 +6,10 @@
 //! 1. **Differential stage** — an adversarial [`CooTensor`] (empty
 //!    tensors, single-slice/single-fiber shapes, all-duplicate
 //!    coordinates, hyper-sparse long-tail dimensions, clustered dense
-//!    blocks, ranks straddling the register block) runs through all
-//!    seven MTTKRP kernel kinds, the block-size tuner, the streaming
+//!    blocks, ranks straddling the register block) runs through the
+//!    layout derivation (the seed's grid derived from the unblocked
+//!    layout must equal the sort into it), all seven MTTKRP kernel
+//!    kinds, the block-size tuner, the streaming
 //!    driver over a source that serves one tile in another order or lies
 //!    about its spans, and (sampled) the distributed executors. Results
 //!    are cross-checked against the dense reference and the

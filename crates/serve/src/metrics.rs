@@ -187,9 +187,12 @@ impl FaultSnapshot {
 /// (which serializes them).
 #[derive(Debug, Default)]
 pub struct LayoutCounters {
-    /// Layouts actually built: three per tensor at registration (and again
-    /// at each reload from the spill tier), one per new blocked grid.
+    /// Layouts sorted from the COO tensor: three per tensor at
+    /// registration, and again at each reload from the spill tier.
     pub builds: AtomicU64,
+    /// Blocked layouts derived from a held unblocked layout, one per new
+    /// blocked grid.
+    pub derived: AtomicU64,
     /// Kernel requests answered from a layout the entry already held.
     pub hits: AtomicU64,
 }
@@ -270,6 +273,8 @@ pub struct MetricsSnapshot {
     pub faults: FaultSnapshot,
     /// See [`LayoutCounters::builds`].
     pub layout_builds: u64,
+    /// See [`LayoutCounters::derived`].
+    pub layout_derived: u64,
     /// See [`LayoutCounters::hits`].
     pub layout_hits: u64,
 }
@@ -297,6 +302,7 @@ impl Metrics {
             job_run: self.job_run.snapshot(),
             faults: self.faults.snapshot(),
             layout_builds: self.layouts.builds.load(Ordering::Relaxed),
+            layout_derived: self.layouts.derived.load(Ordering::Relaxed),
             layout_hits: self.layouts.hits.load(Ordering::Relaxed),
         }
     }
@@ -336,6 +342,7 @@ impl MetricsSnapshot {
             ("faults", self.faults.to_json()),
             // Additive (protocol stays v1): the layout cache.
             ("layout_builds", Json::usize(self.layout_builds as usize)),
+            ("layout_derived", Json::usize(self.layout_derived as usize)),
             ("layout_hits", Json::usize(self.layout_hits as usize)),
             ("mttkrp_latency", self.mttkrp_latency.to_json()),
             ("job_latency", self.job_latency.to_json()),

@@ -22,7 +22,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tenblock_core::obs::{Rec, TraceRecorder};
-use tenblock_core::{try_tune, ExecPolicy, KernelConfig, KernelKind, TuneOptions};
+use tenblock_core::{try_tune_unblocked, ExecPolicy, KernelConfig, KernelKind, TuneOptions};
 use tenblock_cpd::{cp_apr, CpAls, CpAlsOptions, CpAprOptions};
 use tenblock_tensor::{DenseMatrix, NMODES};
 
@@ -246,7 +246,9 @@ fn run_traced(core: &ServiceCore, rec: &Rec, payload: JobPayload) -> Result<Json
                     opts.exec = ExecPolicy::serial().with_recorder(rec.clone());
                     // Degenerate tensors (empty, zero-length mode) fail the
                     // job with a typed message instead of panicking a worker.
-                    let r = try_tune(&entry.coo, 0, &opts).map_err(|e| format!("tune: {e}"))?;
+                    // Over the held unblocked layout: the tune sorts nothing.
+                    let r = try_tune_unblocked(entry.unblocked(0), &opts)
+                        .map_err(|e| format!("tune: {e}"))?;
                     Ok(TunedPlan {
                         kernel: KernelKind::MbRankB.as_str().to_string(),
                         grid: r.grid,
@@ -932,6 +934,14 @@ mod tests {
         )
     }
 
+    fn layout_derived(s: &Service) -> usize {
+        let m = s.handle(&req(r#"{"cmd":"metrics"}"#));
+        m.get("metrics")
+            .unwrap()
+            .get_usize("layout_derived")
+            .unwrap()
+    }
+
     /// The names of the spans directly under the last job's root.
     fn last_trace_children(s: &Service) -> Vec<String> {
         let t = s.handle(&req(r#"{"cmd":"trace"}"#));
@@ -1005,27 +1015,30 @@ mod tests {
                 scope.spawn(|| mttkrp(8));
             }
         });
-        assert_eq!(layout_counts(&s), (3 + 1, 7));
+        assert_eq!(layout_counts(&s), (3, 7));
+        assert_eq!(layout_derived(&s), 1);
         assert_eq!(entry.blocked_grid(1), Some([2, 2, 2]));
         let list = s.handle(&req(r#"{"cmd":"list"}"#));
         let listed = list.get("layout_bytes").unwrap().get_usize("t").unwrap();
         assert_eq!(listed, entry.layout_bytes());
         assert!(listed > unblocked);
 
-        // Only a request that sorts shows a `job/layout` span.
+        // Only a request that derives a layout shows a `job/layout` span.
         mttkrp(4);
         assert_eq!(entry.blocked_grid(1), Some([2, 1, 2]));
         assert_eq!(last_trace_children(&s), ["job/layout", "mttkrp/MB+RankB"]);
         mttkrp(4);
         assert_eq!(last_trace_children(&s), ["mttkrp/MB+RankB"]);
-        assert_eq!(layout_counts(&s), (3 + 2, 7 + 1));
+        assert_eq!(layout_counts(&s), (3, 7 + 1));
+        assert_eq!(layout_derived(&s), 2);
         // `splatt` ignores the plan's grid and the slot.
         let r = s.handle(&req(
             r#"{"cmd":"mttkrp","tensor":"t","mode":1,"kernel":"splatt","rank":4,"reps":1,"wait":true}"#,
         ));
         assert_eq!(r.get("result").unwrap().get_str("kernel"), Some("SPLATT"));
         assert_eq!(entry.blocked_grid(1), Some([2, 1, 2]));
-        assert_eq!(layout_counts(&s), (3 + 2, 7 + 2));
+        assert_eq!(layout_counts(&s), (3, 7 + 2));
+        assert_eq!(layout_derived(&s), 2);
     }
 
     #[test]
@@ -1053,10 +1066,55 @@ mod tests {
         assert!((fit - want.fit_history.last().unwrap()).abs() < 1e-9);
         assert_eq!(result.get_usize("iterations"), Some(want.iterations));
 
-        // The second decomposition sorts nothing.
-        assert_eq!(layout_counts(&s), (3 + 3, 0));
+        // The first decomposition derived its grids; the second one
+        // neither sorts nor derives.
+        assert_eq!(layout_counts(&s), (3, 0));
+        assert_eq!(layout_derived(&s), 3);
         assert_eq!(s.handle(&req(decompose)).get("result"), Some(result));
-        assert_eq!(layout_counts(&s), (3 + 3, 3));
+        assert_eq!(layout_counts(&s), (3, 3));
+        assert_eq!(layout_derived(&s), 3);
+    }
+
+    /// After `load`, a default `decompose` derives its three blocked grids
+    /// (under `job/layout` spans that say so) and sorts nothing; a second
+    /// one is all hits.
+    #[test]
+    fn a_default_decompose_derives_its_grids_and_sorts_nothing() {
+        let s = svc();
+        gen_small(&s, "t");
+        let decompose =
+            r#"{"cmd":"decompose","tensor":"t","method":"als","rank":4,"iters":2,"wait":true}"#;
+        let d = s.handle(&req(decompose));
+        assert_eq!(d.get_str("state"), Some("done"), "{d:?}");
+        assert_eq!(layout_counts(&s), (3, 0));
+        assert_eq!(layout_derived(&s), 3);
+        let t = s.handle(&req(r#"{"cmd":"trace"}"#));
+        let text = t.to_string_compact();
+        assert_eq!(text.matches(r#""name":"job/layout""#).count(), 3, "{text}");
+        assert_eq!(text.matches(r#""from":"unblocked""#).count(), 3, "{text}");
+
+        let d = s.handle(&req(decompose));
+        assert_eq!(d.get_str("state"), Some("done"), "{d:?}");
+        assert_eq!(layout_counts(&s), (3, 3));
+        assert_eq!(layout_derived(&s), 3);
+    }
+
+    /// A served `tune` runs over the entry's unblocked layout: it sorts
+    /// nothing, and its plan is a valid one for the tensor.
+    #[test]
+    fn a_served_tune_sorts_nothing() {
+        let s = svc();
+        gen_small(&s, "t");
+        let before = layout_counts(&s);
+        let r = s.handle(&req(
+            r#"{"cmd":"tune","tensor":"t","rank":8,"reps":1,"max_blocks":2,"wait":true}"#,
+        ));
+        assert_eq!(r.get_str("state"), Some("done"), "{r:?}");
+        assert_eq!(r.get("result").unwrap().get_bool("cached"), Some(false));
+        assert_eq!(layout_counts(&s).0, before.0, "a served tune sorts nothing");
+        // Its grid candidates are derived per candidate, not cached.
+        assert_eq!(layout_counts(&s).1, before.1);
+        assert_eq!(layout_derived(&s), 0);
     }
 
     #[test]

@@ -24,12 +24,16 @@
 //!   per-mode fiber counts of [`TensorStats`] are read off them instead
 //!   of from three more sorts.
 //! * **On first use** a blocked grid — a tuned plan's, or `decompose`'s
-//!   default — is built into the mode's one blocked slot. A plan pins one
-//!   grid per tensor × rank, so one slot is the working set; a request for
-//!   a different grid replaces it (jobs still running over the old layout
-//!   keep it alive until they finish). Concurrent first requests for the
-//!   same grid build it once: the others wait for that build, not for
-//!   their own.
+//!   default — is derived from the mode's unblocked layout (one counting
+//!   pass, no sort: `BlockGrid::refine`) into the mode's one blocked slot.
+//!   A plan pins one grid per tensor × rank, so one slot is the working
+//!   set; a request for a different grid replaces it (jobs still running
+//!   over the old layout keep it alive until they finish). Concurrent first requests for the
+//!   same grid derive it once: the others wait for that derivation, not
+//!   for their own.
+//! * **A served `tune`** times its strip widths over the mode-0 unblocked
+//!   layout and derives its grid candidates from it, so it sorts nothing
+//!   either.
 //!
 //! Memory per resident entry is therefore the COO tensor plus at most two
 //! layouts per mode. `coo` and `csf` kernels have layouts of their own and
@@ -100,9 +104,9 @@ const SPILL_TILE_BUDGET: u64 = 8 << 20;
 /// The grid of the unblocked layout.
 const UNBLOCKED: [usize; NMODES] = [1, 1, 1];
 
-/// A blocked layout being built or built: the slot is claimed for `grid`
-/// before the sort runs, so concurrent requests for it find the claim and
-/// wait on `layout` instead of sorting again.
+/// A blocked layout being derived or derived: the slot is claimed for
+/// `grid` before the derivation runs, so concurrent requests for it find
+/// the claim and wait on `layout` instead of deriving again.
 #[derive(Debug)]
 struct BlockedLayout {
     grid: [usize; NMODES],
@@ -155,8 +159,8 @@ impl TensorEntry {
     /// A kernel of `kind` for mode `mode` at `cfg`, rejecting an invalid
     /// mode or grid as [`tenblock_core::try_build_kernel`] does. The
     /// fibered kinds run over the entry's shared layouts, so only the first
-    /// request for a blocked grid sorts the tensor (under a `job/layout`
-    /// span of `cfg.exec`'s recorder); the others build per request.
+    /// request for a blocked grid derives it (under a `job/layout` span of
+    /// `cfg.exec`'s recorder); the others build per request.
     pub fn kernel(
         &self,
         kind: KernelKind,
@@ -168,11 +172,20 @@ impl TensorEntry {
         })
     }
 
-    /// The layout of `mode` at `grid` (valid for this tensor), built under a
-    /// `job/layout` span of `rec` if the entry does not hold it.
+    /// The unblocked layout of `mode`, built at registration.
+    ///
+    /// # Panics
+    /// Panics if `mode` is not below [`NMODES`].
+    pub(crate) fn unblocked(&self, mode: usize) -> &Arc<BlockGrid> {
+        &self.layouts[mode].unblocked
+    }
+
+    /// The layout of `mode` at `grid` (valid for this tensor), derived from
+    /// the unblocked one under a `job/layout` span of `rec` if the entry
+    /// does not hold it.
     fn layout(&self, mode: usize, grid: [usize; NMODES], rec: &Rec) -> Arc<BlockGrid> {
         let layouts = &self.layouts[mode];
-        let mut built = false;
+        let mut derived = false;
         let layout = if grid == UNBLOCKED {
             Arc::clone(&layouts.unblocked)
         } else {
@@ -187,15 +200,16 @@ impl TensorEntry {
                 }
             };
             // Outside the slot's lock: a request for another grid replaces
-            // the claim without waiting for this sort.
+            // the claim without waiting for this derivation.
             Arc::clone(claim.layout.get_or_init(|| {
-                built = true;
-                let _span = rec.span("job/layout");
-                build_layout(&self.coo, mode, grid)
+                derived = true;
+                let span = rec.span("job/layout");
+                span.annotate_str("from", "unblocked");
+                Arc::new(layouts.unblocked.refine(grid))
             }))
         };
-        let counter = if built {
-            &self.counters.builds
+        let counter = if derived {
+            &self.counters.derived
         } else {
             &self.counters.hits
         };
@@ -812,10 +826,13 @@ mod tests {
         out.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
-    fn counts(reg: &Registry) -> (u64, u64) {
+    /// `(builds, derived, hits)`: sorts from COO, derivations from an
+    /// unblocked layout, and requests answered from a held layout.
+    fn counts(reg: &Registry) -> (u64, u64, u64) {
         let c = reg.layout_counters();
         (
             c.builds.load(Ordering::Relaxed),
+            c.derived.load(Ordering::Relaxed),
             c.hits.load(Ordering::Relaxed),
         )
     }
@@ -846,9 +863,10 @@ mod tests {
         }
     }
 
-    /// Eight first requests at once: a blocked grid is sorted by exactly
-    /// one of them, the unblocked layout by none (registration built it),
-    /// and every kernel computes what a fresh build from COO computes.
+    /// Eight first requests at once: a blocked grid is derived by exactly
+    /// one of them, nothing is sorted (registration built the unblocked
+    /// layout), and every kernel computes what a fresh build from COO
+    /// computes.
     #[test]
     fn concurrent_first_requests_build_once_and_match_a_fresh_kernel() {
         const THREADS: usize = 8;
@@ -886,9 +904,10 @@ mod tests {
                     served.into_iter().map(|h| h.join().unwrap()).collect()
                 });
                 let after = counts(&reg);
-                assert_eq!(after.0 - before.0, blocked, "{kind:?} mode {mode}: builds");
+                assert_eq!(after.0 - before.0, 0, "{kind:?} mode {mode}: builds");
+                assert_eq!(after.1 - before.1, blocked, "{kind:?} mode {mode}: derived");
                 assert_eq!(
-                    after.1 - before.1,
+                    after.2 - before.2,
                     THREADS as u64 - blocked,
                     "{kind:?} mode {mode}: hits"
                 );
@@ -915,8 +934,9 @@ mod tests {
             let held = build_layout(&x, 0, grid).tensor_bytes();
             assert_eq!(e.layout_bytes(), unblocked + held);
         }
-        // Registration, then one build per distinct grid; the repeat hit.
-        assert_eq!(counts(&reg), (3 + 2, 1));
+        // Registration, then one derivation per distinct grid; the repeat
+        // hit.
+        assert_eq!(counts(&reg), (3, 2, 1));
         // The unblocked grid never takes the slot, nor do invalid ones.
         e.kernel(KernelKind::Mb, 0, &at([1, 1, 1])).unwrap();
         assert!(e.kernel(KernelKind::Mb, 0, &at([25, 1, 1])).is_err());
@@ -1054,7 +1074,8 @@ mod tests {
                 .collect()
         };
         let before = serve(&a);
-        assert_eq!(counts(&reg).0, 3 + 3);
+        assert_eq!(counts(&reg).0, 3);
+        assert_eq!(counts(&reg).1, 3);
         drop(a);
         reg.register("b", uniform_tensor([8, 8, 8], 150, 5))
             .unwrap();
@@ -1068,12 +1089,14 @@ mod tests {
             ["b"]
         );
 
-        let builds = counts(&reg).0;
+        let (builds, derived, _) = counts(&reg);
         let a2 = reg.get("a").unwrap();
         assert_eq!(a2.blocked_grid(0), None);
         assert_eq!(serve(&a2), before);
-        // Three unblocked layouts at the reload, three blocked on demand.
-        assert_eq!(counts(&reg).0 - builds, 3 + 3);
+        // Three unblocked layouts sorted at the reload, three blocked ones
+        // derived on demand.
+        assert_eq!(counts(&reg).0 - builds, 3);
+        assert_eq!(counts(&reg).1 - derived, 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -173,13 +173,42 @@ impl SplattTensor {
         perm: [usize; NMODES],
         entries: &[Entry],
     ) -> Self {
-        let mut t = Self::compressed_with_capacity(dims, perm, entries.len());
-        t.fill_fibers(entries.iter().map(|e| {
-            let s = e.idx[perm[0]];
+        let coords = entries
+            .iter()
+            .map(|e| [e.idx[perm[0]], e.idx[perm[1]], e.idx[perm[2]]]);
+        Self::compressed_from(dims, perm, coords, entries.iter().map(|e| e.val))
+    }
+
+    /// [`Self::from_sorted_compressed`] for nonzeros given as global
+    /// kernel-axis `[slice, j, k]` coordinates and their values, in
+    /// `(slice, k, j)` fiber order — what a layout derived from the
+    /// unblocked one hands each grid block.
+    ///
+    /// # Panics
+    /// Panics if the columns differ in length or a slice lies outside
+    /// mode `perm[0]`.
+    pub fn from_sorted_coords(
+        dims: [usize; NMODES],
+        perm: [usize; NMODES],
+        coords: &[[Idx; NMODES]],
+        vals: &[f64],
+    ) -> Self {
+        assert_eq!(coords.len(), vals.len(), "one value per coordinate");
+        Self::compressed_from(dims, perm, coords.iter().copied(), vals.iter().copied())
+    }
+
+    /// The slice-compressed build of both sorted constructors.
+    fn compressed_from(
+        dims: [usize; NMODES],
+        perm: [usize; NMODES],
+        coords: impl ExactSizeIterator<Item = [Idx; NMODES]>,
+        vals: impl Iterator<Item = f64>,
+    ) -> Self {
+        let mut t = Self::compressed_with_capacity(dims, perm, coords.len());
+        t.fill_fibers(coords.inspect(|&[s, _, _]| {
             assert!((s as usize) < dims[perm[0]], "slice {s} out of range");
-            [s, e.idx[perm[1]], e.idx[perm[2]]]
         }));
-        t.vals.extend(entries.iter().map(|e| e.val));
+        t.vals.extend(vals);
         // A layout is kept for many MTTKRPs: give back the room the pass
         // reserved for a slice and a fiber per nonzero.
         if let Some(ids) = &mut t.slice_ids {

@@ -3,11 +3,22 @@
 //! keys tie. `CooTensor` coordinates are unique, so ties never arise from a
 //! tensor; the tiles of an untrusted `.tnsb` store may repeat a coordinate,
 //! and then the repeats must stream in the order they were stored.
+//!
+//! Then the layouts built on it: a grid derived from the unblocked layout
+//! (`BlockGrid::refine`) against the sort of the COO tensor into the same
+//! cells (`BlockGrid::new`), block for block and in kernel output bits.
 
 use proptest::prelude::*;
+use std::sync::Arc;
+use tenblock::core::block::{BlockGrid, BlockedKernel};
+use tenblock::core::{build_layout, MttkrpKernel};
+use tenblock::fuzz::{arb_case, FuzzRng};
 use tenblock::tensor::cell_grid::{uniform_bounds, CellGrid};
-use tenblock::tensor::fiber_sort::{fiber_key, sort_into_cells, FiberCols, FiberSorter};
+use tenblock::tensor::coo::perm_for_mode;
+use tenblock::tensor::fiber_sort::{fiber_key, sort_into_cells, FiberCols, FiberSorter, MAX_RUNS};
+use tenblock::tensor::gen::uniform_tensor;
 use tenblock::tensor::io_bin::BinError;
+use tenblock::tensor::{CooTensor, DenseMatrix, Entry};
 
 /// The extent classes around the 16-bit digit boundary, and the largest.
 const EXTENTS: [u64; 7] = [1, 2, 65_535, 65_536, 65_537, 1 << 20, u32::MAX as u64];
@@ -139,6 +150,131 @@ proptest! {
             }
         }
         prop_assert_eq!(sorted.cells, table);
+    }
+}
+
+/// `grid` (kernel axes) cut down to what mode `mode` of `coo` allows.
+fn fit_grid(coo: &CooTensor, mode: usize, grid: [usize; 3]) -> [usize; 3] {
+    let perm = perm_for_mode(mode);
+    std::array::from_fn(|ax| grid[ax].clamp(1, coo.dims()[perm[ax]].max(1)))
+}
+
+/// One MB+RankB launch over `layout` at rank `rank`, as output bits.
+fn kernel_bits(layout: Arc<BlockGrid>, rank: usize) -> Vec<u64> {
+    let dims = layout.dims();
+    let mode = layout.perm()[0];
+    let fs = dims.map(|d| {
+        DenseMatrix::from_fn(d, rank, |r, c| ((r * 13 + c * 7) % 17) as f64 * 0.125 - 1.0)
+    });
+    let mut out = DenseMatrix::zeros(dims[mode], rank);
+    BlockedKernel::over(layout, true, Some(16)).mttkrp(&[&fs[0], &fs[1], &fs[2]], &mut out);
+    out.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// For every mode whose unblocked layout `coo` can hold (`modes`): the
+/// layout derived at `grid` equals the sort into it — every block, the
+/// nonzero count, the grid and its bounds — passes the blocking oracle,
+/// and (at `rank > 0`) runs to the same output bits.
+fn assert_derived_is_sorted(coo: &CooTensor, grid: [usize; 3], modes: &[usize], rank: usize) {
+    for &mode in modes {
+        let grid = fit_grid(coo, mode, grid);
+        let sorted = build_layout(coo, mode, grid);
+        let derived = Arc::new(build_layout(coo, mode, [1, 1, 1]).refine(grid));
+        let at = format!("mode {mode} grid {grid:?}");
+        assert_eq!(derived.grid(), sorted.grid(), "{at}");
+        assert_eq!(derived.nnz(), sorted.nnz(), "{at}");
+        for ax in 0..3 {
+            assert_eq!(derived.bounds(ax), sorted.bounds(ax), "{at}");
+        }
+        for a in 0..grid[0] {
+            for b in 0..grid[1] {
+                for c in 0..grid[2] {
+                    assert_eq!(derived.block(a, b, c), sorted.block(a, b, c), "{at}");
+                }
+            }
+        }
+        assert!(*derived == *sorted, "{at}");
+        derived.validate().unwrap();
+        if rank > 0 {
+            assert_eq!(
+                kernel_bits(derived, rank),
+                kernel_bits(sorted, rank),
+                "{at}"
+            );
+        }
+    }
+}
+
+#[test]
+fn derived_layouts_equal_sorted_ones_at_every_grid_shape() {
+    let x = uniform_tensor([60, 90, 45], 20_000, 3);
+    let full = [60, 1, 1]; // the slice axis of mode 0 at one index per block
+    for grid in [[2, 1, 1], [1, 3, 2], [4, 2, 2], [8, 8, 4], full] {
+        assert_derived_is_sorted(&x, grid, &[0, 1, 2], 20);
+    }
+}
+
+#[test]
+fn derived_layouts_past_one_histogram_of_cells() {
+    // 300 x 300 x 1 cells: more than one histogram holds, so the sort into
+    // the cells shares runs between neighbouring cells.
+    let x = uniform_tensor([300, 300, 300], 30_000, 5);
+    const { assert!(300 * 300 > MAX_RUNS) };
+    assert_derived_is_sorted(&x, [300, 300, 1], &[0, 1, 2], 4);
+}
+
+#[test]
+fn derived_layouts_of_degenerate_tensors() {
+    let entry = |i: u32, j: u32, k: u32| Entry {
+        idx: [i, j, k],
+        val: f64::from(i) + 2.0 * f64::from(j) + 3.0 * f64::from(k) - 7.5,
+    };
+    let tensor = |dims, entries| CooTensor::try_from_entries(dims, entries).unwrap();
+    // Empty, also with a zero-length mode.
+    for dims in [[4, 5, 6], [0, 3, 3]] {
+        assert_derived_is_sorted(&CooTensor::empty(dims), [2, 2, 2], &[0, 1, 2], 3);
+    }
+    // One slice of mode 0.
+    let one_slice: Vec<Entry> = (0..9)
+        .flat_map(|j| (0..7).map(move |k| (j, k)))
+        .filter(|(j, k)| (j * 7 + k) % 3 != 0)
+        .map(|(j, k)| entry(0, j, k))
+        .collect();
+    let x = tensor([1, 9, 7], one_slice);
+    assert_derived_is_sorted(&x, [1, 3, 2], &[0, 1, 2], 17);
+    // One fiber of mode 0: a fixed slice and k.
+    let x = tensor([5, 40, 6], (0..40).map(|j| entry(2, j, 3)).collect());
+    assert_derived_is_sorted(&x, [2, 4, 3], &[0, 1, 2], 17);
+    // Coordinates near `Idx::MAX` on the `j` axis of mode 0 (the `k` axis
+    // of mode 2). Mode 1 would slice that axis, and an unblocked layout
+    // holds a pointer per slice, so it is not built here.
+    let top = u32::MAX - 1;
+    let near_max: Vec<Entry> = (0..4)
+        .flat_map(|i| [0, 1, top / 2, top - 1, top].map(|j| entry(i, j, (i + j % 6) % 6)))
+        .collect();
+    let x = tensor([4, u32::MAX as usize, 6], near_max);
+    assert_derived_is_sorted(&x, [2, 3, 2], &[0, 2], 0);
+    assert_derived_is_sorted(&x, [4, 500, 6], &[0, 2], 0);
+}
+
+#[test]
+fn derived_layouts_of_a_million_records() {
+    let x = uniform_tensor([3_000, 4_000, 2_000], 1_000_000, 11);
+    assert_derived_is_sorted(&x, [8, 8, 4], &[0, 1, 2], 16);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn derived_layouts_of_fuzz_cases(
+        seed in 0u64..u64::MAX,
+        ga in 1usize..6, gb in 1usize..6, gc in 1usize..6,
+    ) {
+        // Every case class of the fuzz generator: duplicates, hyper-sparse
+        // long-tail modes, clustered blocks, zero-length modes.
+        let case = arb_case(&mut FuzzRng::new(seed));
+        assert_derived_is_sorted(&case.coo, [ga, gb, gc], &[0, 1, 2], case.rank);
     }
 }
 
