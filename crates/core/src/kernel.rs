@@ -338,7 +338,9 @@ pub enum KernelError {
         /// The axis length (tensor dimension along that kernel axis).
         len: usize,
     },
-    /// The MB grid has more blocks than `usize` can count.
+    /// The MB grid has more blocks than `max(nnz, 2^16)` for the tensor's
+    /// `nnz` nonzeros (a grid whose block count does not fit `usize`
+    /// among them).
     GridTooLarge {
         /// The requested grid, in kernel axes.
         grid: [usize; NMODES],
@@ -373,7 +375,11 @@ impl std::fmt::Display for KernelError {
                 "MB grid requests {blocks} blocks along kernel axis {axis} of length {len}"
             ),
             KernelError::GridTooLarge { grid: [a, b, c] } => {
-                write!(f, "MB grid {a}x{b}x{c} has more blocks than usize holds")
+                write!(
+                    f,
+                    "MB grid {a}x{b}x{c} has more blocks than the tensor allows \
+                     (max(nnz, {MIN_GRID_CELL_CAP}))"
+                )
             }
         }
     }
@@ -381,11 +387,25 @@ impl std::fmt::Display for KernelError {
 
 impl std::error::Error for KernelError {}
 
+/// The floor of [`max_grid_cells`]: a grid of up to this many cells is
+/// allowed whatever the tensor.
+pub(crate) const MIN_GRID_CELL_CAP: usize = 1 << 16;
+
+/// The most cells an MB grid may have over a tensor of `nnz` nonzeros:
+/// `max(nnz, MIN_GRID_CELL_CAP)`. A blocked layout holds a block slot
+/// (about 200 bytes) per cell, empty or not, so the bound keeps the slots
+/// within a fixed multiple of the tensor's own 24 bytes a nonzero
+/// (DESIGN.md §3.2).
+pub(crate) fn max_grid_cells(nnz: usize) -> usize {
+    nnz.max(MIN_GRID_CELL_CAP)
+}
+
 /// Validates a `(mode, grid)` request against the tensor's dimensions.
 ///
 /// This is the exact precondition `BlockGrid::new` asserts (a valid
-/// [`CellGrid`] over the kernel axes); checking it here turns a would-be
-/// panic on hostile input into a [`KernelError`].
+/// [`CellGrid`] over the kernel axes), plus the [`max_grid_cells`] bound;
+/// checking it here turns a would-be panic, or a layout that exhausts
+/// memory on empty cells, into a [`KernelError`].
 fn validate_request(
     coo: &CooTensor,
     mode: usize,
@@ -395,10 +415,13 @@ fn validate_request(
         return Err(KernelError::ModeOutOfRange { mode });
     }
     let dims = coo.dims();
-    CellGrid::new(
+    let cells = CellGrid::new(
         tenblock_tensor::coo::perm_for_mode(mode).map(|m| dims[m]),
         grid,
     )?;
+    if cells.n_cells() > max_grid_cells(coo.nnz()) {
+        return Err(KernelError::GridTooLarge { grid });
+    }
     Ok(())
 }
 
@@ -549,6 +572,29 @@ mod tests {
                 "{kind:?}"
             );
         }
+    }
+
+    #[test]
+    fn grids_finer_than_the_cell_bound_are_refused() {
+        let x = uniform_tensor([300, 300, 300], 70_000, 3);
+        let at = |grid| KernelConfig {
+            grid,
+            ..Default::default()
+        };
+        // 2^16 cells are always allowed; one more axis step is not, over
+        // fewer nonzeros than cells.
+        assert!(try_build_kernel(KernelKind::Mb, &x, 0, &at([64, 32, 32])).is_ok());
+        let fine = [64, 64, 32];
+        assert!(x.nnz() < 64 * 64 * 32);
+        for kind in KernelKind::ALL {
+            assert_eq!(
+                try_build_kernel(kind, &x, 0, &at(fine)).err(),
+                Some(KernelError::GridTooLarge { grid: fine }),
+                "{kind:?}"
+            );
+        }
+        assert_eq!(max_grid_cells(0), MIN_GRID_CELL_CAP);
+        assert_eq!(max_grid_cells(1 << 20), 1 << 20);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use crate::block::{build_layout, BlockGrid, BlockedKernel};
 use crate::exec::ExecPolicy;
-use crate::kernel::{KernelKind, MttkrpKernel};
+use crate::kernel::{max_grid_cells, KernelKind, MttkrpKernel};
 use crate::mttkrp::REG_BLOCK;
 use crate::timing::time_reps;
 use std::sync::Arc;
@@ -367,6 +367,11 @@ fn tune_validated(unblocked: &Arc<BlockGrid>, opts: &TuneOptions) -> TuneResult 
             }
             let mut cand = grid;
             cand[ax] = next;
+            // A grid past the cell bound would be refused as a plan.
+            let cells = cand.iter().try_fold(1usize, |n, &c| n.checked_mul(c));
+            if cells.is_none_or(|n| n > max_grid_cells(unblocked.nnz())) {
+                break;
+            }
             let layout = Arc::new(unblocked.refine(cand));
             let secs = eval(&layout, best_strip, &mut history);
             if secs < best_secs {

@@ -244,7 +244,7 @@ pub fn mutant_tns(rng: &mut FuzzRng) -> (&'static str, Vec<u8>) {
             ("truncated", b[..cut].to_vec())
         }
         7 => {
-            // Raw non-UTF-8 bytes: the line reader reports an I/O error.
+            // Raw non-UTF-8 bytes: a parse error naming the line.
             let mut b = join(&lines);
             b.extend_from_slice(&[0xff, 0xfe, b'1', b' ', 0x80, b'\n']);
             ("non-utf8", b)

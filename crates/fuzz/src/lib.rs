@@ -18,7 +18,9 @@
 //! 2. **Parse stage** — a mutated `.tns` byte stream (non-finite values,
 //!    zero/overflowing/near-`Idx::MAX` coordinates, truncations, trailing
 //!    fields, non-UTF-8 bytes) goes through `read_tns`, which must return
-//!    `Ok` or a typed `TnsError` — never panic. Accepted mutants small
+//!    `Ok` or a typed `TnsError` — never panic — and must return the same
+//!    through a reader that hands out a few bytes per call (a
+//!    `tns-short-read` finding otherwise). Accepted mutants small
 //!    enough to allocate factors for are fed back into stage 1. A second
 //!    mutator targets the `.tnsb` tile framing (truncated tile tables,
 //!    lying per-tile lengths, overlapping byte extents, out-of-range
@@ -43,6 +45,8 @@ pub use gen::{arb_case, mutant_tns, mutant_tnsb, render_tns, FuzzCase, RANKS};
 pub use rng::FuzzRng;
 
 use std::path::{Path, PathBuf};
+use tenblock_tensor::io::{read_tns, TnsError};
+use tenblock_tensor::CooTensor;
 
 /// Fuzzing run parameters.
 #[derive(Debug, Clone)]
@@ -312,7 +316,9 @@ fn tnsb_stage(label: &'static str, bytes: &[u8], seed: u64, report: &mut FuzzRep
     }
 }
 
-/// Parse-stage check: `read_tns` must not panic; accepted tensors small
+/// Parse-stage check: `read_tns` must not panic, and the same bytes read
+/// through a reader that hands out 1 to 7 bytes per call must give the
+/// same tensor, bit for bit, or the same error; accepted tensors small
 /// enough to allocate factor matrices for go back through the kernels.
 /// (The size guard is what keeps near-`Idx::MAX` coordinates confined to
 /// the parse stage: a 4-billion-row factor matrix is an OOM, not a bug.)
@@ -323,15 +329,33 @@ fn parse_stage(
     rng: &mut FuzzRng,
     report: &mut FuzzReport,
 ) {
-    match diff::catch(|| tenblock_tensor::io::read_tns(bytes)) {
-        Err(p) => report.findings.push(Finding {
+    let parsed = match diff::catch(|| read_tns(bytes)) {
+        Err(p) => {
+            report.findings.push(Finding {
+                seed,
+                case: format!("tns/{label}"),
+                detail: format!("read_tns panicked: {p}"),
+                repro: Some(String::from_utf8_lossy(bytes).into_owned()),
+                repro_bin: None,
+            });
+            return;
+        }
+        Ok(parsed) => parsed,
+    };
+    if let Some(detail) = short_read_disagreement(bytes, &parsed) {
+        let repro = minimize_lines(bytes, &|b| {
+            diff::catch(|| read_tns(b)).is_ok_and(|p| short_read_disagreement(b, &p).is_some())
+        });
+        report.findings.push(Finding {
             seed,
-            case: format!("tns/{label}"),
-            detail: format!("read_tns panicked: {p}"),
-            repro: Some(String::from_utf8_lossy(bytes).into_owned()),
+            case: format!("tns-short-read/{label}"),
+            detail,
+            repro: Some(String::from_utf8_lossy(&repro).into_owned()),
             repro_bin: None,
-        }),
-        Ok(Ok(t)) => {
+        });
+    }
+    match parsed {
+        Ok(t) => {
             report.parse_accepted += 1;
             if t.dims().iter().all(|&d| d <= 4096) && t.nnz() <= 2000 {
                 let case = FuzzCase {
@@ -342,8 +366,90 @@ fn parse_stage(
                 collect(report, seed, diff::check_kernels(&case, rng));
             }
         }
-        Ok(Err(_)) => report.parse_rejected += 1,
+        Err(_) => report.parse_rejected += 1,
     }
+}
+
+/// A reader handing out its bytes 1 to 7 at a time.
+struct ShortReads<'a> {
+    data: &'a [u8],
+    calls: usize,
+}
+
+impl std::io::Read for ShortReads<'_> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        self.calls += 1;
+        let n = (1 + self.calls % 7).min(out.len()).min(self.data.len());
+        let (head, tail) = self.data.split_at(n);
+        out[..n].copy_from_slice(head);
+        self.data = tail;
+        Ok(n)
+    }
+}
+
+/// How `bytes` read through [`ShortReads`] differs from `whole`, the
+/// result of reading them at once: `None` for the same tensor (dims,
+/// coordinates and value bits) or the same error message.
+fn short_read_disagreement(bytes: &[u8], whole: &Result<CooTensor, TnsError>) -> Option<String> {
+    let short = match diff::catch(|| {
+        read_tns(ShortReads {
+            data: bytes,
+            calls: 0,
+        })
+    }) {
+        Ok(short) => short,
+        Err(p) => return Some(format!("read_tns over short reads panicked: {p}")),
+    };
+    let same = match (whole, &short) {
+        (Ok(a), Ok(b)) => {
+            a.dims() == b.dims()
+                && a.nnz() == b.nnz()
+                && a.entries()
+                    .iter()
+                    .zip(b.entries())
+                    .all(|(x, y)| x.idx == y.idx && x.val.to_bits() == y.val.to_bits())
+        }
+        (Err(a), Err(b)) => a.to_string() == b.to_string(),
+        _ => false,
+    };
+    let show = |r: &Result<CooTensor, TnsError>| match r {
+        Ok(t) => format!("Ok(dims {:?}, nnz {})", t.dims(), t.nnz()),
+        Err(e) => format!("Err({e})"),
+    };
+    (!same).then(|| {
+        format!(
+            "short reads disagree with one read: {} vs {}",
+            show(&short),
+            show(whole)
+        )
+    })
+}
+
+/// Greedy delta-debugging over the lines of `bytes`: repeatedly drops
+/// runs of lines while `fails` still holds.
+fn minimize_lines(bytes: &[u8], fails: &dyn Fn(&[u8]) -> bool) -> Vec<u8> {
+    let mut lines: Vec<&[u8]> = bytes.split_inclusive(|&b| b == b'\n').collect();
+    let mut chunk = (lines.len() / 2).max(1);
+    while !lines.is_empty() {
+        let mut shrunk = false;
+        let mut i = 0;
+        while i < lines.len() {
+            let end = (i + chunk).min(lines.len());
+            let mut cand = lines.clone();
+            cand.drain(i..end);
+            if fails(&cand.concat()) {
+                lines = cand;
+                shrunk = true;
+            } else {
+                i = end;
+            }
+        }
+        if chunk == 1 && !shrunk {
+            break;
+        }
+        chunk = (chunk / 2).max(1);
+    }
+    lines.concat()
 }
 
 /// Stamps the seed onto stage findings and appends them.
@@ -425,7 +531,6 @@ fn write_repros(dir: &Path, report: &FuzzReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tenblock_tensor::CooTensor;
 
     #[test]
     fn smoke_run_is_clean_and_counts() {

@@ -1272,6 +1272,28 @@ mod tests {
     }
 
     #[test]
+    fn non_utf8_tensor_file_gets_invalid_tensor() {
+        // Bytes that are not UTF-8 are bad bytes, like any malformed line:
+        // `invalid-tensor` naming the line, not `bad-request`.
+        let dir = std::env::temp_dir().join(format!("tenblock_proto_utf8_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let bad = dir.join("bad.tns");
+        std::fs::write(&bad, b"1 1 1 2.0\n2 2 2 \xff\xfe\n").unwrap();
+        let s = svc();
+        let r = s.handle(&req(&format!(
+            r#"{{"cmd":"load","name":"u","path":"{}"}}"#,
+            bad.display()
+        )));
+        assert_eq!(r.get_str("code"), Some("invalid-tensor"), "{r:?}");
+        assert!(
+            r.get_str("error").is_some_and(|m| m.contains("line 2")),
+            "{r:?}"
+        );
+        assert!(!s.core().registry.contains("u"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn tune_on_degenerate_tensor_fails_typed_instead_of_panicking() {
         use tenblock_tensor::CooTensor;
         let s = svc();

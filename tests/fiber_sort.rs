@@ -11,7 +11,9 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use tenblock::core::block::{BlockGrid, BlockedKernel};
-use tenblock::core::{build_layout, MttkrpKernel};
+use tenblock::core::{
+    build_layout, try_build_kernel, KernelConfig, KernelError, KernelKind, MttkrpKernel,
+};
 use tenblock::fuzz::{arb_case, FuzzRng};
 use tenblock::tensor::cell_grid::{uniform_bounds, CellGrid};
 use tenblock::tensor::coo::perm_for_mode;
@@ -255,6 +257,18 @@ fn derived_layouts_of_degenerate_tensors() {
     let x = tensor([4, u32::MAX as usize, 6], near_max);
     assert_derived_is_sorted(&x, [2, 3, 2], &[0, 2], 0);
     assert_derived_is_sorted(&x, [4, 500, 6], &[0, 2], 0);
+    // 25M cells over 20 nonzeros: a layout would hold a block slot per
+    // cell, so the request is refused before anything is allocated.
+    let wide = KernelConfig {
+        grid: [4, 1 << 20, 6],
+        ..Default::default()
+    };
+    assert_eq!(
+        try_build_kernel(KernelKind::MbRankB, &x, 0, &wide).err(),
+        Some(KernelError::GridTooLarge {
+            grid: [4, 1 << 20, 6]
+        })
+    );
 }
 
 #[test]

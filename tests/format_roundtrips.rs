@@ -1,9 +1,85 @@
 //! Format round-trip properties: COO -> SPLATT -> COO and COO -> .tns ->
-//! COO preserve every nonzero, for every orientation.
+//! COO preserve every nonzero, for every orientation. The `.tns` reader
+//! gives the same result however its input arrives: at once, or a few
+//! bytes per read.
 
 use proptest::prelude::*;
+use std::io::Read;
 use tenblock::tensor::coo::perm_for_mode;
 use tenblock::tensor::{io, CooTensor, Entry, SplattTensor};
+
+/// A reader handing out 1 to 7 bytes per call.
+struct ShortReads<'a> {
+    data: &'a [u8],
+    calls: usize,
+}
+
+impl Read for ShortReads<'_> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        self.calls += 1;
+        let n = (1 + self.calls % 7).min(out.len()).min(self.data.len());
+        let (head, tail) = self.data.split_at(n);
+        out[..n].copy_from_slice(head);
+        self.data = tail;
+        Ok(n)
+    }
+}
+
+fn short_reads(data: &[u8]) -> ShortReads<'_> {
+    ShortReads { data, calls: 0 }
+}
+
+/// Same dims, coordinates and value bits, or the same error message.
+fn same_outcome(a: &Result<CooTensor, io::TnsError>, b: &Result<CooTensor, io::TnsError>) -> bool {
+    match (a, b) {
+        (Ok(a), Ok(b)) => {
+            a.dims() == b.dims()
+                && a.nnz() == b.nnz()
+                && a.entries()
+                    .iter()
+                    .zip(b.entries())
+                    .all(|(x, y)| x.idx == y.idx && x.val.to_bits() == y.val.to_bits())
+        }
+        (Err(a), Err(b)) => a.to_string() == b.to_string(),
+        _ => false,
+    }
+}
+
+/// `.tns` text line by line: entries with tabs, runs of blanks, `+` signs
+/// and zero padding, CRLF ends, blank and `#` lines, repeated coordinates,
+/// malformed fields, and a last line that may lack its newline.
+fn arb_tns_text() -> impl Strategy<Value = Vec<u8>> {
+    let line = (
+        0usize..12,
+        0u32..3,
+        0u32..3,
+        0u32..3,
+        -9.0f64..9.0,
+        0usize..2,
+    )
+        .prop_map(|(kind, i, j, k, v, crlf)| {
+            let (i, j, k) = (i + 1, j + 1, k + 1);
+            let mut l = match kind {
+                0..=4 => format!("{i} {j}\t{k}  {v}"),
+                5 => format!("+{i} 00{j} {k} +{v}"),
+                6 => String::new(),
+                7 => format!("# {v}"),
+                8 => format!("{i} {j} {k}"),
+                9 => format!("{i} {j} {k} {v} 1"),
+                10 => format!("{i} 0 {k} {v}"),
+                _ => format!("{i} {j} {k} 1.{v}"),
+            };
+            l.push_str(if crlf == 1 { "\r\n" } else { "\n" });
+            l.into_bytes()
+        });
+    (proptest::collection::vec(line, 0..30), 0usize..2).prop_map(|(lines, cut)| {
+        let mut text = lines.concat();
+        if cut == 1 && text.ends_with(b"\n") {
+            text.pop();
+        }
+        text
+    })
+}
 
 fn arb_tensor() -> impl Strategy<Value = CooTensor> {
     (1usize..15, 1usize..15, 1usize..15).prop_flat_map(|(i, j, k)| {
@@ -59,6 +135,20 @@ proptest! {
             // text round-trip preserves f64 exactly via shortest-repr printing
             prop_assert_eq!(a.val, b.val);
         }
+        prop_assert!(same_outcome(&io::read_tns(short_reads(&buf)), &Ok(back)));
+    }
+
+    #[test]
+    fn tns_reads_alike_whole_and_in_short_reads(text in arb_tns_text()) {
+        let whole = io::read_tns(text.as_slice());
+        let short = io::read_tns(short_reads(&text));
+        prop_assert!(
+            same_outcome(&whole, &short),
+            "{:?}: {:?} vs {:?}",
+            String::from_utf8_lossy(&text),
+            whole.as_ref().map(|t| t.nnz()),
+            short.as_ref().map(|t| t.nnz())
+        );
     }
 
     #[test]
