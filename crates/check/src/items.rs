@@ -476,7 +476,7 @@ mod tests {
 
     #[test]
     fn generic_fn_with_where_clause() {
-        let src = "pub fn read_file<T: BinCodec, P: AsRef<Path>>(path: P) -> Result<T, BinError> where T: Sized { body() }";
+        let src = "pub fn read_file<T: Decode, P: AsRef<Path>>(path: P) -> Result<T, BinError> where T: Sized { body() }";
         let items = items_of(src);
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].name, "read_file");

@@ -49,8 +49,6 @@ const STRICT_ROOTS: &[(&str, &str)] = &[
     ("crates/tensor/src/io.rs", "read_tns_file"),
     ("crates/tensor/src/io_bin.rs", "read_header"),
     ("crates/tensor/src/io_bin.rs", "read_bin_header_file"),
-    ("crates/tensor/src/io_bin.rs", "read_file"),
-    ("crates/tensor/src/io_bin.rs", "read_bin_nd"),
     ("crates/tensor/src/io_bin.rs", "read_bin"),
     ("crates/tensor/src/io_bin.rs", "read_bin_file"),
     ("crates/tensor/src/tile_store.rs", "open"),

@@ -4,8 +4,8 @@
 //!
 //! Every kernel declares its launch as row tasks, each owning a contiguous
 //! range of output rows, and says which rows each task's body will actually
-//! touch — read from the tensor data (slice ids, block contents, entry rows,
-//! root fids), independently of the partition arithmetic behind the claim.
+//! touch — read from the tensor data (slice ids, block contents, entry
+//! rows), independently of the partition arithmetic behind the claim.
 //! [`write_sets`] turns both halves into the `tenblock-check` vocabulary, so
 //! a drifted boundary in the real structures shows up as a write-set
 //! violation before any task runs.
@@ -62,11 +62,10 @@ mod tests {
     use super::*;
     use crate::block::{BlockGrid, BlockedKernel};
     use crate::exec::ExecPolicy;
-    use crate::mttkrp::{CsfKernel, REG_BLOCK};
+    use crate::mttkrp::REG_BLOCK;
     use std::sync::Arc;
     use tenblock_check::{check_strip_plan, check_write_sets};
     use tenblock_tensor::gen::uniform_tensor;
-    use tenblock_tensor::{CooTensor, NdCooTensor};
 
     /// The write sets a launch of `k` into `out_rows` rows would check.
     fn sets_of<K: RowKernel>(k: &K, out_rows: usize) -> Vec<WriteSet> {
@@ -120,28 +119,6 @@ mod tests {
             let report = check_write_sets("MB", 12, &sets).unwrap_err();
             assert_eq!(report.overlapping_rows(), vec![4], "{exec:?}");
         }
-    }
-
-    #[test]
-    fn csf_roots_fold_skip_regions_into_claims() {
-        // Rows 0 and 7 only: the claims must still tile 0..10.
-        let x = NdCooTensor::from_coo3(&CooTensor::from_triples(
-            [10, 3, 3],
-            &[0, 7],
-            &[1, 2],
-            &[0, 1],
-            &[1.0, 2.0],
-        ));
-        for exec in [ExecPolicy::serial(), ExecPolicy::fixed(2)] {
-            let sets = sets_of(&CsfKernel::new(&x, 0).with_exec(exec), 10);
-            assert!(check_write_sets("CSF", 10, &sets).is_ok());
-        }
-        let empty = NdCooTensor::from_coo3(&CooTensor::empty([10, 3, 3]));
-        let sets = sets_of(
-            &CsfKernel::new(&empty, 0).with_exec(ExecPolicy::fixed(2)),
-            10,
-        );
-        assert!(check_write_sets("CSF", 10, &sets).is_ok());
     }
 
     #[test]

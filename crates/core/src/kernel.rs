@@ -13,13 +13,13 @@ use crate::block::{build_layout, BlockGrid, BlockedKernel};
 use crate::checked::verify;
 use crate::exec::ExecPolicy;
 use crate::isa::Isa;
-use crate::mttkrp::{CooKernel, CsfKernel};
+use crate::mttkrp::CooKernel;
 use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::Arc;
 use tenblock_check::{OracleError, RaceReport};
 use tenblock_obs::KernelCounters;
-use tenblock_tensor::{CellGrid, CooTensor, DenseMatrix, GridError, NdCooTensor, NMODES};
+use tenblock_tensor::{CellGrid, CooTensor, DenseMatrix, GridError, NMODES};
 
 /// A prepared MTTKRP kernel for one mode of one tensor.
 ///
@@ -230,8 +230,11 @@ pub enum KernelKind {
     RankB,
     /// MB and RankB combined (Figure 3b).
     MbRankB,
-    /// Compressed sparse fiber (the higher-order format of ref. [12]),
-    /// with rank blocking.
+    /// Another name for `RankB`: the same kernel over the same unblocked
+    /// layout with rank strips, reporting `RankB`. Over three modes the
+    /// compressed sparse fiber tree of ref. [12] is the slice-compressed
+    /// SPLATT layout, so the name stays for requests, CLI flags and saved
+    /// plans naming `csf`.
     Csf,
     /// Another name for `MbRankB`: the same kernel over the same layout,
     /// reporting `MB+RankB`. Block-native coordinates (Section V-A as a
@@ -284,11 +287,11 @@ impl KernelKind {
 pub struct KernelConfig {
     /// MB grid in kernel axes `[slice, j, k]`; `[1, 1, 1]` disables MB.
     pub grid: [usize; NMODES],
-    /// Strip width in columns for the kinds with rank strips (`RankB`,
-    /// `MbRankB` and its alias `Bcoo`, `Csf`); `0` means the default, 16
-    /// columns. The other kinds ignore it, and the blocked strip kinds use
-    /// it only in blocks whose fibers are dense enough to pay for one walk
-    /// per strip (the rest run `Splatt`/`Mb`'s loop once over the full
+    /// Strip width in columns for the kinds with rank strips (`RankB` and
+    /// its alias `Csf`, `MbRankB` and its alias `Bcoo`); `0` means the
+    /// default, 16 columns. The other kinds ignore it, and the strip kinds
+    /// use it only in blocks whose fibers are dense enough to pay for one
+    /// walk per strip (the rest run `Splatt`/`Mb`'s loop once over the full
     /// rank).
     pub strip_width: usize,
     /// Threading policy and observability recorder.
@@ -444,11 +447,11 @@ pub fn try_build_kernel(
 
 /// [`try_build_kernel`], with the caller supplying the layout: the fibered
 /// kinds call `layout(grid)` for the [`BlockGrid`] of `(coo, mode, grid)`
-/// — `[1, 1, 1]` for `Splatt`/`RankB`, `cfg.grid` for `Mb`/`MbRankB`/`Bcoo`
+/// — `[1, 1, 1]` for `Splatt`/`RankB`/`Csf`, `cfg.grid` for `Mb`/`MbRankB`/`Bcoo`
 /// — and wrap what it returns, so a caller that keeps layouts (built with
 /// [`build_layout`]) pays for each once however many kernels it asks for.
-/// `layout` runs only after validation and at most once; `Coo` and `Csf`
-/// have their own layouts and never call it.
+/// `layout` runs only after validation and at most once; `Coo` has its own
+/// layout and never calls it.
 pub fn try_build_kernel_with(
     kind: KernelKind,
     coo: &CooTensor,
@@ -501,6 +504,7 @@ fn build_validated(
         | KernelKind::Mb
         | KernelKind::RankB
         | KernelKind::MbRankB
+        | KernelKind::Csf
         | KernelKind::Bcoo => {
             let mb = matches!(
                 kind,
@@ -511,11 +515,6 @@ fn build_validated(
             let strip = strips.then_some(strip);
             Box::new(BlockedKernel::over(layout(grid), mb, strip).with_exec(exec))
         }
-        KernelKind::Csf => Box::new(
-            CsfKernel::new(&NdCooTensor::from_coo3(coo), mode)
-                .with_strip_width(strip)
-                .with_exec(exec),
-        ),
     }
 }
 

@@ -15,7 +15,7 @@
 //! | `Mb` | V-A | [`block::BlockedKernel`] over an `N_A x N_B x N_C` grid |
 //! | `RankB` | V-B / Algorithm 2 | [`block::BlockedKernel`] with rank strips + register blocking in its fiber-dense blocks |
 //! | `MbRankB` | V-B, Fig. 3b | [`block::BlockedKernel`] with both |
-//! | `Csf` | ref. [12] | [`mttkrp::CsfKernel`], compressed sparse fiber |
+//! | `Csf` | ref. [12] | another name for `RankB` (over three modes CSF is SPLATT's layout) |
 //! | `Bcoo` | V-A as a layout | another name for `MbRankB` |
 //!
 //! The paper's Algorithm 2 is one loop nest — grid blocks ⊃ rank strips ⊃

@@ -1,6 +1,6 @@
 //! MTTKRP kernels: the inner loops [`crate::block::BlockedKernel`] runs
 //! (Algorithm 1's accumulator loop and Algorithm 2's register-blocked one),
-//! the COO and CSF kernels, and a dense reference implementation.
+//! the COO kernel, and a dense reference implementation.
 //!
 //! The two inner loops and the COO loop run at the host's full vector
 //! width. Each is written once, as an `#[inline(always)]` body, and
@@ -15,11 +15,9 @@
 //! is two registers instead of eight.
 
 mod coo;
-mod csf;
 mod dense_ref;
 
 pub use coo::CooKernel;
-pub use csf::{nd_mttkrp_reference, CsfKernel};
 pub use dense_ref::dense_mttkrp;
 
 use crate::isa::{Isa, Kind};

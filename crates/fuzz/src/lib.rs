@@ -25,7 +25,9 @@
 //!    mutator targets the `.tnsb` tile framing (truncated tile tables,
 //!    lying per-tile lengths, overlapping byte extents, out-of-range
 //!    cells and locals): `TileStore::validate_bytes` must likewise fail
-//!    typed, never panic.
+//!    typed, never panic. A `.tnsb` whose header says version 1 (a flat
+//!    COO payload) goes to `io_bin::read_bin` instead, under the same
+//!    rule.
 //!
 //! Every violation becomes a [`Finding`] carrying a delta-debugged
 //! (entry-minimized) `.tns` repro. The whole run is reproduced by its
@@ -57,8 +59,9 @@ pub struct FuzzOptions {
     pub base_seed: u64,
     /// Optional corpus directory: existing `.tns` files in it are replayed
     /// through the parse + differential stages and `.tnsb` files through
-    /// the tile-framing validator; repro files for any findings are
-    /// written back into it.
+    /// the reader their header's version names (the v1 COO decoder or the
+    /// tile-framing validator); repro files for any findings are written
+    /// back into it.
     pub corpus: Option<PathBuf>,
 }
 
@@ -297,17 +300,29 @@ fn fault_stage(case: &FuzzCase, seed: u64, rng: &mut FuzzRng, report: &mut FuzzR
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Binary parse-stage check: `TileStore::validate_bytes` must return `Ok`
-/// or a typed [`tenblock_tensor::io_bin::BinError`] on every mutated tile
-/// framing — truncated tables, lying lengths, overlapping extents — and
-/// never panic. There is no size guard: validation streams the bytes it
-/// is given and allocates per declared tile, which is itself under test.
+/// Binary parse-stage check, routed by the header's version field: a
+/// version-1 COO payload goes through `io_bin::read_bin`, anything else
+/// through `TileStore::validate_bytes` (truncated tables, lying lengths,
+/// overlapping extents). Either must return `Ok` or a typed
+/// [`tenblock_tensor::io_bin::BinError`] and never panic. There is no size
+/// guard: each reader's own bound on what a header can make it allocate is
+/// itself under test.
 fn tnsb_stage(label: &'static str, bytes: &[u8], seed: u64, report: &mut FuzzReport) {
-    match diff::catch(|| tenblock_tensor::TileStore::validate_bytes(bytes)) {
+    use tenblock_tensor::io_bin::{read_bin, VERSION_COO};
+    let v1 = bytes.get(4..8) == Some(VERSION_COO.to_le_bytes().as_slice());
+    let (reader, outcome) = if v1 {
+        ("read_bin", diff::catch(|| read_bin(bytes).map(drop)))
+    } else {
+        (
+            "validate_bytes",
+            diff::catch(|| tenblock_tensor::TileStore::validate_bytes(bytes)),
+        )
+    };
+    match outcome {
         Err(p) => report.findings.push(Finding {
             seed,
             case: format!("tnsb/{label}"),
-            detail: format!("validate_bytes panicked: {p}"),
+            detail: format!("{reader} panicked: {p}"),
             repro: None,
             repro_bin: Some(bytes.to_vec()),
         }),
@@ -461,7 +476,8 @@ fn collect(report: &mut FuzzReport, seed: u64, mut findings: Vec<Finding>) {
 }
 
 /// Replays every `.tns` file in `dir` through the parse stage (and the
-/// differential stage when small enough). Unreadable directories are
+/// differential stage when small enough), and every `.tnsb` file through
+/// the binary stage. Unreadable directories are
 /// reported as findings rather than errors: a fuzz run should always
 /// produce a report.
 fn replay_corpus(dir: &Path, report: &mut FuzzReport) {

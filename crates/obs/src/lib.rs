@@ -88,7 +88,7 @@ pub struct KernelCounters {
 }
 
 impl KernelCounters {
-    /// Counters for a fiber-factored kernel (SPLATT family, CSF): the
+    /// Counters for a fiber-factored kernel (the SPLATT family): the
     /// Section IV model with `alpha = 0`.
     pub fn fibered_model(nnz: u64, fibers: u64, rank: u64) -> Self {
         KernelCounters {

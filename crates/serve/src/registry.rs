@@ -19,10 +19,10 @@
 //!
 //! * **At registration** (and at each reload from the spill tier) the three
 //!   unblocked `[1, 1, 1]` layouts are built, one per mode. `splatt` and
-//!   `rankb` always run over them, `mb`/`mbrankb` (and `bcoo`, another
-//!   name for `mbrankb`) do whenever no tuned plan pins a grid, and the
-//!   per-mode fiber counts of [`TensorStats`] are read off them instead
-//!   of from three more sorts.
+//!   `rankb` (and `csf`, another name for `rankb`) always run over them,
+//!   `mb`/`mbrankb` (and `bcoo`, another name for `mbrankb`) do whenever
+//!   no tuned plan pins a grid, and the per-mode fiber counts of
+//!   [`TensorStats`] are read off them instead of from three more sorts.
 //! * **On first use** a blocked grid — a tuned plan's, or `decompose`'s
 //!   default — is derived from the mode's unblocked layout (one counting
 //!   pass, no sort: `BlockGrid::refine`) into the mode's one blocked slot.
@@ -36,8 +36,8 @@
 //!   either.
 //!
 //! Memory per resident entry is therefore the COO tensor plus at most two
-//! layouts per mode. `coo` and `csf` kernels have layouts of their own and
-//! still build per request. Evicting an entry to the spill tier
+//! layouts per mode. A `coo` kernel has a layout of its own and still
+//! builds per request. Evicting an entry to the spill tier
 //! drops its layouts with it.
 //!
 //! # Spill tier
@@ -882,6 +882,7 @@ mod tests {
             KernelKind::Mb,
             KernelKind::RankB,
             KernelKind::MbRankB,
+            KernelKind::Csf,
         ] {
             // A fresh entry per kind: its blocked slots start empty.
             let e = reg.register(kind.as_str(), x.clone()).unwrap();

@@ -30,6 +30,11 @@ pub enum TensorError {
         /// Index of the offending entry in construction order.
         entry: usize,
     },
+    /// Finite duplicates of one coordinate sum past `f64::MAX`.
+    NonFiniteSum {
+        /// The coordinate whose duplicates overflow, 0-based.
+        idx: [Idx; NMODES],
+    },
     /// Parallel coordinate/value slices have different lengths.
     LengthMismatch {
         /// The four slice lengths `(is, js, ks, vals)`.
@@ -47,6 +52,10 @@ impl std::fmt::Display for TensorError {
             TensorError::NonFiniteValue { entry } => {
                 write!(f, "non-finite value at entry {entry}")
             }
+            TensorError::NonFiniteSum { idx } => write!(
+                f,
+                "duplicates of 0-based coordinate {idx:?} sum to a non-finite value"
+            ),
             TensorError::LengthMismatch { lens } => write!(
                 f,
                 "coordinate/value slices must have equal length (got {lens:?})"
@@ -110,8 +119,9 @@ impl CooTensor {
     /// Duplicate coordinates are combined by summing their values; entries
     /// whose combined value is exactly `0.0` are kept (explicit zeros are
     /// legal nonzero *positions* in sparse-tensor libraries). NaN and
-    /// infinite values are rejected: every downstream kernel assumes
-    /// finite arithmetic.
+    /// infinite values are rejected, and so is a sum of duplicates that
+    /// overflows to infinity: every downstream kernel assumes finite
+    /// arithmetic.
     pub fn try_from_entries(
         dims: [usize; NMODES],
         mut entries: Vec<Entry>,
@@ -131,15 +141,23 @@ impl CooTensor {
             }
         }
         entries.sort_unstable_by_key(|e| e.idx);
+        // Only a merge can leave the finite range, so only merges check.
+        let mut overflow = None;
         entries.dedup_by(|next, acc| {
             if next.idx == acc.idx {
                 acc.val += next.val;
+                if !acc.val.is_finite() {
+                    overflow.get_or_insert(acc.idx);
+                }
                 true
             } else {
                 false
             }
         });
-        Ok(CooTensor { dims, entries })
+        match overflow {
+            Some(idx) => Err(TensorError::NonFiniteSum { idx }),
+            None => Ok(CooTensor { dims, entries }),
+        }
     }
 
     /// Builds a tensor from raw entries.
@@ -385,6 +403,27 @@ mod tests {
             CooTensor::try_from_triples([2, 2, 2], &[1, 1], &[0, 0], &[1, 1], &[2.0, 3.0]).unwrap();
         assert_eq!(t.nnz(), 1);
         assert_eq!(t.entries()[0].val, 5.0);
+    }
+
+    #[test]
+    fn duplicates_summing_past_f64_max_are_refused() {
+        let overflow = CooTensor::try_from_triples(
+            [2, 3, 2],
+            &[0, 1, 1],
+            &[0, 2, 2],
+            &[0, 1, 1],
+            &[1.0, 1e308, 1e308],
+        );
+        assert_eq!(overflow, Err(TensorError::NonFiniteSum { idx: [1, 2, 1] }));
+        let msg = overflow.unwrap_err().to_string();
+        assert!(
+            msg.contains("[1, 2, 1]") && msg.contains("non-finite"),
+            "{msg}"
+        );
+        // Large finite duplicates that stay in range still merge.
+        let t = CooTensor::try_from_triples([1, 1, 1], &[0, 0], &[0, 0], &[0, 0], &[1e308, -1e308])
+            .unwrap();
+        assert_eq!(t.entries()[0].val, 0.0);
     }
 
     #[test]

@@ -69,7 +69,8 @@ struct Split {
 /// fields and bytes that are not UTF-8 are all rejected with a
 /// [`TnsError::Parse`] naming the line; of several bad lines, the first
 /// in the file is named. Lines repeating a coordinate triple are coalesced
-/// by summing their values (the [`CooTensor`] duplicate semantics).
+/// by summing their values (the [`CooTensor`] duplicate semantics); a sum
+/// that overflows to infinity is a parse error naming the coordinate.
 ///
 /// The text is read in chunks of whole lines, and each chunk is parsed on
 /// every available core; the entries keep file order, so the result does
@@ -82,9 +83,8 @@ pub fn read_tns<R: Read>(reader: R) -> Result<CooTensor, TnsError> {
     };
     let (dims, entries) = read_entries(reader, split)?;
     // Coordinates were bounds-checked against the running maxima and
-    // values are finite, so construction cannot fail — but route through
-    // the fallible constructor anyway so a future invariant change surfaces
-    // as a parse error, not a panic on user input.
+    // values are finite; construction fails only if duplicates sum past
+    // `f64::MAX`, a parse error naming the coordinate.
     CooTensor::try_from_entries(dims, entries).map_err(|e| TnsError::Parse {
         line: 0,
         msg: e.to_string(),
@@ -596,6 +596,19 @@ mod tests {
             .find(|e| e.idx == [1, 0, 0])
             .expect("coalesced entry present");
         assert_eq!(merged.val, 3.0);
+    }
+
+    #[test]
+    fn duplicates_summing_past_f64_max_are_a_parse_error() {
+        match read_tns("1 1 1 1e308\n2 1 1 1.0\n1 1 1 1e308\n".as_bytes()) {
+            Err(TnsError::Parse { msg, .. }) => {
+                assert!(
+                    msg.contains("[0, 0, 0]") && msg.contains("non-finite"),
+                    "{msg}"
+                )
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

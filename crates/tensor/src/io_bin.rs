@@ -13,15 +13,13 @@
 //! nnz     u64            total nonzeros in the file
 //! ```
 //!
-//! Version 1 follows the header with a flat COO payload
-//! (`coords u32 * order * nnz` entry-major, then `vals f64 * nnz`); the
-//! version-2 tile framing lives in [`crate::tile_store`] and reuses
-//! [`read_header`]/[`write_header`] plus the integer codecs here. Tensor
-//! types plug into the container through [`BinCodec`], so the
-//! stream/file entry points are written once and shared.
+//! Version 1 follows the header with a flat COO payload of a 3-mode
+//! tensor (`coords u32 * 3 * nnz` entry-major, then `vals f64 * nnz`), read
+//! straight into a [`CooTensor`]'s entries; the version-2 tile framing
+//! lives in [`crate::tile_store`] and reuses [`read_header`]/
+//! [`write_header`] plus the integer codecs here.
 
 use crate::coo::CooTensor;
-use crate::nd::NdCooTensor;
 use crate::{Entry, NMODES};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -151,147 +149,153 @@ pub fn read_bin_header_file<P: AsRef<Path>>(path: P) -> Result<BinHeader, BinErr
     read_header(&mut BufReader::new(std::fs::File::open(path)?))
 }
 
-/// A tensor type that can live in the `.tnsb` container. Implementations
-/// define the payload; the header and the stream/file plumbing are shared.
-pub trait BinCodec: Sized {
-    /// Writes the header and payload.
-    fn encode<W: Write>(&self, writer: W) -> std::io::Result<()>;
-    /// Reads the header and payload, failing typed on anything malformed.
-    fn decode<R: Read>(reader: R) -> Result<Self, BinError>;
-}
+/// Bytes a version-1 payload stores per nonzero's coordinates: three `u32`.
+const COORD_BYTES: usize = 4 * NMODES;
 
-impl BinCodec for NdCooTensor {
-    fn encode<W: Write>(&self, writer: W) -> std::io::Result<()> {
-        let mut w = BufWriter::new(writer);
-        write_header(
-            &mut w,
-            &BinHeader {
-                version: VERSION_COO,
-                dims: self.dims().to_vec(),
-                nnz: self.nnz() as u64,
-            },
-        )?;
-        for n in 0..self.nnz() {
-            for &c in self.coord(n) {
-                write_u32(&mut w, c)?;
-            }
-        }
-        for &v in self.values() {
-            w.write_all(&v.to_le_bytes())?;
-        }
-        w.flush()
-    }
+/// Bytes a version-1 payload stores per nonzero: its coordinates and one
+/// `f64` value.
+const COO_ENTRY_BYTES: u64 = COORD_BYTES as u64 + 8;
 
-    fn decode<R: Read>(reader: R) -> Result<Self, BinError> {
-        let mut r = BufReader::new(reader);
-        let h = read_header(&mut r)?;
-        if h.version != VERSION_COO {
-            return Err(BinError::Format(format!(
-                "unsupported version {}",
-                h.version
-            )));
-        }
-        let (order, nnz) = (h.dims.len(), to_usize(h.nnz, "nnz")?);
-        // The header is untrusted: a wrapped nnz·order would make the
-        // coordinate count disagree with the value count silently.
-        let n_coords = nnz.checked_mul(order).ok_or_else(|| {
-            BinError::Format(format!(
-                "header claims {nnz} entries x {order} modes, which overflows"
-            ))
-        })?;
-        let mut coords = Vec::with_capacity(n_coords);
-        for _ in 0..n_coords {
-            coords.push(read_u32(&mut r)?);
-        }
-        let mut vals = Vec::with_capacity(nnz);
-        let mut b = [0u8; 8];
-        for _ in 0..nnz {
-            r.read_exact(&mut b)?;
-            vals.push(f64::from_le_bytes(b));
-        }
-        NdCooTensor::try_from_flat(h.dims, coords, vals)
-            .map_err(|e| BinError::Format(e.to_string()))
-    }
-}
+/// Entries [`read_bin`] reserves before the payload arrives (1.5 MiB); a
+/// longer payload grows the vector as its bytes are read.
+const STREAM_RESERVE: usize = 1 << 16;
 
-impl BinCodec for CooTensor {
-    fn encode<W: Write>(&self, writer: W) -> std::io::Result<()> {
-        NdCooTensor::from_coo3(self).encode(writer)
-    }
-
-    fn decode<R: Read>(reader: R) -> Result<Self, BinError> {
-        let nd = NdCooTensor::decode(reader)?;
-        let dims: [usize; NMODES] = nd.dims().try_into().map_err(|_| {
-            BinError::Format(format!(
-                "expected a 3-mode tensor, file has order {}",
-                nd.order()
-            ))
-        })?;
-        let entries = (0..nd.nnz())
-            .map(|n| {
-                let c = nd.coord(n);
-                // coord slices have len == order == 3, established above — lint: allow(panic-reach)
-                Entry::new(c[0], c[1], c[2], nd.value(n))
-            })
-            .collect();
-        // A file value can be NaN/infinite; that must surface as a typed
-        // error, not the panicking constructor.
-        CooTensor::try_from_entries(dims, entries).map_err(|e| BinError::Format(e.to_string()))
-    }
-}
-
-/// Writes any [`BinCodec`] tensor to a file path, atomically: bytes go
-/// to a same-directory temp file that a post-`sync_all` rename
-/// publishes, so a crash mid-write never leaves a partial `.tnsb` under
-/// the final name.
-pub fn write_file<T: BinCodec, P: AsRef<Path>>(t: &T, path: P) -> std::io::Result<()> {
-    let mut out = crate::persist::AtomicFile::create(path, tenblock_faults::FaultPolicy::none())?;
-    t.encode(&mut out)?;
-    out.commit()
-}
-
-/// Reads any [`BinCodec`] tensor from a file path.
-pub fn read_file<T: BinCodec, P: AsRef<Path>>(path: P) -> Result<T, BinError> {
-    T::decode(std::fs::File::open(path)?)
-}
-
-/// Writes an N-mode tensor in the binary format.
-pub fn write_bin_nd<W: Write>(t: &NdCooTensor, writer: W) -> std::io::Result<()> {
-    t.encode(writer)
-}
-
-/// Reads an N-mode tensor from the binary format.
-pub fn read_bin_nd<R: Read>(reader: R) -> Result<NdCooTensor, BinError> {
-    NdCooTensor::decode(reader)
-}
+/// Entries decoded per `read_exact`.
+const DECODE_CHUNK: usize = 4096;
 
 /// Writes a 3-mode tensor in the binary format.
 pub fn write_bin<W: Write>(t: &CooTensor, writer: W) -> std::io::Result<()> {
-    t.encode(writer)
+    let mut w = BufWriter::new(writer);
+    write_header(
+        &mut w,
+        &BinHeader {
+            version: VERSION_COO,
+            dims: t.dims().to_vec(),
+            nnz: t.nnz() as u64,
+        },
+    )?;
+    for e in t.entries() {
+        for c in e.idx {
+            write_u32(&mut w, c)?;
+        }
+    }
+    for e in t.entries() {
+        w.write_all(&e.val.to_le_bytes())?;
+    }
+    w.flush()
 }
 
 /// Reads a 3-mode tensor from the binary format.
 ///
-/// Fails if the file's order is not 3.
+/// Fails with [`BinError::Format`] if the header is not version 1 or the
+/// order is not 3, before any payload is allocated. At most
+/// [`STREAM_RESERVE`] entries are reserved up front and the rest as their
+/// bytes arrive, so a header claiming more entries than the stream holds
+/// ends in `BinError::Io(UnexpectedEof)`, not in an allocation sized by
+/// the claim.
 pub fn read_bin<R: Read>(reader: R) -> Result<CooTensor, BinError> {
-    CooTensor::decode(reader)
+    let mut r = BufReader::new(reader);
+    let (dims, nnz, _) = read_coo_header(&mut r)?;
+    read_payload(&mut r, dims, nnz, nnz.min(STREAM_RESERVE))
 }
 
-/// Writes a 3-mode binary tensor file.
+/// Writes a 3-mode binary tensor file, atomically: bytes go to a
+/// same-directory temp file that a post-`sync_all` rename publishes, so a
+/// crash mid-write never leaves a partial `.tnsb` under the final name.
 pub fn write_bin_file<P: AsRef<Path>>(t: &CooTensor, path: P) -> std::io::Result<()> {
-    write_file(t, path)
+    let mut out = crate::persist::AtomicFile::create(path, tenblock_faults::FaultPolicy::none())?;
+    write_bin(t, &mut out)?;
+    out.commit()
 }
 
 /// Reads a 3-mode binary tensor file.
+///
+/// A version-1 payload has a fixed size, so the file must be exactly the
+/// header plus 20 bytes a nonzero long. That is checked before the
+/// entries are reserved, and a mismatch is a [`BinError::Format`].
 pub fn read_bin_file<P: AsRef<Path>>(path: P) -> Result<CooTensor, BinError> {
-    read_file(path)
+    let file = std::fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    let mut r = BufReader::new(file);
+    let (dims, nnz, header_len) = read_coo_header(&mut r)?;
+    let want = header_len as u128 + u128::from(COO_ENTRY_BYTES) * nnz as u128;
+    if u128::from(len) != want {
+        return Err(BinError::Format(format!(
+            "file is {len} bytes, but a header claiming {nnz} entries needs {want}"
+        )));
+    }
+    read_payload(&mut r, dims, nnz, nnz)
+}
+
+/// Reads the shared header and checks that it describes a 3-mode COO
+/// payload: its dims, its nonzero count and its encoded length.
+fn read_coo_header<R: Read>(r: &mut R) -> Result<([usize; NMODES], usize, usize), BinError> {
+    let h = read_header(r)?;
+    if h.version != VERSION_COO {
+        return Err(BinError::Format(format!(
+            "unsupported version {}",
+            h.version
+        )));
+    }
+    let dims: [usize; NMODES] = h.dims.as_slice().try_into().map_err(|_| {
+        BinError::Format(format!(
+            "expected a 3-mode tensor, file has order {}",
+            h.dims.len()
+        ))
+    })?;
+    Ok((dims, to_usize(h.nnz, "nnz")?, h.encoded_len()))
+}
+
+/// Reads `nnz` entry-major coordinate triples, then their `nnz` values,
+/// straight into the entries of a [`CooTensor`], reserving `reserve`
+/// entries first.
+fn read_payload<R: Read>(
+    r: &mut R,
+    dims: [usize; NMODES],
+    nnz: usize,
+    reserve: usize,
+) -> Result<CooTensor, BinError> {
+    let mut entries = Vec::with_capacity(reserve);
+    let mut buf = Vec::new();
+    let mut left = nnz;
+    while left > 0 {
+        let n = left.min(DECODE_CHUNK);
+        buf.resize(n * COORD_BYTES, 0);
+        r.read_exact(&mut buf)?;
+        entries.extend(buf.as_chunks::<COORD_BYTES>().0.iter().map(|&coord| {
+            let [a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3] = coord;
+            Entry::new(
+                u32::from_le_bytes([a0, a1, a2, a3]),
+                u32::from_le_bytes([b0, b1, b2, b3]),
+                u32::from_le_bytes([c0, c1, c2, c3]),
+                0.0,
+            )
+        }));
+        left -= n;
+    }
+    for chunk in entries.chunks_mut(DECODE_CHUNK) {
+        buf.resize(chunk.len() * 8, 0);
+        r.read_exact(&mut buf)?;
+        for (e, &val) in chunk.iter_mut().zip(buf.as_chunks::<8>().0) {
+            e.val = f64::from_le_bytes(val);
+        }
+    }
+    // A file value can be NaN or infinite, and duplicates can sum past
+    // `f64::MAX`: both are typed errors, not the panicking constructor.
+    CooTensor::try_from_entries(dims, entries).map_err(|e| BinError::Format(e.to_string()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::uniform_tensor;
-    use crate::nd::uniform_nd;
+
+    /// A fresh scratch directory for one test's files.
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("tenblock_bin_{name}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
 
     #[test]
     fn roundtrip_3mode() {
@@ -300,15 +304,6 @@ mod tests {
         write_bin(&t, &mut buf).unwrap();
         let back = read_bin(buf.as_slice()).unwrap();
         assert_eq!(back.entries(), t.entries());
-    }
-
-    #[test]
-    fn roundtrip_nd() {
-        let t = uniform_nd(&[5, 6, 7, 8, 9], 300, 3);
-        let mut buf = Vec::new();
-        write_bin_nd(&t, &mut buf).unwrap();
-        let back = read_bin_nd(buf.as_slice()).unwrap();
-        assert_eq!(back, t);
     }
 
     #[test]
@@ -330,20 +325,111 @@ mod tests {
 
     #[test]
     fn order_mismatch_is_reported() {
-        let t = uniform_nd(&[4, 4], 8, 2);
-        let mut buf = Vec::new();
-        write_bin_nd(&t, &mut buf).unwrap();
-        assert!(matches!(read_bin(buf.as_slice()), Err(BinError::Format(_))));
-        // but the nd reader accepts it
-        assert_eq!(read_bin_nd(buf.as_slice()).unwrap(), t);
+        for order in [2, 4] {
+            let mut buf = Vec::new();
+            write_header(
+                &mut buf,
+                &BinHeader {
+                    version: VERSION_COO,
+                    dims: vec![4; order],
+                    nnz: 1,
+                },
+            )
+            .unwrap();
+            // A well-formed payload of that order follows the header.
+            buf.extend(std::iter::repeat_n(0u8, 4 * order + 8));
+            match read_bin(buf.as_slice()) {
+                Err(BinError::Format(m)) => assert!(m.contains(&format!("order {order}")), "{m}"),
+                other => panic!("order {order}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn v1_bytes_follow_the_documented_layout() {
+        let t = CooTensor::from_triples([3, 5, 7], &[0, 2], &[4, 1], &[6, 0], &[1.5, -0.25]);
+        let mut want = Vec::new();
+        want.extend_from_slice(b"TNSB");
+        want.extend_from_slice(&1u32.to_le_bytes());
+        want.extend_from_slice(&3u32.to_le_bytes());
+        for d in [3u64, 5, 7] {
+            want.extend_from_slice(&d.to_le_bytes());
+        }
+        want.extend_from_slice(&2u64.to_le_bytes());
+        for c in [0u32, 4, 6, 2, 1, 0] {
+            want.extend_from_slice(&c.to_le_bytes());
+        }
+        for v in [1.5f64, -0.25] {
+            want.extend_from_slice(&v.to_le_bytes());
+        }
+        let mut got = Vec::new();
+        write_bin(&t, &mut got).unwrap();
+        assert_eq!(got, want);
+        assert_eq!(read_bin(want.as_slice()).unwrap(), t);
+    }
+
+    #[test]
+    fn a_header_claiming_more_than_the_payload_is_a_typed_error() {
+        // A v1 header claiming 2^40 entries of a tensor whose modes are
+        // 2^32 long, and no payload.
+        let mut bytes = Vec::new();
+        write_header(
+            &mut bytes,
+            &BinHeader {
+                version: VERSION_COO,
+                dims: vec![1 << 32; 3],
+                nnz: 1 << 40,
+            },
+        )
+        .unwrap();
+        assert_eq!(bytes.len(), 44);
+        match read_bin(bytes.as_slice()) {
+            Err(BinError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+            other => panic!("stream: {other:?}"),
+        }
+        let path = scratch("claim").join("evil.tnsb");
+        crate::persist::atomic_write(&path, &bytes).unwrap();
+        match read_bin_file(&path) {
+            Err(BinError::Format(m)) => assert!(m.contains("44 bytes"), "{m}"),
+            other => panic!("file: {other:?}"),
+        }
+        // One byte too many is refused as well as one too few.
+        let mut long = Vec::new();
+        write_bin(&uniform_tensor([4, 4, 4], 10, 1), &mut long).unwrap();
+        long.push(0);
+        crate::persist::atomic_write(&path, &long).unwrap();
+        assert!(matches!(read_bin_file(&path), Err(BinError::Format(_))));
+    }
+
+    #[test]
+    fn duplicates_summing_past_f64_max_are_refused() {
+        // Two entries at one coordinate of a two-cell tensor.
+        let mut dup = Vec::new();
+        write_header(
+            &mut dup,
+            &BinHeader {
+                version: VERSION_COO,
+                dims: vec![2, 1, 1],
+                nnz: 2,
+            },
+        )
+        .unwrap();
+        for _ in 0..2 {
+            dup.extend_from_slice(&[0u8; 12]);
+        }
+        for _ in 0..2 {
+            dup.extend_from_slice(&1e308f64.to_le_bytes());
+        }
+        match read_bin(dup.as_slice()) {
+            Err(BinError::Format(m)) => assert!(m.contains("non-finite"), "{m}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
     fn file_roundtrip_and_size() {
         let t = uniform_tensor([50, 50, 50], 1_000, 9);
-        let dir = std::env::temp_dir().join("tenblock_bin_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.tnsb");
+        let path = scratch("roundtrip").join("t.tnsb");
         write_bin_file(&t, &path).unwrap();
         let back = read_bin_file(&path).unwrap();
         assert_eq!(back.entries(), t.entries());
@@ -367,9 +453,7 @@ mod tests {
 
         // File peek sees the header of a v1 file without reading the body.
         let t = uniform_tensor([9, 8, 7], 40, 5);
-        let dir = std::env::temp_dir().join("tenblock_bin_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("peek.tnsb");
+        let path = scratch("peek").join("peek.tnsb");
         write_bin_file(&t, &path).unwrap();
         let peek = read_bin_header_file(&path).unwrap();
         assert_eq!(peek.version, VERSION_COO);

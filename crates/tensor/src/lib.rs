@@ -29,13 +29,11 @@
 
 pub mod cell_grid;
 pub mod coo;
-pub mod csf;
 pub mod dense;
 pub mod fiber_sort;
 pub mod gen;
 pub mod io;
 pub mod io_bin;
-pub mod nd;
 pub mod persist;
 pub mod reorder;
 pub mod source;
@@ -46,10 +44,8 @@ pub mod validate;
 
 pub use cell_grid::{CellGrid, GridError};
 pub use coo::{CooTensor, Entry, TensorError};
-pub use csf::CsfTensor;
 pub use dense::DenseMatrix;
 pub use fiber_sort::{FiberCols, FiberSorter};
-pub use nd::NdCooTensor;
 pub use persist::{atomic_write, atomic_write_with, AtomicFile};
 pub use source::{CooSource, SourceTile, TensorSource};
 pub use splatt::SplattTensor;

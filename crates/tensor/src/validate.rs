@@ -1,13 +1,12 @@
-//! Structural invariant checkers for the compressed formats.
+//! Structural invariant checker for the compressed format.
 //!
-//! These run the full battery of representation invariants (monotone
+//! It runs the full battery of representation invariants (monotone
 //! pointer arrays, sorted fiber ids within a slice, in-range coordinates,
-//! aligned value arrays) and return human-readable violations. They back
-//! the test suites and are exposed publicly so downstream code that builds
-//! `SplattTensor`/`CsfTensor` values by hand (e.g. from mmap'd files) can
+//! aligned value arrays) and returns human-readable violations. It backs
+//! the test suites and is exposed publicly so downstream code that builds
+//! `SplattTensor` values by hand (e.g. from mmap'd files) can
 //! sanity-check them.
 
-use crate::csf::CsfTensor;
 use crate::splatt::SplattTensor;
 
 /// Checks every structural invariant of a SPLATT tensor. Returns all
@@ -78,60 +77,11 @@ pub fn check_splatt(t: &SplattTensor) -> Vec<String> {
     errs
 }
 
-/// Checks every structural invariant of a CSF tensor.
-pub fn check_csf(t: &CsfTensor) -> Vec<String> {
-    let mut errs = Vec::new();
-    let order = t.order();
-    let dims = t.dims();
-    let perm = t.perm();
-
-    if t.n_nodes(order - 1) != t.nnz() {
-        errs.push(format!(
-            "leaf count {} != nnz {}",
-            t.n_nodes(order - 1),
-            t.nnz()
-        ));
-    }
-    for l in 0..order {
-        for node in 0..t.n_nodes(l) {
-            if (t.fid(l, node) as usize) >= dims[perm[l]] {
-                errs.push(format!("level {l} node {node} fid out of range"));
-            }
-        }
-    }
-    for l in 0..order - 1 {
-        let mut covered = 0;
-        for node in 0..t.n_nodes(l) {
-            let r = t.children(l, node);
-            if r.start != covered {
-                errs.push(format!("level {l} node {node} child range has a gap"));
-            }
-            if r.is_empty() {
-                errs.push(format!("level {l} node {node} has no children"));
-            }
-            // children of one parent have strictly increasing fids
-            let kids: Vec<u32> = r.clone().map(|c| t.fid(l + 1, c)).collect();
-            if kids.windows(2).any(|w| w[0] >= w[1]) {
-                errs.push(format!("level {l} node {node} children not increasing"));
-            }
-            covered = r.end;
-        }
-        if covered != t.n_nodes(l + 1) {
-            errs.push(format!(
-                "level {l} child ranges cover {covered} != {} nodes",
-                t.n_nodes(l + 1)
-            ));
-        }
-    }
-    errs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coo::MODE1_PERM;
     use crate::gen::uniform_tensor;
-    use crate::nd::uniform_nd;
 
     #[test]
     fn built_splatt_tensors_are_valid() {
@@ -146,24 +96,8 @@ mod tests {
     }
 
     #[test]
-    fn built_csf_tensors_are_valid() {
-        for order in [2usize, 3, 4, 5] {
-            let dims: Vec<usize> = (0..order).map(|m| 5 + m).collect();
-            let cells: usize = dims.iter().product();
-            let x = uniform_nd(&dims, (cells / 3).max(1), order as u64);
-            for root in 0..order {
-                let t = CsfTensor::for_mode(&x, root);
-                let errs = check_csf(&t);
-                assert!(errs.is_empty(), "order {order} root {root}: {errs:?}");
-            }
-        }
-    }
-
-    #[test]
     fn empty_structures_are_valid() {
         let x = crate::CooTensor::empty([4, 4, 4]);
         assert!(check_splatt(&SplattTensor::for_mode(&x, 0)).is_empty());
-        let nd = crate::NdCooTensor::empty(vec![3, 3, 3]);
-        assert!(check_csf(&CsfTensor::for_mode(&nd, 0)).is_empty());
     }
 }

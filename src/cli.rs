@@ -121,7 +121,7 @@ USAGE:
                        [--trace [path]]
   tenblock tune <file> [--rank R] [--plan-cache <path>] [--trace [path]]
   tenblock decompose <file> [--rank R] [--iters N] [--method als|apr]
-                            [--kernel splatt|mb|rankb|mbrankb|bcoo]
+                            [--kernel splatt|mb|rankb|mbrankb|csf|bcoo]
                             [--plan-cache <path>] [--trace [path]]
                             [--stream [--tile-budget BYTES] [--store <path>]
                              [--checked] [--assert-peak-rss BYTES]]
@@ -137,7 +137,7 @@ Files: .tns (FROSTT text) or .tnsb (tenblock binary).
 the mode-1 blocking under that grid (how many nonzeros each nonempty
 block holds — the profile that decides which blocks the strip kernels
 walk once per strip).
-`--kernel bcoo` is another name for mbrankb.
+`--kernel csf` is another name for rankb, and `--kernel bcoo` for mbrankb.
 Datasets: Poisson1-3, NELL2, Netflix, Reddit, Amazon (scaled analogues).
 --trace records execution spans (kernel calls, ALS iterations, tune
 candidates) with Section IV byte/flop counters and writes chrome://tracing
@@ -442,10 +442,10 @@ pub fn run(cmd: &str, args: &Args) -> Result<String, String> {
                 cfg.strip_width,
             )];
             let nnz = t.nnz().max(1) as f64;
-            // `bcoo` names the kernel `mbrankb` already times.
+            // `csf` and `bcoo` name kernels `rankb` and `mbrankb` already time.
             for kind in KernelKind::ALL
                 .into_iter()
-                .filter(|&k| k != KernelKind::Bcoo)
+                .filter(|&k| !matches!(k, KernelKind::Csf | KernelKind::Bcoo))
             {
                 let k = try_build_kernel(kind, &t, 0, &cfg).map_err(|e| e.to_string())?;
                 let stats = time_reps(1, reps, || k.mttkrp(&fs, &mut out));

@@ -143,12 +143,7 @@ fn traced_launches_say_which_instruction_set_ran() {
             "{}: isa {isa:?}",
             span.name
         );
-        // CSF, the order-N path, stays at the baseline width; the three-mode
-        // loops run on the widest set the host has.
-        let want = match kind {
-            KernelKind::Csf => "baseline",
-            _ => Isa::best().name(),
-        };
-        assert_eq!(isa, want, "{}", span.name);
+        // Every loop runs on the widest set the host has.
+        assert_eq!(isa, Isa::best().name(), "{}", span.name);
     }
 }

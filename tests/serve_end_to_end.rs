@@ -1,7 +1,9 @@
 //! End-to-end test of `tenblock-serve` over real TCP: two concurrent
 //! clients drive gen → tune → decompose → metrics, proving (a) the second
-//! tune of the same tensor/rank is answered from the plan cache, and (b) a
-//! capacity-1 queue rejects overflow with a typed `queue-full` error.
+//! tune of the same tensor/rank is answered from the plan cache, (b) a
+//! capacity-1 queue rejects overflow with a typed `queue-full` error, and
+//! (c) a hostile tensor file is refused as `invalid-tensor` while the
+//! server keeps answering.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -153,5 +155,27 @@ fn capacity_one_queue_rejects_with_typed_error() {
             _ if Instant::now() > deadline => panic!("job never finished: {st:?}"),
             _ => std::thread::sleep(Duration::from_millis(10)),
         }
+    }
+}
+
+#[test]
+fn hostile_tensor_files_are_refused_and_the_server_keeps_serving() {
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut c = Client::connect(server.addr());
+    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fuzz-corpus");
+    // A 44-byte header claiming 2^40 entries (once an allocation that
+    // aborted the process), and two finite duplicates whose sum is `inf`.
+    for (name, file) in [
+        ("claim", "nnz-beyond-payload.tnsb"),
+        ("dup", "dup-overflow.tns"),
+    ] {
+        let r = c.request(&format!(
+            r#"{{"cmd":"load","name":"{name}","path":"{}"}}"#,
+            corpus.join(file).display()
+        ));
+        assert_eq!(r.get_str("code"), Some("invalid-tensor"), "{file}: {r:?}");
+        let list = c.expect_ok(r#"{"cmd":"metrics"}"#);
+        let tensors = list.get("metrics").unwrap().get_usize("tensors");
+        assert_eq!(tensors, Some(0), "{file}: {list:?}");
     }
 }
