@@ -45,10 +45,14 @@ thread_local! {
 ///
 /// # Panics
 /// Panics with the [`tenblock_tensor::GridError`] if `grid` is invalid.
+#[expect(
+    clippy::panic,
+    reason = "documented panic; try_build_kernel checks first"
+)]
 fn cells_for(dims: [usize; NMODES], perm: [usize; NMODES], grid: [usize; NMODES]) -> CellGrid {
     match CellGrid::new(perm.map(|m| dims[m]), grid) {
         Ok(cells) => cells,
-        Err(e) => panic!("{e}"), // documented panic; try_build_kernel checks first — lint: allow(panic-reach)
+        Err(e) => panic!("{e}"),
     }
 }
 
@@ -333,11 +337,11 @@ impl BlockGrid {
     /// block's box, and the blocks must jointly hold exactly [`Self::nnz`]
     /// nonzeros. Independent of the construction code — it re-derives
     /// everything from the stored blocks.
-    pub fn validate(&self) -> Result<(), tenblock_check::OracleError> {
+    pub fn validate(&self) -> Result<(), crate::check::OracleError> {
         let dims = self.perm.map(|m| self.dims[m]);
-        let blocks: Vec<tenblock_check::GridBlock> = (self.blocks.iter().enumerate())
+        let blocks: Vec<crate::check::GridBlock> = (self.blocks.iter().enumerate())
             .filter_map(|(id, b)| Some((self.cells.cell(id), b.as_ref()?)))
-            .map(|(coords, t)| tenblock_check::GridBlock {
+            .map(|(coords, t)| crate::check::GridBlock {
                 coords,
                 entries: t
                     .to_entries()
@@ -346,7 +350,7 @@ impl BlockGrid {
                     .collect(),
             })
             .collect();
-        tenblock_check::check_grid_blocks(
+        crate::check::check_grid_blocks(
             dims,
             [self.bounds(0), self.bounds(1), self.bounds(2)],
             self.nnz,

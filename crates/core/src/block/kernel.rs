@@ -41,14 +41,14 @@
 //! pieces are SPLATT's slice chunks.
 
 use super::{build_layout, BlockGrid};
-use crate::checked::effective_strip_plan;
+use crate::check::effective_strip_plan;
+use crate::check::OracleError;
 use crate::exec::ExecPolicy;
 use crate::isa::Isa;
 use crate::kernel::RowTask;
 use crate::mttkrp::{process_block_plain, process_block_rankb, DenseWindow, REG_BLOCK};
 use std::ops::Range;
 use std::sync::Arc;
-use tenblock_check::OracleError;
 use tenblock_obs::KernelCounters;
 use tenblock_tensor::{CooTensor, DenseMatrix, SplattTensor, NMODES};
 

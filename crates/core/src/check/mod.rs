@@ -1,17 +1,29 @@
-//! What a launch verifies before any task runs, under
+//! Checked execution: what a launch verifies before any task runs, under
 //! [`crate::Threads::Checked`] or through
 //! [`crate::MttkrpKernel::mttkrp_checked`].
 //!
-//! Every kernel declares its launch as row tasks, each owning a contiguous
-//! range of output rows, and says which rows each task's body will actually
-//! touch — read from the tensor data (slice ids, block contents, entry
-//! rows), independently of the partition arithmetic behind the claim.
-//! [`write_sets`] turns both halves into the `tenblock-check` vocabulary, so
-//! a drifted boundary in the real structures shows up as a write-set
-//! violation before any task runs.
+//! Two layers, both pure functions over plain data:
+//!
+//! 1. **Write-set race detection** ([`writeset`]): every kernel declares
+//!    its launch as row tasks, each owning a contiguous range of output
+//!    rows, and says which rows each task's body will actually touch —
+//!    read from the tensor data (slice ids, block contents, entry rows),
+//!    independently of the partition arithmetic behind the claim.
+//!    [`write_sets`] turns both halves into [`WriteSet`]s, so a drifted
+//!    boundary in the real structures shows up as a [`Violation`] in a
+//!    [`RaceReport`] before any task runs.
+//! 2. **Blocking-invariant oracles** ([`oracle`]): an MB grid's bounds tile
+//!    each axis and every nonzero sits inside exactly one block; a RankB
+//!    strip plan tiles `[0, rank)` with register chunks no wider than
+//!    `N_RegB`; a tuner output is achievable for the tensor shape.
+
+pub mod oracle;
+pub mod writeset;
+
+pub use oracle::{check_grid_blocks, check_strip_plan, check_tune_grid, GridBlock, OracleError};
+pub use writeset::{check_write_sets, write_set_violations, RaceReport, Violation, WriteSet};
 
 use crate::kernel::{RowKernel, RowTask};
-use tenblock_check::{write_set_violations, RaceReport, Violation, WriteSet};
 
 /// Verifies a launch of `tasks` into `out_rows` rows at `rank` columns:
 /// the kernel's oracle (as a [`Violation::Invariant`], first), then the
@@ -64,7 +76,6 @@ mod tests {
     use crate::exec::ExecPolicy;
     use crate::mttkrp::REG_BLOCK;
     use std::sync::Arc;
-    use tenblock_check::{check_strip_plan, check_write_sets};
     use tenblock_tensor::gen::uniform_tensor;
 
     /// The write sets a launch of `k` into `out_rows` rows would check.

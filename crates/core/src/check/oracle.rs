@@ -6,8 +6,9 @@
 //! rank with register chunks no wider than `N_RegB` (Algorithm 2), and a
 //! tuned configuration must be achievable for the tensor shape. These
 //! functions verify those invariants from first principles, independently of
-//! the code that built the structures — `tenblock-core` translates its
-//! `BlockGrid`/`TuneResult` internals into the plain slices taken here.
+//! the code that built the structures: `BlockGrid::validate` and
+//! `TuneResult::validate` translate their internals into the plain slices
+//! taken here.
 
 /// A failed oracle check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,7 +33,7 @@ fn fail(check: &'static str, detail: String) -> Result<(), OracleError> {
 
 /// Verifies that `bounds` tiles `[0, dim)`: starts at 0, ends at `dim`,
 /// and never decreases (empty blocks are legal; reordering is not).
-pub fn check_bounds_tiling(axis: usize, bounds: &[usize], dim: usize) -> Result<(), OracleError> {
+fn check_bounds_tiling(axis: usize, bounds: &[usize], dim: usize) -> Result<(), OracleError> {
     const CHECK: &str = "grid-bounds";
     if bounds.len() < 2 {
         return fail(CHECK, format!("axis {axis}: fewer than two boundaries"));

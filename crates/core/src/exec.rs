@@ -27,7 +27,7 @@ pub enum Threads {
     /// Like [`Threads::Auto`], but every launch first validates the
     /// kernel's blocking invariants and parallel write sets
     /// ([`crate::MttkrpKernel::mttkrp_checked`]); a violation is reported
-    /// as a [`tenblock_check::RaceReport`] before any task runs.
+    /// as a [`crate::RaceReport`] before any task runs.
     Checked,
 }
 

@@ -10,14 +10,13 @@
 //! [`RowKernel`] is an [`MttkrpKernel`] through that routine.
 
 use crate::block::{build_layout, BlockGrid, BlockedKernel};
-use crate::checked::verify;
+use crate::check::{verify, OracleError, RaceReport};
 use crate::exec::ExecPolicy;
 use crate::isa::Isa;
 use crate::mttkrp::CooKernel;
 use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::Arc;
-use tenblock_check::{OracleError, RaceReport};
 use tenblock_obs::KernelCounters;
 use tenblock_tensor::{CellGrid, CooTensor, DenseMatrix, GridError, NMODES};
 
@@ -148,9 +147,13 @@ impl<K: RowKernel> MttkrpKernel for K {
 ///
 /// # Panics
 /// As [`MttkrpKernel::mttkrp`].
+#[expect(
+    clippy::panic,
+    reason = "deliberate fail-stop on a racy plan under checked execution"
+)]
 pub(crate) fn launch<K: RowKernel>(k: &K, factors: &[&DenseMatrix], out: &mut DenseMatrix) {
     if let Err(report) = try_launch(k, factors, out, k.exec().is_checked()) {
-        panic!("checked execution refused launch: {report}"); // deliberate fail-stop on a racy plan — lint: allow(panic-reach)
+        panic!("checked execution refused launch: {report}");
     }
 }
 
@@ -472,6 +475,10 @@ pub fn try_build_kernel_with(
 /// # Panics
 /// Panics on an invalid request; boundary code should prefer
 /// [`try_build_kernel`].
+#[expect(
+    clippy::panic,
+    reason = "documented panic for trusted callers; boundary code calls try_build_kernel"
+)]
 pub fn build_kernel(
     kind: KernelKind,
     coo: &CooTensor,

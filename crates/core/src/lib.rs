@@ -62,11 +62,11 @@
 #![deny(unsafe_code)]
 // Production paths return typed errors; waivers are `#[expect]`s with a
 // reason (`clippy.toml` exempts tests).
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(missing_docs)]
 
 pub mod block;
-mod checked;
+pub mod check;
 pub mod exec;
 pub mod isa;
 pub mod kernel;
@@ -76,6 +76,7 @@ pub mod timing;
 pub mod tune;
 
 pub use block::build_layout;
+pub use check::RaceReport;
 pub use exec::{ExecPolicy, Threads};
 pub use kernel::{
     build_kernel, try_build_kernel, try_build_kernel_with, KernelConfig, KernelError, KernelKind,
@@ -87,8 +88,3 @@ pub use tune::{try_tune, try_tune_unblocked, tune, TuneError, TuneOptions, TuneR
 // Re-export the observability vocabulary so downstream crates don't need a
 // direct tenblock-obs dependency to attach a recorder.
 pub use tenblock_obs as obs;
-
-// Re-export the correctness vocabulary for the same reason: callers of
-// `mttkrp_checked` handle `RaceReport` without a tenblock-check dependency.
-pub use tenblock_check as check;
-pub use tenblock_check::RaceReport;

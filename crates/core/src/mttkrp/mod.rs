@@ -40,10 +40,10 @@ pub const REG_BLOCK: usize = 16;
 )]
 pub(crate) fn reg_chunk(row: &[f64], col: usize) -> &[f64; REG_BLOCK] {
     // Infallible: the slice is exactly REG_BLOCK long, and the hot loops
-    // must stay branch-free. Re-audited by the panic-reach pass: every
-    // witnessed chain (launch → … → reg_chunk) reaches this site through a
-    // `while col + REG_BLOCK <= width` guard over a width-long window.
-    row[col..col + REG_BLOCK].try_into().unwrap() // lint: allow(panic-reach)
+    // must stay branch-free. Every caller chain (launch → … → reg_chunk)
+    // reaches this site through a `while col + REG_BLOCK <= width` guard
+    // over a width-long window.
+    row[col..col + REG_BLOCK].try_into().unwrap()
 }
 
 /// Column window `[col0, col0 + width)` of a dense matrix, by row.

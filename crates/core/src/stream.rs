@@ -40,12 +40,12 @@
 //! usual disjointness/coverage verdict runs once at the end.
 
 use crate::block::BlockBody;
+use crate::check::{write_set_violations, RaceReport, WriteSet};
 use crate::exec::ExecPolicy;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, sync_channel};
 use std::sync::Arc;
 use std::time::Instant;
-use tenblock_check::{write_set_violations, RaceReport, WriteSet};
 use tenblock_faults::{is_transient, Backoff, FaultOp, FaultPolicy, IoOutcome};
 use tenblock_obs::{KernelCounters, StreamStats};
 use tenblock_tensor::coo::perm_for_mode;

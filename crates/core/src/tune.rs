@@ -148,9 +148,9 @@ impl TuneResult {
         dims: [usize; NMODES],
         mode: usize,
         rank: usize,
-    ) -> Result<(), tenblock_check::OracleError> {
+    ) -> Result<(), crate::check::OracleError> {
         let perm = perm_for_mode(mode);
-        tenblock_check::check_tune_grid(
+        crate::check::check_tune_grid(
             [dims[perm[0]], dims[perm[1]], dims[perm[2]]],
             self.grid,
             self.strip_width,
@@ -234,6 +234,10 @@ pub fn try_tune_unblocked(
 ///
 /// # Panics
 /// Panics on degenerate input; boundary code should prefer [`try_tune`].
+#[expect(
+    clippy::panic,
+    reason = "documented panic for trusted callers; boundary code calls try_tune"
+)]
 pub fn tune(coo: &CooTensor, mode: usize, opts: &TuneOptions) -> TuneResult {
     match try_tune(coo, mode, opts) {
         Ok(r) => r,

@@ -2,7 +2,7 @@
 //! derivation (against a sort into the same grid), every MTTKRP kernel in
 //! the registry (all seven kinds), the tuner, and
 //! (sampled) the distributed executors,
-//! cross-checked against the dense reference and the `tenblock-check`
+//! cross-checked against the dense reference and the `tenblock_core::check`
 //! oracles. Any panic, typed-error mismatch, or numeric disagreement
 //! becomes a [`Finding`] with a minimized `.tns` repro.
 

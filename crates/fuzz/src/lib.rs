@@ -13,7 +13,7 @@
 //!    driver over a source that serves one tile in another order or lies
 //!    about its spans, and (sampled) the distributed executors. Results
 //!    are cross-checked against the dense reference and the
-//!    `tenblock-check` oracles; invalid requests must come back as typed
+//!    `tenblock_core::check` oracles; invalid requests must come back as typed
 //!    errors ([`tenblock_core::KernelError`], [`tenblock_core::TuneError`]).
 //! 2. **Parse stage** — a mutated `.tns` byte stream (non-finite values,
 //!    zero/overflowing/near-`Idx::MAX` coordinates, truncations, trailing

@@ -20,7 +20,7 @@
 
 #![forbid(unsafe_code)]
 // Production paths return typed errors (`clippy.toml` exempts tests).
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod json;
 pub mod metrics;

@@ -612,7 +612,9 @@ impl Registry {
         // I/O failures and a bad extension stay Load (the request is wrong).
         let coo = match p.extension().and_then(|e| e.to_str()) {
             Some("tns") => io::read_tns_file(p).map_err(|e| match e {
-                io::TnsError::Parse { .. } => RegistryError::InvalidTensor(e.to_string()),
+                io::TnsError::Parse { .. } | io::TnsError::DuplicateOverflow { .. } => {
+                    RegistryError::InvalidTensor(e.to_string())
+                }
                 io::TnsError::Io(_) => RegistryError::Load(e.to_string()),
             })?,
             Some("tnsb") => io_bin::read_bin_file(p).map_err(|e| match e {
@@ -1000,6 +1002,23 @@ mod tests {
             reg.load("y", missing.to_str().unwrap()),
             Err(RegistryError::Load(_))
         ));
+    }
+
+    #[test]
+    fn a_tile_store_loads_as_the_tensor_its_v1_file_holds() {
+        let dir = spill_dir("load_v2");
+        std::fs::create_dir_all(&dir).unwrap();
+        let t = uniform_tensor([30, 20, 10], 500, 11);
+        let (v1, v2) = (dir.join("t.tnsb"), dir.join("t.tiles.tnsb"));
+        io_bin::write_bin_file(&t, &v1).unwrap();
+        TileStore::create_from_coo(&t, [3, 2, 2], &v2).unwrap();
+        let reg = Registry::new();
+        let a = reg.load("v1", v1.to_str().unwrap()).unwrap();
+        let b = reg.load("v2", v2.to_str().unwrap()).unwrap();
+        assert_eq!(a.coo, t);
+        assert_eq!(b.coo, t);
+        assert_eq!(a.fingerprint, b.fingerprint);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -9,6 +9,16 @@
 //! once, and every later bound, cell id and cell lookup is plain `usize`
 //! arithmetic that the check has proved cannot overflow.
 
+// Every ingest path validates a grid and cells through here: what may
+// panic is waived site by site, with the precondition that rules it out.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
+
 use crate::NMODES;
 
 /// Uniform boundaries splitting `dim` indices into `n` blocks: block `t`
@@ -112,7 +122,11 @@ impl CellGrid {
     }
 
     /// The `counts()[ax] + 1` boundaries of axis `ax`.
+    ///
+    /// # Panics
+    /// Panics if `ax` is not an axis (`ax >= 3`).
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "an axis number, below NMODES")]
     pub fn bounds(&self, ax: usize) -> &[usize] {
         &self.bounds[ax]
     }
@@ -142,6 +156,10 @@ impl CellGrid {
     /// # Panics
     /// Panics if a coordinate lies outside its axis.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hot in every layout build; `ax` < NMODES, coordinates in range (see Panics)"
+    )]
     pub fn cell_of(&self, coords: [usize; NMODES]) -> [usize; NMODES] {
         [0, 1, 2].map(|ax| self.bounds[ax].partition_point(|&b| b <= coords[ax]) - 1)
     }
@@ -152,8 +170,9 @@ impl CellGrid {
     /// Panics if `cell` lies outside the grid; callers holding a cell from
     /// outside the process check it against [`CellGrid::counts`] first.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "in-grid cell (see Panics)")]
     pub fn origin(&self, cell: [usize; NMODES]) -> [usize; NMODES] {
-        [0, 1, 2].map(|ax| self.bounds[ax][cell[ax]]) // in-grid cell (see Panics) — lint: allow(panic-reach)
+        [0, 1, 2].map(|ax| self.bounds[ax][cell[ax]])
     }
 
     /// The length of `cell` along axis `ax`.
@@ -161,14 +180,18 @@ impl CellGrid {
     /// # Panics
     /// As [`CellGrid::origin`].
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "in-grid cell (see Panics)")]
     pub fn span(&self, cell: [usize; NMODES], ax: usize) -> usize {
-        // in-grid cell (see Panics) — lint: allow(panic-reach)
         self.bounds[ax][cell[ax] + 1] - self.bounds[ax][cell[ax]]
     }
 
     /// Test hook: moves boundary `idx` of axis `ax` by `delta`, the seeded
     /// bug checked execution must catch (a layout whose data still follows
     /// the old partition).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "test hook; an out-of-grid bound is a test bug"
+    )]
     pub fn shift_bound_for_test(&mut self, ax: usize, idx: usize, delta: isize) {
         let b = &mut self.bounds[ax][idx];
         *b = b.checked_add_signed(delta).unwrap_or(0);

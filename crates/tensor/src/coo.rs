@@ -168,10 +168,14 @@ impl CooTensor {
     /// # Panics
     /// Panics if any coordinate is out of range for `dims` or any value is
     /// non-finite.
+    #[expect(
+        clippy::panic,
+        reason = "documented panic; trusted in-memory callers (generators)"
+    )]
     pub fn from_entries(dims: [usize; NMODES], entries: Vec<Entry>) -> Self {
         match Self::try_from_entries(dims, entries) {
             Ok(t) => t,
-            Err(e) => panic!("{e}"), // documented panic; trusted in-memory callers (generators) — lint: allow(panic-reach)
+            Err(e) => panic!("{e}"),
         }
     }
 
@@ -200,6 +204,10 @@ impl CooTensor {
     /// # Panics
     /// Panics on mismatched slice lengths, out-of-range coordinates, or
     /// non-finite values.
+    #[expect(
+        clippy::panic,
+        reason = "documented panic; trusted in-memory callers (generators)"
+    )]
     pub fn from_triples(
         dims: [usize; NMODES],
         is: &[Idx],
@@ -209,7 +217,7 @@ impl CooTensor {
     ) -> Self {
         match Self::try_from_triples(dims, is, js, ks, vals) {
             Ok(t) => t,
-            Err(e) => panic!("{e}"), // documented panic; trusted in-memory callers (generators) — lint: allow(panic-reach)
+            Err(e) => panic!("{e}"),
         }
     }
 

@@ -26,8 +26,12 @@ use rand::Rng;
 
 /// Samples an index from a cumulative weight table by binary search.
 /// `cum` must be non-decreasing with a positive final value.
+#[expect(
+    clippy::expect_used,
+    reason = "documented precondition; callers build ≥1-entry tables"
+)]
 pub(crate) fn sample_cdf<R: Rng>(rng: &mut R, cum: &[f64], ids: &[Idx]) -> Idx {
-    let total = *cum.last().expect("non-empty cdf"); // documented precondition; callers build ≥1-entry tables — lint: allow(panic-reach)
+    let total = *cum.last().expect("non-empty cdf");
     let x = rng.random::<f64>() * total;
     // partition_point returns the first index with cum[i] > x
     let pos = cum.partition_point(|&c| c <= x).min(cum.len() - 1);

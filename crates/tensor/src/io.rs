@@ -7,7 +7,16 @@
 //! the crate; dimensions are inferred as the per-mode coordinate maxima
 //! unless given explicitly.
 
-use crate::coo::{CooTensor, Entry};
+// Untrusted input: a malformed file is a typed error, never a panic.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
+
+use crate::coo::{CooTensor, Entry, TensorError};
 use crate::persist::AtomicFile;
 use crate::{Idx, NMODES};
 use std::io::{BufWriter, Read, Write};
@@ -21,6 +30,9 @@ pub enum TnsError {
     Io(std::io::Error),
     /// A malformed line, with its 1-based line number and a description.
     Parse { line: usize, msg: String },
+    /// Well-formed lines whose duplicates of one coordinate, 1-based as the
+    /// file writes it, sum past `f64::MAX`.
+    DuplicateOverflow { coord: [u64; NMODES] },
 }
 
 impl std::fmt::Display for TnsError {
@@ -28,6 +40,10 @@ impl std::fmt::Display for TnsError {
         match self {
             TnsError::Io(e) => write!(f, "I/O error: {e}"),
             TnsError::Parse { line, msg } => write!(f, "parse error at line {line}: {msg}"),
+            TnsError::DuplicateOverflow { coord: [i, j, k] } => write!(
+                f,
+                "duplicates of coordinate {i} {j} {k} sum to a non-finite value"
+            ),
         }
     }
 }
@@ -70,7 +86,8 @@ struct Split {
 /// [`TnsError::Parse`] naming the line; of several bad lines, the first
 /// in the file is named. Lines repeating a coordinate triple are coalesced
 /// by summing their values (the [`CooTensor`] duplicate semantics); a sum
-/// that overflows to infinity is a parse error naming the coordinate.
+/// that overflows to infinity is a [`TnsError::DuplicateOverflow`] naming
+/// the coordinate as the file writes it.
 ///
 /// The text is read in chunks of whole lines, and each chunk is parsed on
 /// every available core; the entries keep file order, so the result does
@@ -84,10 +101,15 @@ pub fn read_tns<R: Read>(reader: R) -> Result<CooTensor, TnsError> {
     let (dims, entries) = read_entries(reader, split)?;
     // Coordinates were bounds-checked against the running maxima and
     // values are finite; construction fails only if duplicates sum past
-    // `f64::MAX`, a parse error naming the coordinate.
-    CooTensor::try_from_entries(dims, entries).map_err(|e| TnsError::Parse {
-        line: 0,
-        msg: e.to_string(),
+    // `f64::MAX`.
+    CooTensor::try_from_entries(dims, entries).map_err(|e| match e {
+        TensorError::NonFiniteSum { idx } => TnsError::DuplicateOverflow {
+            coord: idx.map(|c| u64::from(c) + 1),
+        },
+        other => TnsError::Parse {
+            line: 0,
+            msg: other.to_string(),
+        },
     })
 }
 
@@ -599,16 +621,16 @@ mod tests {
     }
 
     #[test]
-    fn duplicates_summing_past_f64_max_are_a_parse_error() {
-        match read_tns("1 1 1 1e308\n2 1 1 1.0\n1 1 1 1e308\n".as_bytes()) {
-            Err(TnsError::Parse { msg, .. }) => {
-                assert!(
-                    msg.contains("[0, 0, 0]") && msg.contains("non-finite"),
-                    "{msg}"
-                )
-            }
-            other => panic!("{other:?}"),
-        }
+    fn duplicates_summing_past_f64_max_name_the_coordinate_as_written() {
+        let err = read_tns("2 1 1 1.0\n1 3 2 1e308\n1 3 2 1e308\n".as_bytes()).unwrap_err();
+        assert!(
+            matches!(err, TnsError::DuplicateOverflow { coord: [1, 3, 2] }),
+            "{err:?}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "duplicates of coordinate 1 3 2 sum to a non-finite value"
+        );
     }
 
     #[test]

@@ -17,9 +17,20 @@
 //! tensor (`coords u32 * 3 * nnz` entry-major, then `vals f64 * nnz`), read
 //! straight into a [`CooTensor`]'s entries; the version-2 tile framing
 //! lives in [`crate::tile_store`] and reuses [`read_header`]/
-//! [`write_header`] plus the integer codecs here.
+//! [`write_header`] plus the integer codecs here. [`read_bin_file`] reads
+//! either version into a [`CooTensor`].
+
+// Untrusted input: a malformed file is a typed error, never a panic.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
 
 use crate::coo::CooTensor;
+use crate::tile_store::TileStore;
 use crate::{Entry, NMODES};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -136,7 +147,8 @@ pub fn read_header<R: Read>(r: &mut R) -> Result<BinHeader, BinError> {
         dims.push(to_usize(read_u64(r)?, "dimension")?);
     }
     let nnz = read_u64(r)?;
-    let cells: u128 = dims.iter().map(|&d| d as u128).product();
+    // Three u64 lengths can multiply past u128: saturate, never wrap.
+    let cells = dims.iter().fold(1u128, |n, &d| n.saturating_mul(d as u128));
     if (nnz as u128) > cells {
         return Err(BinError::Format(format!("nnz {nnz} exceeds tensor cells")));
     }
@@ -195,7 +207,7 @@ pub fn write_bin<W: Write>(t: &CooTensor, writer: W) -> std::io::Result<()> {
 /// the claim.
 pub fn read_bin<R: Read>(reader: R) -> Result<CooTensor, BinError> {
     let mut r = BufReader::new(reader);
-    let (dims, nnz, _) = read_coo_header(&mut r)?;
+    let (dims, nnz, _) = coo_header(read_header(&mut r)?)?;
     read_payload(&mut r, dims, nnz, nnz.min(STREAM_RESERVE))
 }
 
@@ -208,16 +220,22 @@ pub fn write_bin_file<P: AsRef<Path>>(t: &CooTensor, path: P) -> std::io::Result
     out.commit()
 }
 
-/// Reads a 3-mode binary tensor file.
+/// Reads a 3-mode binary tensor file, of either payload version.
 ///
-/// A version-1 payload has a fixed size, so the file must be exactly the
+/// A version-2 file is a tile store: it is opened and validated by
+/// [`TileStore::open`] and reassembled by [`TileStore::to_coo`]. A
+/// version-1 payload has a fixed size, so the file must be exactly the
 /// header plus 20 bytes a nonzero long. That is checked before the
 /// entries are reserved, and a mismatch is a [`BinError::Format`].
 pub fn read_bin_file<P: AsRef<Path>>(path: P) -> Result<CooTensor, BinError> {
-    let file = std::fs::File::open(path)?;
+    let file = std::fs::File::open(&path)?;
     let len = file.metadata()?.len();
     let mut r = BufReader::new(file);
-    let (dims, nnz, header_len) = read_coo_header(&mut r)?;
+    let h = read_header(&mut r)?;
+    if h.version == VERSION_TILES {
+        return TileStore::open(path)?.to_coo();
+    }
+    let (dims, nnz, header_len) = coo_header(h)?;
     let want = header_len as u128 + u128::from(COO_ENTRY_BYTES) * nnz as u128;
     if u128::from(len) != want {
         return Err(BinError::Format(format!(
@@ -227,10 +245,9 @@ pub fn read_bin_file<P: AsRef<Path>>(path: P) -> Result<CooTensor, BinError> {
     read_payload(&mut r, dims, nnz, nnz)
 }
 
-/// Reads the shared header and checks that it describes a 3-mode COO
-/// payload: its dims, its nonzero count and its encoded length.
-fn read_coo_header<R: Read>(r: &mut R) -> Result<([usize; NMODES], usize, usize), BinError> {
-    let h = read_header(r)?;
+/// Checks that a header describes a 3-mode COO payload, and returns its
+/// dims, its nonzero count and its encoded length.
+fn coo_header(h: BinHeader) -> Result<([usize; NMODES], usize, usize), BinError> {
     if h.version != VERSION_COO {
         return Err(BinError::Format(format!(
             "unsupported version {}",
@@ -439,6 +456,27 @@ mod tests {
     }
 
     #[test]
+    fn a_tile_store_reads_as_the_tensor_its_v1_file_holds() {
+        let t = uniform_tensor([30, 20, 10], 500, 11);
+        let dir = scratch("v2");
+        let (v1, v2) = (dir.join("t.tnsb"), dir.join("t.tiles.tnsb"));
+        write_bin_file(&t, &v1).unwrap();
+        TileStore::create_from_coo(&t, [3, 2, 2], &v2).unwrap();
+        assert_eq!(read_bin_header_file(&v2).unwrap().version, VERSION_TILES);
+        assert_eq!(read_bin_file(&v1).unwrap(), t);
+        assert_eq!(read_bin_file(&v2).unwrap(), t);
+        // A malformed store is the tile store's typed error.
+        let mut bytes = std::fs::read(&v2).unwrap();
+        bytes.truncate(bytes.len() - 1);
+        let cut = dir.join("cut.tnsb");
+        crate::persist::atomic_write(&cut, &bytes).unwrap();
+        assert!(matches!(read_bin_file(&cut), Err(BinError::Format(_))));
+        // The stream reader takes version 1 only.
+        let err = read_bin(std::fs::File::open(&v2).unwrap()).unwrap_err();
+        assert!(err.to_string().contains("unsupported version 2"), "{err}");
+    }
+
+    #[test]
     fn header_roundtrip_and_peek() {
         let h = BinHeader {
             version: VERSION_TILES,
@@ -477,5 +515,19 @@ mod tests {
             read_header(&mut buf.as_slice()),
             Err(BinError::Format(_))
         ));
+    }
+
+    #[test]
+    fn a_cell_count_past_u128_saturates_instead_of_overflowing() {
+        // 2^189 cells: the product used to overflow (a panic in a debug
+        // build, a wrapped bound of 0 in a release one).
+        let h = BinHeader {
+            version: VERSION_COO,
+            dims: vec![1 << 63; 3],
+            nnz: 5,
+        };
+        let mut buf = Vec::new();
+        write_header(&mut buf, &h).unwrap();
+        assert_eq!(read_header(&mut buf.as_slice()).unwrap(), h);
     }
 }

@@ -72,9 +72,12 @@ impl AtomicFile {
         &self.tmp
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "Some until commit/drop by construction: `commit` consumes `self`, \
+                  so no caller can reach this afterwards"
+    )]
     fn file(&mut self) -> &mut std::fs::File {
-        // Some until commit/drop by construction: `commit` consumes
-        // `self`, so no caller can reach this afterwards. lint: allow(panic-reach)
         self.file.as_mut().expect("AtomicFile used after commit")
     }
 

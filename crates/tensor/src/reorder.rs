@@ -101,8 +101,11 @@ impl Reordering {
     }
 
     /// The relabeling map for mode `m`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass m < order == maps.len()"
+    )]
     pub fn map(&self, m: usize) -> &[Idx] {
-        // callers pass m < order == maps.len() — lint: allow(panic-reach)
         &self.maps[m]
     }
 

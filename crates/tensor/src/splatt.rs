@@ -135,7 +135,7 @@ impl SplattTensor {
             i_ptr.push(fiber_kid.len());
         }
         debug_assert_eq!(fiber_ptr.len(), fiber_kid.len() + 1);
-        debug_assert_eq!(*fiber_ptr.last().unwrap(), nnz); // fiber_ptr starts at [0], never empty — lint: allow(panic-reach)
+        debug_assert_eq!(fiber_ptr.last(), Some(&nnz));
 
         SplattTensor {
             dims,

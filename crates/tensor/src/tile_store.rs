@@ -99,9 +99,20 @@ fn stored_counts(cells: &CellGrid) -> Result<[u32; NMODES], BinError> {
     Ok(out)
 }
 
+// The ingest path (`open`, `validate_bytes`, `load_tile`, `to_coo` and the
+// helpers here they call) is under the untrusted-input denies: a malformed
+// store is a typed error, never a panic.
+
 /// Parses and validates the header + grid + tile table of a v2 store.
 /// `total_len` is the byte length of the whole stream; payload offsets
 /// must tile `[table_end, total_len)` exactly, in order.
+#[deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
 fn parse_meta<R: Read>(r: &mut R, total_len: u64) -> Result<StoreMeta, BinError> {
     let h = read_header(r)?;
     if h.version != VERSION_TILES {
@@ -170,7 +181,7 @@ fn parse_meta<R: Read>(r: &mut R, total_len: u64) -> Result<StoreMeta, BinError>
                 "tile {t}: length {len} disagrees with nnz {nnz}"
             )));
         }
-        let volume: u128 = (0..NMODES).map(|ax| cells.span(at, ax) as u128).product();
+        let volume = (0..NMODES).fold(1u128, |v, ax| v.saturating_mul(cells.span(at, ax) as u128));
         if nnz as u128 > volume {
             return Err(BinError::Format(format!(
                 "tile {t}: nnz {nnz} exceeds the cell volume {volume}"
@@ -181,7 +192,9 @@ fn parse_meta<R: Read>(r: &mut R, total_len: u64) -> Result<StoreMeta, BinError>
                 "tile {t}: payload offset {off} overlaps or skips bytes (expected {expected_off})"
             )));
         }
-        expected_off = off + len;
+        expected_off = off.checked_add(len).ok_or_else(|| {
+            BinError::Format(format!("tile {t}: payload end overflows a u64 offset"))
+        })?;
         total_nnz += nnz;
         tiles.push(TileMeta {
             cell,
@@ -211,6 +224,13 @@ fn parse_meta<R: Read>(r: &mut R, total_len: u64) -> Result<StoreMeta, BinError>
 
 /// Decodes `tile.payload` — tile `t`'s bytes — into `tile`, holding every
 /// local offset against the tile's span.
+#[deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
 fn decode_tile(
     cells: &CellGrid,
     t: usize,
@@ -266,12 +286,26 @@ fn decode_tile(
 impl TileStore {
     /// Opens and validates an existing tile-store file. Only the header
     /// and tile table are read into memory.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::unreachable
+    )]
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, BinError> {
         Self::open_with(path, FaultPolicy::none())
     }
 
     /// [`TileStore::open`] with fault injection: every read during open
     /// and every later [`TileStore::load_tile`] routes through `faults`.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::unreachable
+    )]
     pub fn open_with<P: AsRef<Path>>(path: P, faults: FaultPolicy) -> Result<Self, BinError> {
         let file = std::fs::File::open(&path)?;
         let total_len = file.metadata()?.len();
@@ -287,6 +321,13 @@ impl TileStore {
     /// Fully validates an in-memory tile-store image: structure plus a
     /// decode of every tile. This is the fuzzer's entry point — it must
     /// return a typed error on any malformation, never panic.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::unreachable
+    )]
     pub fn validate_bytes(bytes: &[u8]) -> Result<(), BinError> {
         let mut r = bytes;
         let meta = parse_meta(&mut r, bytes.len() as u64)?;
@@ -572,6 +613,13 @@ impl TileStore {
     }
 
     /// Loads and decodes one tile from disk into a fresh [`SourceTile`].
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::unreachable
+    )]
     pub fn load_tile(&self, i: usize) -> Result<SourceTile, BinError> {
         let mut tile = SourceTile::default();
         self.load_tile_reusing(i, &mut tile)?;
@@ -580,6 +628,13 @@ impl TileStore {
 
     /// Loads and decodes one tile from disk into `tile`, reusing its
     /// buffers (the read buffer included).
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::unreachable
+    )]
     pub fn load_tile_reusing(&self, i: usize, tile: &mut SourceTile) -> Result<(), BinError> {
         let tm = *self.meta.tiles.get(i).ok_or_else(|| {
             BinError::Format(format!(
@@ -598,6 +653,13 @@ impl TileStore {
     /// spill tier's reload path and the round-trip test hook — it holds
     /// the full entry list, so only call it when the tensor is meant to
     /// become resident again.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::unreachable
+    )]
     pub fn to_coo(&self) -> Result<CooTensor, BinError> {
         let mut entries = Vec::with_capacity(self.nnz());
         let mut tile = SourceTile::default();
@@ -749,6 +811,31 @@ mod tests {
             TileStore::validate_bytes(&v1),
             Err(BinError::Format(_))
         ));
+    }
+
+    #[test]
+    fn a_tile_whose_payload_end_overflows_is_a_typed_error() {
+        // One 2^80-cell tile claiming 2^62 entries: its length saturates
+        // to u64::MAX, and offset + length used to overflow (a panic in a
+        // debug build).
+        let mut bytes = Vec::new();
+        let header = BinHeader {
+            version: VERSION_TILES,
+            dims: vec![1 << 40, 1 << 40, 1],
+            nnz: 1 << 62,
+        };
+        write_header(&mut bytes, &header).unwrap();
+        for v in [1u32, 1, 1] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        bytes.extend_from_slice(&1u64.to_le_bytes()); // one tile
+        bytes.extend_from_slice(&[0u8; 12]); // cell (0, 0, 0)
+        let table_end = bytes.len() as u64 + 24;
+        for v in [1u64 << 62, table_end, u64::MAX] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        let err = TileStore::validate_bytes(&bytes).unwrap_err();
+        assert!(err.to_string().contains("overflows"), "{err}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   (blocking-invariant oracles + write-set race detection),
 //! * `fuzz` — differential edge-case fuzzing of the ingest/kernel/tuner
 //!   boundary with minimized repro output,
-//! * `lint <root>` — run the zero-dependency workspace lint.
+//! * `chaos` — the pinned fault-injection matrix.
 //!
 //! `tune` and `decompose` accept `--plan-cache <path>` to share tuned
 //! block-size plans with each other and with a running `serve` instance.
@@ -130,7 +130,6 @@ USAGE:
   tenblock check <file> [--rank R]
   tenblock fuzz [--seeds N] [--seed BASE] [--corpus dir]
   tenblock chaos [--seeds N]
-  tenblock lint [root] [--json] [--baseline <path>] [--write-baseline <path>]
 
 Files: .tns (FROSTT text) or .tnsb (tenblock binary).
 `stats --grid AxBxC` additionally prints a block-occupancy histogram of
@@ -160,15 +159,6 @@ with a typed error; panics, hangs (60s watchdog), and half-written
 stores visible to `open` are failures. --seeds N draws N scenario
 instances round-robin over the matrix (N >= 90 covers every cell).
 Exits nonzero on any violation.
-`lint` runs the static-analysis pass over `root` (default `.`):
-panic-reachability from the declared ingest, kernel-launch and serve
-roots (with call-chain witnesses). One-line rules (unwraps, docs, raw
-locks, in-place writes, narrowing casts) are clippy lints; serve's lock
-order and no-I/O-under-a-lock rule are debug assertions in its sync.rs.
-Exits nonzero on unwaived findings. --json emits the stable
-machine-readable report;
---baseline compares against a checked-in baseline (new findings fail,
-newly-fixed ones warn); --write-baseline regenerates it.
 `decompose --stream` runs CP-ALS out of core: the tensor is served from an
 on-disk tile store (built on the fly for v1/.tns inputs, sized so two
 tiles fit --tile-budget) and streamed per MTTKRP with double-buffered
@@ -681,62 +671,6 @@ pub fn run(cmd: &str, args: &Args) -> Result<String, String> {
             let seeds = args.flag_or("seeds", 90u64);
             crate::chaos::run(seeds)
         }
-        "lint" => {
-            let root = args.positional.first().map(String::as_str).unwrap_or(".");
-            let report = tenblock_core::check::lint_workspace(Path::new(root))
-                .map_err(|e| format!("lint {root}: {e}"))?;
-            if let Some(path) = args.flag("write-baseline") {
-                if path.is_empty() {
-                    return Err("--write-baseline requires a path".to_string());
-                }
-                let json = tenblock_core::check::baseline_json(&report);
-                std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
-                return Ok(format!(
-                    "wrote baseline for {} finding(s) to {path}",
-                    report.findings.len()
-                ));
-            }
-            if let Some(path) = args.flag("baseline") {
-                if path.is_empty() {
-                    return Err("--baseline requires a path".to_string());
-                }
-                let raw =
-                    std::fs::read_to_string(path).map_err(|e| format!("baseline {path}: {e}"))?;
-                let keys = tenblock_core::check::parse_baseline_keys(&raw);
-                let diff = tenblock_core::check::diff_baseline(&report, &keys);
-                let mut out = String::new();
-                for f in &diff.new {
-                    out.push_str(&format!("new: {f}\n"));
-                }
-                for k in &diff.fixed {
-                    out.push_str(&format!("fixed (update the baseline): {k}\n"));
-                }
-                out.push_str(&format!(
-                    "{} file(s) scanned, {} new finding(s), {} fixed vs baseline",
-                    report.files_scanned,
-                    diff.new.len(),
-                    diff.fixed.len()
-                ));
-                return if diff.new.is_empty() {
-                    Ok(out)
-                } else {
-                    Err(out)
-                };
-            }
-            if args.flag("json").is_some() {
-                let json = tenblock_core::check::to_json(&report);
-                return if report.is_clean() {
-                    Ok(json)
-                } else {
-                    Err(json)
-                };
-            }
-            if report.is_clean() {
-                Ok(format!("{report}"))
-            } else {
-                Err(format!("{report}"))
-            }
-        }
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
         other => Err(format!("unknown subcommand `{other}`\n\n{USAGE}")),
     }
@@ -820,6 +754,36 @@ mod tests {
         let a = load_tensor(&tns).unwrap();
         let b = load_tensor(&tnsb).unwrap();
         assert_eq!(a.entries(), b.entries());
+    }
+
+    #[test]
+    fn stats_reads_a_tile_store_as_its_v1_file() {
+        let tns = tmpfile("store_src.tns");
+        let mut args = Args::parse(&["Poisson1".to_string(), tns.clone()]);
+        args.flags.push(("nnz".into(), "2000".into()));
+        args.flags.push(("seed".into(), "3".into()));
+        run("gen", &args).unwrap();
+        let v1 = tmpfile("store_src.tnsb");
+        run("convert", &Args::parse(&[tns.clone(), v1.clone()])).unwrap();
+        let store = tmpfile("store_src.tiles.tnsb");
+        let mut dargs = Args::parse(std::slice::from_ref(&v1));
+        for (k, v) in [
+            ("rank", "4"),
+            ("iters", "1"),
+            ("stream", ""),
+            ("store", store.as_str()),
+        ] {
+            dargs.flags.push((k.into(), v.into()));
+        }
+        let msg = run("decompose", &dargs).unwrap();
+        assert!(msg.contains("tiled"), "{msg}");
+
+        let stats = |path: &str| {
+            let out = run("stats", &Args::parse(&[path.to_string()])).unwrap();
+            out.replace(path, "<file>")
+        };
+        assert_eq!(stats(&store), stats(&v1));
+        assert_eq!(load_tensor(&store).unwrap(), load_tensor(&v1).unwrap());
     }
 
     #[test]

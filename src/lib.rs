@@ -8,14 +8,13 @@
 //!
 //! * [`tensor`] — sparse tensor formats, generators, I/O ([`tenblock_tensor`])
 //! * [`core`] — MTTKRP kernels with multi-dimensional / rank / register
-//!   blocking ([`tenblock_core`])
+//!   blocking, and checked execution's race detection and
+//!   blocking-invariant oracles ([`tenblock_core`])
 //! * [`analysis`] — roofline model, cache simulator, pressure-point analysis
 //!   ([`tenblock_analysis`])
 //! * [`cpd`] — CP-ALS tensor decomposition ([`tenblock_cpd`])
 //! * [`dist`] — simulated distributed MTTKRP with 3D/4D partitioning
 //!   ([`tenblock_dist`])
-//! * [`check`] — race detection, blocking-invariant oracles, workspace lint
-//!   ([`tenblock_check`])
 //! * [`fuzz`] — structure-aware differential fuzzer for the input boundary
 //!   ([`tenblock_fuzz`])
 //! * [`faults`] — deterministic fault-injection plane for every disk
@@ -31,7 +30,6 @@ pub mod chaos;
 pub mod cli;
 
 pub use tenblock_analysis as analysis;
-pub use tenblock_check as check;
 pub use tenblock_core as core;
 pub use tenblock_cpd as cpd;
 pub use tenblock_dist as dist;

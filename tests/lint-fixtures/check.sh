@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Proves that clippy rejects what `tenblock lint`'s former line rules
-# and its former `index-overflow` pass caught. Runs `cargo clippy` over the fixture package once per workspace
-# `clippy.toml` (via CLIPPY_CONF_DIR) and fails unless every expected lint
-# fires, and the in-place-write lints fire only under the tensor and serve
-# configurations. Run from anywhere: `tests/lint-fixtures/check.sh`.
+# Proves that clippy rejects what the former workspace lint's line rules,
+# its `index-overflow` pass and its `panic-reach` strict tier caught. Runs
+# `cargo clippy` over the fixture package once per workspace `clippy.toml`
+# (via CLIPPY_CONF_DIR) and fails unless every expected lint fires, the
+# untrusted-input denies fire inside `src/ingest.rs`, and the in-place-write
+# lints fire only under the tensor and serve configurations. Run from
+# anywhere: `tests/lint-fixtures/check.sh`.
 set -euo pipefail
 root=$(cd "$(dirname "$0")/../.." && pwd)
 status=0
@@ -19,6 +21,17 @@ require() {
     fi
 }
 
+# require_in <file> <lint>: checks that $out holds a <lint> diagnostic
+# whose span lies in <file>.
+require_in() {
+    # No `grep -q` downstream: an early exit would fail the pipe (pipefail).
+    if ! grep -F -- "\"code\":{\"code\":\"$2\"" <<<"$out" |
+        grep -F -- "\"file_name\":\"$1\"" >/dev/null; then
+        echo "lint-fixtures: $2 expected present in $1 under $conf/clippy.toml" >&2
+        status=1
+    fi
+}
+
 for conf in . crates/tensor crates/serve; do
     # The fixture is meant to fail to compile; only its diagnostics count.
     out=$(cd "$root" && CLIPPY_CONF_DIR="$root/$conf" cargo clippy -q \
@@ -27,6 +40,10 @@ for conf in . crates/tensor crates/serve; do
     for lint in clippy::unwrap_used clippy::expect_used missing_docs \
         clippy::cast_possible_truncation unfulfilled_lint_expectations; do
         require present "\"code\":{\"code\":\"$lint\"" "$lint"
+    done
+    for lint in clippy::indexing_slicing clippy::panic clippy::unreachable \
+        clippy::unwrap_used clippy::expect_used; do
+        require_in src/ingest.rs "$lint"
     done
     require present 'disallowed method `std::sync::Mutex::lock`' "clippy::disallowed_methods (lock)"
     fs=present

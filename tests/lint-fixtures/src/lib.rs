@@ -9,6 +9,8 @@
 // The lint attribute at the `tenblock-tensor` root.
 #![deny(clippy::cast_possible_truncation)]
 
+pub mod ingest;
+
 use std::fs::{File, OpenOptions};
 use std::sync::Mutex;
 
